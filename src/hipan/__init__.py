@@ -5,108 +5,12 @@ hierarchy (`tree`), encode its leaves as fixed-length base-p codes whose
 valuation metric mirrors ancestry (`padic`, `tree`), fit per-digit heads
 to those codes with a lattice or Adam trainer (`model`, `optim`), then
 check what the geometry and the fit actually deliver (`metrics`).
+
+Each module's `__all__` is its public interface; the package re-exports
+all of them, and from `checkpoint` the file-level helpers below.
 """
 
-from .padic import (
-    Ball,
-    CodecParams,
-    DEFAULT_LEAK,
-    LEAK_SAFE_RANGE,
-    PadicCode,
-    ball_contains,
-    code,
-    code_to_text,
-    is_prime,
-    leaky_indicator,
-    next_prime_geq,
-    text_to_code,
-    ultrametric_distance,
-    valuation,
-    vdp_bound,
-)
-from .tree import (
-    DecodeError,
-    EncodedDataset,
-    InvalidDigitError,
-    InvalidPaddingError,
-    Record,
-    TreeParseError,
-    TreeSpec,
-    branching_stats,
-    dataset_from_json,
-    dataset_to_json,
-    decode_code,
-    dump_tree,
-    encode_leaf,
-    encode_tree,
-    gen_synthetic,
-    lca_depth,
-    load_tree,
-    loads_tree,
-    make_codec,
-    select_prime,
-    tree_to_nested,
-)
-from .model import (
-    BallSummary,
-    HiPaNModel,
-    ModelConfig,
-    RECONSTRUCT_MARGIN,
-    activation_path,
-    clamped_descent,
-    describe_ball,
-    model_from_state,
-    model_state,
-    new_model,
-    parameter_count,
-    predict_digits,
-    predict_leaf,
-    reconstruct_digits,
-    reconstruct_leaf,
-    reconstruct_matrix,
-    vdp_layer_apply,
-)
-from .optim import (
-    AdamConfig,
-    GistConfig,
-    NumericAbort,
-    OptimState,
-    TrainPhase,
-    TrainPlan,
-    TrainResult,
-    adam_step,
-    anchor_loss,
-    dataset_loss,
-    default_plan,
-    gist_minimize,
-    gist_sweep,
-    huffman_weights,
-    project_digit,
-    restore_optim_state,
-    train,
-    two_logit_grad,
-    two_logit_loss,
-    uniform_plan,
-)
-from .metrics import (
-    AccuracyReport,
-    BoxCountResult,
-    CalibrationReport,
-    DiagnosticsReport,
-    SpearmanResult,
-    TriangleReport,
-    accuracy_report,
-    average_ranks,
-    binned_calibration,
-    box_count_dimension,
-    calibration_report,
-    diagnose,
-    digit_entropy_profile,
-    prefix_entropy_profile,
-    spearman_ultrametric,
-    triangle_violation_count,
-    triangle_violations,
-)
+from . import metrics, model, optim, padic, rng, tree
 from .checkpoint import (
     canonical_json,
     checkpoint_fingerprint,
@@ -114,105 +18,25 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .rng import child_rng
+from .metrics import *  # noqa: F403
+from .model import *  # noqa: F403
+from .optim import *  # noqa: F403
+from .padic import *  # noqa: F403
+from .rng import *  # noqa: F403
+from .tree import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyReport",
-    "AdamConfig",
-    "Ball",
-    "BallSummary",
-    "BoxCountResult",
-    "CalibrationReport",
-    "CodecParams",
-    "DEFAULT_LEAK",
-    "DecodeError",
-    "DiagnosticsReport",
-    "EncodedDataset",
-    "GistConfig",
-    "HiPaNModel",
-    "InvalidDigitError",
-    "InvalidPaddingError",
-    "LEAK_SAFE_RANGE",
-    "ModelConfig",
-    "NumericAbort",
-    "OptimState",
-    "PadicCode",
-    "RECONSTRUCT_MARGIN",
-    "Record",
-    "SpearmanResult",
-    "TrainPhase",
-    "TrainPlan",
-    "TrainResult",
-    "TreeParseError",
-    "TreeSpec",
-    "TriangleReport",
-    "accuracy_report",
-    "activation_path",
-    "adam_step",
-    "anchor_loss",
-    "average_ranks",
-    "ball_contains",
-    "binned_calibration",
-    "box_count_dimension",
-    "branching_stats",
-    "calibration_report",
+    *padic.__all__,
+    *tree.__all__,
+    *model.__all__,
+    *optim.__all__,
+    *metrics.__all__,
+    *rng.__all__,
     "canonical_json",
     "checkpoint_fingerprint",
-    "child_rng",
-    "clamped_descent",
-    "code",
-    "code_to_text",
     "config_hash",
-    "dataset_from_json",
-    "dataset_loss",
-    "dataset_to_json",
-    "decode_code",
-    "default_plan",
-    "describe_ball",
-    "diagnose",
-    "digit_entropy_profile",
-    "dump_tree",
-    "encode_leaf",
-    "encode_tree",
-    "gen_synthetic",
-    "gist_minimize",
-    "gist_sweep",
-    "huffman_weights",
-    "is_prime",
-    "lca_depth",
-    "leaky_indicator",
     "load_checkpoint",
-    "load_tree",
-    "loads_tree",
-    "make_codec",
-    "model_from_state",
-    "model_state",
-    "new_model",
-    "next_prime_geq",
-    "parameter_count",
-    "predict_digits",
-    "predict_leaf",
-    "prefix_entropy_profile",
-    "project_digit",
-    "reconstruct_digits",
-    "reconstruct_leaf",
-    "reconstruct_matrix",
-    "restore_optim_state",
     "save_checkpoint",
-    "select_prime",
-    "spearman_ultrametric",
-    "text_to_code",
-    "train",
-    "tree_to_nested",
-    "triangle_violation_count",
-    "triangle_violations",
-    "two_logit_grad",
-    "two_logit_loss",
-    "ultrametric_distance",
-    "uniform_plan",
-    "valuation",
-    "vdp_bound",
-    "vdp_layer_apply",
 ]

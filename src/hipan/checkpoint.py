@@ -52,7 +52,12 @@ def save_checkpoint(
     run_config: dict | None = None,
     created_unix_ms: int | None = None,
 ) -> str:
-    """Write a checkpoint document; returns the path written."""
+    """Write a checkpoint document atomically; returns the path written.
+
+    The document goes to a temporary file in the target's directory,
+    is flushed to disk, then renamed over the target, so a failed write
+    leaves any previous file at the path as it was.
+    """
     doc = {
         "format": FORMAT,
         "model": model_state(model),
@@ -65,9 +70,18 @@ def save_checkpoint(
         ),
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc))
-        fh.write("\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(doc))
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     return path
 
 

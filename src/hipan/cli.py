@@ -78,7 +78,6 @@ class RunConfig:
     batch_size: int = 64
     k_digits: int = 0
     k_heads: int = 0
-    alpha: float = 0.01
     tau: float = 0.5
     plan: str = "default"
     lr: float = 0.0
@@ -88,21 +87,8 @@ class RunConfig:
     bins: int = 15
 
 
-_FIELD_TYPES = {
-    "seed": int,
-    "optimizer": str,
-    "batch_size": int,
-    "k_digits": int,
-    "k_heads": int,
-    "alpha": float,
-    "tau": float,
-    "plan": str,
-    "lr": float,
-    "warmup_lr": float,
-    "patience": int,
-    "max_pairs": int,
-    "bins": int,
-}
+# setting name -> the type its text parses as (the type of its default)
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _coerce(name: str, raw: str):
@@ -237,7 +223,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
             return 2
         model = load_model(resume_doc)
     else:
-        mconf = ModelConfig(codec, cfg.k_heads or None, cfg.alpha, cfg.tau)
+        mconf = ModelConfig(codec, cfg.k_heads or None, cfg.tau)
         model = new_model(mconf, cfg.seed)
     if cfg.optimizer == "gist":
         optimizer: GistConfig | AdamConfig = GistConfig(
@@ -306,7 +292,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     tree = load_tree(ns.tree) if ns.tree else None
     model, _ = _load_model_for(ns, ds)
     rep = accuracy_report(model, ds, tree)
-    loss = dataset_loss(model, ds.digits_matrix(), range(ds.codec.K))
+    loss = dataset_loss(model, ds, range(ds.codec.K))
     _emit(
         {
             "leaf_accuracy": rep.leaf_accuracy,
@@ -442,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", choices=("default", "uniform"))
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--k-heads", dest="k_heads", type=int)
-    p.add_argument("--alpha", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--lr", type=float)
     p.add_argument("--warmup-lr", dest="warmup_lr", type=float)

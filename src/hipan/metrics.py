@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import HiPaNModel, clamped_descent, reconstruct_matrix
+from .model import HiPaNModel, clamped_descent_matrix, reconstruct_matrix
 from .padic import PadicCode
 from .rng import child_rng
 from .tree import EncodedDataset, TreeSpec, lca_depth
@@ -47,26 +47,60 @@ class AccuracyReport:
         return self.digit_accuracy[0]
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """One free-running reconstruction of every record, read by accuracy,
+    calibration and the epoch log: the true and reconstructed (N, K)
+    digits, the softmax mass of each reconstructed digit, and whether
+    each record reached its own leaf (its whole code, without a tree)."""
+
+    digits: np.ndarray
+    pred: np.ndarray
+    conf: np.ndarray
+    leaf_hit: np.ndarray
+
+    def accuracy(self) -> AccuracyReport:
+        if not len(self.digits):
+            raise ValueError("accuracy over an empty dataset is undefined")
+        hit = self.pred == self.digits
+        per_digit = tuple(float(a) for a in hit.mean(axis=0))
+        code_acc = float(hit.all(axis=1).mean())
+        return AccuracyReport(float(self.leaf_hit.mean()), per_digit, code_acc, len(hit))
+
+    def calibration(self, n_bins: int = 15) -> CalibrationReport:
+        """Whole-code confidence (the product over digits) against leaf_hit."""
+        return binned_calibration(self.conf.prod(axis=1), self.leaf_hit, n_bins)
+
+
+def evaluate_digits(
+    model: HiPaNModel,
+    D: np.ndarray,
+    tree: TreeSpec | None = None,
+    leaf_ids: np.ndarray | None = None,
+) -> Evaluation:
+    """One reconstruction of an (N, K) digit matrix and, given the tree and
+    each row's leaf id, one clamped descent of all the reconstructions."""
+    pred, conf = reconstruct_matrix(model, D)
+    if tree is None:
+        return Evaluation(D, pred, conf, (pred == D).all(axis=1))
+    return Evaluation(D, pred, conf, clamped_descent_matrix(tree, pred) == leaf_ids)
+
+
+def evaluate(
+    model: HiPaNModel, dataset: EncodedDataset, tree: TreeSpec | None = None
+) -> Evaluation:
+    """evaluate_digits over a dataset's records."""
+    leaf_ids = None
+    if tree is not None:
+        leaf_ids = np.array([tree.id_of(r.leaf) for r in dataset.records], dtype=np.int64)
+    return evaluate_digits(model, dataset.digits_matrix(), tree, leaf_ids)
+
+
 def accuracy_report(
     model: HiPaNModel, dataset: EncodedDataset, tree: TreeSpec | None = None
 ) -> AccuracyReport:
     """Free-running reconstruction accuracy; empty datasets are an error."""
-    if not dataset.records:
-        raise ValueError("accuracy over an empty dataset is undefined")
-    D = dataset.digits_matrix()
-    pred, _ = reconstruct_matrix(model, D)
-    per_digit = tuple(float(a) for a in (pred == D).mean(axis=0))
-    code_acc = float((pred == D).all(axis=1).mean())
-    if tree is None:
-        leaf_acc = code_acc
-    else:
-        hits = sum(
-            1
-            for i, rec in enumerate(dataset.records)
-            if clamped_descent(tree, pred[i]) == tree.id_of(rec.leaf)
-        )
-        leaf_acc = hits / len(dataset.records)
-    return AccuracyReport(leaf_acc, per_digit, code_acc, len(dataset.records))
+    return evaluate(model, dataset, tree).accuracy()
 
 
 # --- rank correlation ---------------------------------------------------------
@@ -379,19 +413,7 @@ def calibration_report(
     its outcome is whether reconstruction reached the right leaf (exact
     code match when no hierarchy is given).
     """
-    D = dataset.digits_matrix()
-    pred, conf = reconstruct_matrix(model, D)
-    record_conf = conf.prod(axis=1)
-    if tree is None:
-        correct = (pred == D).all(axis=1)
-    else:
-        correct = np.array(
-            [
-                clamped_descent(tree, pred[i]) == tree.id_of(rec.leaf)
-                for i, rec in enumerate(dataset.records)
-            ]
-        )
-    return binned_calibration(record_conf, correct, n_bins)
+    return evaluate(model, dataset, tree).calibration(n_bins)
 
 
 # --- assembled report ---------------------------------------------------------
@@ -463,14 +485,15 @@ def diagnose(
     seed: int = 0,
 ) -> DiagnosticsReport:
     """Run every structural check against one model and dataset."""
+    evaluation = evaluate(model, dataset, tree)
     return DiagnosticsReport(
-        accuracy=accuracy_report(model, dataset, tree),
+        accuracy=evaluation.accuracy(),
         spearman=spearman_ultrametric(dataset, tree, max_pairs=max_pairs, seed=seed),
         triangles=triangle_violations(dataset, exhaustive_limit=triangle_limit, seed=seed),
         digit_entropy=tuple(float(h) for h in digit_entropy_profile(dataset)),
         prefix_entropy=tuple(float(h) for h in prefix_entropy_profile(dataset)),
         box_count=box_count_dimension(dataset),
-        calibration=calibration_report(model, dataset, tree, n_bins=n_bins),
+        calibration=evaluation.calibration(n_bins),
     )
 
 
@@ -527,6 +550,7 @@ __all__ = [
     "CalibrationBin",
     "CalibrationReport",
     "DiagnosticsReport",
+    "Evaluation",
     "SpearmanResult",
     "TriangleReport",
     "accuracy_report",
@@ -536,6 +560,8 @@ __all__ = [
     "calibration_report",
     "diagnose",
     "digit_entropy_profile",
+    "evaluate",
+    "evaluate_digits",
     "prefix_entropy_profile",
     "spearman_ultrametric",
     "triangle_violation_count",

@@ -25,20 +25,12 @@ Two prediction paths exist and are deliberately distinct:
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .padic import (
-    Ball,
-    CodecParams,
-    DEFAULT_LEAK,
-    LEAK_SAFE_RANGE,
-    PadicCode,
-    leaky_indicator,
-)
+from .padic import Ball, CodecParams, DEFAULT_LEAK, PadicCode, leaky_indicator
 from .rng import child_rng
 from .tree import EncodedDataset, TreeSpec
 
@@ -60,13 +52,11 @@ class ModelConfig:
         codec: alphabet p and code length K.
         K_heads: number of learnable digit depths, in [1, K]; deeper
             digits reuse the last head (weight tying).
-        alpha: leak of the ball indicator used by layer application.
         tau: sharpness of the two-logit quadratic comparison, > 0.
     """
 
     codec: CodecParams
     K_heads: int | None = None
-    alpha: float = DEFAULT_LEAK
     tau: float = 0.5
 
     def __post_init__(self) -> None:
@@ -78,11 +68,6 @@ class ModelConfig:
             )
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
-        if not (LEAK_SAFE_RANGE[0] <= self.alpha <= LEAK_SAFE_RANGE[1]):
-            warnings.warn(
-                f"leak {self.alpha} outside the validated range {LEAK_SAFE_RANGE}",
-                stacklevel=2,
-            )
 
 
 @dataclass
@@ -109,12 +94,12 @@ class TwoLogitCEHead:
 
 @dataclass
 class HiPaNModel:
-    """Trainable digit heads plus data-derived weighting constants.
+    """Trainable digit heads.
 
     heads by depth: 0 -> root, 1 -> dense (when K_heads >= 2),
-    2..K_heads-1 -> deep two-logit heads.  `huffman` carries the per-depth
-    (parent, child) loss weights for depths >= 2; it is derived from a
-    dataset by training, never trained itself, and not serialized.
+    2..K_heads-1 -> deep two-logit heads.  The model holds no data: the
+    rarity weights of the deep heads' loss come from a dataset's pair
+    counts each time a loss is computed.
     """
 
     config: ModelConfig
@@ -122,7 +107,6 @@ class HiPaNModel:
     dense: DenseMSEHead | None
     deep: list[TwoLogitCEHead]
     init_seed: int = 0
-    huffman: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def p(self) -> int:
@@ -188,13 +172,6 @@ def score_row(model: HiPaNModel, k: int, parent_digit: int | None) -> np.ndarray
     return model.deep[ke - 2].table[parent_digit]
 
 
-def softmax(row: np.ndarray) -> np.ndarray:
-    """Temperature-1 softmax, stable under large scores."""
-    shifted = row - np.max(row)
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
 def softmax_rows(rows: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax of a 2-d score array."""
     shifted = rows - rows.max(axis=1, keepdims=True)
@@ -202,22 +179,9 @@ def softmax_rows(rows: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _top_two(row: np.ndarray) -> tuple[int, int]:
-    """Best and runner-up column indices; ties resolve to the lowest index."""
-    order = np.argsort(-row, kind="stable")
-    return int(order[0]), int(order[1])
-
-
-def _anchored_choice(
-    model: HiPaNModel, ke: int, parent_digit: int, row: np.ndarray
-) -> int:
-    """Deep-head generative rule: top two columns arbitrated by the anchor."""
-    t_star, c = _top_two(row)
-    v = float(model.deep[ke - 2].anchor[parent_digit])
-    tau = model.config.tau
-    g = -tau * (v - t_star) ** 2
-    o = -tau * (v - c) ** 2
-    return t_star if g >= o else c
+def softmax(row: np.ndarray) -> np.ndarray:
+    """Temperature-1 softmax of one score vector; one-row softmax_rows."""
+    return softmax_rows(row[None, :])[0]
 
 
 def predict_digits(
@@ -252,7 +216,7 @@ def predict_digits(
         if ke <= 1:
             d = int(np.argmax(row))
         else:
-            d = _anchored_choice(model, ke, prev, row)
+            d = int(_anchored_choice_rows(model, ke, np.array([prev]), row[None, :])[0])
         digits.append(d)
         confs.append(float(softmax(row)[d]))
     return digits, confs
@@ -261,7 +225,8 @@ def predict_digits(
 def _anchored_choice_rows(
     model: HiPaNModel, ke: int, prev: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
-    """Vectorized two-logit arbitration for one batch of rows."""
+    """Deep-head generative rule for a batch of rows: the top two columns
+    (ties to the lowest index), arbitrated by the row's anchor."""
     n = rows.shape[0]
     ar = np.arange(n)
     t_star = rows.argmax(axis=1)
@@ -332,25 +297,39 @@ def reconstruct_digits(
     return [int(d) for d in pred[0]], [float(c) for c in conf[0]]
 
 
-def clamped_descent(tree: TreeSpec, digits: Sequence[int]) -> int:
-    """Walk predicted digits down a hierarchy, clamping to valid children.
+def clamped_descent_matrix(tree: TreeSpec, digits_mat: np.ndarray) -> np.ndarray:
+    """Node ids of the leaves every row of a digit matrix walks to.
 
-    Out-of-range digits clamp to the last child; the walk stops at the
-    first leaf and ignores any remaining digits.  Returns the leaf's
-    node id (look up tree.names[id] for its name).
+    A digit past the last child clamps to the last child; a row stops at
+    the first leaf and ignores its remaining digits.
+
+    Raises:
+        ValueError: a negative digit, or a row ending at an internal node.
     """
-    node = tree.root
-    for d in digits:
-        kids = tree.children[node]
-        if not kids:
-            break
-        node = kids[min(int(d), len(kids) - 1)]
-    if not tree.is_leaf(node):
+    digits_mat = np.asarray(digits_mat, dtype=np.int64)
+    if (digits_mat < 0).any():
+        raise ValueError("clamped descent needs nonnegative digits")
+    start, kids = tree.child_table
+    n_kids = np.diff(start)
+    node = np.zeros(digits_mat.shape[0], dtype=np.int64)
+    for col in digits_mat.T:
+        inner = n_kids[node] > 0
+        at = node[inner]
+        node[inner] = kids[start[at] + np.minimum(col[inner], n_kids[at] - 1)]
+    short = n_kids[node] > 0
+    if short.any():
         raise ValueError(
             f"digit sequence shorter than the hierarchy depth at "
-            f"{tree.names[node]!r}"
+            f"{tree.names[node[short.argmax()]]!r}"
         )
     return node
+
+
+def clamped_descent(tree: TreeSpec, digits: Sequence[int]) -> int:
+    """Leaf node id one digit sequence walks to; single-row form of
+    clamped_descent_matrix (look up tree.names[id] for its name)."""
+    row = np.asarray(digits, dtype=np.int64).reshape(1, -1)
+    return int(clamped_descent_matrix(tree, row)[0])
 
 
 def predict_leaf(model: HiPaNModel, tree: TreeSpec) -> int:
@@ -459,7 +438,6 @@ def model_state(model: HiPaNModel) -> dict:
         "p": cfg.codec.p,
         "K": cfg.codec.K,
         "K_heads": cfg.K_heads,
-        "alpha": cfg.alpha,
         "tau": cfg.tau,
         "seed": model.init_seed,
         "tables": body,
@@ -467,7 +445,8 @@ def model_state(model: HiPaNModel) -> dict:
 
 
 def model_from_state(state: dict) -> HiPaNModel:
-    """Inverse of model_state.
+    """Inverse of model_state.  An "alpha" key, written by earlier
+    versions, is ignored.
 
     Raises:
         ValueError: unknown format tag or malformed tables.
@@ -475,9 +454,7 @@ def model_from_state(state: dict) -> HiPaNModel:
     if state.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unknown model state format {state.get('format')!r}")
     codec = CodecParams(int(state["p"]), int(state["K"]))
-    config = ModelConfig(
-        codec, int(state["K_heads"]), float(state["alpha"]), float(state["tau"])
-    )
+    config = ModelConfig(codec, int(state["K_heads"]), float(state["tau"]))
     p = codec.p
     tables = state["tables"]
 
@@ -507,6 +484,7 @@ __all__ = [
     "TwoLogitCEHead",
     "activation_path",
     "clamped_descent",
+    "clamped_descent_matrix",
     "describe_ball",
     "model_from_state",
     "model_state",

@@ -10,7 +10,13 @@ the digits a training phase enables:
 * digits >= 2: rarity-weighted cross entropy on the selected table row
   plus a two-logit term that trains the row's scalar anchor to arbitrate
   between the top two columns.  The rarity weight of a (parent, child)
-  digit pair is 1/sqrt(count), 1.0 for pairs never seen.
+  digit pair is 1/sqrt(count), its count read from the dataset.
+
+A record's loss at digit k depends only on its (digit k-1, digit k)
+pair, so the objective reads the data only through the dataset's pair
+counts (`EncodedDataset.pair_counts`): `dataset_loss` scores each
+distinct pair once and weighs it by its count, and nothing about the
+data is stored on the model.
 
 The lattice trainer moves one latent at a time by +-1 (wrapping mod p),
 accepting only strict improvement on a fixed minibatch, so integer-valued
@@ -31,16 +37,16 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
+from .metrics import evaluate_digits
 from .model import (
     HiPaNModel,
+    _anchored_choice_rows,
     _effective_depth,
-    clamped_descent,
-    reconstruct_matrix,
     softmax,
     softmax_rows,
 )
 from .rng import child_rng
-from .tree import EncodedDataset, TreeSpec
+from .tree import DigitPairs, EncodedDataset, TreeSpec
 
 
 class NumericAbort(RuntimeError):
@@ -118,17 +124,19 @@ def project_digit(theta: float, p: int) -> int:
     return int(r) % p
 
 
-def huffman_weights(
-    pair_counts: dict[int, dict[tuple[int, int], int]], p: int
-) -> dict[int, np.ndarray]:
-    """Per-digit (parent, child) loss weights: 1/sqrt(count), unseen -> 1."""
-    out: dict[int, np.ndarray] = {}
-    for k, counts in pair_counts.items():
-        w = np.ones((p, p), dtype=np.float64)
-        for (a, b), n in counts.items():
-            w[a, b] = 1.0 / math.sqrt(n)
-        out[k] = w
-    return out
+def huffman_weights(counts: np.ndarray) -> np.ndarray:
+    """Rarity loss weight of each digit pair from its count: 1/sqrt(count)."""
+    return 1.0 / np.sqrt(np.asarray(counts, dtype=np.float64))
+
+
+def _record_weights(D: np.ndarray, counts: Sequence[DigitPairs], p: int) -> np.ndarray:
+    """(N, K) rarity weight of each record's (digit k-1, digit k) pair."""
+    W = np.empty(D.shape)
+    for k, pairs in enumerate(counts):
+        prev = D[:, k - 1] if k else 0
+        pos = np.searchsorted(pairs.parent * p + pairs.child, prev * p + D[:, k])
+        W[:, k] = huffman_weights(pairs.count)[pos]
+    return W
 
 
 @dataclass(frozen=True)
@@ -305,17 +313,23 @@ def _head_of_array(name: str) -> int:
 
 
 def _digit_losses(
-    model: HiPaNModel, D: np.ndarray, k: int, idx: np.ndarray
+    model: HiPaNModel,
+    k: int,
+    prev: np.ndarray | None,
+    t: np.ndarray,
+    w: np.ndarray,
 ) -> np.ndarray:
-    """Per-record teacher-forced loss of digit k for the given records."""
+    """Teacher-forced loss of digit k for each (parent digit prev, digit t)
+    pair, the deep heads' terms scaled by the pair's rarity weight w.
+
+    prev is not read for the root digit.
+    """
     ke = _effective_depth(model, k)
-    t = D[idx, k]
-    n = idx.size
+    n = t.size
     ar = np.arange(n)
     if ke == 0:
         s = model.root.scores
         return np.full(n, _lse_rows(s[None, :])[0]) - s[t]
-    prev = D[idx, k - 1]
     if ke == 1:
         assert model.dense is not None
         rows = model.dense.table[prev]
@@ -332,19 +346,27 @@ def _digit_losses(
     tau = model.config.tau
     z = tau * ((v - c) ** 2 - (v - t) ** 2)
     tl = _softplus_vec(-z)
-    w = model.huffman[k][prev, t] if k in model.huffman else 1.0
     return w * (ce + tl)
 
 
 def dataset_loss(
-    model: HiPaNModel, D: np.ndarray, digits: Sequence[int]
+    model: HiPaNModel,
+    data: EncodedDataset | Sequence[DigitPairs],
+    digits: Sequence[int],
 ) -> float:
-    """Mean per-record loss over the given digit depths."""
-    idx = np.arange(D.shape[0])
+    """Mean per-record loss over the given digit depths.
+
+    data is a dataset or its pair_counts(); each distinct pair's loss is
+    computed once and counted as often as records hold the pair.
+    """
+    counts = data.pair_counts() if isinstance(data, EncodedDataset) else data
     total = 0.0
     for k in digits:
-        total += float(_digit_losses(model, D, k, idx).sum())
-    return total / max(1, D.shape[0])
+        pairs = counts[k]
+        w = huffman_weights(pairs.count)
+        losses = _digit_losses(model, k, pairs.parent, pairs.child, w)
+        total += float((pairs.count * losses).sum())
+    return total / max(1, int(counts[0].count.sum()))
 
 
 def _coordinates(
@@ -378,6 +400,7 @@ def _coordinates(
 def _coord_loss(
     model: HiPaNModel,
     D: np.ndarray,
+    W: np.ndarray,
     served: tuple[int, ...],
     row: int | None,
     batch: np.ndarray,
@@ -390,13 +413,15 @@ def _coord_loss(
         else:
             idx = batch[D[batch, k - 1] == row]
         if idx.size:
-            total += float(_digit_losses(model, D, k, idx).sum())
+            prev = D[idx, k - 1] if k else None
+            total += float(_digit_losses(model, k, prev, D[idx, k], W[idx, k]).sum())
     return total
 
 
 def _gist_sweep(
     model: HiPaNModel,
     D: np.ndarray,
+    W: np.ndarray,
     phase: TrainPhase,
     batch_size: int,
     rng: np.random.Generator,
@@ -412,12 +437,12 @@ def _gist_sweep(
         batch = rng.choice(n, size=min(batch_size, n), replace=False)
         evals += 3
         cur = float(arr[index])
-        best_val = _coord_loss(model, D, served, row, batch)
+        best_val = _coord_loss(model, D, W, served, row, batch)
         best = cur
         for delta in (1.0, -1.0):
             cand = (cur + delta) % p
             arr[index] = cand
-            val = _coord_loss(model, D, served, row, batch)
+            val = _coord_loss(model, D, W, served, row, batch)
             if val < best_val:
                 best_val, best = val, cand
         arr[index] = best
@@ -449,19 +474,20 @@ def gist_sweep(
     Returns:
         (model, accepted move count, full-dataset loss after the sweep).
     """
-    if not model.huffman:
-        model.huffman = huffman_weights(dataset.pair_counts(), model.p)
     D = dataset.digits_matrix()
+    counts = dataset.pair_counts()
     if rng is None:
         rng = child_rng(0, "gist", 0, 0)
     phase = TrainPhase("sweep", 1, 0.0, tuple(int(k) for k in digits))
-    accepted, _ = _gist_sweep(model, D, phase, batch_size, rng, state)
-    return model, accepted, dataset_loss(model, D, phase.digits)
+    W = _record_weights(D, counts, model.p)
+    accepted, _ = _gist_sweep(model, D, W, phase, batch_size, rng, state)
+    return model, accepted, dataset_loss(model, counts, phase.digits)
 
 
 def _accumulate_grads(
     model: HiPaNModel,
     D: np.ndarray,
+    W: np.ndarray,
     k: int,
     idx: np.ndarray,
     grads: dict[str, np.ndarray],
@@ -490,17 +516,12 @@ def _accumulate_grads(
     sm = softmax_rows(rows)
     one_hot = np.zeros_like(rows)
     one_hot[ar, t] = 1.0
-    w = model.huffman[k][prev, t] if k in model.huffman else np.ones(n)
+    w = W[idx, k]
     np.add.at(grads[f"deep{i}.table"], prev, w[:, None] * (sm - one_hot) / n)
     # anchor: arbitration between the row's top two, trained toward/away
     # from the true digit by the closed-form update
-    t_star = rows.argmax(axis=1)
-    masked = rows.copy()
-    masked[ar, t_star] = -np.inf
-    c = masked.argmax(axis=1)
     v = head.anchor[prev]
-    choice = np.where((v - t_star) ** 2 <= (v - c) ** 2, t_star, c)
-    correct = (choice == t).astype(np.float64)
+    correct = (_anchored_choice_rows(model, ke, prev, rows) == t).astype(np.float64)
     tau = model.config.tau
     d = v - t
     ga = w * 2.0 * tau * d * (_sigmoid_vec(d * d / tau) - correct)
@@ -613,20 +634,15 @@ def _check_finite(model: HiPaNModel) -> None:
 def _epoch_metrics(
     model: HiPaNModel,
     D: np.ndarray,
-    targets: list,
+    counts: Sequence[DigitPairs],
     tree: TreeSpec | None,
+    leaf_ids: np.ndarray | None,
     phase_digits: tuple[int, ...],
 ) -> tuple[float, list[float], float]:
-    pred, _ = reconstruct_matrix(model, D)
-    per_digit = (pred == D).mean(axis=0)
-    if tree is not None:
-        hits = sum(
-            1 for i in range(D.shape[0]) if clamped_descent(tree, pred[i]) == targets[i]
-        )
-        leaf_acc = hits / D.shape[0]
-    else:
-        leaf_acc = float((pred == D).all(axis=1).mean())
-    return dataset_loss(model, D, phase_digits), [float(a) for a in per_digit], leaf_acc
+    """(loss over the phase's digits, per-digit accuracy, leaf accuracy)."""
+    acc = evaluate_digits(model, D, tree, leaf_ids).accuracy()
+    loss = dataset_loss(model, counts, phase_digits)
+    return loss, list(acc.digit_accuracy), acc.leaf_accuracy
 
 
 @dataclass
@@ -698,6 +714,8 @@ def train(
 
     Raises:
         NumericAbort: a latent became non-finite.
+        ValueError: the dataset is empty, or the resume checkpoint holds
+            the state of the other optimizer.
     """
     import json as _json
 
@@ -717,11 +735,11 @@ def train(
     n = D.shape[0]
     if n == 0:
         raise ValueError("dataset has no records")
+    leaf_ids = None
     if tree is not None:
-        targets: list = [tree.id_of(r.leaf) for r in dataset.records]
-    else:
-        targets = [r.leaf for r in dataset.records]
-    model.huffman = huffman_weights(dataset.pair_counts(), model.p)
+        leaf_ids = np.array([tree.id_of(r.leaf) for r in dataset.records], dtype=np.int64)
+    counts = dataset.pair_counts()
+    W = _record_weights(D, counts, model.p)
 
     start_phase, start_epoch = 0, 0
     streak = 0
@@ -730,7 +748,13 @@ def train(
         cur = resume["cursor"]
         start_phase, start_epoch = int(cur["phase"]), int(cur["epoch"])
         saved = resume.get("optim", {})
-        if saved.get("kind") == kind:
+        saved_kind = saved.get("kind")
+        if saved_kind not in (None, kind):
+            raise ValueError(
+                f"resume checkpoint holds {saved_kind} optimizer state; "
+                f"this run uses {kind}"
+            )
+        if saved_kind == kind:
             state = restore_optim_state(saved, model)
             if kind == "gist":
                 streak = int(saved.get("streak", 0))
@@ -776,7 +800,7 @@ def train(
             t0 = time.monotonic()
             if kind == "gist":
                 rng = child_rng(seed, "gist", pi, e)
-                moves, ev = _gist_sweep(model, D, phase, batch_size, rng, state)
+                moves, ev = _gist_sweep(model, D, W, phase, batch_size, rng, state)
                 evals += ev
             else:
                 perms = {
@@ -795,13 +819,15 @@ def train(
                         idx = perms[k][s * batch_size : (s + 1) * batch_size]
                         if idx.size:
                             any_records = True
-                            _accumulate_grads(model, D, k, idx, grads)
+                            _accumulate_grads(model, D, W, k, idx, grads)
                     if any_records:
                         _adam_step(model, grads, state, optimizer, phase.lr)
                         moves += 1
                         steps += 1
                 _check_finite(model)
-            loss, per_digit, leaf_acc = _epoch_metrics(model, D, targets, tree, phase.digits)
+            loss, per_digit, leaf_acc = _epoch_metrics(
+                model, D, counts, tree, leaf_ids, phase.digits
+            )
             if not math.isfinite(loss):
                 raise NumericAbort("loss", (pi, e), f"phase {phase.name}")
             entry = {

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -90,6 +92,15 @@ class TreeSpec:
 
     def leaf_names(self) -> list[str]:
         return [self.names[leaf] for leaf in self.leaves]
+
+    @cached_property
+    def child_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Child lists as flat arrays (start, kids): node i's children are
+        kids[start[i]:start[i + 1]], in sibling order."""
+        start = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum([len(c) for c in self.children], out=start[1:])
+        kids = np.fromiter(chain.from_iterable(self.children), np.int64, int(start[-1]))
+        return start, kids
 
 
 def _build_tree(root_name: str, parent_of: dict[str, str], line_of: dict[str, int]) -> TreeSpec:
@@ -378,12 +389,21 @@ class Record:
     depth: int
 
 
+class DigitPairs(NamedTuple):
+    """The distinct (parent digit, child digit) pairs at one depth, sorted
+    by (parent, child), with the number of records holding each."""
+
+    parent: np.ndarray
+    child: np.ndarray
+    count: np.ndarray
+
+
 @dataclass(frozen=True)
 class EncodedDataset:
-    """Every leaf of a hierarchy as (name, code, depth), plus digit-pair counts.
+    """Every leaf of a hierarchy as (name, code, depth).
 
-    pair_counts[k] counts (digit k-1, digit k) pairs over all records for
-    k in [1, K-1]; the weighting scheme for the deep heads reads it.
+    The training objective reads the records only through pair_counts:
+    per depth, how many records hold each (digit k-1, digit k) pair.
     Records keep the sorted-path leaf order of the source hierarchy.
     """
 
@@ -403,19 +423,23 @@ class EncodedDataset:
 
     def digits_matrix(self) -> np.ndarray:
         """(N, K) int64 matrix of record digits, row order = record order."""
-        return np.array([r.code.digits for r in self.records], dtype=np.int64)
+        digits = np.array([r.code.digits for r in self.records], dtype=np.int64)
+        return digits.reshape(-1, self.codec.K)
 
-    def pair_counts(self) -> dict[int, dict[tuple[int, int], int]]:
-        """Counts of (digit k-1, digit k) per depth k in [1, K-1]."""
-        counts: dict[int, dict[tuple[int, int], int]] = {
-            k: {} for k in range(1, self.codec.K)
-        }
-        for r in self.records:
-            d = r.code.digits
-            for k in range(1, self.codec.K):
-                key = (d[k - 1], d[k])
-                counts[k][key] = counts[k].get(key, 0) + 1
-        return counts
+    def pair_counts(self) -> tuple[DigitPairs, ...]:
+        """(digit k-1, digit k) pair counts for each depth k in [0, K).
+
+        The root digit has no parent; its pairs read parent digit 0.
+        """
+        D = self.digits_matrix()
+        parents = np.zeros_like(D)
+        parents[:, 1:] = D[:, :-1]
+        p = self.codec.p
+        out = []
+        for k in range(self.codec.K):
+            keys, count = np.unique(parents[:, k] * p + D[:, k], return_counts=True)
+            out.append(DigitPairs(keys // p, keys % p, count))
+        return tuple(out)
 
 
 def encode_tree(tree: TreeSpec, codec: CodecParams | None = None) -> EncodedDataset:
@@ -476,23 +500,29 @@ def dataset_from_json(text: str) -> EncodedDataset:
     """Parse the dataset interchange form.
 
     Raises:
-        ValueError: structurally invalid payload, bad codes, bad depths.
+        ValueError: structurally invalid payload, wrongly typed fields,
+            bad codes, bad depths, or a leaf name or code that repeats.
     """
     try:
         payload = json.loads(text)
         codec = CodecParams(int(payload["codec"]["p"]), int(payload["codec"]["K"]))
-        raw_records: Iterable[dict] = payload["records"]
+        records = tuple(
+            Record(str(r["leaf"]), text_to_code(str(r["code"]), codec), int(r["depth"]))
+            for r in payload["records"]
+        )
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed dataset JSON: {exc}") from exc
-    records = tuple(
-        Record(str(r["leaf"]), text_to_code(str(r["code"]), codec), int(r["depth"]))
-        for r in raw_records
-    )
+    leaves = {r.leaf for r in records}
+    codes = {r.code.digits for r in records}
+    for what, distinct in (("leaf", leaves), ("code", codes)):
+        if len(distinct) < len(records):
+            raise ValueError(f"malformed dataset JSON: duplicate {what}")
     return EncodedDataset(codec, records)
 
 
 __all__ = [
     "DecodeError",
+    "DigitPairs",
     "EncodedDataset",
     "InvalidDigitError",
     "InvalidPaddingError",

@@ -112,6 +112,23 @@ def test_save_creates_parent_dirs(tmp_path):
     assert path.exists()
 
 
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(str(path), _model(), created_unix_ms=1)
+    before = path.read_bytes()
+
+    def fail(fd):
+        raise OSError("disk went away")
+
+    monkeypatch.setattr("hipan.checkpoint.os.fsync", fail)
+    changed = _model()
+    changed.root.scores += 1.0
+    with pytest.raises(OSError, match="disk went away"):
+        save_checkpoint(str(path), changed, created_unix_ms=2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+
 def test_trained_floats_survive_round_trip(tmp_path, toy_dataset):
     plan = TrainPlan(default_plan(2).phases[:1], checkpoint_interval=0)
     model = new_model(ModelConfig(toy_dataset.codec), seed=5)

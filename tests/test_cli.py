@@ -5,7 +5,19 @@ import os
 
 import pytest
 
-from hipan import dataset_to_json, encode_tree, loads_tree
+from hipan import (
+    GistConfig,
+    ModelConfig,
+    TrainPlan,
+    dataset_to_json,
+    default_plan,
+    dump_tree,
+    encode_tree,
+    gen_synthetic,
+    loads_tree,
+    new_model,
+    train,
+)
 from hipan.cli import main, parse_config_file, resolve_config
 from conftest import TOY_TEXT
 
@@ -368,6 +380,100 @@ def test_resume_config_mismatch_exit_2(capsys, tmp_path, toy_files):
     )
     assert rc == 2
     assert "refusing to resume" in err
+
+
+def test_resume_with_other_optimizer_exit_2(capsys, tmp_path, toy_files):
+    # a checkpoint written without a run configuration passes the config
+    # check, so the optimizer-kind check is what stops the resume
+    tree_path, ds_path = toy_files
+    ds = encode_tree(loads_tree(TOY_TEXT))
+    model = new_model(ModelConfig(ds.codec), seed=0)
+    plan = TrainPlan(default_plan(ds.codec.K).phases, checkpoint_interval=2)
+    train(model, ds, GistConfig(), plan, checkpoint_dir=str(tmp_path / "ck"))
+    rc, _, err = run(
+        capsys,
+        [
+            "train",
+            "--dataset", ds_path,
+            "--resume", str(tmp_path / "ck" / "ckpt-00002.json"),
+            "--log", str(tmp_path / "r.jsonl"),
+            "--optimizer", "adam",
+        ],
+    )
+    assert rc == 2
+    assert err.startswith("error:") and "gist optimizer state" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"codec": {"p": 3, "K": 2}, "records": [{"leaf": "cat", "code": "0-0", "depth": None}]},
+        {"codec": {"p": 3, "K": 2}, "records": ["cat"]},
+        {"codec": {"p": 3, "K": 2}, "records": {"cat": "0-0"}},
+        {
+            "codec": {"p": 3, "K": 2},
+            "records": [
+                {"leaf": "cat", "code": "0-0", "depth": 2},
+                {"leaf": "cat", "code": "0-1", "depth": 2},
+            ],
+        },
+        {
+            "codec": {"p": 3, "K": 2},
+            "records": [
+                {"leaf": "cat", "code": "0-0", "depth": 2},
+                {"leaf": "dog", "code": "0-0", "depth": 2},
+            ],
+        },
+    ],
+)
+def test_malformed_dataset_exit_2_without_traceback(capsys, tmp_path, toy_files, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    tree_path, _ = toy_files
+    for argv in (
+        ["inspect", "--dataset", str(bad)],
+        ["train", "--dataset", str(bad), "--tree", tree_path],
+    ):
+        rc, _, err = run(capsys, argv)
+        assert rc == 2, err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+def test_eval_loss_is_the_logged_loss(capsys, tmp_path):
+    # K=3 with repeated (digit 1, digit 2) pairs, so the rarity weights
+    # of the deep head differ from 1
+    tree = gen_synthetic("random", 3, 3, seed=2)
+    tree_path = tmp_path / "tree.tsv"
+    tree_path.write_text(dump_tree(tree))
+    ds_path = tmp_path / "ds.json"
+    ds_path.write_text(dataset_to_json(encode_tree(tree)))
+    log = tmp_path / "train.jsonl"
+    ckdir = tmp_path / "ck"
+    for optimizer in ("gist", "adam"):
+        rc, _, err = run(
+            capsys,
+            [
+                "train", "--dataset", str(ds_path), "--tree", str(tree_path),
+                "--checkpoint-dir", str(ckdir), "--log", str(log),
+                "--optimizer", optimizer,
+            ],
+        )
+        assert rc == 0, err
+        last = json.loads(log.read_text().splitlines()[-1])
+        assert last["phase"] == "fine-tune"
+        rc, out, err = run(
+            capsys,
+            [
+                "eval", "--dataset", str(ds_path), "--tree", str(tree_path),
+                "--checkpoint", str(ckdir / "ckpt-final.json"),
+            ],
+        )
+        assert rc == 0, err
+        doc = json.loads(out)
+        assert doc["loss"] == last["loss"]
+        assert doc["leaf_accuracy"] == last["leaf_acc"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

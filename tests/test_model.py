@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hipan import (
     Ball,
@@ -12,6 +14,7 @@ from hipan import (
     RECONSTRUCT_MARGIN,
     activation_path,
     clamped_descent,
+    clamped_descent_matrix,
     code,
     describe_ball,
     encode_tree,
@@ -26,6 +29,7 @@ from hipan import (
     vdp_layer_apply,
 )
 from hipan.model import model_from_state, model_state, score_row, softmax
+from conftest import irregular_tree
 
 
 def _config(p, K, K_heads=None, **kw):
@@ -55,8 +59,6 @@ def test_config_validation():
         _config(3, 4, K_heads=5)
     with pytest.raises(ValueError):
         _config(3, 4, tau=0.0)
-    with pytest.warns(UserWarning):
-        _config(3, 4, alpha=0.5)
 
 
 def test_new_model_shapes_and_integer_init():
@@ -200,6 +202,55 @@ def test_clamped_descent(toy_tree):
     assert clamped_descent(toy_tree, [1, 0, 2, 2]) == toy_tree.id_of("fern")
     with pytest.raises(ValueError):
         clamped_descent(toy_tree, [0])
+
+
+def _walk(tree, digits):
+    """Reference clamped descent: one child list lookup per digit."""
+    node = tree.root
+    for d in digits:
+        kids = tree.children[node]
+        if not kids:
+            break
+        node = kids[min(int(d), len(kids) - 1)]
+    if not tree.is_leaf(node):
+        raise ValueError("digit sequence shorter than the hierarchy depth")
+    return node
+
+
+@st.composite
+def _tree_and_rows(draw):
+    tree = irregular_tree(draw(st.integers(0, 10_000)), draw(st.integers(1, 40)),
+                          max_children=4, max_depth=5)
+    width = draw(st.integers(0, tree.max_depth + 1))
+    # digits reach past every child list, so clamping is exercised
+    row = st.lists(st.integers(0, tree.b_max + 2), min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    return tree, np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_tree_and_rows())
+def test_clamped_descent_matrix_matches_row_walks(case):
+    tree, rows = case
+    try:
+        expected = [_walk(tree, row) for row in rows]
+    except ValueError:
+        with pytest.raises(ValueError, match="shorter than the hierarchy depth"):
+            clamped_descent_matrix(tree, rows)
+        for row in rows:
+            try:
+                _walk(tree, row)
+            except ValueError:
+                with pytest.raises(ValueError, match="shorter than the hierarchy depth"):
+                    clamped_descent(tree, row)
+        return
+    assert clamped_descent_matrix(tree, rows).tolist() == expected
+    assert [clamped_descent(tree, row) for row in rows] == expected
+
+
+def test_clamped_descent_rejects_negative_digits(toy_tree):
+    with pytest.raises(ValueError, match="nonnegative"):
+        clamped_descent(toy_tree, [-1, 0])
 
 
 def test_predict_and_reconstruct_leaf_return_ids(toy_tree, toy_dataset):

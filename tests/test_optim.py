@@ -3,6 +3,7 @@
 import json
 import math
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from hipan import (
 from hipan.checkpoint import checkpoint_fingerprint, load_checkpoint, load_model
 from hipan.model import model_state
 from hipan.optim import optim_state_dict
+from conftest import irregular_tree
 
 
 # frozen oracle: z = 0.5 * ((3.9-2)^2 - (3.9-4)^2) = 1.8, loss = log(1+e^-1.8)
@@ -104,11 +106,9 @@ def test_project_digit_wrap_distance():
 
 
 def test_huffman_weights():
-    w = huffman_weights({1: {(0, 0): 4, (0, 1): 1}}, p=2)
-    assert w[1][0, 0] == 0.5
-    assert w[1][0, 1] == 1.0
-    assert w[1][1, 0] == 1.0  # unseen pair keeps full weight
-    assert huffman_weights({}, p=3) == {}
+    # pair counts (0,0): 4 and (0,1): 1
+    assert huffman_weights(np.array([4, 1])).tolist() == [0.5, 1.0]
+    assert huffman_weights(np.array([], dtype=np.int64)).size == 0
 
 
 def test_gist_minimize_single_coordinate():
@@ -166,9 +166,8 @@ def _toy_setup(seed=0):
 def test_gist_sweep_public():
     _, ds, model = _toy_setup(seed=4)
     state = OptimState()
-    D = ds.digits_matrix()
     before = dataset_loss(
-        new_model(ModelConfig(ds.codec), seed=4), D, range(ds.codec.K)
+        new_model(ModelConfig(ds.codec), seed=4), ds, range(ds.codec.K)
     )
     model, accepted, loss = gist_sweep(model, ds, digits=range(ds.codec.K), state=state)
     assert loss <= before
@@ -300,16 +299,71 @@ def test_dataset_loss_teacher_forcing_isolation():
     tree = loads_tree("".join(lines))
     ds = encode_tree(tree)
     model = new_model(ModelConfig(ds.codec), seed=1)
-    model.huffman = huffman_weights(ds.pair_counts(), model.p)
-    D = ds.digits_matrix()
-    per_digit = [dataset_loss(model, D, [k]) for k in range(3)]
+    counts = ds.pair_counts()
+    per_digit = [dataset_loss(model, counts, [k]) for k in range(3)]
     model.root.scores[0] += 3.0
-    assert dataset_loss(model, D, [1]) == per_digit[1]
-    assert dataset_loss(model, D, [2]) == per_digit[2]
+    assert dataset_loss(model, counts, [1]) == per_digit[1]
+    assert dataset_loss(model, counts, [2]) == per_digit[2]
     model.dense.table -= 1.0
-    assert dataset_loss(model, D, [2]) == per_digit[2]
+    assert dataset_loss(model, counts, [2]) == per_digit[2]
     model.deep[0].table += 2.0
-    assert dataset_loss(model, D, [0]) != per_digit[0]  # root did change above
+    assert dataset_loss(model, counts, [0]) != per_digit[0]  # root did change above
+
+
+def _reference_dataset_loss(model, ds, digits):
+    """Per-record loop over the teacher-forced objective, in plain floats."""
+    p, tau = model.p, model.config.tau
+    rows = [r.code.digits for r in ds.records]
+    pair_count = Counter(
+        (k, row[k - 1] if k else 0, row[k]) for row in rows for k in range(ds.codec.K)
+    )
+
+    def lse(xs):
+        m = max(xs)
+        return m + math.log(sum(math.exp(x - m) for x in xs))
+
+    total = 0.0
+    for row in rows:
+        for k in digits:
+            ke = min(k, model.config.K_heads - 1)
+            t = row[k]
+            if ke == 0:
+                s = model.root.scores.tolist()
+                total += lse(s) - s[t]
+            elif ke == 1:
+                dense = model.dense.table[row[k - 1]].tolist()
+                total += sum((x - (j == t)) ** 2 for j, x in enumerate(dense))
+            else:
+                head = model.deep[ke - 2]
+                scores = head.table[row[k - 1]].tolist()
+                competitor = max((j for j in range(p) if j != t), key=lambda j: scores[j])
+                w = 1.0 / math.sqrt(pair_count[k, row[k - 1], t])
+                ce = lse(scores) - scores[t]
+                v = float(head.anchor[row[k - 1]])
+                total += w * ce + two_logit_loss(v, t, competitor, tau, weight=w)
+    return total / len(rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("real_valued", [False, True])
+def test_dataset_loss_matches_per_record_reference(seed, real_valued):
+    ds = encode_tree(irregular_tree(seed, 60, max_children=5, max_depth=6))
+    K = ds.codec.K
+    assert K >= 3
+    for k_heads in (K, 3):
+        model = new_model(ModelConfig(ds.codec, k_heads), seed=seed)
+        if real_valued:
+            rng = np.random.default_rng(seed)
+            for arr in (model.root.scores, model.dense.table,
+                        *(a for h in model.deep for a in (h.table, h.anchor))):
+                arr += rng.normal(0.0, 1.5, size=arr.shape)
+        digits = range(K)
+        got = dataset_loss(model, ds, digits)
+        want = _reference_dataset_loss(model, ds, digits)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert dataset_loss(model, ds.pair_counts(), [K - 1]) == pytest.approx(
+            _reference_dataset_loss(model, ds, [K - 1]), rel=1e-12, abs=0.0
+        )
 
 
 def test_train_single_leaf_first_sweep_is_exact():

@@ -273,7 +273,15 @@ def test_digits_matrix_and_pair_counts(toy_dataset):
     D = toy_dataset.digits_matrix()
     assert D.dtype == np.int64
     assert D.tolist() == [[0, 0], [0, 1], [1, 0]]
-    assert toy_dataset.pair_counts() == {1: {(0, 0): 1, (0, 1): 1, (1, 0): 1}}
+    counts = toy_dataset.pair_counts()
+    assert len(counts) == 2
+
+    def as_dict(pairs):
+        keys = zip(pairs.parent.tolist(), pairs.child.tolist())
+        return dict(zip(keys, pairs.count.tolist()))
+
+    assert as_dict(counts[1]) == {(0, 0): 1, (0, 1): 1, (1, 0): 1}
+    assert as_dict(counts[0]) == {(0, 0): 2, (0, 1): 1}  # root digits, parent read as 0
 
 
 def test_dataset_json_round_trip(toy_dataset):
@@ -291,6 +299,41 @@ def test_dataset_json_errors():
         dataset_from_json("{}")
     with pytest.raises(ValueError):
         dataset_from_json('{"codec": {"p": 3, "K": 2}, "records": [{"leaf": "x", "code": "9-9", "depth": 2}]}')
+
+
+_GOOD_RECORD = {"leaf": "x", "code": "0-1", "depth": 2}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {"codec": None, "records": []},
+        {"codec": {"p": None, "K": 2}, "records": []},
+        {"codec": {"p": 3, "K": 2}, "records": {"x": _GOOD_RECORD}},
+        {"codec": {"p": 3, "K": 2}, "records": "0-1"},
+        {"codec": {"p": 3, "K": 2}, "records": 7},
+        {"codec": {"p": 3, "K": 2}, "records": [["x", "0-1", 2]]},
+        {"codec": {"p": 3, "K": 2}, "records": ["x"]},
+        {"codec": {"p": 3, "K": 2}, "records": [{**_GOOD_RECORD, "depth": None}]},
+        {"codec": {"p": 3, "K": 2}, "records": [{**_GOOD_RECORD, "code": None}]},
+        {"codec": {"p": 3, "K": 2}, "records": [{"leaf": "x", "code": "0-1"}]},
+    ],
+)
+def test_dataset_json_wrong_types_are_value_errors(payload):
+    with pytest.raises(ValueError):
+        dataset_from_json(json.dumps(payload))
+
+
+def test_dataset_json_rejects_duplicates():
+    def doc(*records):
+        return json.dumps({"codec": {"p": 3, "K": 2}, "records": list(records)})
+
+    dataset_from_json(doc(_GOOD_RECORD, {"leaf": "y", "code": "1-0", "depth": 2}))
+    with pytest.raises(ValueError, match="duplicate leaf"):
+        dataset_from_json(doc(_GOOD_RECORD, {"leaf": "x", "code": "1-0", "depth": 2}))
+    with pytest.raises(ValueError, match="duplicate code"):
+        dataset_from_json(doc(_GOOD_RECORD, {"leaf": "y", "code": "0-1", "depth": 2}))
 
 
 def test_tree_to_nested(toy_tree, toy_dataset):
