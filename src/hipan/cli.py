@@ -318,7 +318,11 @@ def cmd_diagnose(ns: argparse.Namespace) -> int:
     if ns.out_dir:
         os.makedirs(ns.out_dir, exist_ok=True)
         _emit(report.as_dict(), os.path.join(ns.out_dir, "report.json"))
-        write_entropy_tsv(os.path.join(ns.out_dir, "entropy.tsv"), ds)
+        write_entropy_tsv(
+            os.path.join(ns.out_dir, "entropy.tsv"),
+            report.digit_entropy,
+            report.prefix_entropy,
+        )
         write_box_counts_tsv(
             os.path.join(ns.out_dir, "box_counts.tsv"), report.box_count
         )

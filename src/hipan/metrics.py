@@ -122,13 +122,17 @@ class SpearmanResult:
     degenerate: bool
 
 
+def _first_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, the first column where digit rows a and b differ; the row
+    width where they are equal."""
+    diffs = a != b
+    return np.where(diffs.any(axis=1), diffs.argmax(axis=1), a.shape[1])
+
+
 def _pair_distances(D: np.ndarray, p: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Valuation distances between code rows i and j of a digit matrix."""
-    K = D.shape[1]
-    diffs = D[i] != D[j]
-    any_diff = diffs.any(axis=1)
-    val = np.where(any_diff, diffs.argmax(axis=1), K)
-    return np.where(any_diff, np.power(float(p), -val.astype(np.float64)), 0.0)
+    val = _first_difference(D[i], D[j])
+    return np.where(val < D.shape[1], np.power(float(p), -val.astype(np.float64)), 0.0)
 
 
 def spearman_ultrametric(
@@ -273,6 +277,27 @@ def _entropy_bits(counts: np.ndarray) -> float:
     return float(-(probs * np.log2(probs)).sum())
 
 
+def _prefix_group_sizes(D: np.ndarray) -> list[np.ndarray]:
+    """For k = 1..K, how many rows of an (N, K) digit matrix share each
+    distinct k-digit prefix, in lexicographic prefix order (the order of
+    np.unique(D[:, :k], axis=0, return_counts=True)).
+
+    One lexicographic sort serves every k: adjacent sorted rows share a
+    k-prefix exactly when their first differing column is >= k, so the
+    k-prefix groups are the runs between rows whose first difference lies
+    before column k.
+    """
+    n, K = D.shape
+    if n == 0:
+        return [np.zeros(0, dtype=np.int64) for _ in range(K)]
+    S = D[np.lexsort(D.T[::-1])]
+    first_diff = _first_difference(S[1:], S[:-1])
+    return [
+        np.diff(np.concatenate(([0], np.flatnonzero(first_diff < k) + 1, [n])))
+        for k in range(1, K + 1)
+    ]
+
+
 def digit_entropy_profile(dataset: EncodedDataset) -> np.ndarray:
     """Shannon entropy (bits) of each digit's marginal over the records.
 
@@ -293,11 +318,9 @@ def prefix_entropy_profile(dataset: EncodedDataset) -> np.ndarray:
     Nondecreasing in k for any dataset: extending a prefix only refines
     the partition of the records.
     """
-    D = dataset.digits_matrix()
-    K = D.shape[1]
-    out = np.zeros(K + 1)
-    for k in range(1, K + 1):
-        _, counts = np.unique(D[:, :k], axis=0, return_counts=True)
+    sizes = _prefix_group_sizes(dataset.digits_matrix())
+    out = np.zeros(len(sizes) + 1)
+    for k, counts in enumerate(sizes, start=1):
         out[k] = _entropy_bits(counts)
     return out
 
@@ -324,12 +347,10 @@ class BoxCountResult:
 
 
 def box_count_dimension(dataset: EncodedDataset) -> BoxCountResult:
-    D = dataset.digits_matrix()
-    K = D.shape[1]
+    K = dataset.codec.K
     p = dataset.codec.p
-    counts = [1]
-    for k in range(1, K + 1):
-        counts.append(len(np.unique(D[:, :k], axis=0)))
+    groups = _prefix_group_sizes(dataset.digits_matrix())
+    counts = [1] + [len(sizes) for sizes in groups]
     n_codes = counts[K]
     points = tuple((k, counts[k]) for k in range(K + 1))
     fit_ks = [k for k in range(K + 1) if 1 < counts[k] < n_codes]
@@ -500,13 +521,15 @@ def diagnose(
 # --- tab-separated exports ----------------------------------------------------
 
 
-def write_entropy_tsv(path: str, dataset: EncodedDataset) -> None:
-    digit = digit_entropy_profile(dataset)
-    prefix = prefix_entropy_profile(dataset)
+def write_entropy_tsv(
+    path: str, digit: Sequence[float], prefix: Sequence[float]
+) -> None:
+    """One row per digit: its marginal entropy (digit_entropy_profile) and
+    the entropy of the prefix ending at it (prefix_entropy_profile)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("digit\tmarginal_bits\tprefix_bits\n")
         for k in range(len(digit)):
-            fh.write(f"{k}\t{digit[k]!r}\t{prefix[k + 1]!r}\n")
+            fh.write(f"{k}\t{float(digit[k])!r}\t{float(prefix[k + 1])!r}\n")
 
 
 def write_box_counts_tsv(path: str, result: BoxCountResult) -> None:

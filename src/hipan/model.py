@@ -159,6 +159,16 @@ def _effective_depth(model: HiPaNModel, k: int) -> int:
     return min(k, model.config.K_heads - 1)
 
 
+def _head_table(model: HiPaNModel, ke: int) -> np.ndarray:
+    """Score table of the head at depth ke; the root's is its one row."""
+    if ke == 0:
+        return model.root.scores[None, :]
+    if ke == 1:
+        assert model.dense is not None
+        return model.dense.table
+    return model.deep[ke - 2].table
+
+
 def score_row(model: HiPaNModel, k: int, parent_digit: int | None) -> np.ndarray:
     """Score vector a head exposes for digit k given the previous digit."""
     ke = _effective_depth(model, k)
@@ -166,10 +176,7 @@ def score_row(model: HiPaNModel, k: int, parent_digit: int | None) -> np.ndarray
         return model.root.scores
     if parent_digit is None:
         raise ValueError(f"digit {k} needs the previous digit for row selection")
-    if ke == 1:
-        assert model.dense is not None
-        return model.dense.table[parent_digit]
-    return model.deep[ke - 2].table[parent_digit]
+    return _head_table(model, ke)[parent_digit]
 
 
 def softmax_rows(rows: np.ndarray) -> np.ndarray:
@@ -238,6 +245,21 @@ def _anchored_choice_rows(
     return np.where(pick_top, t_star, c)
 
 
+def _row_summary(
+    model: HiPaNModel, ke: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(table, row max, softmax denominator, generative fallback column)
+    for every row of the head at depth ke."""
+    table = _head_table(model, ke)
+    top = table.max(axis=1)
+    denom = np.exp(table - top[:, None]).sum(axis=1)
+    if ke <= 1:
+        fallback = table.argmax(axis=1)
+    else:
+        fallback = _anchored_choice_rows(model, ke, np.arange(table.shape[0]), table)
+    return table, top, denom, fallback
+
+
 def reconstruct_matrix(
     model: HiPaNModel, digits_mat: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -247,6 +269,12 @@ def reconstruct_matrix(
     depth a record's own digit is read off its code and accepted when its
     score is within RECONSTRUCT_MARGIN of the row maximum, otherwise the
     head answers with its generative rule.
+
+    Cost: each head serving some depth (tied depths share one) is
+    summarized once per row, its max, softmax denominator and fallback
+    column, in O(p^2) time and memory; each depth is then a few O(N)
+    gathers from those summaries.  The total is O(K_heads p^2 + N K) time
+    and O(p^2 + N K) memory, with no (N, p) temporary.
 
     Returns:
         (predicted, confidence): (N, K) int digits and (N, K) softmax
@@ -258,26 +286,19 @@ def reconstruct_matrix(
         raise ValueError(f"digit matrix width {width} does not match K={model.K}")
     pred = np.zeros((n, model.K), dtype=np.int64)
     conf = np.zeros((n, model.K), dtype=np.float64)
-    ar = np.arange(n)
+    summaries: dict[int, tuple[np.ndarray, ...]] = {}
     for k in range(model.K):
         ke = _effective_depth(model, k)
-        prev = pred[:, k - 1] if k > 0 else None
-        if ke == 0:
-            rows = np.broadcast_to(model.root.scores, (n, model.p))
-        elif ke == 1:
-            assert model.dense is not None
-            rows = model.dense.table[prev]
-        else:
-            rows = model.deep[ke - 2].table[prev]
+        if ke not in summaries:
+            summaries[ke] = _row_summary(model, ke)
+        table, top, denom, fallback = summaries[ke]
+        r = pred[:, k - 1] if ke > 0 else np.zeros(n, dtype=np.int64)
         t = digits_mat[:, k]
-        accept = rows[ar, t] >= rows.max(axis=1) - RECONSTRUCT_MARGIN
-        if ke <= 1:
-            fallback = rows.argmax(axis=1)
-        else:
-            fallback = _anchored_choice_rows(model, ke, prev, rows)
-        chosen = np.where(accept, t, fallback)
+        r_top = top[r]
+        accept = table[r, t] >= r_top - RECONSTRUCT_MARGIN
+        chosen = np.where(accept, t, fallback[r])
         pred[:, k] = chosen
-        conf[:, k] = softmax_rows(rows)[ar, chosen]
+        conf[:, k] = np.exp(table[r, chosen] - r_top) / denom[r]
     return pred, conf
 
 

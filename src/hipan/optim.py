@@ -1,7 +1,7 @@
 """Trainers for digit-head models: lattice descent and Adam.
 
-Both optimizers minimize the same teacher-forced objective, summed over
-the digits a training phase enables:
+The loss every epoch logs, and `hipan eval` reports, is a teacher-forced
+objective summed over the digits a training phase enables:
 
 * digit 0: cross entropy of the root score softmax against the true
   root digit;
@@ -19,13 +19,19 @@ distinct pair once and weighs it by its count, and nothing about the
 data is stored on the model.
 
 The lattice trainer moves one latent at a time by +-1 (wrapping mod p),
-accepting only strict improvement on a fixed minibatch, so integer-valued
-latents stay integers forever.  The Adam trainer follows analytic
-gradients of the same objective; the anchor gradient is the closed form
-2 tau (v - psi) (sigma((v - psi)^2 / tau) - I) whose antiderivative in v
-is anchor_loss.  Note the sign structure: the anchor is pushed toward
-psi when the arbitration is wrong and away when right, so the anchor
-settles between competing row maxima rather than on top of one.
+accepting only strict improvement of this objective on a fixed
+minibatch, so integer-valued latents stay integers forever.
+
+The Adam trainer does not descend this objective as a whole.  Its root,
+dense and table gradients are the analytic gradients of the objective,
+but its anchor gradient is not the gradient of the two-logit term: it is
+the closed form 2 tau (v - psi) (sigma((v - psi)^2 / tau) - I), with psi
+the true digit and I = 1 when the arbitration already picks it, whose
+antiderivative in v is anchor_loss, a different potential.  An Adam
+anchor step can therefore raise the logged loss.  Note the sign
+structure: the anchor is pushed toward psi when the arbitration is wrong
+and away when right, so the anchor settles between competing row maxima
+rather than on top of one.
 """
 
 from __future__ import annotations

@@ -421,10 +421,20 @@ class EncodedDataset:
     def n_records(self) -> int:
         return len(self.records)
 
-    def digits_matrix(self) -> np.ndarray:
-        """(N, K) int64 matrix of record digits, row order = record order."""
+    @cached_property
+    def _digits(self) -> np.ndarray:
         digits = np.array([r.code.digits for r in self.records], dtype=np.int64)
-        return digits.reshape(-1, self.codec.K)
+        digits = digits.reshape(-1, self.codec.K)
+        digits.flags.writeable = False
+        return digits
+
+    def digits_matrix(self) -> np.ndarray:
+        """(N, K) int64 matrix of record digits, row order = record order.
+
+        Built once per dataset and shared by every caller, so it is
+        read-only; copy it to modify it.
+        """
+        return self._digits
 
     def pair_counts(self) -> tuple[DigitPairs, ...]:
         """(digit k-1, digit k) pair counts for each depth k in [0, K).
@@ -496,6 +506,16 @@ def tree_to_nested(tree: TreeSpec, dataset: EncodedDataset | None = None) -> dic
     return build(tree.root)
 
 
+def _typed(obj: dict, key: str, kind: type) -> int | str:
+    """obj[key], required to be of type kind; JSON true and false are not ints."""
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(
+            f"malformed dataset JSON: {key!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
 def dataset_from_json(text: str) -> EncodedDataset:
     """Parse the dataset interchange form.
 
@@ -505,9 +525,14 @@ def dataset_from_json(text: str) -> EncodedDataset:
     """
     try:
         payload = json.loads(text)
-        codec = CodecParams(int(payload["codec"]["p"]), int(payload["codec"]["K"]))
+        head = payload["codec"]
+        codec = CodecParams(_typed(head, "p", int), _typed(head, "K", int))
         records = tuple(
-            Record(str(r["leaf"]), text_to_code(str(r["code"]), codec), int(r["depth"]))
+            Record(
+                _typed(r, "leaf", str),
+                text_to_code(_typed(r, "code", str), codec),
+                _typed(r, "depth", int),
+            )
             for r in payload["records"]
         )
     except (KeyError, TypeError, json.JSONDecodeError) as exc:

@@ -6,6 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hipan import (
     ModelConfig,
@@ -28,6 +30,7 @@ from hipan import (
     ultrametric_distance,
 )
 from hipan.metrics import (
+    _prefix_group_sizes,
     average_ranks,
     write_box_counts_tsv,
     write_distance_matrix_tsv,
@@ -188,6 +191,30 @@ def test_prefix_entropy_nondecreasing_random_trees():
         assert np.all(np.diff(prof) >= -1e-12)
 
 
+@st.composite
+def _digit_matrices(draw):
+    n, K = draw(st.integers(0, 40)), draw(st.integers(1, 5))
+    # few digit values, so prefixes repeat and whole rows repeat
+    top = draw(st.integers(0, 3))
+    cells = draw(st.lists(st.integers(0, top), min_size=n * K, max_size=n * K))
+    return np.array(cells, dtype=np.int64).reshape(n, K)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_digit_matrices())
+@example(np.zeros((0, 3), dtype=np.int64))
+@example(np.zeros((0, 1), dtype=np.int64))
+@example(np.array([[2, 0, 1]], dtype=np.int64))
+@example(np.array([[1], [0], [1]], dtype=np.int64))
+def test_prefix_group_sizes_match_unique_per_prefix_length(D):
+    sizes = _prefix_group_sizes(D)
+    assert len(sizes) == D.shape[1]
+    for k, got in enumerate(sizes, start=1):
+        _, want = np.unique(D[:, :k], axis=0, return_counts=True)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_uniform_digits_hit_log2p_exactly():
     p, K = 3, 3
     rows = [[(i // p**k) % p for k in range(K)] for i in range(p**K)]
@@ -295,10 +322,14 @@ def test_tsv_writers(tmp_path, toy_tree, toy_dataset):
     rep = diagnose(m, toy_dataset, toy_tree)
 
     entropy = tmp_path / "entropy.tsv"
-    write_entropy_tsv(str(entropy), toy_dataset)
+    write_entropy_tsv(str(entropy), rep.digit_entropy, rep.prefix_entropy)
     lines = entropy.read_text().splitlines()
     assert lines[0] == "digit\tmarginal_bits\tprefix_bits"
     assert len(lines) == 1 + toy_dataset.codec.K
+    k, marginal, prefix = lines[1].split("\t")
+    assert (k, float(marginal), float(prefix)) == (
+        "0", rep.digit_entropy[0], rep.prefix_entropy[1]
+    )
 
     boxes = tmp_path / "boxes.tsv"
     write_box_counts_tsv(str(boxes), rep.box_count)

@@ -1,5 +1,6 @@
 """Digit heads: shapes, prediction rules, reconstruction margin, layers."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +29,15 @@ from hipan import (
     ultrametric_distance,
     vdp_layer_apply,
 )
-from hipan.model import model_from_state, model_state, score_row, softmax
+from hipan.model import (
+    _anchored_choice_rows,
+    _effective_depth,
+    model_from_state,
+    model_state,
+    score_row,
+    softmax,
+    softmax_rows,
+)
 from conftest import irregular_tree
 
 
@@ -164,6 +173,82 @@ def test_reconstruct_matrix_free_runs_on_predictions():
     assert conf.shape == (1, 2)
     with pytest.raises(ValueError):
         reconstruct_matrix(m, np.zeros((2, 3), dtype=np.int64))
+
+
+def _reconstruct_reference(model, D):
+    """Reference reconstruction: gathers each record's whole (N, p) score
+    row at every depth and takes its full softmax."""
+    n = D.shape[0]
+    pred = np.zeros((n, model.K), dtype=np.int64)
+    conf = np.zeros((n, model.K), dtype=np.float64)
+    ar = np.arange(n)
+    for k in range(model.K):
+        ke = _effective_depth(model, k)
+        prev = pred[:, k - 1] if k > 0 else None
+        if ke == 0:
+            rows = np.broadcast_to(model.root.scores, (n, model.p))
+        elif ke == 1:
+            rows = model.dense.table[prev]
+        else:
+            rows = model.deep[ke - 2].table[prev]
+        t = D[:, k]
+        accept = rows[ar, t] >= rows.max(axis=1) - RECONSTRUCT_MARGIN
+        if ke <= 1:
+            fallback = rows.argmax(axis=1)
+        else:
+            fallback = _anchored_choice_rows(model, ke, prev, rows)
+        chosen = np.where(accept, t, fallback)
+        pred[:, k] = chosen
+        conf[:, k] = softmax_rows(rows)[ar, chosen]
+    return pred, conf
+
+
+@st.composite
+def _model_and_digits(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    K = draw(st.integers(1, 5))
+    K_heads = draw(st.integers(1, K))  # K_heads < K ties the deeper digits
+    model = new_model(_config(p, K, K_heads), seed=0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # small integers: ties, and scores exactly RECONSTRUCT_MARGIN below a max
+        def fill(shape):
+            return rng.integers(0, 5, size=shape).astype(np.float64)
+    else:
+        def fill(shape):
+            return rng.normal(0.0, 3.0, size=shape)
+    model.root.scores = fill(p)
+    if model.dense is not None:
+        model.dense.table = fill((p, p))
+    for head in model.deep:
+        head.table = fill((p, p))
+        head.anchor = fill(p)
+    n = draw(st.integers(0, 30))
+    return model, rng.integers(0, p, size=(n, K))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_model_and_digits())
+def test_reconstruct_matrix_matches_full_row_reference(case):
+    model, D = case
+    pred, conf = reconstruct_matrix(model, D)
+    ref_pred, ref_conf = _reconstruct_reference(model, D)
+    assert np.array_equal(pred, ref_pred)
+    assert np.array_equal(conf, ref_conf)
+
+
+def test_reconstruct_matrix_memory_stays_below_one_n_by_p_array():
+    # one (N, p) float64 array here is 20,000 x 101 x 8 B = 16 MB
+    p, K, n = 101, 3, 20_000
+    model = new_model(_config(p, K), seed=0)
+    D = np.random.default_rng(0).integers(0, p, size=(n, K))
+    tracemalloc.start()
+    try:
+        reconstruct_matrix(model, D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_reconstruct_codec_mismatch():

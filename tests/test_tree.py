@@ -273,6 +273,9 @@ def test_digits_matrix_and_pair_counts(toy_dataset):
     D = toy_dataset.digits_matrix()
     assert D.dtype == np.int64
     assert D.tolist() == [[0, 0], [0, 1], [1, 0]]
+    # built once and shared, so no caller may write into it
+    assert toy_dataset.digits_matrix() is D
+    assert not D.flags.writeable
     counts = toy_dataset.pair_counts()
     assert len(counts) == 2
 
@@ -318,6 +321,14 @@ _GOOD_RECORD = {"leaf": "x", "code": "0-1", "depth": 2}
         {"codec": {"p": 3, "K": 2}, "records": [{**_GOOD_RECORD, "depth": None}]},
         {"codec": {"p": 3, "K": 2}, "records": [{**_GOOD_RECORD, "code": None}]},
         {"codec": {"p": 3, "K": 2}, "records": [{"leaf": "x", "code": "0-1"}]},
+        {"codec": {"p": 3, "K": 2}, "records": [{**_GOOD_RECORD, "depth": "2"}]},
+        {"codec": {"p": 3, "K": 2}, "records": [{**_GOOD_RECORD, "depth": 2.7}]},
+        {"codec": {"p": 3, "K": 2}, "records": [{**_GOOD_RECORD, "depth": 2.0}]},
+        {"codec": {"p": 3, "K": 2}, "records": [{**_GOOD_RECORD, "depth": True}]},
+        {"codec": {"p": 3, "K": 2}, "records": [{**_GOOD_RECORD, "leaf": 5}]},
+        {"codec": {"p": "5", "K": 2}, "records": []},
+        {"codec": {"p": 3, "K": 2.0}, "records": []},
+        {"codec": {"p": 3, "K": True}, "records": []},
     ],
 )
 def test_dataset_json_wrong_types_are_value_errors(payload):
