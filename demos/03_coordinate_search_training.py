@@ -5,7 +5,8 @@ Training digit heads with greedy coordinate search
 Fits a model to a complete 3-ary hierarchy of depth 4 using the
 derivative-free optimizer: every parameter lives on the digit lattice
 {0..p-1} and a sweep tries moving each one by +1 or -1 (mod p), keeping
-a move only when the minibatch loss strictly improves.
+a move only when the loss over the whole dataset strictly improves, so
+the logged loss never rises from one sweep to the next.
 """
 
 import io

@@ -226,10 +226,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
         mconf = ModelConfig(codec, cfg.k_heads or None, cfg.tau)
         model = new_model(mconf, cfg.seed)
     if cfg.optimizer == "gist":
-        optimizer: GistConfig | AdamConfig = GistConfig(
-            patience=cfg.patience, batch_size=cfg.batch_size, seed=cfg.seed
-        )
-        hyper: dict = {"patience": cfg.patience, "batch_size": cfg.batch_size}
+        optimizer: GistConfig | AdamConfig = GistConfig(patience=cfg.patience, seed=cfg.seed)
+        hyper: dict = {"patience": cfg.patience}
     else:
         optimizer = AdamConfig(lr=cfg.lr or 0.015, warmup_lr=cfg.warmup_lr or 0.03)
         hyper = {
@@ -430,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="JSON-lines epoch log path (default stdout)")
     p.add_argument("--optimizer", choices=("gist", "adam"))
     p.add_argument("--plan", choices=("default", "uniform"))
-    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--batch-size", dest="batch_size", type=int, help="records per Adam step")
     p.add_argument("--k-heads", dest="k_heads", type=int)
     p.add_argument("--tau", type=float)
     p.add_argument("--lr", type=float)

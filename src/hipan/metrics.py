@@ -21,7 +21,7 @@ import numpy as np
 from .model import HiPaNModel, clamped_descent_matrix, reconstruct_matrix
 from .padic import PadicCode
 from .rng import child_rng
-from .tree import EncodedDataset, TreeSpec, lca_depth
+from .tree import EncodedDataset, TreeSpec, lca_depths
 
 
 # --- reconstruction accuracy --------------------------------------------------
@@ -158,26 +158,22 @@ def spearman_ultrametric(
     D = dataset.digits_matrix()
     total = n * (n - 1) // 2
     if total <= max_pairs:
-        pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64)
+        i, j = np.triu_indices(n, k=1)
     else:
         rng = child_rng(seed, "spearman")
         draws = rng.integers(0, n, size=(int(max_pairs * 1.2) + 16, 2))
         draws = draws[draws[:, 0] != draws[:, 1]][:max_pairs]
-        pairs = draws
-    i, j = pairs[:, 0], pairs[:, 1]
-    ids = np.array([tree.id_of(r.leaf) for r in dataset.records])
-    depths = np.array(
-        [lca_depth(tree, int(a), int(b)) for a, b in zip(ids[i], ids[j])],
-        dtype=np.float64,
-    )
+        i, j = draws[:, 0], draws[:, 1]
+    ids = np.array([tree.id_of(r.leaf) for r in dataset.records], dtype=np.int64)
+    depths = lca_depths(tree, ids[i], ids[j]).astype(np.float64)
     dists = _pair_distances(D, dataset.codec.p, i, j)
     rx = average_ranks(depths)
     ry = average_ranks(dists)
     sx, sy = rx.std(), ry.std()
     if sx == 0.0 or sy == 0.0:
-        return SpearmanResult(0.0, len(pairs), True)
+        return SpearmanResult(0.0, i.size, True)
     rho = float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
-    return SpearmanResult(rho, len(pairs), False)
+    return SpearmanResult(rho, i.size, False)
 
 
 # --- strong triangle inequality ----------------------------------------------

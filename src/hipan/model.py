@@ -229,17 +229,21 @@ def predict_digits(
     return digits, confs
 
 
+def _top_two(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of each row's largest and second-largest score, ties to the
+    lowest index."""
+    top = rows.argmax(axis=1)
+    masked = rows.copy()
+    masked[np.arange(rows.shape[0]), top] = -np.inf
+    return top, masked.argmax(axis=1)
+
+
 def _anchored_choice_rows(
     model: HiPaNModel, ke: int, prev: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
     """Deep-head generative rule for a batch of rows: the top two columns
     (ties to the lowest index), arbitrated by the row's anchor."""
-    n = rows.shape[0]
-    ar = np.arange(n)
-    t_star = rows.argmax(axis=1)
-    masked = rows.copy()
-    masked[ar, t_star] = -np.inf
-    c = masked.argmax(axis=1)
+    t_star, c = _top_two(rows)
     v = model.deep[ke - 2].anchor[prev]
     pick_top = (v - t_star) ** 2 <= (v - c) ** 2
     return np.where(pick_top, t_star, c)

@@ -19,8 +19,14 @@ distinct pair once and weighs it by its count, and nothing about the
 data is stored on the model.
 
 The lattice trainer moves one latent at a time by +-1 (wrapping mod p),
-accepting only strict improvement of this objective on a fixed
-minibatch, so integer-valued latents stay integers forever.
+accepting only strict improvement of this objective on the full data, so
+integer-valued latents stay integers forever and the logged loss never
+rises from sweep to sweep.  A coordinate of a head row, or the row's
+anchor, changes only the loss of the pairs whose parent digit selects
+that row, so the sweep scores each row on its own pairs: rows that no
+pair reaches are skipped, and a live row scores the +-1 moves of many
+columns in one numpy pass, in the arithmetic of the loss itself, so its
+moves are those of a sweep that rescored one coordinate at a time.
 
 The Adam trainer does not descend this objective as a whole.  Its root,
 dense and table gradients are the analytic gradients of the objective,
@@ -48,6 +54,7 @@ from .model import (
     HiPaNModel,
     _anchored_choice_rows,
     _effective_depth,
+    _top_two,
     softmax,
     softmax_rows,
 )
@@ -150,18 +157,16 @@ class GistConfig:
     """Lattice descent settings; sweep counts come from the phase plan.
 
     patience: consecutive zero-acceptance sweeps that end a phase early.
-    batch_size/seed: minibatch draw defaults, overridable per train call.
+    seed: the run seed train records in checkpoints; the full-batch sweep
+    itself draws nothing.
     """
 
     patience: int = 2
-    batch_size: int = 64
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -232,6 +237,23 @@ def uniform_plan(K: int, epochs: int = 20, lr: float = 1e-3) -> TrainPlan:
     return TrainPlan(tuple(phases))
 
 
+def _lattice_move(stay, up, down):
+    """Move of a lattice coordinate from the losses of its three candidates
+    (the incumbent, +1 and -1 mod p): 1 or -1 for the strictly lowest,
+    else 0.  Ties go to the incumbent, then to +1.  Elementwise on arrays;
+    a candidate list [stay, up, down] indexed by the move is the value
+    the coordinate takes."""
+    return np.where(
+        (up < stay) & (up <= down), 1, np.where((down < stay) & (down < up), -1, 0)
+    )
+
+
+def _idle_streak(streak: int, accepted: int) -> int:
+    """Consecutive sweeps without an accepted move, after one more sweep;
+    a run stops once it reaches its patience."""
+    return 0 if accepted else streak + 1
+
+
 def gist_minimize(
     objective,
     digits0: Sequence[int],
@@ -241,11 +263,10 @@ def gist_minimize(
 ) -> tuple[list[int], list[int]]:
     """Generic coordinate descent on the digit lattice {0..p-1}^n.
 
-    Each sweep visits coordinates in index order; a coordinate tries +1
-    then -1 (mod p) and keeps the strictly best candidate, preferring the
-    incumbent on ties and the +1 move when both candidates tie each
-    other.  Stops after `patience` consecutive sweeps with no accepted
-    move.
+    Each sweep visits coordinates in index order; a coordinate scores
+    itself, +1 and -1 (mod p) and moves by the trainer's rule
+    (_lattice_move).  Stops after `patience` consecutive sweeps with no
+    accepted move.
 
     Returns:
         (digits, accepted_per_sweep).
@@ -256,19 +277,16 @@ def gist_minimize(
     for _ in range(max_sweeps):
         accepted = 0
         for i in range(len(digits)):
-            cur = digits[i]
-            best_val = objective(digits)
-            best = cur
-            for delta in (1, -1):
-                digits[i] = (cur + delta) % p
-                val = objective(digits)
-                if val < best_val:
-                    best_val, best = val, digits[i]
-            digits[i] = best
-            if best != cur:
-                accepted += 1
+            cands = [digits[i], (digits[i] + 1) % p, (digits[i] - 1) % p]
+            losses = []
+            for cand in cands:
+                digits[i] = cand
+                losses.append(objective(digits))
+            move = int(_lattice_move(*losses))
+            digits[i] = cands[move]
+            accepted += move != 0
         history.append(accepted)
-        streak = streak + 1 if accepted == 0 else 0
+        streak = _idle_streak(streak, accepted)
         if streak >= patience:
             break
     return digits, history
@@ -344,15 +362,26 @@ def _digit_losses(
         return ((rows - one_hot) ** 2).sum(axis=1)
     head = model.deep[ke - 2]
     rows = head.table[prev]
+    top, second = _top_two(rows)
     ce = _lse_rows(rows) - rows[ar, t]
-    masked = rows.copy()
-    masked[ar, t] = -np.inf
-    c = masked.argmax(axis=1)
-    v = head.anchor[prev]
-    tau = model.config.tau
+    return _deep_terms(model.config.tau, ce, top, second, head.anchor[prev], t, w)
+
+
+def _deep_terms(
+    tau: float,
+    ce: np.ndarray,
+    top: np.ndarray,
+    second: np.ndarray,
+    v: np.ndarray | float,
+    t: np.ndarray,
+    w: np.ndarray,
+) -> np.ndarray:
+    """Deep-head loss of target digits t: weight w times the cross entropy
+    ce plus the two-logit term of anchor v against the competitor, the
+    best column other than t (from the row's top two columns)."""
+    c = np.where(top == t, second, top)
     z = tau * ((v - c) ** 2 - (v - t) ** 2)
-    tl = _softplus_vec(-z)
-    return w * (ce + tl)
+    return w * (ce + _softplus_vec(-z))
 
 
 def dataset_loss(
@@ -375,119 +404,185 @@ def dataset_loss(
     return total / max(1, int(counts[0].count.sum()))
 
 
-def _coordinates(
-    model: HiPaNModel, phase_digits: tuple[int, ...]
-) -> Iterator[tuple[str, np.ndarray, tuple[int, ...], tuple[int, ...], int | None]]:
-    """Sweep order: root scores, dense table row-major, each deep head's
-    table row-major then its anchors.  Yields (name, array, index, served
-    digits, row constraint)."""
-    p = model.p
-    served = _served_digits(model, 0, phase_digits)
-    if served:
-        for j in range(p):
-            yield "root", model.root.scores, (j,), served, None
-    if model.dense is not None:
-        served = _served_digits(model, 1, phase_digits)
-        if served:
-            for r in range(p):
-                for j in range(p):
-                    yield "dense", model.dense.table, (r, j), served, r
-    for i, head in enumerate(model.deep):
-        served = _served_digits(model, 2 + i, phase_digits)
-        if not served:
-            continue
-        for r in range(p):
-            for j in range(p):
-                yield f"deep{i}.table", head.table, (r, j), served, r
-        for r in range(p):
-            yield f"deep{i}.anchor", head.anchor, (r,), served, r
+# A row's pairs at each digit its head serves: (child digits, counts,
+# rarity weights), the slice of that digit's DigitPairs with the row's
+# parent digit.
+_RowParts = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+# Columns a pass over a live row scores when no earlier pass saw a column
+# ahead move; doubled after each pass in which no column moved.
+_FIRST_CHUNK = 32
 
 
-def _coord_loss(
-    model: HiPaNModel,
-    D: np.ndarray,
-    W: np.ndarray,
-    served: tuple[int, ...],
-    row: int | None,
-    batch: np.ndarray,
-) -> float:
-    """Loss restricted to the records a single coordinate can influence."""
-    total = 0.0
+def _live_rows(
+    model: HiPaNModel, ke: int, counts: Sequence[DigitPairs], served: tuple[int, ...]
+) -> Iterator[tuple[int, _RowParts]]:
+    """(row, parts) for every row of head ke that some pair of the served
+    digits reaches, in row order.  The root has one row, read by every
+    pair whatever its parent digit."""
+    cuts = []
     for k in served:
-        if k == 0 or row is None:
-            idx = batch
+        pairs = counts[k]
+        if ke == 0:
+            bounds = np.array([0, pairs.count.size])
         else:
-            idx = batch[D[batch, k - 1] == row]
-        if idx.size:
-            prev = D[idx, k - 1] if k else None
-            total += float(_digit_losses(model, k, prev, D[idx, k], W[idx, k]).sum())
+            bounds = np.searchsorted(pairs.parent, np.arange(model.p + 1))
+        cuts.append((pairs, huffman_weights(pairs.count), bounds))
+    for r in range(1 if ke == 0 else model.p):
+        parts = []
+        for pairs, w, bounds in cuts:
+            a, b = bounds[r], bounds[r + 1]
+            if b > a:
+                parts.append((pairs.child[a:b], pairs.count[a:b], w[a:b]))
+        if parts:
+            yield r, parts
+
+
+def _row_losses(
+    model: HiPaNModel, ke: int, X: np.ndarray, v: np.ndarray | float, parts: _RowParts
+) -> np.ndarray:
+    """Loss of one root or deep-head row's pairs under each candidate row
+    X[i] and anchor v (broadcast against X's rows).
+
+    Computed in the arithmetic of dataset_loss, bit for bit: per served
+    digit, _digit_losses's terms of the row's pairs weighted by their
+    counts and summed."""
+    lse = _lse_rows(X)[:, None]
+    if ke >= 2:
+        top, second = (a[:, None] for a in _top_two(X))
+    total = 0.0
+    for t, count, w in parts:
+        ce = lse - X[:, t]
+        if ke >= 2:
+            ce = _deep_terms(model.config.tau, ce, top, second, v, t, w)
+        # sum(axis=1) adds each row of a C-ordered array pairwise, as the
+        # 1-d sum does; X[:, t] and what is computed from it are F-ordered
+        total = total + np.ascontiguousarray(count * ce).sum(axis=1)
     return total
 
 
-def _gist_sweep(
-    model: HiPaNModel,
-    D: np.ndarray,
-    W: np.ndarray,
-    phase: TrainPhase,
-    batch_size: int,
-    rng: np.random.Generator,
-    state: "OptimState | None" = None,
-) -> tuple[int, int]:
-    """One full coordinate sweep; returns (accepted moves, loss evals)."""
-    n = D.shape[0]
+def _sweep_table_row(
+    model: HiPaNModel, ke: int, x: np.ndarray, v: float, parts: _RowParts
+) -> int:
+    """Sweep the columns of one live root or deep-head row x in column
+    order, in place, holding its anchor v; returns the accepted moves.
+
+    A pass scores a run of columns at once (the incumbent row, then each
+    column's +1, then each column's -1) and accepts the first column that
+    moves; the next pass starts after it, on the new row.  Every column
+    before the first mover is scored against the same incumbent as in a
+    one-coordinate-at-a-time sweep, so the moves are that sweep's.  A
+    pass ends at the next column an earlier pass saw move, or else after
+    _FIRST_CHUNK columns, twice as many after each pass without a move."""
+    p = x.size
+    accepted, j, width = 0, 0, _FIRST_CHUNK
+    ahead = np.empty(0, dtype=np.int64)
+    while j < p:
+        stop = ahead[0] + 1 if ahead.size else min(p, j + width)
+        cols = np.arange(j, stop)
+        m = cols.size
+        cands = np.stack([x[cols], (x[cols] + 1.0) % p, (x[cols] - 1.0) % p])
+        X = np.repeat(x[None, :], 2 * m + 1, axis=0)
+        X[np.arange(1, 2 * m + 1), np.tile(cols, 2)] = cands[1:].ravel()
+        losses = _row_losses(model, ke, X, v, parts)
+        moves = _lattice_move(losses[0], losses[1 : m + 1], losses[m + 1 :])
+        moved = np.flatnonzero(moves)
+        later = ahead[ahead >= stop]
+        if moved.size == 0:
+            j, ahead, width = stop, later, 2 * width
+            continue
+        i = moved[0]
+        x[cols[i]] = cands[moves[i], i]
+        accepted += 1
+        j, ahead, width = cols[i] + 1, np.concatenate([cols[moved[1:]], later]), _FIRST_CHUNK
+    return accepted
+
+
+def _sweep_anchor(model: HiPaNModel, ke: int, r: int, parts: _RowParts) -> int:
+    """Lattice step of one live deep row's anchor; returns 1 if it moved."""
+    head = model.deep[ke - 2]
     p = model.p
-    accepted = 0
-    evals = 0
-    sweep_no = state.t + 1 if state is not None else 0
-    for name, arr, index, served, row in _coordinates(model, phase.digits):
-        batch = rng.choice(n, size=min(batch_size, n), replace=False)
-        evals += 3
-        cur = float(arr[index])
-        best_val = _coord_loss(model, D, W, served, row, batch)
-        best = cur
-        for delta in (1.0, -1.0):
-            cand = (cur + delta) % p
-            arr[index] = cand
-            val = _coord_loss(model, D, W, served, row, batch)
-            if val < best_val:
-                best_val, best = val, cand
-        arr[index] = best
-        if best != cur:
-            accepted += 1
-            if state is not None:
-                key = f"{name}[{','.join(str(i) for i in index)}]"
-                state.last_improved[key] = sweep_no
-    if state is not None:
-        state.t = sweep_no
-    return accepted, evals
+    v = head.anchor[r]
+    cands = np.array([v, (v + 1.0) % p, (v - 1.0) % p])
+    losses = _row_losses(model, ke, head.table[r][None, :], cands[:, None], parts)
+    move = int(_lattice_move(*losses))
+    head.anchor[r] = cands[move]
+    return int(move != 0)
+
+
+def _sweep_dense_row(x: np.ndarray, parts: _RowParts) -> int:
+    """Lattice step of every column of one live dense row, in place;
+    returns the accepted moves.  The squared distance separates by
+    column, so each column is scored alone: when h of the row's n records
+    have the column's digit, the column at value y costs
+    (n - h) y^2 + h (y - 1)^2, exactly so for integer latents."""
+    p = x.size
+    hits = sum(np.bincount(t, weights=count, minlength=p) for t, count, _ in parts)
+    n = sum(float(count.sum()) for _, count, _ in parts)
+    cands = np.stack([x, (x + 1.0) % p, (x - 1.0) % p])
+    losses = (n - hits) * cands**2 + hits * (cands - 1.0) ** 2
+    moves = _lattice_move(*losses)
+    x[:] = cands[moves, np.arange(p)]
+    return int(np.count_nonzero(moves))
+
+
+def _gist_sweep(
+    model: HiPaNModel, counts: Sequence[DigitPairs], digits: tuple[int, ...]
+) -> tuple[int, int]:
+    """One exact full-batch lattice sweep of the heads serving the given
+    digits, in place; returns (accepted moves, loss evaluations), three
+    evaluations per coordinate of a live row.
+
+    Order: root scores, dense rows, each deep head's rows, each row's
+    table columns then its anchor.  A row's pairs read only that row and
+    its anchor, so this gives the moves of sweeping a head's whole table
+    before its anchors.  Rows that no pair reaches are skipped: no move
+    there can change the loss."""
+    p = model.p
+    accepted = coords = 0
+    for ke in range(model.config.K_heads):
+        served = _served_digits(model, ke, digits)
+        if not served:
+            continue
+        for r, parts in _live_rows(model, ke, counts, served):
+            if ke == 0:
+                accepted += _sweep_table_row(model, ke, model.root.scores, 0.0, parts)
+                coords += p
+            elif ke == 1:
+                assert model.dense is not None
+                accepted += _sweep_dense_row(model.dense.table[r], parts)
+                coords += p
+            else:
+                head = model.deep[ke - 2]
+                accepted += _sweep_table_row(model, ke, head.table[r], head.anchor[r], parts)
+                accepted += _sweep_anchor(model, ke, r, parts)
+                coords += p + 1
+    return accepted, 3 * coords
 
 
 def gist_sweep(
     model: HiPaNModel,
     dataset: EncodedDataset,
     digits: Sequence[int],
-    batch_size: int = 64,
-    rng: np.random.Generator | None = None,
     state: "OptimState | None" = None,
 ) -> tuple[HiPaNModel, int, float]:
-    """One deterministic lattice sweep over the given digit depths.
+    """One deterministic full-batch lattice sweep over the given digit depths.
 
-    Visits every coordinate the digits activate in fixed order (root
-    scores, dense rows, each deep table then its anchors), tries +-1
-    (mod p) moves against one minibatch per coordinate, and keeps strict
-    improvements only.
+    Visits the coordinates the digits activate in fixed order (root
+    scores, dense rows, each deep table then its anchors), skipping rows
+    that no record reaches, scores each one's +-1 (mod p) moves on the
+    whole dataset, and keeps strict improvements only, so the loss never
+    rises.  Advances state.t when given.
 
     Returns:
         (model, accepted move count, full-dataset loss after the sweep).
     """
-    D = dataset.digits_matrix()
     counts = dataset.pair_counts()
-    if rng is None:
-        rng = child_rng(0, "gist", 0, 0)
-    phase = TrainPhase("sweep", 1, 0.0, tuple(int(k) for k in digits))
-    W = _record_weights(D, counts, model.p)
-    accepted, _ = _gist_sweep(model, D, W, phase, batch_size, rng, state)
-    return model, accepted, dataset_loss(model, counts, phase.digits)
+    digits = tuple(int(k) for k in digits)
+    accepted, _ = _gist_sweep(model, counts, digits)
+    if state is not None:
+        state.t += 1
+    return model, accepted, dataset_loss(model, counts, digits)
 
 
 def _accumulate_grads(
@@ -539,15 +634,12 @@ class OptimState:
     """Mutable optimizer memory, serialized into checkpoints.
 
     t counts Adam steps or lattice sweeps; m/u hold the per-latent first
-    and second moments (Adam only); last_improved maps a coordinate key
-    like "dense[2,1]" to the sweep that last accepted a move there (the
-    lattice trainer only).
+    and second moments (Adam only).
     """
 
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     u: dict[str, np.ndarray] = field(default_factory=dict)
-    last_improved: dict[str, int] = field(default_factory=dict)
 
     def ensure(self, name: str, shape: tuple[int, ...]) -> None:
         if name not in self.m:
@@ -659,15 +751,16 @@ class TrainResult:
     checkpoints: list[str]
 
 
+# Marks lattice state written by the full-batch sweep; lattice state
+# without it comes from the earlier minibatch sweep, whose runs this one
+# cannot continue bit-identically.
+_GIST_SWEEP = "full-batch"
+
+
 def optim_state_dict(kind: str, state: OptimState, streak: int = 0) -> dict:
     """Serializable optimizer state for checkpoints."""
     if kind == "gist":
-        return {
-            "kind": "gist",
-            "t": state.t,
-            "streak": int(streak),
-            "last_improved": dict(sorted(state.last_improved.items())),
-        }
+        return {"kind": "gist", "sweep": _GIST_SWEEP, "t": state.t, "streak": int(streak)}
     return {
         "kind": "adam",
         "t": state.t,
@@ -678,12 +771,10 @@ def optim_state_dict(kind: str, state: OptimState, streak: int = 0) -> dict:
 
 
 def restore_optim_state(doc: dict, model: HiPaNModel) -> OptimState:
-    """Rebuild an OptimState from its checkpoint form."""
+    """Rebuild an OptimState from its checkpoint form; the per-coordinate
+    "last_improved" map of earlier lattice checkpoints is ignored."""
     state = OptimState(t=int(doc.get("t", 0)))
     if doc.get("kind") == "gist":
-        state.last_improved = {
-            str(k): int(v) for k, v in doc.get("last_improved", {}).items()
-        }
         return state
     shapes = {k: a.shape for k, a in _arrays(model).items()}
     shapes.update({k: tuple(v) for k, v in doc.get("shapes", {}).items()})
@@ -699,7 +790,7 @@ def train(
     optimizer: GistConfig | AdamConfig,
     plan: TrainPlan | None = None,
     *,
-    batch_size: int | None = None,
+    batch_size: int = 64,
     seed: int | None = None,
     tree: TreeSpec | None = None,
     log_stream: IO[str] | None = None,
@@ -714,22 +805,23 @@ def train(
     digit, all K), leaf_acc, accepted_moves (lattice moves, or optimizer
     steps for Adam), wall_ms.
 
-    Checkpoints go to checkpoint_dir every plan.checkpoint_interval
-    global epochs plus a final one; resume continues from a loaded
-    checkpoint document's cursor with its optimizer state.
+    batch_size is Adam's records per step; the lattice sweep scores the
+    whole dataset.  Checkpoints go to checkpoint_dir every
+    plan.checkpoint_interval global epochs plus a final one; resume
+    continues from a loaded checkpoint document's cursor with its
+    optimizer state.
 
     Raises:
         NumericAbort: a latent became non-finite.
         ValueError: the dataset is empty, or the resume checkpoint holds
-            the state of the other optimizer.
+            the state of the other optimizer or of the minibatch lattice
+            sweep.
     """
     import json as _json
 
     from . import checkpoint as _ckpt
 
     kind = "gist" if isinstance(optimizer, GistConfig) else "adam"
-    if batch_size is None:
-        batch_size = getattr(optimizer, "batch_size", 64)
     if seed is None:
         seed = getattr(optimizer, "seed", 0)
     if plan is None:
@@ -745,7 +837,7 @@ def train(
     if tree is not None:
         leaf_ids = np.array([tree.id_of(r.leaf) for r in dataset.records], dtype=np.int64)
     counts = dataset.pair_counts()
-    W = _record_weights(D, counts, model.p)
+    W = _record_weights(D, counts, model.p) if kind == "adam" else None
 
     start_phase, start_epoch = 0, 0
     streak = 0
@@ -759,6 +851,11 @@ def train(
             raise ValueError(
                 f"resume checkpoint holds {saved_kind} optimizer state; "
                 f"this run uses {kind}"
+            )
+        if saved_kind == "gist" and saved.get("sweep") != _GIST_SWEEP:
+            raise ValueError(
+                "resume checkpoint was written by the minibatch lattice sweep, "
+                "which the full-batch sweep cannot continue; train from scratch"
             )
         if saved_kind == kind:
             state = restore_optim_state(saved, model)
@@ -801,12 +898,11 @@ def train(
         # running any further sweeps or the resumed run diverges
         if kind == "gist" and streak >= optimizer.patience:
             continue
-        slots = max(1, math.ceil(n / batch_size))
         for e in range(first_epoch, phase.epochs):
             t0 = time.monotonic()
             if kind == "gist":
-                rng = child_rng(seed, "gist", pi, e)
-                moves, ev = _gist_sweep(model, D, W, phase, batch_size, rng, state)
+                moves, ev = _gist_sweep(model, counts, phase.digits)
+                state.t += 1
                 evals += ev
             else:
                 perms = {
@@ -814,7 +910,7 @@ def train(
                     for k in phase.digits
                 }
                 moves = 0
-                for s in range(slots):
+                for s in range(math.ceil(n / batch_size)):
                     grads = {
                         name: np.zeros_like(arr)
                         for name, arr in _arrays(model).items()
@@ -851,7 +947,7 @@ def train(
             global_epoch += 1
             cursor = (pi, e + 1) if e + 1 < phase.epochs else (pi + 1, 0)
             if kind == "gist":
-                streak = streak + 1 if moves == 0 else 0
+                streak = _idle_streak(streak, moves)
             if (
                 plan.checkpoint_interval
                 and global_epoch % plan.checkpoint_interval == 0

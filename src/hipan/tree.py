@@ -368,6 +368,26 @@ def lca_depth(tree: TreeSpec, a: int | str, b: int | str) -> int:
     return tree.depth[x]
 
 
+def lca_depths(tree: TreeSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Depth of the lowest common ancestor of each node pair (a[i], b[i]).
+
+    Array form of lca_depth: every pair that has not met yet climbs one
+    level per step (the deeper node, or both at equal depth), so the
+    loop runs at most twice the hierarchy depth.
+    """
+    parent = np.asarray(tree.parent, dtype=np.int64)
+    depth = np.asarray(tree.depth, dtype=np.int64)
+    x = np.asarray(a, dtype=np.int64)
+    y = np.asarray(b, dtype=np.int64)
+    while True:
+        apart = x != y
+        if not apart.any():
+            return depth[x]
+        dx, dy = depth[x], depth[y]
+        x = np.where(apart & (dx >= dy), parent[x], x)
+        y = np.where(apart & (dy >= dx), parent[y], y)
+
+
 def branching_stats(tree: TreeSpec) -> dict[int, dict[int, int]]:
     """Histogram {depth: {child count: number of internal nodes}}."""
     stats: dict[int, dict[int, int]] = {}
@@ -563,6 +583,7 @@ __all__ = [
     "encode_tree",
     "gen_synthetic",
     "lca_depth",
+    "lca_depths",
     "load_tree",
     "loads_tree",
     "make_codec",

@@ -136,7 +136,7 @@ def test_train_gist_summary(capsys, tmp_path, toy_files):
     assert summary["event"] == "summary"
     assert summary["leaf_acc"] == 1.0
     assert summary["parameters"] == 24
-    assert summary["hyperparameters"] == {"patience": 2, "batch_size": 64}
+    assert summary["hyperparameters"] == {"patience": 2}
     assert summary["checkpoints"]
     assert any(c.endswith("ckpt-final.json") for c in summary["checkpoints"])
     assert os.path.exists(os.path.join(ckdir, "ckpt-final.json"))
@@ -402,6 +402,29 @@ def test_resume_with_other_optimizer_exit_2(capsys, tmp_path, toy_files):
     )
     assert rc == 2
     assert err.startswith("error:") and "gist optimizer state" in err
+    assert "Traceback" not in err
+
+
+def test_resume_minibatch_gist_checkpoint_exit_2(capsys, tmp_path, toy_files):
+    tree_path, ds_path = toy_files
+    summary, _ = _train_toy(capsys, tmp_path, toy_files)
+    doc = json.loads(open(summary["checkpoints"][-1]).read())
+    doc["optim"] = {"kind": "gist", "t": 3, "streak": 0, "last_improved": {"root[0]": 1}}
+    old = tmp_path / "minibatch.json"
+    old.write_text(json.dumps(doc))
+    rc, _, err = run(
+        capsys,
+        [
+            "train",
+            "--dataset", ds_path,
+            "--tree", tree_path,
+            "--resume", str(old),
+            "--log", str(tmp_path / "r.jsonl"),
+            "--seed", "0",
+        ],
+    )
+    assert rc == 2
+    assert err.startswith("error:") and "minibatch lattice sweep" in err
     assert "Traceback" not in err
 
 

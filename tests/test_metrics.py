@@ -21,6 +21,7 @@ from hipan import (
     encode_tree,
     gen_synthetic,
     lca_depth,
+    lca_depths,
     loads_tree,
     new_model,
     prefix_entropy_profile,
@@ -30,6 +31,8 @@ from hipan import (
     ultrametric_distance,
 )
 from hipan.metrics import (
+    SpearmanResult,
+    _pair_distances,
     _prefix_group_sizes,
     average_ranks,
     write_box_counts_tsv,
@@ -37,6 +40,7 @@ from hipan.metrics import (
     write_entropy_tsv,
     write_reliability_tsv,
 )
+from hipan.rng import child_rng
 from conftest import digits_dataset, irregular_tree
 
 
@@ -101,6 +105,57 @@ def test_spearman_matches_scipy_oracle():
         assert not got.degenerate
         assert got.n_pairs == len(ds.records) * (len(ds.records) - 1) // 2
         assert got.rho == pytest.approx(_spearman_oracle(ds, tree), abs=1e-12)
+
+
+def _spearman_per_pair(dataset, tree, max_pairs, seed):
+    """spearman_ultrametric with pairs from combinations (or the same
+    seeded draws) and one lca_depth call per pair."""
+    n = len(dataset.records)
+    if n < 2:
+        return SpearmanResult(0.0, 0, True)
+    if n * (n - 1) // 2 <= max_pairs:
+        pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64)
+    else:
+        draws = child_rng(seed, "spearman").integers(0, n, size=(int(max_pairs * 1.2) + 16, 2))
+        pairs = draws[draws[:, 0] != draws[:, 1]][:max_pairs]
+    names = [r.leaf for r in dataset.records]
+    depths = np.array([lca_depth(tree, names[a], names[b]) for a, b in pairs], dtype=np.float64)
+    dists = _pair_distances(dataset.digits_matrix(), dataset.codec.p, pairs[:, 0], pairs[:, 1])
+    rx, ry = average_ranks(depths), average_ranks(dists)
+    sx, sy = rx.std(), ry.std()
+    if sx == 0.0 or sy == 0.0:
+        return SpearmanResult(0.0, len(pairs), True)
+    rho = float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
+    return SpearmanResult(rho, len(pairs), False)
+
+
+@st.composite
+def _irregular_trees(draw):
+    branching, depth = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    room = sum(branching**d for d in range(1, depth + 1))
+    size = min(room, draw(st.integers(1, 60)))
+    return irregular_tree(draw(st.integers(0, 10_000)), size, branching, depth)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_irregular_trees(), st.integers(1, 400), st.integers(0, 2**32 - 1))
+def test_spearman_matches_per_pair_lca_depth(tree, max_pairs, seed):
+    # max_pairs from 1 to 400 against up to ~1,800 leaf pairs takes both
+    # the sampled and the all-pairs branch
+    ds = encode_tree(tree)
+    got = spearman_ultrametric(ds, tree, max_pairs=max_pairs, seed=seed)
+    assert got == _spearman_per_pair(ds, tree, max_pairs, seed)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_irregular_trees(), st.data())
+def test_lca_depths_match_lca_depth(tree, data):
+    nodes = st.lists(st.integers(0, tree.n_nodes - 1), min_size=0, max_size=40)
+    a = np.array(data.draw(nodes), dtype=np.int64)
+    b = np.array(data.draw(st.permutations(a.tolist())), dtype=np.int64)
+    b[::3] = a[::3]  # some pairs of a node with itself
+    want = [lca_depth(tree, int(x), int(y)) for x, y in zip(a, b)]
+    assert lca_depths(tree, a, b).tolist() == want
 
 
 def test_spearman_complete_tree_is_minus_one():

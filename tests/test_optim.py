@@ -34,10 +34,13 @@ from hipan import (
     two_logit_loss,
     uniform_plan,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hipan.checkpoint import checkpoint_fingerprint, load_checkpoint, load_model
-from hipan.model import model_state
-from hipan.optim import optim_state_dict
-from conftest import irregular_tree
+from hipan.model import model_from_state, model_state
+from hipan.optim import _arrays, _digit_losses, _live_rows, _row_losses, optim_state_dict
+from conftest import digits_dataset, irregular_tree
 
 
 # frozen oracle: z = 0.5 * ((3.9-2)^2 - (3.9-4)^2) = 1.8, loss = log(1+e^-1.8)
@@ -173,10 +176,145 @@ def test_gist_sweep_public():
     assert loss <= before
     assert accepted >= 0
     assert state.t == 1
-    for key in state.last_improved:
-        assert state.last_improved[key] == 1
-        name = key.split("[")[0]
-        assert name in ("root", "dense")
+
+
+def _reference_row_loss(model, counts, digits, ke, row):
+    """Loss of the pairs whose parent digit selects row `row` of head ke
+    (every pair for the root) at the given digits: _digit_losses weighted
+    by the pairs' counts, as dataset_loss adds them."""
+    last = model.config.K_heads - 1
+    total = 0.0
+    for k in digits:
+        if min(k, last) != ke:
+            continue
+        pairs = counts[k]
+        sel = pairs.parent == row if ke else np.ones(pairs.count.size, dtype=bool)
+        if not sel.any():
+            continue
+        w = huffman_weights(pairs.count)[sel]
+        losses = _digit_losses(model, k, pairs.parent[sel], pairs.child[sel], w)
+        total += float((pairs.count[sel] * losses).sum())
+    return total
+
+
+def _reference_sweep(model, counts, digits):
+    """One coordinate at a time, in the trainer's order: score the
+    incumbent, +1 and -1 (mod p) of each coordinate with
+    _reference_row_loss and keep the strictly best; ties go to the
+    incumbent, then to +1.  Returns the accepted moves."""
+    p = model.p
+    heads = {min(k, model.config.K_heads - 1) for k in digits}
+    coords = []
+    if 0 in heads:
+        coords += [(0, model.root.scores, (j,), 0) for j in range(p)]
+    if 1 in heads:
+        coords += [(1, model.dense.table, (r, j), r) for r in range(p) for j in range(p)]
+    for i, head in enumerate(model.deep):
+        if 2 + i in heads:
+            coords += [(2 + i, head.table, (r, j), r) for r in range(p) for j in range(p)]
+            coords += [(2 + i, head.anchor, (r,), r) for r in range(p)]
+    accepted = 0
+    for ke, arr, index, row in coords:
+        cur = float(arr[index])
+        best_val, best = _reference_row_loss(model, counts, digits, ke, row), cur
+        for delta in (1.0, -1.0):
+            arr[index] = (cur + delta) % p
+            val = _reference_row_loss(model, counts, digits, ke, row)
+            if val < best_val:
+                best_val, best = val, float(arr[index])
+        arr[index] = best
+        accepted += best != cur
+    return accepted
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A dataset, a model on it with integer latents (often from a two- or
+    three-value range, so rows hold ties) and a digit set.
+
+    The dataset is a small irregular tree's, or random digit rows over a
+    few values of an alphabet of up to 61: rows then hold 8 or more pairs,
+    from where numpy adds a row's terms pairwise rather than in order,
+    and scores spread over more than 37, from where a low score's softmax
+    term vanishes beside the row's sum, so that rounding decides between
+    candidates."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        branching, depth = draw(st.integers(2, 7)), draw(st.integers(1, 5))
+        room = sum(branching**d for d in range(1, depth + 1))
+        size = min(room, draw(st.integers(2, 40)))
+        ds = encode_tree(irregular_tree(seed % 10_000, size, branching, depth))
+    else:
+        p = draw(st.sampled_from([2, 3, 13, 41, 61]))
+        values = draw(st.integers(1, p))
+        shape = (draw(st.integers(1, 40)), draw(st.integers(1, 3)))
+        ds = digits_dataset(rng.integers(0, values, size=shape), p)
+    K = ds.codec.K
+    config = ModelConfig(ds.codec, draw(st.integers(1, K)), draw(st.sampled_from([0.25, 0.5, 1.0])))
+    model = new_model(config, seed=seed)
+    top = draw(st.sampled_from([None, 1, 2]))
+    if top is not None:
+        for arr in _arrays(model).values():
+            arr[...] = rng.integers(0, top + 1, size=arr.shape)
+    digits = sorted(draw(st.sets(st.integers(0, K - 1), min_size=1)))
+    return ds, model, tuple(digits)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_sweep_cases())
+def test_gist_sweep_matches_per_coordinate_reference(case):
+    ds, model, digits = case
+    reference = model_from_state(model_state(model))
+    counts = ds.pair_counts()
+    for _ in range(3):
+        want = _reference_sweep(reference, counts, digits)
+        _, got, _ = gist_sweep(model, ds, digits)
+        assert got == want
+        for a, b in zip(_arrays(model).values(), _arrays(reference).values()):
+            assert np.array_equal(a, b)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_sweep_cases())
+def test_row_losses_are_the_reference_row_losses_bit_for_bit(case):
+    # every +-1 candidate of every live root and deep row in one pass
+    ds, model, digits = case
+    counts = ds.pair_counts()
+    p = model.p
+    for ke in {min(k, model.config.K_heads - 1) for k in digits} - {1}:
+        served = tuple(k for k in digits if min(k, model.config.K_heads - 1) == ke)
+        for r, parts in _live_rows(model, ke, counts, served):
+            x = model.root.scores if ke == 0 else model.deep[ke - 2].table[r]
+            v = 0.0 if ke == 0 else model.deep[ke - 2].anchor[r]
+            X = np.repeat(x[None, :], 2 * p + 1, axis=0)
+            X[np.arange(1, 2 * p + 1), np.tile(np.arange(p), 2)] = np.concatenate(
+                [(x + 1.0) % p, (x - 1.0) % p]
+            )
+            got = _row_losses(model, ke, X, v, parts)
+            incumbent = x.copy()
+            want = []
+            for cand in X:
+                x[:] = cand
+                want.append(_reference_row_loss(model, counts, digits, ke, r))
+            x[:] = incumbent
+            assert got.tolist() == want
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_sweep_cases())
+def test_gist_sweep_full_loss_never_rises(case):
+    ds, model, digits = case
+    losses = [dataset_loss(model, ds, digits)]
+    for _ in range(6):
+        _, accepted, loss = gist_sweep(model, ds, digits)
+        # a move lowers its row's loss strictly; dataset_loss adds the
+        # rows' terms in another order, so a move between two candidates
+        # that tie exactly may show as a rise of a few units of rounding
+        assert loss <= losses[-1] + 1e-12 * abs(losses[-1])
+        if not accepted:
+            assert loss == losses[-1]
+        losses.append(loss)
 
 
 def test_gist_sweep_deterministic():
@@ -247,8 +385,6 @@ def test_adam_step_explicit_t_and_lr():
 def test_config_validation():
     with pytest.raises(ValueError):
         GistConfig(patience=0)
-    with pytest.raises(ValueError):
-        GistConfig(batch_size=0)
     with pytest.raises(ValueError):
         AdamConfig(beta1=1.0)
     with pytest.raises(ValueError):
@@ -425,14 +561,14 @@ def test_train_numeric_abort_names_head():
 
 
 def test_optim_state_dict_round_trip_gist():
-    state = OptimState(t=5, last_improved={"dense[2,1]": 4, "root[0]": 2})
-    doc = optim_state_dict("gist", state, streak=1)
-    assert doc["kind"] == "gist"
-    assert doc["streak"] == 1
+    doc = optim_state_dict("gist", OptimState(t=5), streak=1)
+    assert doc == {"kind": "gist", "sweep": "full-batch", "t": 5, "streak": 1}
     _, ds, model = _toy_setup()
     back = restore_optim_state(doc, model)
     assert back.t == 5
-    assert back.last_improved == state.last_improved
+    # the per-coordinate map of minibatch-sweep checkpoints is ignored
+    old = {"kind": "gist", "t": 5, "streak": 1, "last_improved": {"root[0]": 2}}
+    assert restore_optim_state(old, model) == OptimState(t=5)
 
 
 def test_optim_state_dict_round_trip_adam():
@@ -497,6 +633,18 @@ def test_train_split_resume_is_bit_identical(tmp_path, kind):
         assert _fingerprint(str(out / "ckpt-final.json")) == _fingerprint(
             str(tmp_path / "full" / "ckpt-final.json")
         ), mid
+
+
+def test_train_refuses_minibatch_gist_checkpoint(tmp_path):
+    tree, ds, model = _toy_setup(seed=3)
+    plan = TrainPlan((TrainPhase("a", 4, 0.03, (0, 1)),), checkpoint_interval=2)
+    train(model, ds, GistConfig(), plan, tree=tree, checkpoint_dir=str(tmp_path))
+    doc = load_checkpoint(str(tmp_path / "ckpt-00002.json"))
+    # lattice state as the minibatch sweep wrote it: no sweep tag, a
+    # per-coordinate map of last accepted moves
+    doc["optim"] = {"kind": "gist", "t": 2, "streak": 0, "last_improved": {"root[0]": 1}}
+    with pytest.raises(ValueError, match="minibatch"):
+        train(load_model(doc), ds, GistConfig(), plan, tree=tree, resume=doc)
 
 
 def test_train_checkpoint_schedule(tmp_path):
