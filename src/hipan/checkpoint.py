@@ -4,8 +4,14 @@ A checkpoint is a single JSON document holding the model snapshot, the
 optimizer state, the position in the phase plan where training should
 resume, the master seed, and a hash of the run configuration.  Files are
 written in canonical form (sorted keys, minimal separators, shortest
-round-trip float text), so identical state always produces identical
-bytes.
+round-trip float text for scalars), so identical state always produces
+identical bytes.
+
+Format v2 stores each latent array and each Adam moment array as one
+base64 string of its little-endian values, int16 when that is exact
+(lattice-trained latents) and float64 otherwise (`model.pack_array`);
+decoding gives the arrays back bit for bit.  Format v1 files, which hold
+the arrays as lists of floats, still load.
 
 `created_unix_ms` is the one intentionally nondeterministic field; the
 fingerprint zeroes it before hashing so two runs of the same seed yield
@@ -22,7 +28,8 @@ from typing import Any
 
 from .model import HiPaNModel, model_from_state, model_state
 
-FORMAT = "hipan-checkpoint-v1"
+FORMAT = "hipan-checkpoint-v2"
+FORMAT_V1 = "hipan-checkpoint-v1"
 
 
 def canonical_json(obj: Any) -> str:
@@ -57,6 +64,9 @@ def save_checkpoint(
     The document goes to a temporary file in the target's directory,
     is flushed to disk, then renamed over the target, so a failed write
     leaves any previous file at the path as it was.
+
+    Raises:
+        ValueError: a latent array holds NaN or infinity.
     """
     doc = {
         "format": FORMAT,
@@ -86,7 +96,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read and validate a checkpoint document.
+    """Read and validate a checkpoint document (format v2 or v1); its
+    arrays stay packed until load_model.
 
     Raises:
         ValueError: not a checkpoint file or an unknown format tag.
@@ -96,7 +107,7 @@ def load_checkpoint(path: str) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") not in (FORMAT_V1, FORMAT):
         raise ValueError(f"{path}: not a checkpoint file")
     return doc
 

@@ -20,6 +20,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
 from .checkpoint import (
     config_matches,
     load_checkpoint,
@@ -177,7 +179,7 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
     print(
         json.dumps(
             {
-                "leaves": len(ds.records),
+                "leaves": ds.n_records,
                 "p": codec.p,
                 "K": codec.K,
                 "b_max": tree.b_max,
@@ -327,7 +329,7 @@ def cmd_diagnose(ns: argparse.Namespace) -> int:
         write_reliability_tsv(
             os.path.join(ns.out_dir, "reliability.tsv"), report.calibration
         )
-        if len(ds.records) <= 200:
+        if ds.n_records <= 200:
             write_distance_matrix_tsv(os.path.join(ns.out_dir, "distances.tsv"), ds)
     _emit(report.as_dict(), ns.out)
     return 0
@@ -336,15 +338,13 @@ def cmd_diagnose(ns: argparse.Namespace) -> int:
 def cmd_inspect(ns: argparse.Namespace) -> int:
     ds = _load_dataset(ns.dataset)
     if ns.prefix is None:
-        depths: dict[int, int] = {}
-        for rec in ds.records:
-            depths[rec.depth] = depths.get(rec.depth, 0) + 1
+        depths, counts = np.unique(ds.depths, return_counts=True)
         _emit(
             {
-                "records": len(ds.records),
+                "records": ds.n_records,
                 "p": ds.codec.p,
                 "K": ds.codec.K,
-                "depth_histogram": {str(d): c for d, c in sorted(depths.items())},
+                "depth_histogram": {str(d): c for d, c in zip(depths.tolist(), counts.tolist())},
             },
             ns.out,
         )
@@ -363,14 +363,12 @@ def cmd_inspect(ns: argparse.Namespace) -> int:
             ns.out,
         )
     else:
-        members = [
-            r.leaf for r in ds.records if list(r.code.digits[: len(prefix)]) == prefix
-        ]
+        members = ds.leaves_with_prefix(prefix)
         _emit(
             {
                 "depth": len(prefix),
                 "member_count": len(members),
-                "members": members[:20],
+                "members": list(members[:20]),
             },
             ns.out,
         )
@@ -385,7 +383,7 @@ def cmd_export_viz(ns: argparse.Namespace) -> int:
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(json.dumps({"written": ns.out, "leaves": len(ds.records)}))
+        print(json.dumps({"written": ns.out, "leaves": ds.n_records}))
     else:
         print(text, end="")
     return 0

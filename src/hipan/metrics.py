@@ -90,9 +90,7 @@ def evaluate(
     model: HiPaNModel, dataset: EncodedDataset, tree: TreeSpec | None = None
 ) -> Evaluation:
     """evaluate_digits over a dataset's records."""
-    leaf_ids = None
-    if tree is not None:
-        leaf_ids = np.array([tree.id_of(r.leaf) for r in dataset.records], dtype=np.int64)
+    leaf_ids = None if tree is None else tree.ids_of(dataset.leaves)
     return evaluate_digits(model, dataset.digits_matrix(), tree, leaf_ids)
 
 
@@ -140,6 +138,7 @@ def spearman_ultrametric(
     tree: TreeSpec,
     max_pairs: int = 100_000,
     seed: int = 0,
+    leaf_ids: np.ndarray | None = None,
 ) -> SpearmanResult:
     """Rank correlation between ancestry depth and code distance.
 
@@ -150,9 +149,10 @@ def spearman_ultrametric(
     otherwise a seeded sample of max_pairs pairs.
 
     Degenerate inputs (every pair tied on either axis) report rho = 0
-    with the degenerate flag set.
+    with the degenerate flag set.  leaf_ids, the node id of each record's
+    leaf, is looked up in the tree when not given.
     """
-    n = len(dataset.records)
+    n = dataset.n_records
     if n < 2:
         return SpearmanResult(0.0, 0, True)
     D = dataset.digits_matrix()
@@ -164,7 +164,7 @@ def spearman_ultrametric(
         draws = rng.integers(0, n, size=(int(max_pairs * 1.2) + 16, 2))
         draws = draws[draws[:, 0] != draws[:, 1]][:max_pairs]
         i, j = draws[:, 0], draws[:, 1]
-    ids = np.array([tree.id_of(r.leaf) for r in dataset.records], dtype=np.int64)
+    ids = tree.ids_of(dataset.leaves) if leaf_ids is None else leaf_ids
     depths = lca_depths(tree, ids[i], ids[j]).astype(np.float64)
     dists = _pair_distances(D, dataset.codec.p, i, j)
     rx = average_ranks(depths)
@@ -502,10 +502,13 @@ def diagnose(
     seed: int = 0,
 ) -> DiagnosticsReport:
     """Run every structural check against one model and dataset."""
-    evaluation = evaluate(model, dataset, tree)
+    leaf_ids = tree.ids_of(dataset.leaves)
+    evaluation = evaluate_digits(model, dataset.digits_matrix(), tree, leaf_ids)
     return DiagnosticsReport(
         accuracy=evaluation.accuracy(),
-        spearman=spearman_ultrametric(dataset, tree, max_pairs=max_pairs, seed=seed),
+        spearman=spearman_ultrametric(
+            dataset, tree, max_pairs=max_pairs, seed=seed, leaf_ids=leaf_ids
+        ),
         triangles=triangle_violations(dataset, exhaustive_limit=triangle_limit, seed=seed),
         digit_entropy=tuple(float(h) for h in digit_entropy_profile(dataset)),
         prefix_entropy=tuple(float(h) for h in prefix_entropy_profile(dataset)),
@@ -550,17 +553,17 @@ def write_distance_matrix_tsv(
     limit caps the number of records written (row and column count);
     None writes all of them.
     """
-    records = dataset.records if limit is None else dataset.records[:limit]
-    n = len(records)
+    leaves = dataset.leaves if limit is None else dataset.leaves[:limit]
+    n = len(leaves)
     D = dataset.digits_matrix()[:n]
     p = dataset.codec.p
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("leaf\t" + "\t".join(r.leaf for r in records) + "\n")
+        fh.write("leaf\t" + "\t".join(leaves) + "\n")
         for i in range(n):
             ii = np.full(n, i)
             jj = np.arange(n)
             row = _pair_distances(D, p, ii, jj)
-            fh.write(records[i].leaf + "\t" + "\t".join(repr(float(d)) for d in row) + "\n")
+            fh.write(leaves[i] + "\t" + "\t".join(repr(float(d)) for d in row) + "\n")
 
 
 __all__ = [

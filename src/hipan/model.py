@@ -25,6 +25,9 @@ Two prediction paths exist and are deliberately distinct:
 
 from __future__ import annotations
 
+import base64
+import binascii
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -41,7 +44,8 @@ from .tree import EncodedDataset, TreeSpec
 # fall back to the generative rule and may miss.
 RECONSTRUCT_MARGIN = 2.0
 
-CHECKPOINT_FORMAT = "hipan-model-v1"
+CHECKPOINT_FORMAT = "hipan-model-v2"
+CHECKPOINT_FORMAT_V1 = "hipan-model-v1"
 
 
 @dataclass
@@ -426,9 +430,7 @@ def describe_ball(
     prefix = [int(d) for d in prefix]
     if len(prefix) > dataset.codec.K:
         raise ValueError(f"prefix longer than K={dataset.codec.K}")
-    members = tuple(
-        r.leaf for r in dataset.records if list(r.code.digits[: len(prefix)]) == prefix
-    )
+    members = dataset.leaves_with_prefix(prefix)
     node: int | None = tree.root
     for d in prefix:
         kids = tree.children[node]
@@ -449,15 +451,70 @@ def describe_ball(
     )
 
 
+def pack_array(name: str, arr: np.ndarray) -> str:
+    """Checkpoint text of one latent array: its flat row-major values as
+    base64 little-endian bytes, tagged "int16:" when int16 holds every
+    value exactly (integers, no -0.0: the lattice case) and "float64:"
+    otherwise.  unpack_array gives the array back bit for bit.
+
+    Raises:
+        ValueError: the array holds NaN or infinity (named by name).
+    """
+    flat = np.ascontiguousarray(arr, dtype=np.float64).ravel()
+    if not np.isfinite(flat).all():
+        raise ValueError(f"table {name} holds a non-finite value; it cannot be saved")
+    if ((flat >= -32768) & (flat <= 32767)).all():
+        small = flat.astype("<i2")
+        if np.array_equal(small.astype(np.float64).view(np.int64), flat.view(np.int64)):
+            return "int16:" + base64.b64encode(small.tobytes()).decode("ascii")
+    return "float64:" + base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
+
+
+_BLOB_DTYPES = {"int16": np.dtype("<i2"), "float64": np.dtype("<f8")}
+
+
+def unpack_array(name: str, value: str | list, shape: tuple[int, ...]) -> np.ndarray:
+    """float64 array of a given shape from pack_array text, or from the
+    list of floats that format v1 files hold.
+
+    Raises:
+        ValueError: (naming the table) an unknown tag, invalid base64, a
+            byte count that is not whole values, or a wrong value count.
+    """
+    if isinstance(value, list):
+        try:
+            arr = np.array(value, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"table {name} is not a list of numbers ({exc})") from None
+    elif isinstance(value, str):
+        tag, _, text = value.partition(":")
+        dtype = _BLOB_DTYPES.get(tag)
+        if dtype is None:
+            raise ValueError(f"table {name} has unknown array type {tag!r}")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except binascii.Error as exc:
+            raise ValueError(f"table {name} is not valid base64 ({exc})") from None
+        if len(raw) % dtype.itemsize:
+            raise ValueError(f"table {name} holds {len(raw)} bytes, not whole {tag} values")
+        arr = np.frombuffer(raw, dtype=dtype).astype(np.float64)
+    else:
+        raise ValueError(f"table {name} is neither an array text nor a list")
+    if arr.size != math.prod(shape):
+        raise ValueError(f"table {name} has {arr.size} values, wanted {shape}")
+    return arr.reshape(shape)
+
+
 def model_state(model: HiPaNModel) -> dict:
-    """JSON-ready model snapshot: header scalars + flat row-major tables."""
+    """JSON-ready model snapshot: header scalars + each table packed by
+    pack_array, keyed by name."""
     cfg = model.config
-    body: dict[str, list[float]] = {"root": model.root.scores.ravel().tolist()}
+    arrays = {"root": model.root.scores}
     if model.dense is not None:
-        body["dense"] = model.dense.table.ravel().tolist()
+        arrays["dense"] = model.dense.table
     for i, head in enumerate(model.deep):
-        body[f"deep{i}.table"] = head.table.ravel().tolist()
-        body[f"deep{i}.anchor"] = head.anchor.ravel().tolist()
+        arrays[f"deep{i}.table"] = head.table
+        arrays[f"deep{i}.anchor"] = head.anchor
     return {
         "format": CHECKPOINT_FORMAT,
         "p": cfg.codec.p,
@@ -465,18 +522,19 @@ def model_state(model: HiPaNModel) -> dict:
         "K_heads": cfg.K_heads,
         "tau": cfg.tau,
         "seed": model.init_seed,
-        "tables": body,
+        "tables": {name: pack_array(name, arr) for name, arr in arrays.items()},
     }
 
 
 def model_from_state(state: dict) -> HiPaNModel:
-    """Inverse of model_state.  An "alpha" key, written by earlier
-    versions, is ignored.
+    """Inverse of model_state; also reads format v1 states, whose tables
+    are lists of floats.  An "alpha" key, written by earlier versions, is
+    ignored.
 
     Raises:
         ValueError: unknown format tag or malformed tables.
     """
-    if state.get("format") != CHECKPOINT_FORMAT:
+    if state.get("format") not in (CHECKPOINT_FORMAT_V1, CHECKPOINT_FORMAT):
         raise ValueError(f"unknown model state format {state.get('format')!r}")
     codec = CodecParams(int(state["p"]), int(state["K"]))
     config = ModelConfig(codec, int(state["K_heads"]), float(state["tau"]))
@@ -484,10 +542,7 @@ def model_from_state(state: dict) -> HiPaNModel:
     tables = state["tables"]
 
     def pull(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        arr = np.array(tables[name], dtype=np.float64)
-        if arr.size != int(np.prod(shape)):
-            raise ValueError(f"table {name} has {arr.size} values, wanted {shape}")
-        return arr.reshape(shape)
+        return unpack_array(name, tables[name], shape)
 
     root = RootHead(pull("root", (p,)))
     dense = DenseMSEHead(pull("dense", (p, p))) if config.K_heads >= 2 else None
@@ -514,6 +569,7 @@ __all__ = [
     "model_from_state",
     "model_state",
     "new_model",
+    "pack_array",
     "parameter_count",
     "predict_digits",
     "predict_leaf",
@@ -523,5 +579,6 @@ __all__ = [
     "score_row",
     "softmax",
     "softmax_rows",
+    "unpack_array",
     "vdp_layer_apply",
 ]

@@ -55,8 +55,10 @@ from .model import (
     _anchored_choice_rows,
     _effective_depth,
     _top_two,
+    pack_array,
     softmax,
     softmax_rows,
+    unpack_array,
 )
 from .rng import child_rng
 from .tree import DigitPairs, EncodedDataset, TreeSpec
@@ -758,29 +760,35 @@ _GIST_SWEEP = "full-batch"
 
 
 def optim_state_dict(kind: str, state: OptimState, streak: int = 0) -> dict:
-    """Serializable optimizer state for checkpoints."""
+    """Serializable optimizer state for checkpoints; Adam's moment arrays
+    are packed by pack_array.
+
+    Raises:
+        ValueError: a moment array holds NaN or infinity.
+    """
     if kind == "gist":
         return {"kind": "gist", "sweep": _GIST_SWEEP, "t": state.t, "streak": int(streak)}
     return {
         "kind": "adam",
         "t": state.t,
         "shapes": {k: list(a.shape) for k, a in state.m.items()},
-        "m": {k: a.ravel().tolist() for k, a in state.m.items()},
-        "u": {k: a.ravel().tolist() for k, a in state.u.items()},
+        "m": {k: pack_array(f"m.{k}", a) for k, a in state.m.items()},
+        "u": {k: pack_array(f"u.{k}", a) for k, a in state.u.items()},
     }
 
 
 def restore_optim_state(doc: dict, model: HiPaNModel) -> OptimState:
-    """Rebuild an OptimState from its checkpoint form; the per-coordinate
-    "last_improved" map of earlier lattice checkpoints is ignored."""
+    """Rebuild an OptimState from its checkpoint form, packed arrays or
+    the float lists of format v1; the per-coordinate "last_improved" map
+    of earlier lattice checkpoints is ignored."""
     state = OptimState(t=int(doc.get("t", 0)))
     if doc.get("kind") == "gist":
         return state
     shapes = {k: a.shape for k, a in _arrays(model).items()}
     shapes.update({k: tuple(v) for k, v in doc.get("shapes", {}).items()})
     for part, target in (("m", state.m), ("u", state.u)):
-        for name, flat in doc[part].items():
-            target[name] = np.array(flat, dtype=np.float64).reshape(shapes[name])
+        for name, value in doc[part].items():
+            target[name] = unpack_array(f"{part}.{name}", value, shapes[name])
     return state
 
 
@@ -835,7 +843,7 @@ def train(
         raise ValueError("dataset has no records")
     leaf_ids = None
     if tree is not None:
-        leaf_ids = np.array([tree.id_of(r.leaf) for r in dataset.records], dtype=np.int64)
+        leaf_ids = tree.ids_of(dataset.leaves)
     counts = dataset.pair_counts()
     W = _record_weights(D, counts, model.p) if kind == "adam" else None
 

@@ -13,14 +13,15 @@ equals p**-(LCA depth) on leaf pairs.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from typing import NamedTuple, TextIO
+from itertools import chain, repeat
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .padic import CodecParams, PadicCode, code_to_text, next_prime_geq, text_to_code
+from .padic import CodecParams, PadicCode, code_to_text, next_prime_geq
 from .rng import child_rng
 
 
@@ -86,6 +87,13 @@ class TreeSpec:
             return self.name_to_id[name]
         except KeyError:
             raise KeyError(f"unknown node name {name!r}") from None
+
+    def ids_of(self, names: Sequence[str]) -> np.ndarray:
+        """int64 node ids of many names; KeyError names the first unknown one."""
+        try:
+            return np.fromiter(map(self.name_to_id.__getitem__, names), np.int64, len(names))
+        except KeyError as exc:
+            raise KeyError(f"unknown node name {exc.args[0]!r}") from None
 
     def is_leaf(self, node: int) -> bool:
         return not self.children[node]
@@ -418,43 +426,92 @@ class DigitPairs(NamedTuple):
     count: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodedDataset:
-    """Every leaf of a hierarchy as (name, code, depth).
+    """Every leaf of a hierarchy as arrays: leaf names, the (N, K) digit
+    matrix of their codes and their depths, one row per record.
 
-    The training objective reads the records only through pair_counts:
-    per depth, how many records hold each (digit k-1, digit k) pair.
-    Records keep the sorted-path leaf order of the source hierarchy.
+    The arrays are read-only copies made at construction, where every
+    digit is checked to lie in [0, p) and every depth in [1, K].  The
+    training objective reads the records only through pair_counts: per
+    depth, how many records hold each (digit k-1, digit k) pair.  Records
+    keep the sorted-path leaf order of the source hierarchy.
     """
 
     codec: CodecParams
-    records: tuple[Record, ...]
+    leaves: tuple[str, ...]
+    digits: np.ndarray
+    depths: np.ndarray
 
     def __post_init__(self) -> None:
-        for r in self.records:
-            if r.code.params != self.codec:
-                raise ValueError(f"record {r.leaf!r} uses a different codec")
-            if not (1 <= r.depth <= self.codec.K):
-                raise ValueError(f"record {r.leaf!r} has depth {r.depth} outside [1, K]")
+        K, p = self.codec.K, self.codec.p
+        leaves = tuple(self.leaves)
+        digits = np.array(self.digits, dtype=np.int64)
+        if digits.size == 0:
+            digits = digits.reshape(0, K)
+        depths = np.array(self.depths, dtype=np.int64).reshape(-1)
+        if digits.shape != (len(leaves), K) or depths.shape != (len(leaves),):
+            raise ValueError(
+                f"{len(leaves)} leaves need a ({len(leaves)}, {K}) digit matrix and "
+                f"{len(leaves)} depths, got {digits.shape} and {depths.shape}"
+            )
+        bad = (digits < 0) | (digits >= p)
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            raise ValueError(
+                f"record {leaves[i]!r} has digit {digits[i, k]} at index {k} "
+                f"outside [0, {p - 1}]"
+            )
+        bad = (depths < 1) | (depths > K)
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise ValueError(f"record {leaves[i]!r} has depth {depths[i]} outside [1, K]")
+        digits.flags.writeable = False
+        depths.flags.writeable = False
+        object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "depths", depths)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EncodedDataset):
+            return NotImplemented
+        return (
+            self.codec == other.codec
+            and self.leaves == other.leaves
+            and np.array_equal(self.digits, other.digits)
+            and np.array_equal(self.depths, other.depths)
+        )
 
     @property
     def n_records(self) -> int:
-        return len(self.records)
+        return len(self.leaves)
 
     @cached_property
-    def _digits(self) -> np.ndarray:
-        digits = np.array([r.code.digits for r in self.records], dtype=np.int64)
-        digits = digits.reshape(-1, self.codec.K)
-        digits.flags.writeable = False
-        return digits
+    def records(self) -> tuple[Record, ...]:
+        """The rows as Record objects, built on first use; the pipeline
+        itself reads the arrays."""
+        return tuple(
+            Record(leaf, PadicCode(tuple(row), self.codec), depth)
+            for leaf, row, depth in zip(self.leaves, self.digits.tolist(), self.depths.tolist())
+        )
 
     def digits_matrix(self) -> np.ndarray:
         """(N, K) int64 matrix of record digits, row order = record order.
 
-        Built once per dataset and shared by every caller, so it is
+        The dataset's own `digits` array, shared by every caller, so it is
         read-only; copy it to modify it.
         """
-        return self._digits
+        return self.digits
+
+    def leaves_with_prefix(self, prefix: Sequence[int]) -> tuple[str, ...]:
+        """Leaves whose codes start with a digit prefix, in record order;
+        none when the prefix is longer than K or holds a digit outside
+        [0, p)."""
+        prefix = [int(d) for d in prefix]
+        if len(prefix) > self.codec.K or any(not 0 <= d < self.codec.p for d in prefix):
+            return ()
+        hit = (self.digits[:, : len(prefix)] == np.array(prefix, dtype=np.int64)).all(axis=1)
+        return tuple(self.leaves[i] for i in np.flatnonzero(hit))
 
     def pair_counts(self) -> tuple[DigitPairs, ...]:
         """(digit k-1, digit k) pair counts for each depth k in [0, K).
@@ -475,6 +532,10 @@ class EncodedDataset:
 def encode_tree(tree: TreeSpec, codec: CodecParams | None = None) -> EncodedDataset:
     """Encode every leaf of a hierarchy.
 
+    Every leaf climbs to the root at once, one level per step, writing
+    its sibling index into the digit its depth names (encode_leaf, for
+    all leaves in numpy).
+
     Args:
         tree: the hierarchy.
         codec: alphabet/length override; defaults to make_codec(tree).
@@ -484,23 +545,42 @@ def encode_tree(tree: TreeSpec, codec: CodecParams | None = None) -> EncodedData
     """
     cp = make_codec(tree) if codec is None else codec
     _check_codec(tree, cp)
-    records = tuple(
-        Record(tree.names[leaf], encode_leaf(tree, leaf, cp), tree.depth[leaf])
-        for leaf in tree.leaves
-    )
-    return EncodedDataset(cp, records)
+    parent = np.asarray(tree.parent, dtype=np.int64)
+    depth = np.asarray(tree.depth, dtype=np.int64)
+    sibling = np.asarray(tree.sibling_index, dtype=np.int64)
+    leaves = np.asarray(tree.leaves, dtype=np.int64)
+    digits = np.zeros((leaves.size, cp.K), dtype=np.int64)
+    rows, node = np.arange(leaves.size), leaves
+    while node.size:
+        digits[rows, depth[node] - 1] = sibling[node]
+        node = parent[node]
+        below_root = node != tree.root
+        rows, node = rows[below_root], node[below_root]
+    return EncodedDataset(cp, tuple(tree.leaf_names()), digits, depth[leaves])
+
+
+def _code_texts(digits: np.ndarray) -> list[str]:
+    """Canonical hyphen-separated text of every row of a digit matrix."""
+    n, K = digits.shape
+    if n == 0:
+        return []
+    row = "-".join(["%d"] * K)
+    return ("\n".join([row] * n) % tuple(digits.ravel().tolist())).split("\n")
 
 
 def dataset_to_json(ds: EncodedDataset) -> str:
-    """Serialize to the dataset interchange form (stable key order)."""
-    payload = {
-        "codec": {"p": ds.codec.p, "K": ds.codec.K},
-        "records": [
-            {"leaf": r.leaf, "code": code_to_text(r.code), "depth": r.depth}
-            for r in ds.records
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Serialize to the dataset interchange form.
+
+    One JSON document: {"codec": {"K", "p"}, "records": [...]} with one
+    {"code", "depth", "leaf"} object per line, keys in sorted order; the
+    code is its hyphen-separated digit text.
+    """
+    lines = [
+        f'{{"code": "{code}", "depth": {depth}, "leaf": {json.dumps(leaf)}}}'
+        for code, depth, leaf in zip(_code_texts(ds.digits), ds.depths.tolist(), ds.leaves)
+    ]
+    codec = json.dumps({"p": ds.codec.p, "K": ds.codec.K}, sort_keys=True)
+    return f'{{"codec": {codec}, "records": [\n' + ",\n".join(lines) + "\n]}\n"
 
 
 def tree_to_nested(tree: TreeSpec, dataset: EncodedDataset | None = None) -> dict:
@@ -512,7 +592,7 @@ def tree_to_nested(tree: TreeSpec, dataset: EncodedDataset | None = None) -> dic
     """
     codes: dict[str, str] = {}
     if dataset is not None:
-        codes = {r.leaf: code_to_text(r.code) for r in dataset.records}
+        codes = dict(zip(dataset.leaves, _code_texts(dataset.digits)))
 
     def build(node: int) -> dict:
         doc: dict = {"name": tree.names[node]}
@@ -536,8 +616,46 @@ def _typed(obj: dict, key: str, kind: type) -> int | str:
     return value
 
 
+def _is_code(text: str, K: int) -> bool:
+    """Whether a code text holds exactly K hyphen-separated integers that
+    fit int64."""
+    fields = text.split("-")
+    try:
+        np.array([int(d) for d in fields], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return False
+    return len(fields) == K
+
+
+def _parse_codes(codes: list[str], leaves: list[str], K: int) -> np.ndarray:
+    """(N, K) digits of code texts, parsed in one pass over their join;
+    digit ranges are left to EncodedDataset.
+
+    Raises:
+        ValueError: naming the first code that is not exactly K
+            hyphen-separated integers.
+    """
+    if not codes:
+        return np.zeros((0, K), dtype=np.int64)
+    hyphens = np.fromiter(map(str.count, codes, repeat("-")), np.int64, len(codes))
+    if (hyphens == K - 1).all():
+        parts = "-".join(codes).split("-")
+        with suppress(ValueError, OverflowError):
+            return np.fromiter(map(int, parts), np.int64, len(parts)).reshape(-1, K)
+    leaf, text = next(
+        (leaf, text) for leaf, text in zip(leaves, codes) if not _is_code(text, K)
+    )
+    raise ValueError(
+        f"malformed dataset JSON: record {leaf!r} has code {text!r}, "
+        f"not {K} hyphen-separated digits"
+    )
+
+
 def dataset_from_json(text: str) -> EncodedDataset:
     """Parse the dataset interchange form.
+
+    Every code is parsed into the digit matrix in one pass; the checks
+    run on whole columns.
 
     Raises:
         ValueError: structurally invalid payload, wrongly typed fields,
@@ -547,22 +665,39 @@ def dataset_from_json(text: str) -> EncodedDataset:
         payload = json.loads(text)
         head = payload["codec"]
         codec = CodecParams(_typed(head, "p", int), _typed(head, "K", int))
-        records = tuple(
-            Record(
-                _typed(r, "leaf", str),
-                text_to_code(_typed(r, "code", str), codec),
-                _typed(r, "depth", int),
-            )
-            for r in payload["records"]
-        )
+        rows = payload["records"]
+        if not isinstance(rows, list):
+            raise TypeError(f"'records' must be a list, got {type(rows).__name__}")
+        fields = {key: [r[key] for r in rows] for key in ("leaf", "code", "depth")}
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed dataset JSON: {exc}") from exc
-    leaves = {r.leaf for r in records}
-    codes = {r.code.digits for r in records}
-    for what, distinct in (("leaf", leaves), ("code", codes)):
-        if len(distinct) < len(records):
-            raise ValueError(f"malformed dataset JSON: duplicate {what}")
-    return EncodedDataset(codec, records)
+    for key, kind in (("leaf", str), ("code", str), ("depth", int)):
+        values = fields[key]
+        if set(map(type, values)) - {kind}:
+            bad = next(v for v in values if type(v) is not kind)
+            raise ValueError(
+                f"malformed dataset JSON: {key!r} must be {kind.__name__}, got {bad!r}"
+            )
+    leaves = fields["leaf"]
+    digits = _parse_codes(fields["code"], leaves, codec.K)
+    try:
+        ds = EncodedDataset(codec, tuple(leaves), digits, fields["depth"])
+    except ValueError as exc:
+        raise ValueError(f"malformed dataset JSON: {exc}") from None
+    except OverflowError:  # a depth past int64
+        leaf, depth = next(
+            (leaf, d) for leaf, d in zip(leaves, fields["depth"]) if not 1 <= d <= codec.K
+        )
+        raise ValueError(
+            f"malformed dataset JSON: record {leaf!r} has depth {depth} outside [1, K]"
+        ) from None
+    if len(set(leaves)) < len(leaves):
+        raise ValueError("malformed dataset JSON: duplicate leaf")
+    if len(digits) > 1:
+        ordered = digits[np.lexsort(digits.T[::-1])]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+            raise ValueError("malformed dataset JSON: duplicate code")
+    return ds
 
 
 __all__ = [

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hipan import CodecParams, EncodedDataset, Record, code, encode_tree, loads_tree
+from hipan import CodecParams, EncodedDataset, encode_tree, loads_tree
 
 # Two internal nodes, three leaves; children sort lexicographically, so
 # animal=0, plant=1, cat=0, dog=1, fern=0.  p=3, K=2.
@@ -63,10 +63,6 @@ def irregular_tree(seed, n_extra, max_children=7, max_depth=8):
 
 def digits_dataset(rows, p):
     """Dataset straight from digit rows; record names are synthetic."""
-    rows = [tuple(int(d) for d in r) for r in rows]
-    K = len(rows[0])
-    codec = CodecParams(p, K)
-    records = tuple(
-        Record(f"r{i}", code(r, p, K), K) for i, r in enumerate(rows)
-    )
-    return EncodedDataset(codec, records)
+    rows = np.array(rows, dtype=np.int64)
+    n, K = rows.shape
+    return EncodedDataset(CodecParams(p, K), tuple(f"r{i}" for i in range(n)), rows, [K] * n)

@@ -1,9 +1,12 @@
 """Checkpoint serialization: canonical JSON, hashes, fingerprints, round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hipan import (
     CodecParams,
@@ -24,7 +27,8 @@ from hipan.checkpoint import (
     config_matches,
     load_model,
 )
-from hipan.model import model_state
+from hipan.model import model_state, pack_array, unpack_array
+from hipan.optim import OptimState, optim_state_dict
 
 
 def test_canonical_json_is_sorted_and_compact():
@@ -166,3 +170,73 @@ def test_config_matches(tmp_path):
     assert free["config_hash"] is None
     assert config_matches(free, {"lr": 0.9})
     assert config_matches(free, None)
+
+
+_SPECIAL = [
+    -0.0, 0.0, 1.0, -1.0, 32767.0, -32768.0, 32768.0, -32769.0, 0.5, -2.5,
+    1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_SPECIAL),
+            st.integers(-40_000, 40_000).map(float),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        max_size=40,
+    )
+)
+def test_pack_array_round_trips_every_bit(values):
+    arr = np.array(values, dtype=np.float64)
+    text = pack_array("t", arr)
+    back = unpack_array("t", text, arr.shape)
+    assert back.dtype == np.float64 and back.flags.writeable
+    assert np.array_equal(back.view(np.int64), arr.view(np.int64))
+    # int16 exactly when it holds every value: integers in range, no -0.0
+    fits = all(
+        v == math.floor(v) and -32768 <= v <= 32767 and not (v == 0 and math.copysign(1.0, v) < 0)
+        for v in values
+    )
+    assert text.startswith("int16:") == fits
+
+
+def test_pack_array_forms():
+    lattice = np.arange(-3.0, 5.0).reshape(2, 4)
+    assert pack_array("t", lattice).startswith("int16:")
+    assert pack_array("t", np.array([0.0, -0.0])).startswith("float64:")
+    assert pack_array("t", np.array([32768.0])).startswith("float64:")
+    assert pack_array("t", np.array([0.25])).startswith("float64:")
+    assert unpack_array("t", pack_array("t", np.zeros((0,))), (0,)).shape == (0,)
+    # format v1 lists still decode, to the same bits
+    assert np.array_equal(unpack_array("t", lattice.ravel().tolist(), (2, 4)), lattice)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_refuses_non_finite_latents(tmp_path, bad):
+    model = _model()
+    model.dense.table[1, 2] = bad
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ValueError, match="table dense"):
+        save_checkpoint(str(path), model)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_save_refuses_non_finite_moments(bad):
+    state = OptimState(t=1, m={"root": np.zeros(3)}, u={"root": np.array([0.0, bad, 0.0])})
+    with pytest.raises(ValueError, match="table u.root"):
+        optim_state_dict("adam", state)
+
+
+def test_lattice_checkpoint_is_compact(tmp_path):
+    path = tmp_path / "ckpt.json"
+    model = new_model(ModelConfig(CodecParams(31, 4)), seed=0)
+    save_checkpoint(str(path), model)
+    doc = load_checkpoint(str(path))
+    assert doc["format"] == FORMAT
+    assert all(v.startswith("int16:") for v in doc["model"]["tables"].values())
+    # two bytes per latent, a third more for base64, plus the header
+    assert path.stat().st_size < 3 * (31 + 3 * 31 * 31 + 2 * 31)

@@ -1,8 +1,10 @@
 """Command line behavior: subcommands, precedence, exit codes."""
 
+import base64
 import json
 import os
 
+import numpy as np
 import pytest
 
 from hipan import (
@@ -18,6 +20,7 @@ from hipan import (
     new_model,
     train,
 )
+from hipan.checkpoint import FORMAT, canonical_json, checkpoint_fingerprint, load_checkpoint
 from hipan.cli import main, parse_config_file, resolve_config
 from conftest import TOY_TEXT
 
@@ -509,7 +512,7 @@ def test_resume_after_numeric_poison_exit_3(capsys, tmp_path, toy_files):
     victim = mids[0]
     doc = json.loads(open(victim).read())
     tables = doc["model"]["tables"]
-    tables["dense"] = [1e308] * len(tables["dense"])
+    tables["dense"] = [1e308] * doc["model"]["p"] ** 2
     with open(victim, "w") as fh:
         fh.write(json.dumps(doc))
     rc, _, err = run(
@@ -527,3 +530,186 @@ def test_resume_after_numeric_poison_exit_3(capsys, tmp_path, toy_files):
     )
     assert rc == 3
     assert err.startswith("numeric failure:")
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["1--2", "1-2-", "", "1-x", "1", "0-1-0", "0-3", "-1-0", "0--1", "9" * 30 + "-0"],
+)
+def test_malformed_code_exit_2_without_traceback(capsys, tmp_path, toy_files, code):
+    tree_path, _ = toy_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "codec": {"p": 3, "K": 2},
+        "records": [
+            {"leaf": "cat", "code": "0-0", "depth": 2},
+            {"leaf": "dog", "code": code, "depth": 2},
+        ],
+    }))
+    for argv in (
+        ["inspect", "--dataset", str(bad)],
+        ["train", "--dataset", str(bad), "--tree", tree_path],
+    ):
+        rc, _, err = run(capsys, argv)
+        assert rc == 2, err
+        assert err.startswith("error: malformed dataset JSON: record 'dog'")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [2**63, -(2**63) - 1])
+def test_depth_outside_int64_exit_2_without_traceback(capsys, tmp_path, toy_files, depth):
+    tree_path, _ = toy_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "codec": {"p": 3, "K": 2},
+        "records": [
+            {"leaf": "cat", "code": "0-0", "depth": 2},
+            {"leaf": "dog", "code": "0-1", "depth": depth},
+        ],
+    }))
+    for argv in (
+        ["inspect", "--dataset", str(bad)],
+        ["train", "--dataset", str(bad), "--tree", tree_path],
+    ):
+        rc, _, err = run(capsys, argv)
+        assert rc == 2, err
+        assert err.startswith(
+            f"error: malformed dataset JSON: record 'dog' has depth {depth} outside [1, K]"
+        )
+        assert "Traceback" not in err
+
+
+def test_dataset_leaf_missing_from_tree_exit_2(capsys, tmp_path, toy_files):
+    tree_path, ds_path = toy_files
+    _, ckdir = _train_toy(capsys, tmp_path, toy_files)
+    doc = json.loads(open(ds_path).read())
+    doc["records"][1]["leaf"] = "wolf"
+    stray = tmp_path / "stray.json"
+    stray.write_text(json.dumps(doc))
+    common = ["--dataset", str(stray), "--tree", tree_path]
+    ckpt = ["--checkpoint", os.path.join(ckdir, "ckpt-final.json")]
+    for argv in (["train", *common], ["eval", *common, *ckpt], ["diagnose", *common, *ckpt]):
+        rc, _, err = run(capsys, argv)
+        assert rc == 2, argv
+        assert err.startswith("error:") and "wolf" in err
+        assert "Traceback" not in err
+
+
+def test_pipeline_builds_no_code_objects(capsys, tmp_path, toy_files, monkeypatch):
+    """train, eval and diagnose read the dataset's arrays: none of them
+    makes a PadicCode (one per record) on the way."""
+    from hipan.padic import PadicCode
+
+    def refuse(self):
+        raise AssertionError("the pipeline built a PadicCode")
+
+    monkeypatch.setattr(PadicCode, "__post_init__", refuse)
+    tree_path, ds_path = toy_files
+    for optimizer in ("gist", "adam"):
+        _, ckdir = _train_toy(capsys, tmp_path, toy_files, "--optimizer", optimizer)
+        common = [
+            "--dataset", ds_path, "--tree", tree_path,
+            "--checkpoint", os.path.join(ckdir, "ckpt-final.json"),
+        ]
+        for command in ("eval", "diagnose"):
+            rc, _, err = run(capsys, [command, *common])
+            assert rc == 0, err
+
+
+def _as_v1(doc):
+    """A format v2 checkpoint document rewritten in format v1, where every
+    array is a list of floats."""
+    dtypes = {"int16": "<i2", "float64": "<f8"}
+
+    def floats(text):
+        tag, _, data = text.partition(":")
+        return np.frombuffer(base64.b64decode(data), dtype=dtypes[tag]).astype(float).tolist()
+
+    old = json.loads(json.dumps(doc))
+    old["format"] = "hipan-checkpoint-v1"
+    old["model"]["format"] = "hipan-model-v1"
+    old["model"]["tables"] = {k: floats(v) for k, v in old["model"]["tables"].items()}
+    for part in ("m", "u"):
+        if part in old["optim"]:
+            old["optim"][part] = {k: floats(v) for k, v in old["optim"][part].items()}
+    return old
+
+
+def _write_v1(path, v2_path):
+    doc = load_checkpoint(v2_path)
+    assert doc["format"] == FORMAT
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(_as_v1(doc)) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("optimizer", ["gist", "adam"])
+def test_v1_checkpoint_reads_like_its_v2_form(capsys, tmp_path, toy_files, optimizer):
+    tree_path, ds_path = toy_files
+    _, ckdir = _train_toy(capsys, tmp_path, toy_files, "--optimizer", optimizer)
+    v2 = os.path.join(ckdir, "ckpt-final.json")
+    v1 = _write_v1(tmp_path / "v1.json", v2)
+    for command in ("eval", "diagnose"):
+        outputs = []
+        for ckpt in (v2, v1):
+            rc, out, err = run(
+                capsys,
+                [command, "--dataset", ds_path, "--tree", tree_path, "--checkpoint", ckpt],
+            )
+            assert rc == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+
+# a patience the toy tree never exhausts, so the lattice run passes an
+# interval checkpoint too
+@pytest.mark.parametrize("args", [["--optimizer", "gist", "--patience", "500"], ["--optimizer", "adam"]])
+def test_resume_from_v1_checkpoint_matches_v2(capsys, tmp_path, toy_files, args):
+    tree_path, ds_path = toy_files
+    summary, _ = _train_toy(capsys, tmp_path, toy_files, *args)
+    mid = sorted(c for c in summary["checkpoints"] if "final" not in c)[0]
+    fingerprints = []
+    for name, ckpt in (("v2", mid), ("v1", _write_v1(tmp_path / "v1.json", mid))):
+        rc, _, err = run(
+            capsys,
+            [
+                "train", "--dataset", ds_path, "--tree", tree_path,
+                "--checkpoint-dir", str(tmp_path / name), "--resume", ckpt,
+                "--log", str(tmp_path / f"{name}.jsonl"), "--seed", "0", *args,
+            ],
+        )
+        assert rc == 0, err
+        final = load_checkpoint(str(tmp_path / name / "ckpt-final.json"))
+        fingerprints.append(checkpoint_fingerprint(final))
+    assert fingerprints[0] == fingerprints[1]
+    assert fingerprints[0] == checkpoint_fingerprint(
+        load_checkpoint(os.path.join(str(tmp_path / "ck"), "ckpt-final.json"))
+    )
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: text[:-4],  # truncated by whole base64 quanta
+        lambda text: text[:-1],  # truncated mid-quantum
+        lambda text: text[:10] + "!" + text[11:],  # not base64
+        lambda text: "float64:" + text.partition(":")[2],  # int16 bytes read as float64
+        lambda text: "complex:" + text.partition(":")[2],
+        lambda text: text + "AAAA",  # three bytes more: half a value
+        lambda text: text + "AAAAAAAA",  # three values too many
+        lambda text: 7,
+    ],
+)
+def test_corrupt_table_exit_2_naming_it(capsys, tmp_path, toy_files, corrupt):
+    tree_path, ds_path = toy_files
+    _, ckdir = _train_toy(capsys, tmp_path, toy_files)
+    doc = load_checkpoint(os.path.join(ckdir, "ckpt-final.json"))
+    doc["model"]["tables"]["dense"] = corrupt(doc["model"]["tables"]["dense"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_json(doc))
+    rc, _, err = run(
+        capsys, ["eval", "--dataset", ds_path, "--tree", tree_path, "--checkpoint", str(bad)]
+    )
+    assert rc == 2
+    assert err.startswith("error: table dense")
+    assert "Traceback" not in err

@@ -84,7 +84,7 @@ def test_accuracy_report_without_tree(toy_dataset):
 
 def test_accuracy_report_empty_dataset(toy_dataset):
     m = _decisive_zero_model(toy_dataset.codec)
-    empty = type(toy_dataset)(toy_dataset.codec, ())
+    empty = type(toy_dataset)(toy_dataset.codec, (), [], [])
     with pytest.raises(ValueError, match="empty"):
         accuracy_report(m, empty)
 
@@ -174,7 +174,12 @@ def test_spearman_sampling_path():
 
 
 def test_spearman_degenerate_inputs(toy_tree, toy_dataset):
-    single = type(toy_dataset)(toy_dataset.codec, toy_dataset.records[:1])
+    single = type(toy_dataset)(
+        toy_dataset.codec,
+        toy_dataset.leaves[:1],
+        toy_dataset.digits[:1],
+        toy_dataset.depths[:1],
+    )
     res = spearman_ultrametric(single, toy_tree)
     assert res.degenerate and res.rho == 0.0 and res.n_pairs == 0
     # star tree: every pair has LCA depth 0 and distance 1, both axes tie

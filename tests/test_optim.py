@@ -546,7 +546,7 @@ def test_train_adam_fits_toy():
 
 def test_train_empty_dataset_rejected():
     tree, ds, model = _toy_setup()
-    empty = type(ds)(ds.codec, ())
+    empty = type(ds)(ds.codec, (), [], [])
     with pytest.raises(ValueError):
         train(model, empty, GistConfig())
 

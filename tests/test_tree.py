@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hipan import (
     CodecParams,
@@ -259,14 +261,19 @@ def test_branching_stats(toy_tree):
 
 def test_dataset_validation():
     codec = CodecParams(3, 2)
-    rec = Record("x", code([0, 1], 3), 2)
-    EncodedDataset(codec, (rec,))
-    with pytest.raises(ValueError, match="codec"):
-        EncodedDataset(CodecParams(5, 2), (rec,))
+    EncodedDataset(codec, ("x",), [[0, 2]], [2])
     with pytest.raises(ValueError, match="depth"):
-        EncodedDataset(codec, (Record("x", code([0, 1], 3), 0),))
+        EncodedDataset(codec, ("x",), [[0, 1]], [0])
     with pytest.raises(ValueError, match="depth"):
-        EncodedDataset(codec, (Record("x", code([0, 1], 3), 3),))
+        EncodedDataset(codec, ("x",), [[0, 1]], [3])
+    with pytest.raises(ValueError, match="digit 3 at index 1"):
+        EncodedDataset(codec, ("x",), [[0, 3]], [2])
+    with pytest.raises(ValueError, match="digit -1 at index 0"):
+        EncodedDataset(codec, ("x",), [[-1, 0]], [2])
+    with pytest.raises(ValueError, match="digit matrix"):
+        EncodedDataset(codec, ("x",), [[0, 1, 0]], [2])
+    with pytest.raises(ValueError, match="digit matrix"):
+        EncodedDataset(codec, ("x", "y"), [[0, 1]], [2, 2])
 
 
 def test_digits_matrix_and_pair_counts(toy_dataset):
@@ -403,3 +410,84 @@ def test_digits_dataset_helper():
 def test_toy_text_is_stable():
     # guards the fixture itself: downstream hand oracles depend on it
     assert loads_tree(TOY_TEXT).leaf_names() == ["cat", "dog", "fern"]
+
+
+def test_encode_tree_matches_encode_leaf():
+    for seed in range(8):
+        t = irregular_tree(seed, 60)
+        for K in (None, t.max_depth + 2):
+            codec = make_codec(t, K)
+            ds = encode_tree(t, codec)
+            assert ds.leaves == tuple(t.leaf_names())
+            assert ds.digits.tolist() == [
+                list(encode_leaf(t, leaf, codec).digits) for leaf in t.leaves
+            ]
+            assert ds.depths.tolist() == [t.depth[leaf] for leaf in t.leaves]
+
+
+def test_dataset_arrays_and_record_view(padded_tree):
+    ds = encode_tree(padded_tree)
+    assert not ds.depths.flags.writeable
+    assert ds.records[2] == Record("b", code([1, 0], 3), 1)
+    assert ds.records is ds.records
+    rebuilt = EncodedDataset(
+        ds.codec,
+        tuple(r.leaf for r in ds.records),
+        [r.code.digits for r in ds.records],
+        [r.depth for r in ds.records],
+    )
+    assert rebuilt == ds
+    assert ds != encode_tree(padded_tree, CodecParams(3, 3))
+
+
+def test_dataset_json_one_record_per_line():
+    tree = loads_tree('r\t-\nsay "hi"\tr\ncafé\tr\n')
+    ds = encode_tree(tree)
+    text = dataset_to_json(ds)
+    lines = text.splitlines()
+    assert len(lines) == 2 + ds.n_records
+    assert json.loads(lines[1].rstrip(",")) == {"code": "0", "depth": 1, "leaf": "café"}
+    assert json.loads(lines[2]) == {"code": "1", "depth": 1, "leaf": 'say "hi"'}
+    assert dataset_from_json(text) == ds
+    empty = EncodedDataset(ds.codec, (), [], [])
+    assert dataset_from_json(dataset_to_json(empty)) == empty
+
+
+def test_leaves_with_prefix(toy_dataset):
+    assert toy_dataset.leaves_with_prefix([]) == ("cat", "dog", "fern")
+    assert toy_dataset.leaves_with_prefix([0]) == ("cat", "dog")
+    assert toy_dataset.leaves_with_prefix([1, 0]) == ("fern",)
+    assert toy_dataset.leaves_with_prefix([2]) == ()
+    assert toy_dataset.leaves_with_prefix([0, 0, 0]) == ()
+    assert toy_dataset.leaves_with_prefix([10**30]) == ()
+
+
+def test_ids_of(toy_tree, toy_dataset):
+    ids = toy_tree.ids_of(toy_dataset.leaves)
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [toy_tree.id_of(name) for name in toy_dataset.leaves]
+    with pytest.raises(KeyError, match="wolf"):
+        toy_tree.ids_of(["cat", "wolf"])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from([2, 3, 409, 1_000_003]), st.integers(1, 5), st.data())
+def test_dataset_json_round_trips_digit_matrices(p, K, data):
+    row = st.tuples(*[st.integers(0, p - 1)] * K)
+    digits = data.draw(st.lists(row, max_size=30, unique=True))
+    n = len(digits)
+    ds = EncodedDataset(CodecParams(p, K), tuple(f"r{i}" for i in range(n)), digits, [K] * n)
+    assert dataset_from_json(dataset_to_json(ds)) == ds
+
+
+def test_dataset_json_codes_parse_as_int_does():
+    doc = {
+        "codec": {"p": 11, "K": 2},
+        "records": [
+            {"leaf": "a", "code": "007-1", "depth": 2},
+            {"leaf": "b", "code": " 2-+3", "depth": 2},
+            {"leaf": "c", "code": "1_0-4", "depth": 2},
+        ],
+    }
+    ds = dataset_from_json(json.dumps(doc))
+    assert ds.digits.tolist() == [[7, 1], [2, 3], [10, 4]]
