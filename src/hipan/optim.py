@@ -38,6 +38,19 @@ anchor step can therefore raise the logged loss.  Note the sign
 structure: the anchor is pushed toward psi when the arbitration is wrong
 and away when right, so the anchor settles between competing row maxima
 rather than on top of one.
+
+An Adam step is one pass over every digit the phase trains.  At an
+epoch's start the arrays of the heads serving the phase's digits are
+laid end to end in one flat buffer, with their first and second moments
+in two more, and each digit's shuffled targets, selected rows, anchors
+and rarity weights are gathered once.  A step then scores the deep
+digits' rows in one stacked pass, adds every gradient term into one flat
+gradient with one bincount, and applies the bias-corrected moment update
+of Kingma and Ba once, over the flat buffers.  Each gradient entry sums
+its terms digit by digit, then record by record, the order of one
+np.add.at per digit and array, so the run is bit for bit that of
+updating each array on its own.  The epoch writes the buffer back into
+the heads' arrays.
 """
 
 from __future__ import annotations
@@ -52,12 +65,10 @@ import numpy as np
 from .metrics import evaluate_digits
 from .model import (
     HiPaNModel,
-    _anchored_choice_rows,
     _effective_depth,
     _top_two,
     pack_array,
     softmax,
-    softmax_rows,
     unpack_array,
 )
 from .rng import child_rng
@@ -212,6 +223,24 @@ class TrainPlan:
     checkpoint_interval: int = 20
 
 
+def _staged_plan(
+    K: int, epochs: tuple[int, int, int], rates: tuple[float, float, float]
+) -> TrainPlan:
+    """The three curriculum stages, deep digits (>= 2), the shallow pair
+    {0, 1}, then all digits, with the given epochs and rates each.
+    Stages whose digit set is empty at this K are dropped."""
+    stages = (
+        ("deep-warmup", tuple(range(2, K))),
+        ("root-warmup", tuple(range(min(2, K)))),
+        ("fine-tune", tuple(range(K))),
+    )
+    return TrainPlan(tuple(
+        TrainPhase(name, n, lr, digits)
+        for (name, digits), n, lr in zip(stages, epochs, rates)
+        if digits
+    ))
+
+
 def default_plan(K: int, lr: float = 0.015, warmup_lr: float = 0.03) -> TrainPlan:
     """Deep digits first, then the shallow pair, then everything.
 
@@ -219,24 +248,12 @@ def default_plan(K: int, lr: float = 0.015, warmup_lr: float = 0.03) -> TrainPla
     epochs at warmup_lr on digits {0, 1}, then 100 epochs at lr on all
     digits.  Stages whose digit set is empty at this K are dropped.
     """
-    phases = []
-    deep = tuple(range(2, K))
-    if deep:
-        phases.append(TrainPhase("deep-warmup", 8, warmup_lr, deep))
-    phases.append(TrainPhase("root-warmup", 4, warmup_lr, tuple(range(min(2, K)))))
-    phases.append(TrainPhase("fine-tune", 100, lr, tuple(range(K))))
-    return TrainPlan(tuple(phases))
+    return _staged_plan(K, (8, 4, 100), (warmup_lr, warmup_lr, lr))
 
 
 def uniform_plan(K: int, epochs: int = 20, lr: float = 1e-3) -> TrainPlan:
     """Flat alternative: the same three stages, equal length, one rate."""
-    phases = []
-    deep = tuple(range(2, K))
-    if deep:
-        phases.append(TrainPhase("deep-warmup", epochs, lr, deep))
-    phases.append(TrainPhase("root-warmup", epochs, lr, tuple(range(min(2, K)))))
-    phases.append(TrainPhase("fine-tune", epochs, lr, tuple(range(K))))
-    return TrainPlan(tuple(phases))
+    return _staged_plan(K, (epochs,) * 3, (lr,) * 3)
 
 
 def _lattice_move(stay, up, down):
@@ -328,6 +345,12 @@ def _served_digits(model: HiPaNModel, ke: int, phase_digits: tuple[int, ...]) ->
     if ke < last:
         return tuple(k for k in phase_digits if k == ke)
     return tuple(k for k in phase_digits if k >= last)
+
+
+def _served_arrays(model: HiPaNModel, phase_digits: tuple[int, ...]) -> dict[str, np.ndarray]:
+    """The arrays of _arrays whose head serves some digit of the phase."""
+    heads = {_effective_depth(model, k) for k in phase_digits}
+    return {name: arr for name, arr in _arrays(model).items() if _head_of_array(name) in heads}
 
 
 def _head_of_array(name: str) -> int:
@@ -587,85 +610,171 @@ def gist_sweep(
     return model, accepted, dataset_loss(model, counts, digits)
 
 
-def _accumulate_grads(
-    model: HiPaNModel,
-    D: np.ndarray,
-    W: np.ndarray,
-    k: int,
-    idx: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> None:
-    """Add digit k's mean gradient over the records idx into grads."""
-    ke = _effective_depth(model, k)
-    t = D[idx, k]
-    n = idx.size
-    ar = np.arange(n)
-    p = model.p
-    if ke == 0:
-        sm = softmax(model.root.scores)
-        grads["root"] += sm - np.bincount(t, minlength=p) / n
-        return
-    prev = D[idx, k - 1]
-    if ke == 1:
-        assert model.dense is not None
-        rows = model.dense.table[prev]
-        one_hot = np.zeros_like(rows)
-        one_hot[ar, t] = 1.0
-        np.add.at(grads["dense"], prev, 2.0 * (rows - one_hot) / n)
-        return
-    i = ke - 2
-    head = model.deep[i]
-    rows = head.table[prev]
-    sm = softmax_rows(rows)
-    one_hot = np.zeros_like(rows)
-    one_hot[ar, t] = 1.0
-    w = W[idx, k]
-    np.add.at(grads[f"deep{i}.table"], prev, w[:, None] * (sm - one_hot) / n)
-    # anchor: arbitration between the row's top two, trained toward/away
-    # from the true digit by the closed-form update
-    v = head.anchor[prev]
-    correct = (_anchored_choice_rows(model, ke, prev, rows) == t).astype(np.float64)
-    tau = model.config.tau
-    d = v - t
-    ga = w * 2.0 * tau * d * (_sigmoid_vec(d * d / tau) - correct)
-    np.add.at(grads[f"deep{i}.anchor"], prev, ga / n)
-
-
 @dataclass
 class OptimState:
     """Mutable optimizer memory, serialized into checkpoints.
 
     t counts Adam steps or lattice sweeps; m/u hold the per-latent first
-    and second moments (Adam only).
+    and second moments (Adam only), one array per trained array name.
     """
 
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     u: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def ensure(self, name: str, shape: tuple[int, ...]) -> None:
-        if name not in self.m:
-            self.m[name] = np.zeros(shape)
-            self.u[name] = np.zeros(shape)
+
+class _Flat:
+    """Arrays laid end to end in one float buffer x, in the dict's order.
+
+    Built with a state, it also holds the arrays' first and second Adam
+    moments in buffers m and u of the same layout (zero where the state
+    has none), and two scratch rows for the update; state.m and state.u
+    then map each name to a view of m and u, so a checkpoint sees every
+    step.  write_back copies x into the arrays in place, so they keep
+    their identity."""
+
+    def __init__(self, arrays: dict[str, np.ndarray], state: OptimState | None = None):
+        self.arrays = arrays
+        self.start: dict[str, int] = {}
+        size = 0
+        for name, arr in arrays.items():
+            self.start[name] = size
+            size += arr.size
+        self.x = np.concatenate([arr.ravel() for arr in arrays.values()])
+        if state is None:
+            return
+        self.m, self.u = (self._moments(part) for part in (state.m, state.u))
+        self.scratch = np.empty((2, size))
+
+    def _moments(self, part: dict[str, np.ndarray]) -> np.ndarray:
+        buf = np.concatenate([
+            part[name].ravel() if name in part else np.zeros(arr.size)
+            for name, arr in self.arrays.items()
+        ])
+        for name, arr in self.arrays.items():
+            part[name] = self.view(buf, name)
+        return buf
+
+    def view(self, buf: np.ndarray, name: str) -> np.ndarray:
+        """The part of a buffer of this layout that holds array name."""
+        arr = self.arrays[name]
+        a = self.start[name]
+        return buf[a : a + arr.size].reshape(arr.shape)
+
+    def write_back(self) -> None:
+        for name, arr in self.arrays.items():
+            arr[...] = self.view(self.x, name)
 
 
-def _adam_update_array(
-    arr: np.ndarray,
-    g: np.ndarray,
-    m: np.ndarray,
-    u: np.ndarray,
-    cfg: AdamConfig,
-    lr: float,
-    t: int,
-) -> None:
-    """Bias-corrected moment update of one latent array, in place."""
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * g
-    u *= cfg.beta2
-    u += (1.0 - cfg.beta2) * g * g
-    m_hat = m / (1.0 - cfg.beta1**t)
-    u_hat = u / (1.0 - cfg.beta2**t)
-    arr -= lr * m_hat / (np.sqrt(u_hat) + cfg.eps)
+@dataclass(frozen=True)
+class _Batches:
+    """One epoch's records of every phase digit in shuffled order, as
+    (digits, N) matrices; an Adam step reads the columns of its batch.
+
+    root_t holds the root digits' targets, row r offset by r p, and
+    root_cells the root scores' flat indices, once per root digit.  The
+    other digits, dense ones first and each group in phase order, give
+    targets t and the flat index of each record's selected row (row);
+    deep digits also give their anchor's flat index (anchor) and the
+    record's rarity weight (w).  Indices point into a _Flat's x."""
+
+    p: int
+    tau: float
+    root_cells: np.ndarray
+    root_t: np.ndarray
+    t: np.ndarray
+    row: np.ndarray
+    n_dense: int
+    anchor: np.ndarray
+    w: np.ndarray
+
+
+def _batches(
+    model: HiPaNModel,
+    flat: _Flat,
+    D: np.ndarray,
+    W: np.ndarray,
+    perms: dict[int, np.ndarray],
+) -> _Batches:
+    """Gather the _Batches of one epoch from the record permutation of
+    each phase digit (perms, in phase order)."""
+    p, n = model.p, D.shape[0]
+    heads = {k: _effective_depth(model, k) for k in perms}
+    roots = [k for k in perms if heads[k] == 0]
+    deep = [k for k in perms if heads[k] >= 2]
+    rows = [k for k in perms if heads[k] == 1] + deep
+
+    def table(k: int) -> int:
+        return flat.start["dense" if heads[k] == 1 else f"deep{heads[k] - 2}.table"]
+
+    def matrix(ks: list[int], column, dtype=np.int64) -> np.ndarray:
+        return np.array([column(k, perms[k]) for k in ks], dtype=dtype).reshape(len(ks), n)
+
+    return _Batches(
+        p=p,
+        tau=model.config.tau,
+        root_cells=np.tile(flat.start.get("root", 0) + np.arange(p), len(roots)),
+        root_t=matrix(roots, lambda k, i: D[i, k] + roots.index(k) * p),
+        t=matrix(rows, lambda k, i: D[i, k]),
+        row=matrix(rows, lambda k, i: table(k) + D[i, k - 1] * p),
+        n_dense=len(rows) - len(deep),
+        anchor=matrix(deep, lambda k, i: flat.start[f"deep{heads[k] - 2}.anchor"] + D[i, k - 1]),
+        w=matrix(deep, lambda k, i: W[i, k], np.float64),
+    )
+
+
+def _accumulate_grads(x: np.ndarray, b: _Batches, s0: int, s1: int) -> np.ndarray:
+    """Mean gradient over the records in columns [s0, s1) of every phase
+    digit, flat over the parameters x.
+
+    Root, dense and table entries are the analytic gradients of the
+    objective; an anchor's is the closed-form update of the module
+    docstring.  The deep digits' rows are scored in one stacked pass, and
+    every term goes into one bincount whose indices run digit by digit,
+    then record by record, so each entry sums its terms in the order that
+    one np.add.at per digit and array would."""
+    n = s1 - s0
+    p = b.p
+    cells, terms = [], []
+    if b.root_t.size:
+        hits = np.bincount(b.root_t[:, s0:s1].ravel(), minlength=b.root_t.shape[0] * p)
+        cells.append(b.root_cells)
+        terms.append((softmax(x[b.root_cells[:p]]) - hits.reshape(-1, p) / n).ravel())
+    if b.t.size:
+        t = b.t[:, s0:s1].ravel()
+        rows_at = b.row[:, s0:s1].ravel()[:, None] + np.arange(p)
+        rows = x[rows_at]
+        nd = b.n_dense * n
+        # each row less its one-hot target: the dense heads' squared
+        # distance, the deep heads' softmax cross entropy
+        g = rows.copy()
+        if b.w.size:
+            deep = rows[nd:]
+            top, second = _top_two(deep)
+            # softmax_rows's arithmetic, the row maximum read at the argmax
+            e = np.exp(deep - deep[np.arange(top.size), top][:, None])
+            g[nd:] = e / e.sum(axis=1, keepdims=True)
+        g[np.arange(t.size), t] -= 1.0
+        g[:nd] *= 2.0
+        w = b.w[:, s0:s1].ravel()
+        g[nd:] *= w[:, None]
+        g /= n
+        cells.append(rows_at.ravel())
+        terms.append(g.ravel())
+    if b.w.size:
+        # anchor: arbitration between the row's top two, trained toward or
+        # away from the true digit by the closed-form update
+        at = b.anchor[:, s0:s1].ravel()
+        v = x[at]
+        choice = np.where((v - top) ** 2 <= (v - second) ** 2, top, second)
+        td = t[nd:]
+        correct = (choice == td).astype(np.float64)
+        tau = b.tau
+        d = v - td
+        ga = w * 2.0 * tau * d * (_sigmoid_vec(d * d / tau) - correct)
+        cells.append(at)
+        terms.append(ga / n)
+    return np.bincount(np.concatenate(cells), np.concatenate(terms), minlength=x.size)
 
 
 def _effective_lr(cfg: AdamConfig, base_lr: float, t: int) -> float:
@@ -674,61 +783,45 @@ def _effective_lr(cfg: AdamConfig, base_lr: float, t: int) -> float:
     return base_lr
 
 
-def adam_step(
-    latent: np.ndarray | float,
-    grad: np.ndarray | float,
-    state: OptimState,
-    config: AdamConfig,
-    t: int | None = None,
-    *,
-    lr: float | None = None,
-    name: str = "latent",
-) -> tuple[np.ndarray | float, OptimState]:
-    """One first-order update of a single latent (scalar or array).
-
-    Advances state.t when t is not given, else adopts t.  The rate
-    defaults to config.lr (config.sqrt_decay divides it by sqrt(t)); the
-    projected public digit of the result is project_digit of each entry.
-
-    Returns:
-        (updated latent, the same state object).
-    """
-    scalar = np.isscalar(latent) or getattr(latent, "ndim", 1) == 0
-    arr = np.array(latent, dtype=np.float64, ndmin=1)
-    g = np.asarray(grad, dtype=np.float64).reshape(arr.shape)
-    if t is None:
-        state.t += 1
-        t = state.t
-    else:
-        state.t = t
-    state.ensure(name, arr.shape)
-    eff = _effective_lr(config, config.lr if lr is None else lr, t)
-    _adam_update_array(arr, g, state.m[name], state.u[name], config, eff, t)
-    return (float(arr[0]) if scalar else arr), state
-
-
 def _adam_step(
-    model: HiPaNModel,
-    grads: dict[str, np.ndarray],
-    state: OptimState,
-    cfg: AdamConfig,
-    base_lr: float,
+    flat: _Flat, g: np.ndarray, state: OptimState, cfg: AdamConfig, base_lr: float
 ) -> None:
-    """One optimizer step over all gradient-bearing arrays (shared t)."""
+    """One bias-corrected moment update of every parameter of flat with
+    the flat gradient g, in place; advances state.t, the shared step
+    count (cfg.sqrt_decay divides base_lr by its square root)."""
     state.t += 1
     t = state.t
     lr = _effective_lr(cfg, base_lr, t)
-    arrays = _arrays(model)
-    for name, g in grads.items():
-        state.ensure(name, g.shape)
-        _adam_update_array(arrays[name], g, state.m[name], state.u[name], cfg, lr, t)
+    m, u, (a, b) = flat.m, flat.u, flat.scratch
+    # in place, in the arithmetic of
+    #   m = beta1 m + (1 - beta1) g,  u = beta2 u + ((1 - beta2) g) g,
+    #   x -= (lr m_hat) / (sqrt(u_hat) + eps)
+    np.multiply(g, 1.0 - cfg.beta1, out=a)
+    m *= cfg.beta1
+    m += a
+    np.multiply(g, 1.0 - cfg.beta2, out=a)
+    a *= g
+    u *= cfg.beta2
+    u += a
+    np.divide(u, 1.0 - cfg.beta2**t, out=a)
+    np.sqrt(a, out=a)
+    a += cfg.eps
+    np.divide(m, 1.0 - cfg.beta1**t, out=b)
+    b *= lr
+    b /= a
+    flat.x -= b
 
 
-def _check_finite(model: HiPaNModel) -> None:
-    for name, arr in _arrays(model).items():
-        if not np.all(np.isfinite(arr)):
-            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
-            raise NumericAbort(name, bad)
+def _check_finite(flat: _Flat) -> None:
+    """Raise NumericAbort naming the first non-finite parameter of flat."""
+    ok = np.isfinite(flat.x)
+    if ok.all():
+        return
+    i = int(ok.argmin())
+    for name, arr in flat.arrays.items():
+        if i < flat.start[name] + arr.size:
+            at = np.unravel_index(i - flat.start[name], arr.shape)
+            raise NumericAbort(name, tuple(int(j) for j in at))
 
 
 def _epoch_metrics(
@@ -821,9 +914,9 @@ def train(
 
     Raises:
         NumericAbort: a latent became non-finite.
-        ValueError: the dataset is empty, or the resume checkpoint holds
-            the state of the other optimizer or of the minibatch lattice
-            sweep.
+        ValueError: the dataset is empty, Adam's batch_size is below 1,
+            or the resume checkpoint holds the state of the other
+            optimizer or of the minibatch lattice sweep.
     """
     import json as _json
 
@@ -841,11 +934,16 @@ def train(
     n = D.shape[0]
     if n == 0:
         raise ValueError("dataset has no records")
+    if kind == "adam" and batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     leaf_ids = None
     if tree is not None:
         leaf_ids = tree.ids_of(dataset.leaves)
     counts = dataset.pair_counts()
     W = _record_weights(D, counts, model.p) if kind == "adam" else None
+    if kind == "adam":
+        # a phase checks only the arrays it trains, after its epochs
+        _check_finite(_Flat(_arrays(model)))
 
     start_phase, start_epoch = 0, 0
     streak = 0
@@ -917,24 +1015,16 @@ def train(
                     k: child_rng(seed, "shuffle", pi, e, k).permutation(n)
                     for k in phase.digits
                 }
+                flat = _Flat(_served_arrays(model, phase.digits), state)
+                batches = _batches(model, flat, D, W, perms)
                 moves = 0
-                for s in range(math.ceil(n / batch_size)):
-                    grads = {
-                        name: np.zeros_like(arr)
-                        for name, arr in _arrays(model).items()
-                        if _served_digits(model, _head_of_array(name), phase.digits)
-                    }
-                    any_records = False
-                    for k in phase.digits:
-                        idx = perms[k][s * batch_size : (s + 1) * batch_size]
-                        if idx.size:
-                            any_records = True
-                            _accumulate_grads(model, D, W, k, idx, grads)
-                    if any_records:
-                        _adam_step(model, grads, state, optimizer, phase.lr)
-                        moves += 1
-                        steps += 1
-                _check_finite(model)
+                for s0 in range(0, n, batch_size):
+                    g = _accumulate_grads(flat.x, batches, s0, min(n, s0 + batch_size))
+                    _adam_step(flat, g, state, optimizer, phase.lr)
+                    moves += 1
+                    steps += 1
+                flat.write_back()
+                _check_finite(flat)
             loss, per_digit, leaf_acc = _epoch_metrics(
                 model, D, counts, tree, leaf_ids, phase.digits
             )
@@ -975,7 +1065,6 @@ __all__ = [
     "TrainPhase",
     "TrainPlan",
     "TrainResult",
-    "adam_step",
     "anchor_loss",
     "dataset_loss",
     "default_plan",

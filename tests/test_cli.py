@@ -3,6 +3,7 @@
 import base64
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -236,6 +237,20 @@ def test_inspect_depth_histogram(capsys, toy_files):
     }
 
 
+@pytest.mark.parametrize("p", [18446744073709551629, 3317044064679887385961981, 2**89 - 1])
+def test_inspect_huge_alphabet_finishes(capsys, tmp_path, p):
+    # 2^64 + 13 is prime; the two larger ones are past what the primality
+    # test decides, so the codec refuses them
+    path = tmp_path / "huge.json"
+    record = {"leaf": "a", "code": "0", "depth": 1}
+    path.write_text(json.dumps({"codec": {"p": p, "K": 1}, "records": [record]}))
+    t0 = time.monotonic()
+    rc, _, err = run(capsys, ["inspect", "--dataset", str(path)])
+    assert time.monotonic() - t0 < 1.0
+    assert rc in (0, 2)
+    assert "Traceback" not in err
+
+
 def test_inspect_prefix_with_tree(capsys, toy_files):
     tree_path, ds_path = toy_files
     rc, out, _ = run(
@@ -353,6 +368,15 @@ def test_bad_env_optimizer_exit_2(capsys, tmp_path, toy_files, monkeypatch):
     )
     assert rc == 2
     assert "gist or adam" in err
+
+
+@pytest.mark.parametrize("batch_size", ["0", "-3"])
+def test_adam_batch_size_below_one_exit_2(capsys, tmp_path, toy_files, batch_size):
+    _, ds_path = toy_files
+    argv = ["train", "--dataset", ds_path, "--optimizer", "adam", "--batch-size", batch_size]
+    rc, _, err = run(capsys, [*argv, "--log", str(tmp_path / "l.jsonl")])
+    assert rc == 2
+    assert err.startswith("error: batch_size must be >= 1")
 
 
 def test_usage_errors_exit_1(capsys, toy_files):

@@ -17,7 +17,6 @@ from hipan import (
     OptimState,
     TrainPhase,
     TrainPlan,
-    adam_step,
     anchor_loss,
     dataset_loss,
     default_plan,
@@ -37,9 +36,31 @@ from hipan import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hipan.checkpoint import checkpoint_fingerprint, load_checkpoint, load_model
-from hipan.model import model_from_state, model_state
-from hipan.optim import _arrays, _digit_losses, _live_rows, _row_losses, optim_state_dict
+from hipan.checkpoint import checkpoint_fingerprint, load_checkpoint, load_model, save_checkpoint
+from hipan.model import (
+    _anchored_choice_rows,
+    _effective_depth,
+    model_from_state,
+    model_state,
+    softmax,
+    softmax_rows,
+)
+from hipan.optim import (
+    _Flat,
+    _accumulate_grads,
+    _adam_step,
+    _arrays,
+    _batches,
+    _digit_losses,
+    _effective_lr,
+    _epoch_metrics,
+    _live_rows,
+    _record_weights,
+    _row_losses,
+    _served_arrays,
+    optim_state_dict,
+)
+from hipan.rng import child_rng
 from conftest import digits_dataset, irregular_tree
 
 
@@ -329,19 +350,31 @@ def test_gist_sweep_deterministic():
     assert a == b
 
 
+def _adam_once(latent, grad, state, cfg, lr=None, name="latent"):
+    """One trainer update (_adam_step) of a single array; returns it."""
+    arr = np.array(latent, dtype=np.float64, ndmin=1)
+    flat = _Flat({name: arr}, state)
+    g = np.asarray(grad, dtype=np.float64).ravel()
+    _adam_step(flat, g, state, cfg, cfg.lr if lr is None else lr)
+    flat.write_back()
+    return arr
+
+
 def test_adam_step_first_step_is_signed_lr():
     cfg = AdamConfig()
-    out, state = adam_step(3.0, 2.0, OptimState(), cfg)
+    state = OptimState()
+    out = _adam_once(3.0, 2.0, state, cfg)
     # bias correction makes the first step lr * g / (|g| + eps)
-    assert out == pytest.approx(3.0 - cfg.lr, abs=1e-9)
+    assert out[0] == pytest.approx(3.0 - cfg.lr, abs=1e-9)
     assert state.t == 1
-    out2, _ = adam_step(3.0, -0.5, OptimState(), cfg)
-    assert out2 == pytest.approx(3.0 + cfg.lr, abs=1e-9)
+    out2 = _adam_once(3.0, -0.5, OptimState(), cfg)
+    assert out2[0] == pytest.approx(3.0 + cfg.lr, abs=1e-9)
 
 
 def test_adam_step_zero_grad_is_identity():
-    out, state = adam_step(1.25, 0.0, OptimState(), AdamConfig())
-    assert out == 1.25
+    state = OptimState()
+    out = _adam_once(1.25, 0.0, state, AdamConfig())
+    assert out[0] == 1.25
     assert state.t == 1
 
 
@@ -350,11 +383,11 @@ def test_adam_step_array_and_state_accumulation():
     state = OptimState()
     latent = np.array([[1.0, 2.0], [3.0, 4.0]])
     g = np.array([[1.0, -1.0], [0.0, 2.0]])
-    out, state = adam_step(latent, g, state, cfg, name="table")
+    out = _adam_once(latent, g, state, cfg, name="table")
     assert out.shape == (2, 2)
     assert out[1, 0] == 3.0
     assert state.m["table"].shape == (2, 2)
-    out2, state = adam_step(out, g, state, cfg, name="table")
+    out2 = _adam_once(out, g, state, cfg, name="table")
     assert state.t == 2
     assert np.all(np.abs(out2 - out) <= cfg.lr + 1e-9)
 
@@ -363,8 +396,8 @@ def test_adam_step_sqrt_decay_shrinks_steps():
     cfg = AdamConfig(sqrt_decay=True)
     state = OptimState()
     v = 5.0
-    v1, state = adam_step(v, 1.0, state, cfg)
-    v2, state = adam_step(v1, 1.0, state, cfg)
+    v1 = _adam_once(v, 1.0, state, cfg)[0]
+    v2 = _adam_once(v1, 1.0, state, cfg)[0]
     step1, step2 = v - v1, v1 - v2
     assert step1 == pytest.approx(cfg.lr, abs=1e-9)
     assert step2 < step1
@@ -373,13 +406,14 @@ def test_adam_step_sqrt_decay_shrinks_steps():
 
 def test_adam_step_explicit_t_and_lr():
     cfg = AdamConfig(sqrt_decay=True)
-    state = OptimState()
-    out, state = adam_step(0.0, 1.0, state, cfg, t=4, lr=0.4)
+    state = OptimState(t=3)
+    out = _adam_once(0.0, 1.0, state, cfg, lr=0.4)
     assert state.t == 4
-    # adopted t drives both the decay (lr / sqrt(4)) and the bias correction
+    # the step count t drives both the decay (lr / sqrt(4)) and the bias
+    # correction
     m_hat = (1 - cfg.beta1) / (1 - cfg.beta1**4)
     u_hat = (1 - cfg.beta2) / (1 - cfg.beta2**4)
-    assert out == pytest.approx(-(0.4 / 2.0) * m_hat / (math.sqrt(u_hat) + cfg.eps), abs=1e-12)
+    assert out[0] == pytest.approx(-(0.4 / 2.0) * m_hat / (math.sqrt(u_hat) + cfg.eps), abs=1e-12)
 
 
 def test_config_validation():
@@ -551,6 +585,13 @@ def test_train_empty_dataset_rejected():
         train(model, empty, GistConfig())
 
 
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_train_adam_rejects_batch_size_below_one(batch_size):
+    tree, ds, model = _toy_setup()
+    with pytest.raises(ValueError, match="batch_size"):
+        train(model, ds, AdamConfig(), tree=tree, batch_size=batch_size)
+
+
 def test_train_numeric_abort_names_head():
     tree, ds, model = _toy_setup()
     model.root.scores[0] = np.nan
@@ -558,6 +599,19 @@ def test_train_numeric_abort_names_head():
         train(model, ds, AdamConfig(), tree=tree)
     assert err.value.head == "root"
     assert "root" in str(err.value)
+
+
+def test_train_numeric_abort_names_untrained_head():
+    # a phase checks only the arrays it trains; a non-finite latent
+    # elsewhere is caught before the first step
+    tree = irregular_tree(0, 40, 4, 5)
+    ds = encode_tree(tree)
+    model = new_model(ModelConfig(ds.codec), seed=0)
+    model.deep[0].anchor[2] = np.inf
+    plan = TrainPlan((TrainPhase("shallow", 2, 0.03, (0, 1)),), checkpoint_interval=0)
+    with pytest.raises(NumericAbort) as err:
+        train(model, ds, AdamConfig(), plan, tree=tree)
+    assert (err.value.head, err.value.index) == ("deep0.anchor", (2,))
 
 
 def test_optim_state_dict_round_trip_gist():
@@ -574,7 +628,7 @@ def test_optim_state_dict_round_trip_gist():
 def test_optim_state_dict_round_trip_adam():
     cfg = AdamConfig()
     state = OptimState()
-    adam_step(np.zeros((2, 3)), np.ones((2, 3)), state, cfg, name="latent")
+    _adam_once(np.zeros((2, 3)), np.ones((2, 3)), state, cfg)
     doc = optim_state_dict("adam", state)
     _, ds, model = _toy_setup()
     back = restore_optim_state(doc, model)
@@ -655,3 +709,201 @@ def test_train_checkpoint_schedule(tmp_path):
     )
     names = [p.split("/")[-1] for p in result.checkpoints]
     assert names == ["ckpt-00002.json", "ckpt-00004.json", "ckpt-final.json"]
+
+
+# --- reference Adam trainer ---------------------------------------------------
+# The trainer as it was before its step was stacked: per step, a fresh
+# zero gradient per trained array, one np.add.at per digit and array, and
+# one moment update per array.  The stacked trainer must follow it bit for
+# bit.
+
+
+def _reference_grads(model, D, W, k, idx, grads):
+    """Add digit k's mean gradient over the records idx into grads."""
+    ke = _effective_depth(model, k)
+    t = D[idx, k]
+    n = idx.size
+    ar = np.arange(n)
+    p = model.p
+    if ke == 0:
+        sm = softmax(model.root.scores)
+        grads["root"] += sm - np.bincount(t, minlength=p) / n
+        return
+    prev = D[idx, k - 1]
+    if ke == 1:
+        rows = model.dense.table[prev]
+        one_hot = np.zeros_like(rows)
+        one_hot[ar, t] = 1.0
+        np.add.at(grads["dense"], prev, 2.0 * (rows - one_hot) / n)
+        return
+    i = ke - 2
+    head = model.deep[i]
+    rows = head.table[prev]
+    sm = softmax_rows(rows)
+    one_hot = np.zeros_like(rows)
+    one_hot[ar, t] = 1.0
+    w = W[idx, k]
+    np.add.at(grads[f"deep{i}.table"], prev, w[:, None] * (sm - one_hot) / n)
+    v = head.anchor[prev]
+    correct = (_anchored_choice_rows(model, ke, prev, rows) == t).astype(np.float64)
+    tau = model.config.tau
+    d = v - t
+    ga = w * 2.0 * tau * d * (1.0 / (1.0 + np.exp(-(d * d / tau))) - correct)
+    np.add.at(grads[f"deep{i}.anchor"], prev, ga / n)
+
+
+def _reference_update(arr, g, m, u, cfg, lr, t):
+    """Bias-corrected moment update of one latent array, in place."""
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    u *= cfg.beta2
+    u += (1.0 - cfg.beta2) * g * g
+    m_hat = m / (1.0 - cfg.beta1**t)
+    u_hat = u / (1.0 - cfg.beta2**t)
+    arr -= lr * m_hat / (np.sqrt(u_hat) + cfg.eps)
+
+
+def _reference_adam_train(model, ds, cfg, plan, batch_size, seed, tree, checkpoint_dir):
+    """Epoch log (without wall_ms) of a run from scratch; writes the same
+    checkpoints as train."""
+    D = ds.digits_matrix()
+    n = D.shape[0]
+    counts = ds.pair_counts()
+    W = _record_weights(D, counts, model.p)
+    leaf_ids = tree.ids_of(ds.leaves)
+    history, global_epoch = [], 0
+    state = OptimState()
+
+    def save(name, cursor):
+        save_checkpoint(
+            f"{checkpoint_dir}/{name}", model, optim_state=optim_state_dict("adam", state),
+            cursor={"phase": cursor[0], "epoch": cursor[1]}, seed=seed,
+        )
+
+    for pi, phase in enumerate(plan.phases):
+        state = OptimState()
+        for e in range(phase.epochs):
+            perms = {k: child_rng(seed, "shuffle", pi, e, k).permutation(n) for k in phase.digits}
+            for s in range(math.ceil(n / batch_size)):
+                grads = {
+                    name: np.zeros_like(arr)
+                    for name, arr in _served_arrays(model, phase.digits).items()
+                }
+                for k in phase.digits:
+                    idx = perms[k][s * batch_size : (s + 1) * batch_size]
+                    _reference_grads(model, D, W, k, idx, grads)
+                state.t += 1
+                lr = _effective_lr(cfg, phase.lr, state.t)
+                for name, g in grads.items():
+                    if name not in state.m:
+                        state.m[name], state.u[name] = np.zeros(g.shape), np.zeros(g.shape)
+                    arr = _arrays(model)[name]
+                    _reference_update(arr, g, state.m[name], state.u[name], cfg, lr, state.t)
+            loss, per_digit, leaf_acc = _epoch_metrics(model, D, counts, tree, leaf_ids, phase.digits)
+            history.append({
+                "phase": phase.name, "epoch": e, "loss": loss, "per_digit_acc": per_digit,
+                "leaf_acc": leaf_acc, "accepted_moves": math.ceil(n / batch_size),
+            })
+            global_epoch += 1
+            cursor = (pi, e + 1) if e + 1 < phase.epochs else (pi + 1, 0)
+            if global_epoch % plan.checkpoint_interval == 0:
+                save(f"ckpt-{global_epoch:05d}.json", cursor)
+    save("ckpt-final.json", (len(plan.phases), 0))
+    return history
+
+
+# (tree seed, extra nodes, max children, max depth, K_heads, batch size,
+# sqrt decay, digits of the first phase or None for the staged plan)
+_ORACLE_CASES = [
+    (0, 70, 5, 6, None, 16, False, None),  # one head per digit
+    (1, 60, 4, 6, 3, 7, False, None),  # the last head serves digits >= 2
+    (2, 60, 4, 6, 1, 9, True, None),  # the root serves every digit
+    (3, 60, 4, 6, 2, 64, False, None),  # the dense head serves digits >= 1
+    (4, 80, 6, 5, None, 13, False, (0, 3)),  # trained arrays not adjacent
+    (5, 90, 5, 6, 4, 11, True, (4, 1, 0)),  # digits out of order
+]
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_adam_trainer_matches_per_array_reference(tmp_path, case):
+    seed, size, branching, depth, k_heads, batch_size, sqrt_decay, digits = case
+    tree = irregular_tree(seed, size, branching, depth)
+    ds = encode_tree(tree)
+    K = ds.codec.K
+    assert K >= 5 and len(ds.leaves) % batch_size != 0
+    cfg = AdamConfig(sqrt_decay=sqrt_decay)
+    if digits is None:
+        plan = TrainPlan(uniform_plan(K, epochs=3, lr=0.03).phases, checkpoint_interval=2)
+    else:
+        phases = (TrainPhase("a", 3, 0.03, digits), TrainPhase("b", 2, 0.015, tuple(range(K))))
+        plan = TrainPlan(phases, checkpoint_interval=2)
+    reference = new_model(ModelConfig(ds.codec, k_heads), seed=seed)
+    want = _reference_adam_train(
+        reference, ds, cfg, plan, batch_size, seed, tree, str(tmp_path / "ref")
+    )
+    model = new_model(ModelConfig(ds.codec, k_heads), seed=seed)
+    got = train(
+        model, ds, cfg, plan, batch_size=batch_size, seed=seed, tree=tree,
+        checkpoint_dir=str(tmp_path / "new"),
+    )
+    assert [{k: v for k, v in h.items() if k != "wall_ms"} for h in got.history] == want
+    names = sorted(p.name for p in (tmp_path / "ref").iterdir())
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == names
+    final = _fingerprint(str(tmp_path / "ref" / "ckpt-final.json"))
+    for name in names:
+        assert _fingerprint(str(tmp_path / "new" / name)) == _fingerprint(
+            str(tmp_path / "ref" / name)
+        ), name
+    # resuming from every interval checkpoint, mid-phase ones included,
+    # ends on the reference's final checkpoint
+    for name in names[:-1]:
+        doc = load_checkpoint(str(tmp_path / "ref" / name))
+        out = tmp_path / f"resume-{name}"
+        train(
+            load_model(doc), ds, cfg, plan, batch_size=batch_size, seed=seed, tree=tree,
+            checkpoint_dir=str(out), resume=doc,
+        )
+        assert _fingerprint(str(out / "ckpt-final.json")) == final, name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("k_heads", [None, 3, 2, 1])
+def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
+    # with one batch holding every record, the step gradient of the root,
+    # dense and table entries is the gradient of dataset_loss; anchors are
+    # left out: their update is not the gradient of the logged loss, the
+    # module docstring's defect (b)
+    ds = encode_tree(irregular_tree(seed, 40, 4, 5))
+    K = ds.codec.K
+    model = new_model(ModelConfig(ds.codec, k_heads), seed=seed)
+    rng = np.random.default_rng(seed)
+    for arr in _arrays(model).values():
+        arr += rng.normal(0.0, 1.5, size=arr.shape)
+    counts = ds.pair_counts()
+    D = ds.digits_matrix()
+    n = D.shape[0]
+    for digits in (tuple(range(K)), (0, 3), tuple(range(2, K))):
+        served = _served_arrays(model, digits)
+        flat = _Flat(served)
+        perms = {k: rng.permutation(n) for k in digits}
+        batches = _batches(model, flat, D, _record_weights(D, counts, model.p), perms)
+        grad = _accumulate_grads(flat.x, batches, 0, n)
+        h = 1e-6
+        for name, arr in served.items():
+            if name.endswith(".anchor"):
+                continue
+            if name.startswith("deep"):
+                # away from ties: a step of h must not reorder a row's top three
+                top3 = -np.sort(-arr, axis=1)[:, :3]
+                assert np.all(np.diff(-top3, axis=1) > 1e3 * h)
+            for at in np.ndindex(arr.shape):
+                x0 = arr[at]
+                arr[at] = x0 + h
+                up = dataset_loss(model, counts, digits)
+                arr[at] = x0 - h
+                down = dataset_loss(model, counts, digits)
+                arr[at] = x0
+                fd = (up - down) / (2 * h)
+                assert flat.view(grad, name)[at] == pytest.approx(fd, rel=1e-5, abs=1e-8), (
+                    name, at, digits,
+                )

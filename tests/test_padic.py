@@ -43,6 +43,19 @@ def test_is_prime_matches_sieve():
     assert not is_prime(-7)
 
 
+def test_is_prime_miller_rabin_edges():
+    # the least strong pseudoprime to the bases 2..37, and 2^64 + 13
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(399165290221 * 798330580441)
+    assert is_prime(18446744073709551629)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(2**61 + 1)
+    with pytest.raises(ValueError, match="3.3e24"):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError):
+        CodecParams(2**89 - 1, 1)
+
+
 def test_next_prime_geq():
     assert next_prime_geq(2) == 2
     assert next_prime_geq(3) == 3
