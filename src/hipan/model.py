@@ -28,6 +28,7 @@ from __future__ import annotations
 import base64
 import binascii
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -136,15 +137,33 @@ def parameter_count(config: ModelConfig) -> int:
     return p + p * p + (kh - 1) * (p * p + p)
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory; infinite where the platform does not say."""
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+    return have if have > 0 else math.inf
+
+
 def new_model(config: ModelConfig, seed: int = 0) -> HiPaNModel:
     """Fresh model with latents drawn i.i.d. uniform over {0, ..., p-1}.
 
     Integer-valued floats keep the +-1 move lattice exact and make the
     initial rounded digits uniform over the alphabet.  Draw order: root
     scores, dense table, then each deep head's table then anchor.
+
+    Raises:
+        ValueError: the latents would not fit in physical memory.
     """
-    rng = child_rng(seed, "init")
     p = config.codec.p
+    need, have = parameter_count(config) * 8, _physical_memory()
+    if need > have:
+        raise ValueError(
+            f"a model with p={p} needs {need} bytes of float64 latents, "
+            f"more than the {have} bytes of physical memory"
+        )
+    rng = child_rng(seed, "init")
 
     def draw(shape: tuple[int, ...]) -> np.ndarray:
         return rng.integers(0, p, size=shape).astype(np.float64)

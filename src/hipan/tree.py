@@ -8,16 +8,22 @@ sequence of sibling indices along its path, zero-padded to the maximum
 leaf depth K.  With a prime alphabet p >= B_max + 1 (B_max = largest
 child count) every leaf receives a distinct code and the code ultrametric
 equals p**-(LCA depth) on leaf pairs.
+
+Both sources of a hierarchy feed one builder that works in whole-array
+passes, one per tree level, and a TreeSpec keeps its per-node fields as
+read-only int64 arrays.  The dataset interchange form is read the same
+way: plain ASCII codes are parsed as bytes straight into the (N, K)
+digit matrix.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from typing import NamedTuple, Sequence, TextIO
+from itertools import repeat
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -41,7 +47,7 @@ class InvalidPaddingError(DecodeError):
     """Digits past the leaf are not all zero."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeSpec:
     """Immutable rooted hierarchy with deterministic child order.
 
@@ -49,26 +55,44 @@ class TreeSpec:
     children in lexicographic name order; the root is id 0 and `leaves`
     lists leaf ids in that same sorted-path order.
 
+    The per-node fields, `leaves` and the child table are read-only int64
+    arrays; `children` (tuples of child ids) and `name_to_id` (a dict)
+    are views built from them on first use.
+
     Attributes:
         names: node id -> name.
         parent: node id -> parent id (-1 for the root).
-        children: node id -> child ids, sorted lexicographically by name.
-        sibling_index: node id -> position among its parent's children.
         depth: node id -> edge distance from the root.
+        sibling_index: node id -> position among its parent's children.
         leaves: leaf ids in sorted-path order.
+        child_table: (start, kids): node i's children are
+            kids[start[i]:start[i + 1]], in sibling order.
         max_depth: K, the deepest leaf depth (>= 1).
         b_max: largest child count of any node.
     """
 
     names: tuple[str, ...]
-    parent: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
-    sibling_index: tuple[int, ...]
-    depth: tuple[int, ...]
-    leaves: tuple[int, ...]
+    parent: np.ndarray
+    depth: np.ndarray
+    sibling_index: np.ndarray
+    leaves: np.ndarray
+    child_table: tuple[np.ndarray, np.ndarray]
     max_depth: int
     b_max: int
-    name_to_id: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for arr in self._arrays():
+            arr.flags.writeable = False
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.parent, self.depth, self.sibling_index, self.leaves, *self.child_table)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TreeSpec):
+            return NotImplemented
+        return self.names == other.names and all(
+            np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays())
+        )
 
     @property
     def root(self) -> int:
@@ -81,6 +105,18 @@ class TreeSpec:
     @property
     def n_leaves(self) -> int:
         return len(self.leaves)
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """node id -> child ids, in sibling order."""
+        start, kids = self.child_table
+        bounds, flat = start.tolist(), kids.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def name_to_id(self) -> dict[str, int]:
+        """name -> node id."""
+        return dict(zip(self.names, range(self.n_nodes)))
 
     def id_of(self, name: str) -> int:
         try:
@@ -96,102 +132,99 @@ class TreeSpec:
             raise KeyError(f"unknown node name {exc.args[0]!r}") from None
 
     def is_leaf(self, node: int) -> bool:
-        return not self.children[node]
+        start = self.child_table[0]
+        return bool(start[node] == start[node + 1])
 
     def leaf_names(self) -> list[str]:
-        return [self.names[leaf] for leaf in self.leaves]
-
-    @cached_property
-    def child_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Child lists as flat arrays (start, kids): node i's children are
-        kids[start[i]:start[i + 1]], in sibling order."""
-        start = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum([len(c) for c in self.children], out=start[1:])
-        kids = np.fromiter(chain.from_iterable(self.children), np.int64, int(start[-1]))
-        return start, kids
+        return list(map(self.names.__getitem__, self.leaves.tolist()))
 
 
-def _build_tree(root_name: str, parent_of: dict[str, str], line_of: dict[str, int]) -> TreeSpec:
-    """Assemble a TreeSpec from name-level structure.
+def _build_tree(
+    names: list[str], parent: np.ndarray, line_of: Callable[[int], int]
+) -> TreeSpec:
+    """Assemble a TreeSpec in whole-array passes.
 
-    parent_of maps every non-root name to its parent name; line_of maps
-    names to 1-based source lines for error reporting (synthetic callers
-    pass zeros).
+    names are distinct; parent[i] is the index in `names` of node i's
+    parent, -1 for the one root; line_of(i) is the source line of node i
+    for error messages.  Each pass below runs once per tree level, never
+    once per node.
     """
-    all_names = [root_name] + list(parent_of.keys())
-    kids_by_name: dict[str, list[str]] = {name: [] for name in all_names}
-    for child_name, parent_name in parent_of.items():
-        if parent_name not in kids_by_name:
-            raise TreeParseError(
-                f"line {line_of.get(child_name, 0)}: parent {parent_name!r} of "
-                f"{child_name!r} is never defined"
-            )
-        kids_by_name[parent_name].append(child_name)
-    for name in kids_by_name:
-        kids_by_name[name].sort()
+    n = len(names)
+    by_name = np.array(sorted(range(n), key=names.__getitem__), dtype=np.int64)
+    # Edges grouped by parent, each group in name order; the root (parent
+    # -1) sorts first and is not a child.
+    kids = by_name[np.argsort(parent[by_name], kind="stable")][1:]
+    count = np.bincount(parent[kids], minlength=n)
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(count, out=start[1:])
+    sibling = np.zeros(n, dtype=np.int64)
+    sibling[kids] = np.arange(n - 1) - start[parent[kids]]
 
-    # Preorder walk; anything left unvisited sits on a cycle, since every
-    # node has exactly one defining parent edge.
-    order: list[str] = []
-    stack = [root_name]
-    while stack:
-        name = stack.pop()
-        order.append(name)
-        stack.extend(reversed(kids_by_name[name]))
-    if len(order) != len(all_names):
-        visited = set(order)
-        stray = next(name for name in parent_of if name not in visited)
+    # Breadth-first levels over the child table; a node no level reaches
+    # sits on a parent cycle, since every node has exactly one parent.
+    depth = np.full(n, -1, dtype=np.int64)
+    levels = []
+    level = np.flatnonzero(parent < 0)
+    while level.size:
+        depth[level] = len(levels)
+        levels.append(level)
+        width = count[level]
+        first = np.cumsum(width) - width
+        level = kids[np.repeat(start[level] - first, width) + np.arange(width.sum())]
+    if (depth < 0).any():
+        stray = int(np.argmax(depth < 0))
         raise TreeParseError(
-            f"line {line_of.get(stray, 0)}: node {stray!r} is unreachable from "
+            f"line {line_of(stray)}: node {names[stray]!r} is unreachable from "
             f"the root (parent cycle)"
         )
-
-    ids = {name: i for i, name in enumerate(order)}
-    n = len(order)
-    parents = [-1] * n
-    depths = [0] * n
-    sibling = [0] * n
-    children: list[tuple[int, ...]] = [()] * n
-    for name in order:
-        i = ids[name]
-        kid_ids = tuple(ids[k] for k in kids_by_name[name])
-        children[i] = kid_ids
-        for j, kid in enumerate(kid_ids):
-            parents[kid] = i
-            sibling[kid] = j
-            depths[kid] = depths[i] + 1
-
-    leaves = tuple(i for i in range(n) if not children[i])
-    max_depth = max(depths[leaf] for leaf in leaves)
-    if max_depth == 0:
+    if len(levels) == 1:
         raise TreeParseError("hierarchy has only a root: no digits to encode")
-    b_max = max(len(c) for c in children)
+
+    # Preorder id: the parent's id + 1 + the sizes of the earlier siblings'
+    # subtrees, with subtree sizes summed bottom-up.
+    size = np.ones(n, dtype=np.int64)
+    for level in reversed(levels[1:]):
+        np.add.at(size, parent[level], size[level])
+    before = np.cumsum(size[kids]) - size[kids]
+    offset = np.zeros(n, dtype=np.int64)
+    offset[kids] = before - before[start[parent[kids]]]
+    pre = np.zeros(n, dtype=np.int64)
+    for level in levels[1:]:
+        pre[level] = pre[parent[level]] + 1 + offset[level]
+
+    node = np.empty(n, dtype=np.int64)
+    node[pre] = np.arange(n)
+    out_parent = pre[parent[node]]
+    out_parent[0] = -1
+    out_sibling = sibling[node]
+    out_count = count[node]
+    out_start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(out_count, out=out_start[1:])
+    out_kids = np.empty(n - 1, dtype=np.int64)
+    out_kids[out_start[out_parent[1:]] + out_sibling[1:]] = np.arange(1, n)
     return TreeSpec(
-        names=tuple(order),
-        parent=tuple(parents),
-        children=tuple(children),
-        sibling_index=tuple(sibling),
-        depth=tuple(depths),
-        leaves=leaves,
-        max_depth=max_depth,
-        b_max=b_max,
-        name_to_id=ids,
+        names=tuple(map(names.__getitem__, node.tolist())),
+        parent=out_parent,
+        depth=depth[node],
+        sibling_index=out_sibling,
+        leaves=np.flatnonzero(out_count == 0),
+        child_table=(out_start, out_kids),
+        max_depth=len(levels) - 1,
+        b_max=int(out_count.max()),
     )
 
 
-def loads_tree(text: str) -> TreeSpec:
-    """Parse a hierarchy from edge-list text.
-
-    Format: one "child<TAB>parent" pair per line; the root declares itself
-    as "name<TAB>-"; blank lines and lines starting with "#" are ignored.
+def _edge_line_numbers(text: str) -> list[int]:
+    """1-based numbers of the edge lines of a text, checked one line at a
+    time in file order.
 
     Raises:
-        TreeParseError: duplicate child, multiple roots, missing root,
-            undefined parent, parent cycle, or a root-only hierarchy.
+        TreeParseError: at the first line with a wrong tab count, an empty
+            name, an already defined child or a second root.
     """
     root_name: str | None = None
-    parent_of: dict[str, str] = {}
-    line_of: dict[str, int] = {}
+    defined: set[str] = set()
+    numbers = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -204,7 +237,7 @@ def loads_tree(text: str) -> TreeSpec:
         child_name, parent_name = parts[0].strip(), parts[1].strip()
         if not child_name or not parent_name:
             raise TreeParseError(f"line {lineno}: empty node name in {raw!r}")
-        if child_name in line_of or child_name == root_name:
+        if child_name in defined:
             raise TreeParseError(
                 f"line {lineno}: duplicate definition of {child_name!r}"
             )
@@ -215,13 +248,55 @@ def loads_tree(text: str) -> TreeSpec:
                     f"(root {root_name!r} already declared)"
                 )
             root_name = child_name
-            line_of[child_name] = lineno
-        else:
-            parent_of[child_name] = parent_name
-            line_of[child_name] = lineno
-    if root_name is None:
+        defined.add(child_name)
+        numbers.append(lineno)
+    return numbers
+
+
+def loads_tree(text: str) -> TreeSpec:
+    """Parse a hierarchy from edge-list text.
+
+    Format: one "child<TAB>parent" pair per line; the root declares itself
+    as "name<TAB>-"; blank lines and lines starting with "#" are ignored.
+    All lines are split and checked at once; only a text that fails
+    those checks is walked line by line, to name its first bad line.
+
+    Raises:
+        TreeParseError: duplicate child, multiple roots, missing root,
+            undefined parent, parent cycle, or a root-only hierarchy.
+    """
+    raws = list(filter(str.strip, text.splitlines()))
+    if "#" in text:
+        raws = [raw for raw in raws if not raw.lstrip().startswith("#")]
+    blob = "\n".join(raws)
+    # one tab per line: the separators run tab, newline, tab, ..., tab
+    seps = np.frombuffer(blob.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    seps = seps[(seps == ord("\t")) | (seps == ord("\n"))]
+    one_tab = seps.size == 2 * len(raws) - 1 and (seps[::2] == ord("\t")).all()
+    fields = list(map(str.strip, blob.replace("\n", "\t").split("\t")))
+    names, parents = fields[0::2], fields[1::2]
+    index_of = dict(zip(names, range(len(names))))
+    if (
+        not one_tab
+        or "" in fields
+        or len(index_of) < len(names)
+        or parents.count("-") > 1
+    ):
+        _edge_line_numbers(text)  # raises at the first bad line
+    if "-" not in parents:
         raise TreeParseError("no root line ('name<TAB>-') found")
-    return _build_tree(root_name, parent_of, line_of)
+    root = parents.index("-")
+    parent = np.fromiter(map(index_of.get, parents, repeat(-1)), np.int64, len(names))
+    parent[root] = -1
+    orphan = np.flatnonzero(parent < 0)
+    orphan = orphan[orphan != root]
+    if orphan.size:
+        k = int(orphan[0])
+        raise TreeParseError(
+            f"line {_edge_line_numbers(text)[k]}: parent {parents[k]!r} of "
+            f"{names[k]!r} is never defined"
+        )
+    return _build_tree(names, parent, lambda k: _edge_line_numbers(text)[k])
 
 
 def load_tree(source: str | TextIO) -> TreeSpec:
@@ -234,10 +309,10 @@ def load_tree(source: str | TextIO) -> TreeSpec:
 
 def dump_tree(tree: TreeSpec) -> str:
     """Edge-list text that round-trips through loads_tree."""
-    lines = [f"{tree.names[tree.root]}\t-"]
-    for node in range(1, tree.n_nodes):
-        lines.append(f"{tree.names[node]}\t{tree.names[tree.parent[node]]}")
-    return "\n".join(lines) + "\n"
+    names = tree.names
+    parent_names = map(names.__getitem__, tree.parent[1:].tolist())
+    edges = map("\t".join, zip(names[1:], parent_names))
+    return "\n".join([f"{names[tree.root]}\t-", *edges]) + "\n"
 
 
 def gen_synthetic(kind: str, branching: int, depth: int, seed: int = 0) -> TreeSpec:
@@ -264,21 +339,21 @@ def gen_synthetic(kind: str, branching: int, depth: int, seed: int = 0) -> TreeS
 
     rng = child_rng(seed, "tree-gen") if kind == "random" else None
     pad = len(str(branching - 1)) if branching > 1 else 1
-    parent_of: dict[str, str] = {}
-    level = ["n"]
+    names, parent = ["n"], [-1]
+    level = [0]
     for _ in range(depth):
-        next_level: list[str] = []
-        for name in level:
+        next_level: list[int] = []
+        for node in level:
             if rng is None:
                 count = branching
             else:
                 count = int(rng.integers(1, branching + 1))
-            for j in range(count):
-                kid = f"{name}.{j:0{pad}d}"
-                parent_of[kid] = name
-                next_level.append(kid)
+            stem = names[node]
+            next_level.extend(range(len(names), len(names) + count))
+            names.extend(f"{stem}.{j:0{pad}d}" for j in range(count))
+            parent.extend([node] * count)
         level = next_level
-    return _build_tree("n", parent_of, {})
+    return _build_tree(names, np.array(parent, dtype=np.int64), lambda k: 0)
 
 
 def select_prime(tree: TreeSpec) -> int:
@@ -321,8 +396,8 @@ def encode_leaf(tree: TreeSpec, leaf: int | str, codec: CodecParams) -> PadicCod
     digits = [0] * codec.K
     cursor = node
     while cursor != tree.root:
-        digits[tree.depth[cursor] - 1] = tree.sibling_index[cursor]
-        cursor = tree.parent[cursor]
+        digits[tree.depth[cursor] - 1] = int(tree.sibling_index[cursor])
+        cursor = int(tree.parent[cursor])
     return PadicCode(tuple(digits), codec)
 
 
@@ -373,7 +448,7 @@ def lca_depth(tree: TreeSpec, a: int | str, b: int | str) -> int:
     while x != y:
         x = tree.parent[x]
         y = tree.parent[y]
-    return tree.depth[x]
+    return int(tree.depth[x])
 
 
 def lca_depths(tree: TreeSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -383,8 +458,7 @@ def lca_depths(tree: TreeSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     level per step (the deeper node, or both at equal depth), so the
     loop runs at most twice the hierarchy depth.
     """
-    parent = np.asarray(tree.parent, dtype=np.int64)
-    depth = np.asarray(tree.depth, dtype=np.int64)
+    parent, depth = tree.parent, tree.depth
     x = np.asarray(a, dtype=np.int64)
     y = np.asarray(b, dtype=np.int64)
     while True:
@@ -397,14 +471,15 @@ def lca_depths(tree: TreeSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def branching_stats(tree: TreeSpec) -> dict[int, dict[int, int]]:
-    """Histogram {depth: {child count: number of internal nodes}}."""
+    """Histogram {depth: {child count: number of internal nodes}}, keys
+    ascending."""
+    count = np.diff(tree.child_table[0])
+    inner = count > 0
+    keys, n = np.unique(tree.depth[inner] * (tree.b_max + 1) + count[inner], return_counts=True)
     stats: dict[int, dict[int, int]] = {}
-    for node in range(tree.n_nodes):
-        count = len(tree.children[node])
-        if count == 0:
-            continue
-        level = stats.setdefault(tree.depth[node], {})
-        level[count] = level.get(count, 0) + 1
+    for key, m in zip(keys.tolist(), n.tolist()):
+        depth, width = divmod(key, tree.b_max + 1)
+        stats.setdefault(depth, {})[width] = m
     return stats
 
 
@@ -545,10 +620,7 @@ def encode_tree(tree: TreeSpec, codec: CodecParams | None = None) -> EncodedData
     """
     cp = make_codec(tree) if codec is None else codec
     _check_codec(tree, cp)
-    parent = np.asarray(tree.parent, dtype=np.int64)
-    depth = np.asarray(tree.depth, dtype=np.int64)
-    sibling = np.asarray(tree.sibling_index, dtype=np.int64)
-    leaves = np.asarray(tree.leaves, dtype=np.int64)
+    parent, depth, sibling, leaves = tree.parent, tree.depth, tree.sibling_index, tree.leaves
     digits = np.zeros((leaves.size, cp.K), dtype=np.int64)
     rows, node = np.arange(leaves.size), leaves
     while node.size:
@@ -627,9 +699,42 @@ def _is_code(text: str, K: int) -> bool:
     return len(fields) == K
 
 
+def _parse_ascii_codes(codes: list[str], K: int) -> np.ndarray | None:
+    """(N, K) digits of code texts read as bytes, or None unless every
+    code is exactly K hyphen-separated tokens of 1 to 18 ASCII digits
+    (18 digits always fit int64)."""
+    text = "\n".join(codes)
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    sep = np.flatnonzero((buf == ord("-")) | (buf == ord("\n")))
+    n_digits = np.count_nonzero(buf - ord("0") < 10)
+    if sep.size != len(codes) * K - 1 or sep.size + n_digits != buf.size:
+        return None
+    # a newline ends every K-th token and a hyphen every other one
+    kind = np.append(buf[sep], ord("\n")).reshape(-1, K)
+    if not ((kind[:, -1] == ord("\n")).all() and (kind[:, :-1] == ord("-")).all()):
+        return None
+    bounds = np.concatenate(([-1], sep, [buf.size]))
+    width, last = np.diff(bounds) - 1, bounds[1:] - 1
+    if width.min() < 1 or width.max() > 18:
+        return None
+    # units digit of every token, then each higher place for the tokens
+    # that reach it
+    value = (buf[last] - ord("0")).astype(np.int64)
+    for place in range(1, width.max()):
+        live = np.flatnonzero(width > place)
+        value[live] += (buf[last[live] - place] - ord("0")) * np.int64(10) ** place
+    return value.reshape(-1, K)
+
+
 def _parse_codes(codes: list[str], leaves: list[str], K: int) -> np.ndarray:
     """(N, K) digits of code texts, parsed in one pass over their join;
     digit ranges are left to EncodedDataset.
+
+    Plain ASCII codes are read as bytes; any other text (a sign, a
+    non-ASCII digit, a token of 19 or more digits) is read token by token
+    with int().
 
     Raises:
         ValueError: naming the first code that is not exactly K
@@ -637,6 +742,9 @@ def _parse_codes(codes: list[str], leaves: list[str], K: int) -> np.ndarray:
     """
     if not codes:
         return np.zeros((0, K), dtype=np.int64)
+    digits = _parse_ascii_codes(codes, K)
+    if digits is not None:
+        return digits
     hyphens = np.fromiter(map(str.count, codes, repeat("-")), np.int64, len(codes))
     if (hyphens == K - 1).all():
         parts = "-".join(codes).split("-")
@@ -649,6 +757,15 @@ def _parse_codes(codes: list[str], leaves: list[str], K: int) -> np.ndarray:
         f"malformed dataset JSON: record {leaf!r} has code {text!r}, "
         f"not {K} hyphen-separated digits"
     )
+
+
+def _rows_ascend(digits: np.ndarray) -> bool:
+    """Whether each row of a matrix sorts after the one before it, as
+    the rows of a dataset in sorted-path order do."""
+    after, before = digits[1:], digits[:-1]
+    col = (after != before).argmax(axis=1)
+    rows = np.arange(col.size)
+    return bool((after[rows, col] > before[rows, col]).all())
 
 
 def dataset_from_json(text: str) -> EncodedDataset:
@@ -694,7 +811,7 @@ def dataset_from_json(text: str) -> EncodedDataset:
     if len(set(leaves)) < len(leaves):
         raise ValueError("malformed dataset JSON: duplicate leaf")
     if len(digits) > 1:
-        ordered = digits[np.lexsort(digits.T[::-1])]
+        ordered = digits if _rows_ascend(digits) else digits[np.lexsort(digits.T[::-1])]
         if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise ValueError("malformed dataset JSON: duplicate code")
     return ds

@@ -251,6 +251,18 @@ def test_inspect_huge_alphabet_finishes(capsys, tmp_path, p):
     assert "Traceback" not in err
 
 
+def test_train_model_past_physical_memory_exit_2(capsys, tmp_path):
+    # p = 1000003 with two heads asks for about 16 TB of latents
+    path = tmp_path / "wide.json"
+    records = [{"leaf": "a", "code": "0-0", "depth": 1}, {"leaf": "b", "code": "1-0", "depth": 1}]
+    path.write_text(json.dumps({"codec": {"p": 1000003, "K": 2}, "records": records}))
+    ckdir = str(tmp_path / "ck")
+    rc, _, err = run(capsys, ["train", "--dataset", str(path), "--checkpoint-dir", ckdir])
+    assert rc == 2
+    assert "p=1000003" in err and "bytes" in err
+    assert "Traceback" not in err
+
+
 def test_inspect_prefix_with_tree(capsys, toy_files):
     tree_path, ds_path = toy_files
     rc, out, _ = run(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hipan.tree as _tree
 from hipan import (
     CodecParams,
     EncodedDataset,
@@ -39,13 +40,13 @@ def test_toy_structure(toy_tree):
     t = toy_tree
     # preorder with lexicographic children: root, animal, cat, dog, plant, fern
     assert t.names == ("root", "animal", "cat", "dog", "plant", "fern")
-    assert t.parent == (-1, 0, 1, 1, 0, 4)
+    assert t.parent.tolist() == [-1, 0, 1, 1, 0, 4]
     assert t.children[0] == (1, 4)
     assert t.children[1] == (2, 3)
     assert t.children[4] == (5,)
-    assert t.sibling_index == (0, 0, 0, 1, 1, 0)
-    assert t.depth == (0, 1, 2, 2, 1, 2)
-    assert t.leaves == (2, 3, 5)
+    assert t.sibling_index.tolist() == [0, 0, 0, 1, 1, 0]
+    assert t.depth.tolist() == [0, 1, 2, 2, 1, 2]
+    assert t.leaves.tolist() == [2, 3, 5]
     assert t.max_depth == 2
     assert t.b_max == 2
     assert t.n_nodes == 6
@@ -76,6 +77,7 @@ def test_parse_strips_padding_spaces():
         ("root\t-\ncat\troot\textra\n", "line 2"),
         ("root\t-\ncat\troot\ncat\troot\n", "duplicate"),
         ("root\t-\nother\t-\n", "second root"),
+        ("root\t-\n-\troot\nother\t-\n", "second root"),  # a node named "-"
         ("cat\tanimal\n", "no root"),
         ("root\t-\n\troot\n", "empty node name"),
         ("root\t-\ncat\tanimal\n", "never defined"),
@@ -491,3 +493,222 @@ def test_dataset_json_codes_parse_as_int_does():
     }
     ds = dataset_from_json(json.dumps(doc))
     assert ds.digits.tolist() == [[7, 1], [2, 3], [10, 4]]
+
+
+# --- Oracles: the record-at-a-time parser and code reader that the array
+# versions replaced, kept here as references. ---
+
+
+def _reference_loads_tree(text):
+    """Line-by-line edge-list parser with a dict/stack tree walk; returns
+    the fields of a TreeSpec as tuples."""
+    root_name = None
+    parent_of, line_of = {}, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = raw.split("\t")
+        if len(parts) != 2:
+            raise TreeParseError(f"line {lineno}: expected 'child<TAB>parent', got {raw!r}")
+        child_name, parent_name = parts[0].strip(), parts[1].strip()
+        if not child_name or not parent_name:
+            raise TreeParseError(f"line {lineno}: empty node name in {raw!r}")
+        if child_name in line_of or child_name == root_name:
+            raise TreeParseError(f"line {lineno}: duplicate definition of {child_name!r}")
+        if parent_name == "-":
+            if root_name is not None:
+                raise TreeParseError(
+                    f"line {lineno}: second root {child_name!r} "
+                    f"(root {root_name!r} already declared)"
+                )
+            root_name = child_name
+        else:
+            parent_of[child_name] = parent_name
+        line_of[child_name] = lineno
+    if root_name is None:
+        raise TreeParseError("no root line ('name<TAB>-') found")
+
+    kids_by_name = {name: [] for name in [root_name, *parent_of]}
+    for child_name, parent_name in parent_of.items():
+        if parent_name not in kids_by_name:
+            raise TreeParseError(
+                f"line {line_of[child_name]}: parent {parent_name!r} of "
+                f"{child_name!r} is never defined"
+            )
+        kids_by_name[parent_name].append(child_name)
+    for kids in kids_by_name.values():
+        kids.sort()
+    order, stack = [], [root_name]
+    while stack:
+        name = stack.pop()
+        order.append(name)
+        stack.extend(reversed(kids_by_name[name]))
+    if len(order) != len(kids_by_name):
+        visited = set(order)
+        stray = next(name for name in parent_of if name not in visited)
+        raise TreeParseError(
+            f"line {line_of[stray]}: node {stray!r} is unreachable from "
+            f"the root (parent cycle)"
+        )
+    ids = {name: i for i, name in enumerate(order)}
+    n = len(order)
+    parents, depths, sibling, children = [-1] * n, [0] * n, [0] * n, [()] * n
+    for name in order:
+        i = ids[name]
+        children[i] = tuple(ids[k] for k in kids_by_name[name])
+        for j, kid in enumerate(children[i]):
+            parents[kid], sibling[kid], depths[kid] = i, j, depths[i] + 1
+    leaves = tuple(i for i in range(n) if not children[i])
+    max_depth = max(depths[leaf] for leaf in leaves)
+    if max_depth == 0:
+        raise TreeParseError("hierarchy has only a root: no digits to encode")
+    return (
+        tuple(order), tuple(parents), tuple(children), tuple(sibling), tuple(depths),
+        leaves, max_depth, max(len(c) for c in children),
+    )
+
+
+def _fields(tree):
+    return (
+        tree.names, tuple(tree.parent.tolist()), tree.children,
+        tuple(tree.sibling_index.tolist()), tuple(tree.depth.tolist()),
+        tuple(tree.leaves.tolist()), tree.max_depth, tree.b_max,
+    )
+
+
+def _outcome(parse, text):
+    """A parse's result, or the message of the TreeParseError it raised."""
+    try:
+        return parse(text)
+    except TreeParseError as exc:
+        return f"TreeParseError: {exc}"
+
+
+# Names differ in case, by a suffix, by quotes and by non-ASCII letters;
+# none is "-", starts with "#", holds a tab or a line break, or has
+# padding of its own.
+_NAMES = st.text("aAbBß漢é'\" .0\x00", min_size=1, max_size=4).filter(
+    lambda s: s == s.strip() and s != "-" and not s.startswith("#")
+)
+
+
+@st.composite
+def _edge_texts(draw, malformed):
+    """Edge-list texts of random trees, lines shuffled, with comments, blank
+    lines, padding and CRLF; with malformed=True, also one or two
+    breakages: a wrong tab count, an empty name, a repeated child, a
+    second root, an undefined parent, a parent cycle or no root."""
+    names = draw(st.lists(_NAMES, min_size=2, max_size=14, unique=True))
+    edges = [[names[0], "-"]] + [
+        [name, names[draw(st.integers(0, i - 1))]] for i, name in enumerate(names[1:], 1)
+    ]
+    for extra in range(draw(st.integers(1, 2)) if malformed else 0):
+        edge = edges[draw(st.integers(0, len(names) - 1))]
+        kind = draw(st.sampled_from(["tabs", "empty", "repeat", "root", *["parent"] * 3]))
+        if kind == "tabs":
+            edges.append(draw(st.sampled_from([["x"], ["a", "b", "c"], ["a", "b", ""]])))
+        elif kind == "empty":
+            edges.append(draw(st.sampled_from([["", names[0]], ["new", ""], [" ", " "]])))
+        elif kind == "repeat":
+            edges.append([edge[0], draw(st.sampled_from(names))])
+        elif kind == "root":
+            edges.append([f"root{extra}", "-"])
+        else:  # undefined, a cycle through a descendant, or the root demoted
+            edge[1] = draw(st.sampled_from([*names, "ghost"]))
+    edges = draw(st.permutations(edges))
+    pad = st.sampled_from(["", " ", "  "])
+    lines = ["\t".join(draw(pad) + part + draw(pad) for part in edge) for edge in edges]
+    for _ in range(draw(st.integers(0, 3))):
+        filler = draw(st.sampled_from(["", "   ", "# comment", "  # a\tb", "\t"]))
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_edge_texts(malformed=False))
+def test_loads_tree_matches_reference_parser(text):
+    assert _fields(loads_tree(text)) == _reference_loads_tree(text)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_edge_texts(malformed=True))
+def test_loads_tree_errors_match_reference_parser(text):
+    ours = _outcome(lambda t: _fields(loads_tree(t)), text)
+    assert ours == _outcome(_reference_loads_tree, text)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("complete", 3, 3, 0), ("complete", 1, 4, 0), ("random", 4, 4, 11), ("random", 12, 3, 5)],
+)
+def test_gen_synthetic_matches_reference_parser(args):
+    tree = gen_synthetic(*args)
+    assert _fields(tree) == _reference_loads_tree(dump_tree(tree))
+
+
+def test_reversed_edge_lists_match_reference_parser():
+    for seed in range(3):
+        text = dump_tree(irregular_tree(seed, 300, max_children=30))
+        lines = text.splitlines()
+        shuffled = "\n".join(lines[::-1]) + "\n"
+        assert _fields(loads_tree(shuffled)) == _reference_loads_tree(shuffled)
+
+
+def _reference_parse_codes(codes, leaves, K):
+    """Codes through int() one token at a time."""
+    if all(text.count("-") == K - 1 for text in codes):
+        try:
+            parts = [int(d) for text in codes for d in text.split("-")]
+            return np.array(parts, dtype=np.int64).reshape(-1, K)
+        except (ValueError, OverflowError):
+            pass
+    leaf, text = next(
+        (leaf, text) for leaf, text in zip(leaves, codes) if not _tree._is_code(text, K)
+    )
+    raise ValueError(
+        f"malformed dataset JSON: record {leaf!r} has code {text!r}, "
+        f"not {K} hyphen-separated digits"
+    )
+
+
+@pytest.mark.parametrize(
+    "codes,K,byte_path",
+    [
+        (["0-1", "1-0", "2-2"], 2, True),
+        (["007-1", "00-000"], 2, True),
+        (["999999999999999999-0"], 2, True),  # 18 digits: the largest byte token
+        (["0", "12", "408"], 1, True),
+        (["+1-2"], 2, False),
+        (["1-+2", "3-4"], 2, False),
+        (["١-٢"], 2, False),  # Arabic-Indic digits
+        (["1-٣"], 2, False),
+        (["1234567890123456789-0"], 2, False),  # 19 digits, fits int64
+        (["9999999999999999999-0"], 2, False),  # 19 digits, past int64
+        ([" 1-2"], 2, False),
+        (["1_0-2"], 2, False),
+        (["1--2"], 3, False),
+        (["-1-2"], 3, False),
+        (["1-2-"], 3, False),
+        (["1-2", ""], 2, False),
+        ([""], 1, False),
+        (["1-2-3"], 2, False),
+        (["1"], 2, False),
+        (["1-2", "3"], 2, False),
+        (["1", "2-3"], 2, False),
+        (["1-2\n3-4"], 2, False),
+        (["1-a"], 2, False),
+    ],
+)
+def test_parse_codes_matches_int_reading(codes, K, byte_path):
+    leaves = [f"r{i}" for i in range(len(codes))]
+    assert (_tree._parse_ascii_codes(codes, K) is not None) == byte_path
+    try:
+        want = _reference_parse_codes(codes, leaves, K)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _tree._parse_codes(codes, leaves, K)
+        assert str(got.value) == str(exc)
+    else:
+        got = _tree._parse_codes(codes, leaves, K)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
