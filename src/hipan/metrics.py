@@ -8,6 +8,13 @@ fit on (reconstruction accuracy, confidence calibration)?
 
 Distances between codes use the valuation metric p^-(first differing
 digit index); identical codes are at distance exactly 0.
+
+The geometry checks (rank correlation, triangles, prefix entropy, box
+counting) share one sorted index of the dataset's codes,
+`EncodedDataset.code_index`, built by the first check that reads it.
+Building it costs O(N log N), with no sort when the records already
+ascend; then each pair distance costs O(1), a few gathers whatever K
+is, and the prefix groups of every length come from one array.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 from .model import HiPaNModel, clamped_descent_matrix, reconstruct_matrix
 from .padic import PadicCode
 from .rng import child_rng
-from .tree import EncodedDataset, TreeSpec, lca_depths
+from .tree import CodeIndex, EncodedDataset, TreeSpec, lca_depths
 
 
 # --- reconstruction accuracy --------------------------------------------------
@@ -120,17 +127,14 @@ class SpearmanResult:
     degenerate: bool
 
 
-def _first_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row, the first column where digit rows a and b differ; the row
-    width where they are equal."""
-    diffs = a != b
-    return np.where(diffs.any(axis=1), diffs.argmax(axis=1), a.shape[1])
-
-
-def _pair_distances(D: np.ndarray, p: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Valuation distances between code rows i and j of a digit matrix."""
-    val = _first_difference(D[i], D[j])
-    return np.where(val < D.shape[1], np.power(float(p), -val.astype(np.float64)), 0.0)
+def _code_distances(
+    index: CodeIndex, p: int
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Valuation distances between rows i and j of an indexed digit
+    matrix: p**-v for first differing column v, 0.0 for equal codes."""
+    scale = np.power(float(p), -np.arange(index.width + 1, dtype=np.float64))
+    scale[-1] = 0.0
+    return lambda i, j: scale[index.first_difference(i, j)]
 
 
 def spearman_ultrametric(
@@ -151,11 +155,13 @@ def spearman_ultrametric(
     Degenerate inputs (every pair tied on either axis) report rho = 0
     with the degenerate flag set.  leaf_ids, the node id of each record's
     leaf, is looked up in the tree when not given.
+
+    Code distances come from the dataset's code_index: O(N log N) to
+    build on first use, then O(1) per pair.
     """
     n = dataset.n_records
     if n < 2:
         return SpearmanResult(0.0, 0, True)
-    D = dataset.digits_matrix()
     total = n * (n - 1) // 2
     if total <= max_pairs:
         i, j = np.triu_indices(n, k=1)
@@ -166,7 +172,7 @@ def spearman_ultrametric(
         i, j = draws[:, 0], draws[:, 1]
     ids = tree.ids_of(dataset.leaves) if leaf_ids is None else leaf_ids
     depths = lca_depths(tree, ids[i], ids[j]).astype(np.float64)
-    dists = _pair_distances(D, dataset.codec.p, i, j)
+    dists = _code_distances(dataset.code_index, dataset.codec.p)(i, j)
     rx = average_ranks(depths)
     ry = average_ranks(dists)
     sx, sy = rx.std(), ry.std()
@@ -186,14 +192,21 @@ class TriangleReport:
     exhaustive: bool
 
 
+def _hook_distances(
+    D: np.ndarray, distance_fn: Callable[[np.ndarray, np.ndarray], float]
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """distance_fn over rows i and j of a digit matrix, one pair per call."""
+    return lambda i, j: np.array([distance_fn(D[x], D[y]) for x, y in zip(i, j)])
+
+
 def _triangle_engine(
-    D: np.ndarray,
-    p: int,
-    distance_fn: Callable[[np.ndarray, np.ndarray], float] | None,
+    n: int,
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
     exhaustive_limit: int,
     seed: int,
 ) -> TriangleReport:
-    n = D.shape[0]
+    """Strong-triangle check over triples of n rows, whose sides are
+    distance(rows, rows) for index arrays."""
     if n < 3:
         return TriangleReport(0, 0, True)
     total = n * (n - 1) * (n - 2) // 6
@@ -210,15 +223,7 @@ def _triangle_engine(
         )
         triples = draws[distinct][:exhaustive_limit]
     a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
-    if distance_fn is None:
-        d_ab = _pair_distances(D, p, a, b)
-        d_bc = _pair_distances(D, p, b, c)
-        d_ac = _pair_distances(D, p, a, c)
-    else:
-        d_ab = np.array([distance_fn(D[x], D[y]) for x, y in zip(a, b)])
-        d_bc = np.array([distance_fn(D[x], D[y]) for x, y in zip(b, c)])
-        d_ac = np.array([distance_fn(D[x], D[y]) for x, y in zip(a, c)])
-    sides = np.sort(np.stack([d_ab, d_bc, d_ac], axis=1), axis=1)
+    sides = np.sort(np.stack([distance(a, b), distance(b, c), distance(a, c)], axis=1), axis=1)
     violations = int((sides[:, 2] > sides[:, 1]).sum())
     return TriangleReport(len(triples), violations, exhaustive)
 
@@ -238,11 +243,14 @@ def triangle_violations(
 
     All C(n,3) triples are checked when that count is at most
     exhaustive_limit, otherwise a seeded sample of exhaustive_limit
-    triples.
+    triples.  Without a hook the sides come from the dataset's
+    code_index: O(N log N) to build on first use, then O(1) per side.
     """
-    return _triangle_engine(
-        dataset.digits_matrix(), dataset.codec.p, distance_fn, exhaustive_limit, seed
-    )
+    if distance_fn is None:
+        distance = _code_distances(dataset.code_index, dataset.codec.p)
+    else:
+        distance = _hook_distances(dataset.digits_matrix(), distance_fn)
+    return _triangle_engine(dataset.n_records, distance, exhaustive_limit, seed)
 
 
 def triangle_violation_count(
@@ -262,7 +270,11 @@ def triangle_violation_count(
     if any(c.params != codec for c in codes):
         raise ValueError("codes mix codecs")
     D = np.array([c.digits for c in codes], dtype=np.int64)
-    return _triangle_engine(D, codec.p, distance_fn, max_triples, seed).violations
+    if distance_fn is None:
+        distance = _code_distances(CodeIndex(D), codec.p)
+    else:
+        distance = _hook_distances(D, distance_fn)
+    return _triangle_engine(len(D), distance, max_triples, seed).violations
 
 
 # --- entropy profiles ---------------------------------------------------------
@@ -271,27 +283,6 @@ def triangle_violation_count(
 def _entropy_bits(counts: np.ndarray) -> float:
     probs = counts[counts > 0] / counts.sum()
     return float(-(probs * np.log2(probs)).sum())
-
-
-def _prefix_group_sizes(D: np.ndarray) -> list[np.ndarray]:
-    """For k = 1..K, how many rows of an (N, K) digit matrix share each
-    distinct k-digit prefix, in lexicographic prefix order (the order of
-    np.unique(D[:, :k], axis=0, return_counts=True)).
-
-    One lexicographic sort serves every k: adjacent sorted rows share a
-    k-prefix exactly when their first differing column is >= k, so the
-    k-prefix groups are the runs between rows whose first difference lies
-    before column k.
-    """
-    n, K = D.shape
-    if n == 0:
-        return [np.zeros(0, dtype=np.int64) for _ in range(K)]
-    S = D[np.lexsort(D.T[::-1])]
-    first_diff = _first_difference(S[1:], S[:-1])
-    return [
-        np.diff(np.concatenate(([0], np.flatnonzero(first_diff < k) + 1, [n])))
-        for k in range(1, K + 1)
-    ]
 
 
 def digit_entropy_profile(dataset: EncodedDataset) -> np.ndarray:
@@ -314,7 +305,7 @@ def prefix_entropy_profile(dataset: EncodedDataset) -> np.ndarray:
     Nondecreasing in k for any dataset: extending a prefix only refines
     the partition of the records.
     """
-    sizes = _prefix_group_sizes(dataset.digits_matrix())
+    sizes = dataset.code_index.prefix_group_sizes()
     out = np.zeros(len(sizes) + 1)
     for k, counts in enumerate(sizes, start=1):
         out[k] = _entropy_bits(counts)
@@ -345,7 +336,7 @@ class BoxCountResult:
 def box_count_dimension(dataset: EncodedDataset) -> BoxCountResult:
     K = dataset.codec.K
     p = dataset.codec.p
-    groups = _prefix_group_sizes(dataset.digits_matrix())
+    groups = dataset.code_index.prefix_group_sizes()
     counts = [1] + [len(sizes) for sizes in groups]
     n_codes = counts[K]
     points = tuple((k, counts[k]) for k in range(K + 1))
@@ -554,16 +545,12 @@ def write_distance_matrix_tsv(
     None writes all of them.
     """
     leaves = dataset.leaves if limit is None else dataset.leaves[:limit]
-    n = len(leaves)
-    D = dataset.digits_matrix()[:n]
-    p = dataset.codec.p
+    distance = _code_distances(dataset.code_index, dataset.codec.p)
+    cols = np.arange(len(leaves))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("leaf\t" + "\t".join(leaves) + "\n")
-        for i in range(n):
-            ii = np.full(n, i)
-            jj = np.arange(n)
-            row = _pair_distances(D, p, ii, jj)
-            fh.write(leaves[i] + "\t" + "\t".join(repr(float(d)) for d in row) + "\n")
+        for i, leaf in enumerate(leaves):
+            fh.write(leaf + "\t" + "\t".join(map(repr, distance(i, cols).tolist())) + "\n")
 
 
 __all__ = [

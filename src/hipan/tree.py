@@ -570,6 +570,12 @@ class EncodedDataset:
             for leaf, row, depth in zip(self.leaves, self.digits.tolist(), self.depths.tolist())
         )
 
+    @cached_property
+    def code_index(self) -> CodeIndex:
+        """The CodeIndex of the digit matrix, built on first use: the
+        diagnostics read it, ingest, training and evaluation do not."""
+        return CodeIndex(self.digits)
+
     def digits_matrix(self) -> np.ndarray:
         """(N, K) int64 matrix of record digits, row order = record order.
 
@@ -632,12 +638,22 @@ def encode_tree(tree: TreeSpec, codec: CodecParams | None = None) -> EncodedData
 
 
 def _code_texts(digits: np.ndarray) -> list[str]:
-    """Canonical hyphen-separated text of every row of a digit matrix."""
-    n, K = digits.shape
-    if n == 0:
+    """Canonical hyphen-separated text of every row of a digit matrix.
+
+    Each digit value is formatted once, in a table gathered per column;
+    the table spans 0..max digit unless that is longer than the matrix,
+    when it holds only the distinct digits.
+    """
+    if not len(digits):
         return []
-    row = "-".join(["%d"] * K)
-    return ("\n".join([row] * n) % tuple(digits.ravel().tolist())).split("\n")
+    top = int(digits.max())
+    if top < digits.size:
+        values, which = range(top + 1), digits
+    else:
+        values, which = np.unique(digits, return_inverse=True)
+        values = values.tolist()
+    table = np.array(list(map(str, values)), dtype=object)
+    return list(map("-".join, zip(*table[which.reshape(digits.shape).T].tolist())))
 
 
 def dataset_to_json(ds: EncodedDataset) -> str:
@@ -768,6 +784,77 @@ def _rows_ascend(digits: np.ndarray) -> bool:
     return bool((after[rows, col] > before[rows, col]).all())
 
 
+def _first_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, the first column where digit rows a and b differ; the row
+    width where they are equal."""
+    diffs = a != b
+    return np.where(diffs.any(axis=1), diffs.argmax(axis=1), a.shape[1])
+
+
+class CodeIndex:
+    """The rows of an (N, K) digit matrix in lexicographic order, for
+    first-difference queries on any pairs of rows.
+
+    Two sorted rows first differ at the smallest first difference of the
+    adjacent sorted rows between them, so one sort, the first differences
+    of adjacent sorted rows (`lcp`, K where two rows are equal) and a
+    sparse table of range minima over them answer any pair with two
+    gathers and one np.minimum (Bender and Farach-Colton, "The LCA
+    Problem Revisited", 2000).  Building costs O(N log N): no sort when
+    the rows already ascend, as those of every encoded or loaded
+    dataset in sorted-path order do, else one np.lexsort.
+
+    `order` lists the rows in sorted order and `rank` is its inverse.
+    The table stores, for each level l >= 1, the minima of `lcp` over
+    the windows of 2**(l-1) adjacent sorted pairs; level 0 holds K for
+    each row, the minimum over an empty window, which answers i == j.
+    Columns come back in the smallest unsigned dtype that holds K.
+    """
+
+    def __init__(self, digits: np.ndarray) -> None:
+        n, K = digits.shape
+        self.width = K
+        ascend = _rows_ascend(digits)
+        self.order = np.arange(n) if ascend else np.lexsort(digits.T[::-1])
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[self.order] = np.arange(n)
+        rows = digits if ascend else digits[self.order]
+        self.lcp = _first_difference(rows[1:], rows[:-1]).astype(np.min_scalar_type(K))
+        levels = [np.full(n, K, dtype=self.lcp.dtype), self.lcp]
+        window = 1
+        while 2 * window <= len(self.lcp):
+            levels.append(np.minimum(levels[-1][:-window], levels[-1][window:]))
+            window *= 2
+        self._table = np.concatenate(levels)
+        self._start = np.cumsum([0] + [len(t) for t in levels[:-1]])
+        self._window = np.array([0] + [1 << l for l in range(len(levels) - 1)])
+
+    def first_difference(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """First differing column of rows i and j (broadcast index arrays);
+        K where i == j or the rows are equal."""
+        ri, rj = self.rank[i], self.rank[j]
+        lo = np.minimum(ri, rj)
+        span = np.abs(ri - rj)
+        level = np.frexp(span)[1]  # bit length: 0 for an empty window
+        start = self._start[level] + lo
+        return np.minimum(
+            self._table[start], self._table[start + span - self._window[level]]
+        )
+
+    def prefix_group_sizes(self) -> list[np.ndarray]:
+        """For k = 1..K, how many rows share each distinct k-digit prefix,
+        in lexicographic prefix order: the k-prefix groups are the runs
+        of sorted rows between adjacent pairs that first differ before
+        column k."""
+        n = len(self.rank)
+        if n == 0:
+            return [np.zeros(0, dtype=np.int64) for _ in range(self.width)]
+        return [
+            np.diff(np.concatenate(([0], np.flatnonzero(self.lcp < k) + 1, [n])))
+            for k in range(1, self.width + 1)
+        ]
+
+
 def dataset_from_json(text: str) -> EncodedDataset:
     """Parse the dataset interchange form.
 
@@ -818,6 +905,7 @@ def dataset_from_json(text: str) -> EncodedDataset:
 
 
 __all__ = [
+    "CodeIndex",
     "DecodeError",
     "DigitPairs",
     "EncodedDataset",

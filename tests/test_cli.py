@@ -652,6 +652,38 @@ def test_pipeline_builds_no_code_objects(capsys, tmp_path, toy_files, monkeypatc
             assert rc == 0, err
 
 
+def test_only_diagnose_builds_the_code_index(capsys, tmp_path, toy_files, monkeypatch):
+    """ingest, dataset loads, train and eval never build a CodeIndex;
+    diagnose builds one, which serves all of its geometry checks."""
+    from hipan.tree import CodeIndex
+
+    built = []
+    build = CodeIndex.__init__
+
+    def counted(self, digits):
+        built.append(len(digits))
+        build(self, digits)
+
+    monkeypatch.setattr(CodeIndex, "__init__", counted)
+    tree_path, _ = toy_files
+    ds_path = str(tmp_path / "ingested.json")
+    rc, _, err = run(capsys, ["ingest", "--tree", tree_path, "--out", ds_path])
+    assert rc == 0, err
+    for optimizer in ("gist", "adam"):
+        _, ckdir = _train_toy(capsys, tmp_path, (tree_path, ds_path), "--optimizer", optimizer)
+        common = [
+            "--dataset", ds_path, "--tree", tree_path,
+            "--checkpoint", os.path.join(ckdir, "ckpt-final.json"),
+        ]
+        rc, _, err = run(capsys, ["eval", *common])
+        assert rc == 0, err
+        assert built == []
+        rc, _, err = run(capsys, ["diagnose", *common, "--out-dir", str(tmp_path / "diag")])
+        assert rc == 0, err
+        assert built == [3]
+        built.clear()
+
+
 def _as_v1(doc):
     """A format v2 checkpoint document rewritten in format v1, where every
     array is a list of floats."""

@@ -1,7 +1,9 @@
 """Diagnostics: accuracy, rank correlation, triangles, entropy, fractal, ECE."""
 
+import json
 import math
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -30,18 +32,110 @@ from hipan import (
     triangle_violations,
     ultrametric_distance,
 )
+from hipan import metrics, tree as tree_module
 from hipan.metrics import (
+    BoxCountResult,
+    DiagnosticsReport,
     SpearmanResult,
-    _pair_distances,
-    _prefix_group_sizes,
+    TriangleReport,
     average_ranks,
+    evaluate_digits,
     write_box_counts_tsv,
     write_distance_matrix_tsv,
     write_entropy_tsv,
     write_reliability_tsv,
 )
 from hipan.rng import child_rng
+from hipan.tree import CodeIndex, EncodedDataset
 from conftest import digits_dataset, irregular_tree
+
+
+# --- the gather engine: the diagnostics before the code index, kept as an
+# oracle.  Every pair distance gathers both digit rows; every prefix count
+# sorts the matrix again.
+
+
+def _first_difference(a, b):
+    diffs = a != b
+    return np.where(diffs.any(axis=1), diffs.argmax(axis=1), a.shape[1])
+
+
+def _pair_distances(D, p, i, j):
+    val = _first_difference(D[i], D[j])
+    return np.where(val < D.shape[1], np.power(float(p), -val.astype(np.float64)), 0.0)
+
+
+def _gather_triangles(D, p, distance_fn, exhaustive_limit, seed):
+    n = D.shape[0]
+    if n < 3:
+        return TriangleReport(0, 0, True)
+    exhaustive = n * (n - 1) * (n - 2) // 6 <= exhaustive_limit
+    if exhaustive:
+        triples = np.array(list(combinations(range(n), 3)), dtype=np.int64)
+    else:
+        draws = child_rng(seed, "triangles").integers(
+            0, n, size=(int(exhaustive_limit * 1.3) + 16, 3)
+        )
+        distinct = (
+            (draws[:, 0] != draws[:, 1])
+            & (draws[:, 0] != draws[:, 2])
+            & (draws[:, 1] != draws[:, 2])
+        )
+        triples = draws[distinct][:exhaustive_limit]
+    a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
+    if distance_fn is None:
+        sides = [_pair_distances(D, p, x, y) for x, y in ((a, b), (b, c), (a, c))]
+    else:
+        sides = [
+            np.array([distance_fn(D[u], D[v]) for u, v in zip(x, y)])
+            for x, y in ((a, b), (b, c), (a, c))
+        ]
+    sides = np.sort(np.stack(sides, axis=1), axis=1)
+    return TriangleReport(len(triples), int((sides[:, 2] > sides[:, 1]).sum()), exhaustive)
+
+
+def _gather_group_sizes(D):
+    n, K = D.shape
+    if n == 0:
+        return [np.zeros(0, dtype=np.int64) for _ in range(K)]
+    S = D[np.lexsort(D.T[::-1])]
+    first_diff = _first_difference(S[1:], S[:-1])
+    return [
+        np.diff(np.concatenate(([0], np.flatnonzero(first_diff < k) + 1, [n])))
+        for k in range(1, K + 1)
+    ]
+
+
+def _gather_box_count(D, p):
+    K = D.shape[1]
+    counts = [1] + [len(sizes) for sizes in _gather_group_sizes(D)]
+    points = tuple((k, counts[k]) for k in range(K + 1))
+    fit_ks = [k for k in range(K + 1) if 1 < counts[k] < counts[K]]
+    if len(fit_ks) < 2:
+        return BoxCountResult(float("nan"), float("nan"), points, tuple(fit_ks), False)
+    x = np.array(fit_ks, dtype=np.float64) * np.log(p)
+    y = np.log([counts[k] for k in fit_ks])
+    xm, ym = x.mean(), y.mean()
+    slope = float(((x - xm) * (y - ym)).sum() / ((x - xm) ** 2).sum())
+    resid = y - (ym + slope * (x - xm))
+    ss_tot = float(((y - ym) ** 2).sum())
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float((resid**2).sum()) / ss_tot
+    return BoxCountResult(slope, r2, points, tuple(fit_ks), True)
+
+
+def _gather_diagnose(model, dataset, tree, max_pairs, triangle_limit, seed):
+    D, p = dataset.digits_matrix(), dataset.codec.p
+    evaluation = evaluate_digits(model, D, tree, tree.ids_of(dataset.leaves))
+    prefix = [0.0] + [metrics._entropy_bits(c) for c in _gather_group_sizes(D)]
+    return DiagnosticsReport(
+        accuracy=evaluation.accuracy(),
+        spearman=_spearman_per_pair(dataset, tree, max_pairs, seed),
+        triangles=_gather_triangles(D, p, None, triangle_limit, seed),
+        digit_entropy=tuple(float(h) for h in digit_entropy_profile(dataset)),
+        prefix_entropy=tuple(prefix),
+        box_count=_gather_box_count(D, p),
+        calibration=evaluation.calibration(15),
+    )
 
 
 def _decisive_zero_model(codec):
@@ -267,12 +361,113 @@ def _digit_matrices(draw):
 @example(np.array([[2, 0, 1]], dtype=np.int64))
 @example(np.array([[1], [0], [1]], dtype=np.int64))
 def test_prefix_group_sizes_match_unique_per_prefix_length(D):
-    sizes = _prefix_group_sizes(D)
+    sizes = CodeIndex(D).prefix_group_sizes()
     assert len(sizes) == D.shape[1]
     for k, got in enumerate(sizes, start=1):
         _, want = np.unique(D[:, :k], axis=0, return_counts=True)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def _all_pairs(n):
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return i.ravel(), j.ravel()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_digit_matrices())
+@example(np.zeros((0, 2), dtype=np.int64))
+@example(np.array([[3]], dtype=np.int64))
+@example(np.array([[1, 1], [1, 1]], dtype=np.int64))
+@example(np.array([[1], [0], [1]], dtype=np.int64))
+@example(np.array([[2, 0, 1], [0, 3, 3], [0, 3, 1]], dtype=np.int64))
+def test_code_index_first_difference_matches_gathered_rows(D):
+    # rows in any order, repeated rows and every pair of a row with itself
+    index = CodeIndex(D)
+    i, j = _all_pairs(len(D))
+    got = index.first_difference(i, j)
+    assert np.array_equal(got, _first_difference(D[i], D[j]))
+    for row in range(len(D)):  # one row against all, as the TSV writer asks
+        cols = np.arange(len(D))
+        assert np.array_equal(
+            index.first_difference(row, cols), _first_difference(D[[row] * len(D)], D)
+        )
+    assert np.array_equal(D[index.order], D[np.lexsort(D.T[::-1])])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_digit_matrices())
+def test_code_index_ascending_rows_skip_the_sort(D):
+    rows = np.unique(D, axis=0)
+    assert tree_module._rows_ascend(rows)
+    fast = CodeIndex(rows)
+    with patch.object(tree_module, "_rows_ascend", lambda digits: False):
+        sorted_ = CodeIndex(rows)
+    for name in ("order", "rank", "lcp", "_table"):
+        assert np.array_equal(getattr(fast, name), getattr(sorted_, name))
+    i, j = _all_pairs(len(rows))
+    assert np.array_equal(fast.first_difference(i, j), sorted_.first_difference(i, j))
+
+
+def _shuffled(ds, seed):
+    perm = np.random.default_rng(seed).permutation(ds.n_records)
+    return EncodedDataset(
+        ds.codec, tuple(ds.leaves[k] for k in perm), ds.digits[perm], ds.depths[perm]
+    )
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    _irregular_trees(),
+    st.booleans(),
+    st.integers(1, 400),
+    st.integers(1, 3000),
+    st.integers(0, 2**32 - 1),
+)
+def test_diagnose_matches_gather_engine(tree, shuffle, max_pairs, triangle_limit, seed):
+    ds = encode_tree(tree)
+    if shuffle:
+        ds = _shuffled(ds, seed)
+    model = new_model(ModelConfig(ds.codec), seed=seed % 97)
+    got = diagnose(
+        model, ds, tree, max_pairs=max_pairs, triangle_limit=triangle_limit, seed=seed
+    )
+    want = _gather_diagnose(model, ds, tree, max_pairs, triangle_limit, seed)
+    assert json.dumps(got.as_dict()) == json.dumps(want.as_dict())
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_digit_matrices(), st.integers(1, 400), st.integers(0, 2**32 - 1))
+def test_triangle_counts_match_gather_engine(D, limit, seed):
+    # bare codes may repeat; the corrupted hook takes the per-pair path
+    euclid = lambda a, b: float(np.linalg.norm(a - b))
+    codes = [code(row, 5) for row in D.tolist()]
+    ds = digits_dataset(D, 5)
+    for hook in (None, euclid):
+        want = _gather_triangles(D, 5, hook, limit, seed)
+        assert triangle_violations(ds, hook, limit, seed) == want
+        assert triangle_violation_count(codes, limit, seed, hook) == want.violations
+
+
+def _gather_distance_tsv(path, dataset, limit=None):
+    leaves = dataset.leaves if limit is None else dataset.leaves[:limit]
+    n = len(leaves)
+    D = dataset.digits_matrix()[:n]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("leaf\t" + "\t".join(leaves) + "\n")
+        for i in range(n):
+            row = _pair_distances(D, dataset.codec.p, np.full(n, i), np.arange(n))
+            fh.write(leaves[i] + "\t" + "\t".join(repr(float(d)) for d in row) + "\n")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("limit", [None, 0, 1, 7])
+def test_distance_tsv_matches_gather_engine(tmp_path, seed, limit):
+    ds = encode_tree(irregular_tree(seed, 40))
+    for dataset in (ds, _shuffled(ds, seed)):
+        write_distance_matrix_tsv(str(tmp_path / "got.tsv"), dataset, limit)
+        _gather_distance_tsv(str(tmp_path / "want.tsv"), dataset, limit)
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
 
 def test_uniform_digits_hit_log2p_exactly():

@@ -482,6 +482,15 @@ def test_dataset_json_round_trips_digit_matrices(p, K, data):
     assert dataset_from_json(dataset_to_json(ds)) == ds
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from([2, 3, 409, 1_000_003]), st.integers(1, 5), st.data())
+def test_code_texts_format_each_row_as_code_to_text(p, K, data):
+    # large p makes the digit values outrun the matrix: the distinct-digit table
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * K), max_size=30))
+    digits = np.array(rows, dtype=np.int64).reshape(len(rows), K)
+    assert _tree._code_texts(digits) == ["-".join(map(str, row)) for row in rows]
+
+
 def test_dataset_json_codes_parse_as_int_does():
     doc = {
         "codec": {"p": 11, "K": 2},
