@@ -6,7 +6,7 @@ Builds a few base-p digit codes by hand and walks through the distance
 they induce: two codes are close when they share a long digit prefix.
 """
 
-from hipan import Ball, code, leaky_indicator, ultrametric_distance, valuation, vdp_bound
+from hipan import Ball, ball_contains, code, ultrametric_distance, valuation, vdp_bound
 
 # Three codes over the alphabet {0, 1, 2}, two digits each.  The first
 # digit is the coarsest split, the second refines it.
@@ -35,15 +35,14 @@ d_xz = ultrametric_distance(cat, fern)
 print("strong triangle holds:", d_xz <= max(d_xy, d_yz))
 
 # A ball of depth k is the set of codes sharing the first k digits;
-# membership is just "valuation at least k".  The leaky indicator maps
-# members to 1.0 and everything else to alpha, so optimizers see a
-# nonzero floor everywhere.
+# membership is just "valuation at least k", the prefix test that
+# ball_contains makes.
 mammals = Ball(cat, depth=1)
 print("ball radius:", mammals.radius)
 print("dog in the depth-1 ball around cat:", valuation(mammals.center, dog) >= mammals.depth)
 print("fern in the same ball:", valuation(mammals.center, fern) >= mammals.depth)
-print("leaky indicator for dog :", leaky_indicator(mammals, dog, alpha=0.01))
-print("leaky indicator for fern:", leaky_indicator(mammals, fern, alpha=0.01))
+print("ball_contains(mammals, dog) :", ball_contains(mammals, dog))
+print("ball_contains(mammals, fern):", ball_contains(mammals, fern))
 
 # How many distinct balls exist over all depths 0..K-1 bounds the number
 # of basis functions a model over these codes can ever need.

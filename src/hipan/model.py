@@ -8,19 +8,17 @@ per-row scalar anchor that arbitrates between the row's top two columns
 through two quadratic logits.  Depths at or beyond K_heads reuse the last
 head's weights.
 
-Two prediction paths exist and are deliberately distinct:
-
-* `predict_digits`/`predict_leaf`: the generative chain.  Digit 0 is the
-  score argmax, each later digit comes from the row selected by the digit
-  before it (or by a supplied true-prefix context).  With no context the
-  chain is input-free and constant.
-* `reconstruct_digits`/`accuracy evaluation`: per-record reconstruction.
-  The model's input is the record's own code, so each head may read the
-  input digit it is asked to reproduce; the digit is accepted when its
-  score sits within RECONSTRUCT_MARGIN of the row maximum (trained rows
-  tie their observed digits up to quantization), otherwise the head falls
-  back to its generative rule.  This is what accuracy and calibration
-  report: how much of the hierarchy the factorized tables actually store.
+One prediction path serves evaluation: per-record reconstruction
+(`reconstruct_matrix`).  The model's input is the record's own code, so
+each head may read the input digit it is asked to reproduce.  Rows chain
+on the digits actually predicted; a digit is accepted when its score sits
+within RECONSTRUCT_MARGIN of the row maximum (trained rows tie their
+observed digits up to quantization), otherwise the head falls back to its
+generative rule: the row argmax for the root and dense heads, the anchor's
+arbitration between the row's top two columns for deeper heads.
+`clamped_descent_matrix` walks the predicted digits to hierarchy leaves.
+Accuracy and calibration report this path: how much of the hierarchy the
+factorized tables actually store.
 """
 
 from __future__ import annotations
@@ -30,11 +28,11 @@ import binascii
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .padic import Ball, CodecParams, DEFAULT_LEAK, PadicCode, leaky_indicator
+from .padic import CodecParams
 from .rng import child_rng
 from .tree import EncodedDataset, TreeSpec
 
@@ -192,64 +190,11 @@ def _head_table(model: HiPaNModel, ke: int) -> np.ndarray:
     return model.deep[ke - 2].table
 
 
-def score_row(model: HiPaNModel, k: int, parent_digit: int | None) -> np.ndarray:
-    """Score vector a head exposes for digit k given the previous digit."""
-    ke = _effective_depth(model, k)
-    if ke == 0:
-        return model.root.scores
-    if parent_digit is None:
-        raise ValueError(f"digit {k} needs the previous digit for row selection")
-    return _head_table(model, ke)[parent_digit]
-
-
 def softmax_rows(rows: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax of a 2-d score array."""
     shifted = rows - rows.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def softmax(row: np.ndarray) -> np.ndarray:
-    """Temperature-1 softmax of one score vector; one-row softmax_rows."""
-    return softmax_rows(row[None, :])[0]
-
-
-def predict_digits(
-    model: HiPaNModel, context: Sequence[int] | PadicCode | None = None
-) -> tuple[list[int], list[float]]:
-    """Generative digit chain with per-digit confidence.
-
-    Args:
-        model: the digit heads.
-        context: optional true-prefix override; when given, row selection
-            for digit k uses context[k-1] instead of the chained
-            prediction (training-style conditioning).
-
-    Returns:
-        (digits, confidences): K predicted digits and the softmax mass of
-        each predicted digit within its score row.
-    """
-    ctx = list(context.digits) if isinstance(context, PadicCode) else (
-        list(context) if context is not None else None
-    )
-    digits: list[int] = []
-    confs: list[float] = []
-    for k in range(model.K):
-        if k == 0:
-            prev = None
-        elif ctx is not None:
-            prev = int(ctx[k - 1])
-        else:
-            prev = digits[k - 1]
-        row = score_row(model, k, prev)
-        ke = _effective_depth(model, k)
-        if ke <= 1:
-            d = int(np.argmax(row))
-        else:
-            d = int(_anchored_choice_rows(model, ke, np.array([prev]), row[None, :])[0])
-        digits.append(d)
-        confs.append(float(softmax(row)[d]))
-    return digits, confs
 
 
 def _top_two(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,22 +274,6 @@ def reconstruct_matrix(
     return pred, conf
 
 
-def reconstruct_digits(
-    model: HiPaNModel, x: PadicCode
-) -> tuple[list[int], list[float]]:
-    """Per-record reconstruction: can the heads reproduce this code?
-
-    Single-record form of reconstruct_matrix.
-
-    Returns:
-        (digits, confidences) as in predict_digits.
-    """
-    if x.params != model.config.codec:
-        raise ValueError(f"code codec {x.params} does not match model {model.config.codec}")
-    pred, conf = reconstruct_matrix(model, np.array([x.digits], dtype=np.int64))
-    return [int(d) for d in pred[0]], [float(c) for c in conf[0]]
-
-
 def clamped_descent_matrix(tree: TreeSpec, digits_mat: np.ndarray) -> np.ndarray:
     """Node ids of the leaves every row of a digit matrix walks to.
 
@@ -371,60 +300,6 @@ def clamped_descent_matrix(tree: TreeSpec, digits_mat: np.ndarray) -> np.ndarray
             f"{tree.names[node[short.argmax()]]!r}"
         )
     return node
-
-
-def clamped_descent(tree: TreeSpec, digits: Sequence[int]) -> int:
-    """Leaf node id one digit sequence walks to; single-row form of
-    clamped_descent_matrix (look up tree.names[id] for its name)."""
-    row = np.asarray(digits, dtype=np.int64).reshape(1, -1)
-    return int(clamped_descent_matrix(tree, row)[0])
-
-
-def predict_leaf(model: HiPaNModel, tree: TreeSpec) -> int:
-    """Leaf id reached by the generative digit chain under clamped descent."""
-    digits, _ = predict_digits(model)
-    return clamped_descent(tree, digits)
-
-
-def reconstruct_leaf(model: HiPaNModel, tree: TreeSpec, x: PadicCode) -> int:
-    """Leaf id reached by reconstructing a record's code."""
-    digits, _ = reconstruct_digits(model, x)
-    return clamped_descent(tree, digits)
-
-
-def vdp_layer_apply(
-    coeffs: Mapping[Ball, float] | Iterable[tuple[Ball, float]],
-    x: PadicCode,
-    alpha: float = DEFAULT_LEAK,
-) -> np.ndarray:
-    """Apply one indicator layer: coefficient times leaky membership.
-
-    Args:
-        coeffs: balls of one common depth with their coefficients; a dict
-            iterates in insertion order.
-        x: input code.
-        alpha: leak outside each ball.
-
-    Returns:
-        Array of coefficient * indicator values in iteration order.
-
-    Raises:
-        ValueError: when the balls mix depths.
-    """
-    pairs = list(coeffs.items() if isinstance(coeffs, Mapping) else coeffs)
-    if not pairs:
-        return np.zeros(0)
-    depths = {ball.depth for ball, _ in pairs}
-    if len(depths) > 1:
-        raise ValueError(f"layer mixes ball depths {sorted(depths)}")
-    return np.array(
-        [c * leaky_indicator(ball, x, alpha) for ball, c in pairs], dtype=np.float64
-    )
-
-
-def activation_path(x: PadicCode) -> list[Ball]:
-    """The nested balls a code activates, shallowest (depth 1) first."""
-    return [Ball(x, depth) for depth in range(1, x.params.K + 1)]
 
 
 @dataclass(frozen=True)
@@ -581,8 +456,6 @@ __all__ = [
     "RECONSTRUCT_MARGIN",
     "RootHead",
     "TwoLogitCEHead",
-    "activation_path",
-    "clamped_descent",
     "clamped_descent_matrix",
     "describe_ball",
     "model_from_state",
@@ -590,14 +463,7 @@ __all__ = [
     "new_model",
     "pack_array",
     "parameter_count",
-    "predict_digits",
-    "predict_leaf",
-    "reconstruct_digits",
-    "reconstruct_leaf",
     "reconstruct_matrix",
-    "score_row",
-    "softmax",
     "softmax_rows",
     "unpack_array",
-    "vdp_layer_apply",
 ]

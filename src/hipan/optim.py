@@ -68,7 +68,7 @@ from .model import (
     _effective_depth,
     _top_two,
     pack_array,
-    softmax,
+    softmax_rows,
     unpack_array,
 )
 from .rng import child_rng
@@ -435,7 +435,8 @@ def dataset_loss(
 _RowParts = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 # Columns a pass over a live row scores when no earlier pass saw a column
-# ahead move; doubled after each pass in which no column moved.
+# ahead move; doubled, up to the row's length, after each pass in which no
+# column moved.
 _FIRST_CHUNK = 32
 
 
@@ -498,7 +499,8 @@ def _sweep_table_row(
     before the first mover is scored against the same incumbent as in a
     one-coordinate-at-a-time sweep, so the moves are that sweep's.  A
     pass ends at the next column an earlier pass saw move, or else after
-    _FIRST_CHUNK columns, twice as many after each pass without a move."""
+    _FIRST_CHUNK columns, twice as many (at most p) after each pass
+    without a move."""
     p = x.size
     accepted, j, width = 0, 0, _FIRST_CHUNK
     ahead = np.empty(0, dtype=np.int64)
@@ -514,7 +516,7 @@ def _sweep_table_row(
         moved = np.flatnonzero(moves)
         later = ahead[ahead >= stop]
         if moved.size == 0:
-            j, ahead, width = stop, later, 2 * width
+            j, ahead, width = stop, later, min(2 * width, p)
             continue
         i = moved[0]
         x[cols[i]] = cands[moves[i], i]
@@ -583,31 +585,6 @@ def _gist_sweep(
                 accepted += _sweep_anchor(model, ke, r, parts)
                 coords += p + 1
     return accepted, 3 * coords
-
-
-def gist_sweep(
-    model: HiPaNModel,
-    dataset: EncodedDataset,
-    digits: Sequence[int],
-    state: "OptimState | None" = None,
-) -> tuple[HiPaNModel, int, float]:
-    """One deterministic full-batch lattice sweep over the given digit depths.
-
-    Visits the coordinates the digits activate in fixed order (root
-    scores, dense rows, each deep table then its anchors), skipping rows
-    that no record reaches, scores each one's +-1 (mod p) moves on the
-    whole dataset, and keeps strict improvements only, so the loss never
-    rises.  Advances state.t when given.
-
-    Returns:
-        (model, accepted move count, full-dataset loss after the sweep).
-    """
-    counts = dataset.pair_counts()
-    digits = tuple(int(k) for k in digits)
-    accepted, _ = _gist_sweep(model, counts, digits)
-    if state is not None:
-        state.t += 1
-    return model, accepted, dataset_loss(model, counts, digits)
 
 
 @dataclass
@@ -739,7 +716,8 @@ def _accumulate_grads(x: np.ndarray, b: _Batches, s0: int, s1: int) -> np.ndarra
     if b.root_t.size:
         hits = np.bincount(b.root_t[:, s0:s1].ravel(), minlength=b.root_t.shape[0] * p)
         cells.append(b.root_cells)
-        terms.append((softmax(x[b.root_cells[:p]]) - hits.reshape(-1, p) / n).ravel())
+        sm = softmax_rows(x[None, b.root_cells[:p]])[0]
+        terms.append((sm - hits.reshape(-1, p) / n).ravel())
     if b.t.size:
         t = b.t[:, s0:s1].ravel()
         rows_at = b.row[:, s0:s1].ravel()[:, None] + np.arange(p)
@@ -1069,7 +1047,6 @@ __all__ = [
     "dataset_loss",
     "default_plan",
     "gist_minimize",
-    "gist_sweep",
     "huffman_weights",
     "optim_state_dict",
     "project_digit",

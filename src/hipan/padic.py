@@ -7,23 +7,15 @@ them is p**-valuation, which satisfies the strong triangle inequality
 d(x, z) <= max(d(x, y), d(y, z)).
 
 Balls group codes by shared prefixes: the ball of depth k around a code
-contains every code agreeing with it on the first k digits.  Indicator
-functions of balls form the basis used by the model layers; a leaky
-variant keeps a small floor activation outside the ball.
+contains every code agreeing with it on the first k digits.  vdp_bound
+counts the balls of a full code space, one indicator coefficient each:
+the storage the factorized digit heads avoid.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
-
-
-DEFAULT_LEAK = 0.01
-
-# Leak values outside this range degrade either separation (too high) or
-# the inactive-ball signal (too low); warn, do not reject.
-LEAK_SAFE_RANGE = (0.005, 0.02)
 
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this bound,
@@ -170,20 +162,6 @@ def code_to_text(c: PadicCode) -> str:
     return "-".join(str(d) for d in c.digits)
 
 
-def text_to_code(text: str, params: CodecParams) -> PadicCode:
-    """Parse the canonical hyphen-separated text form.
-
-    Raises:
-        ValueError: on malformed text, wrong length, or out-of-range digits.
-    """
-    parts = text.strip().split("-") if text.strip() else []
-    try:
-        digits = tuple(int(part) for part in parts)
-    except ValueError as exc:
-        raise ValueError(f"malformed code text {text!r}") from exc
-    return PadicCode(digits, params)
-
-
 def _check_same_codec(a: PadicCode, b: PadicCode) -> None:
     if a.params != b.params:
         raise ValueError(
@@ -211,11 +189,6 @@ def valuation(a: PadicCode, b: PadicCode) -> int:
         if a.digits[k] != b.digits[k]:
             return k
     return a.params.K
-
-
-def shared_prefix_len(a: PadicCode, b: PadicCode) -> int:
-    """Length of the common prefix; identical to the valuation."""
-    return valuation(a, b)
 
 
 def ultrametric_distance(a: PadicCode, b: PadicCode) -> float:
@@ -272,19 +245,6 @@ def ball_contains(ball: Ball, x: PadicCode) -> bool:
     return x.digits[: ball.depth] == ball.center.digits[: ball.depth]
 
 
-def leaky_indicator(ball: Ball, x: PadicCode, alpha: float = DEFAULT_LEAK) -> float:
-    """1.0 inside the ball, alpha outside.
-
-    alpha outside LEAK_SAFE_RANGE is accepted with a warning.
-    """
-    if not (LEAK_SAFE_RANGE[0] <= alpha <= LEAK_SAFE_RANGE[1]):
-        warnings.warn(
-            f"leak {alpha} outside the validated range {LEAK_SAFE_RANGE}",
-            stacklevel=2,
-        )
-    return 1.0 if ball_contains(ball, x) else alpha
-
-
 def vdp_bound(p: int, K: int) -> int:
     """Indicator-coefficient count for a full depth-K code space.
 
@@ -304,8 +264,6 @@ def vdp_bound(p: int, K: int) -> int:
 
 
 __all__ = [
-    "DEFAULT_LEAK",
-    "LEAK_SAFE_RANGE",
     "Ball",
     "CodecParams",
     "PadicCode",
@@ -313,11 +271,8 @@ __all__ = [
     "code",
     "code_to_text",
     "is_prime",
-    "leaky_indicator",
     "next_prime_geq",
-    "text_to_code",
     "ultrametric_distance",
-    "shared_prefix_len",
     "valuation",
     "vdp_bound",
 ]

@@ -1,7 +1,6 @@
-"""Digit heads: shapes, prediction rules, reconstruction margin, layers."""
+"""Digit heads: shapes, prediction rules, reconstruction margin, descent."""
 
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -9,33 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hipan import (
-    Ball,
     CodecParams,
     ModelConfig,
     RECONSTRUCT_MARGIN,
-    activation_path,
-    clamped_descent,
     clamped_descent_matrix,
-    code,
     describe_ball,
     encode_tree,
     new_model,
     parameter_count,
-    predict_digits,
-    predict_leaf,
-    reconstruct_digits,
-    reconstruct_leaf,
     reconstruct_matrix,
-    ultrametric_distance,
-    vdp_layer_apply,
 )
 from hipan.model import (
     _anchored_choice_rows,
     _effective_depth,
+    _head_table,
     model_from_state,
     model_state,
-    score_row,
-    softmax,
     softmax_rows,
 )
 from conftest import irregular_tree
@@ -110,58 +98,37 @@ def test_weight_tying_past_last_head():
     m = new_model(_config(3, 6, K_heads=2), seed=1)
     # depths >= K_heads reuse the last head's table
     for k in (2, 3, 5):
-        assert np.array_equal(score_row(m, k, 1), m.dense.table[1])
+        assert _head_table(m, _effective_depth(m, k)) is m.dense.table
     deep = new_model(_config(3, 6, K_heads=3), seed=1)
     for k in (3, 5):
-        assert np.array_equal(score_row(deep, k, 2), deep.deep[0].table[2])
-
-
-def test_score_row_requires_context_past_root():
-    m = new_model(_config(3, 3), seed=0)
-    assert np.array_equal(score_row(m, 0, None), m.root.scores)
-    with pytest.raises(ValueError):
-        score_row(m, 1, None)
-
-
-def test_predict_digits_constant_model():
-    m = _constant_model()
-    digits, confs = predict_digits(m)
-    assert digits == [0, 0]
-    assert confs[0] == pytest.approx(float(softmax(np.array([5.0, 0, 0]))[0]))
-
-
-def test_predict_digits_context_override():
-    m = _constant_model()
-    m.dense.table[2] = np.array([0.0, 0.0, 5.0])
-    digits, _ = predict_digits(m, context=[2, 0])
-    # row choice follows the supplied context, not the chained prediction
-    assert digits[1] == 2
-    digits2, _ = predict_digits(m, context=code([2, 0], 3))
-    assert digits2 == digits
+        assert _head_table(deep, _effective_depth(deep, k)) is deep.deep[0].table
 
 
 def test_anchored_two_logit_choice():
     # anchor arbitrates between the top two columns of the row
     m = new_model(_config(5, 3), seed=0)
+    m.root.scores[:] = 0.0
+    m.dense.table[0] = 0.0
     m.deep[0].table[1] = np.array([0.0, 1.0, 3.0, 0.0, 4.0])
+    # digits 0 and 1 are accepted; digit 2 scores 0, beyond the margin of
+    # row 1's maximum, so the deep head answers with its rule
+    x = np.array([[0, 1, 0]])
     m.deep[0].anchor[1] = 3.9
-    digits, _ = predict_digits(m, context=[0, 1, 0])
-    assert digits[2] == 4  # (3.9-4)^2 < (3.9-2)^2
+    assert reconstruct_matrix(m, x)[0][0, 2] == 4  # (3.9-4)^2 < (3.9-2)^2
     m.deep[0].anchor[1] = 2.5
-    digits, _ = predict_digits(m, context=[0, 1, 0])
-    assert digits[2] == 2  # (2.5-2)^2 < (2.5-4)^2
+    assert reconstruct_matrix(m, x)[0][0, 2] == 2  # (2.5-2)^2 < (2.5-4)^2
 
 
 def test_reconstruct_accepts_within_margin():
     m = _constant_model()
     # own digit 1 scores exactly max - margin: accepted
     m.dense.table[0] = np.array([5.0, 5.0 - RECONSTRUCT_MARGIN, 0.0])
-    digits, _ = reconstruct_digits(m, code([0, 1], 3))
-    assert digits == [0, 1]
+    pred, _ = reconstruct_matrix(m, np.array([[0, 1]]))
+    assert pred[0].tolist() == [0, 1]
     # a hair below the margin: falls back to the row argmax
     m.dense.table[0, 1] -= 1e-9
-    digits, _ = reconstruct_digits(m, code([0, 1], 3))
-    assert digits == [0, 0]
+    pred, _ = reconstruct_matrix(m, np.array([[0, 1]]))
+    assert pred[0].tolist() == [0, 0]
 
 
 def test_reconstruct_matrix_free_runs_on_predictions():
@@ -171,8 +138,6 @@ def test_reconstruct_matrix_free_runs_on_predictions():
     pred, conf = reconstruct_matrix(m, np.array([[1, 0]]))
     assert pred[0].tolist() == [0, 0]
     assert conf.shape == (1, 2)
-    with pytest.raises(ValueError):
-        reconstruct_matrix(m, np.zeros((2, 3), dtype=np.int64))
 
 
 def _reconstruct_reference(model, D):
@@ -252,41 +217,38 @@ def test_reconstruct_matrix_memory_stays_below_one_n_by_p_array():
 
 
 def test_reconstruct_codec_mismatch():
+    # a code of K=3 digits does not fit a model of K=2
     m = _constant_model()
-    with pytest.raises(ValueError):
-        reconstruct_digits(m, code([0, 0, 0], 3))
+    with pytest.raises(ValueError, match="does not match K=2"):
+        reconstruct_matrix(m, np.zeros((2, 3), dtype=np.int64))
 
 
 def test_constant_model_toy_accuracy(toy_tree, toy_dataset):
     # decisive all-zero answers: cat exact, dog/fern mispredicted as cat
     m = _constant_model()
-    hits = 0
-    root_hits = 0
-    for rec in toy_dataset.records:
-        digits, _ = reconstruct_digits(m, rec.code)
-        hits += digits == list(rec.code.digits)
-        root_hits += digits[0] == rec.code.digits[0]
-    assert hits == 1
-    assert root_hits == 2
+    D = toy_dataset.digits_matrix()
+    pred, _ = reconstruct_matrix(m, D)
+    assert (pred == D).all(axis=1).sum() == 1
+    assert (pred[:, 0] == D[:, 0]).sum() == 2
 
 
 def test_confidence_is_softmax_of_row():
     m = _constant_model()
-    digits, confs = reconstruct_digits(m, code([0, 0], 3))
-    row0 = softmax(m.root.scores)
-    row1 = softmax(m.dense.table[0])
-    assert confs[0] == pytest.approx(float(row0[digits[0]]))
-    assert confs[1] == pytest.approx(float(row1[digits[1]]))
+    pred, conf = reconstruct_matrix(m, np.array([[0, 0]]))
+    row0 = softmax_rows(m.root.scores[None, :])[0]
+    row1 = softmax_rows(m.dense.table[:1])[0]
+    assert conf[0, 0] == pytest.approx(float(row0[pred[0, 0]]))
+    assert conf[0, 1] == pytest.approx(float(row1[pred[0, 1]]))
 
 
 def test_clamped_descent(toy_tree):
-    assert clamped_descent(toy_tree, [0, 0]) == toy_tree.id_of("cat")
+    assert clamped_descent_matrix(toy_tree, [[0, 0]])[0] == toy_tree.id_of("cat")
     # digit 2 exceeds both child lists and clamps to the last child
-    assert clamped_descent(toy_tree, [2, 2]) == toy_tree.id_of("fern")
+    assert clamped_descent_matrix(toy_tree, [[2, 2]])[0] == toy_tree.id_of("fern")
     # extra digits past a leaf are ignored
-    assert clamped_descent(toy_tree, [1, 0, 2, 2]) == toy_tree.id_of("fern")
+    assert clamped_descent_matrix(toy_tree, [[1, 0, 2, 2]])[0] == toy_tree.id_of("fern")
     with pytest.raises(ValueError):
-        clamped_descent(toy_tree, [0])
+        clamped_descent_matrix(toy_tree, [[0]])
 
 
 def _walk(tree, digits):
@@ -327,78 +289,15 @@ def test_clamped_descent_matrix_matches_row_walks(case):
                 _walk(tree, row)
             except ValueError:
                 with pytest.raises(ValueError, match="shorter than the hierarchy depth"):
-                    clamped_descent(tree, row)
+                    clamped_descent_matrix(tree, row[None, :])
         return
     assert clamped_descent_matrix(tree, rows).tolist() == expected
-    assert [clamped_descent(tree, row) for row in rows] == expected
+    assert [clamped_descent_matrix(tree, row[None, :])[0] for row in rows] == expected
 
 
 def test_clamped_descent_rejects_negative_digits(toy_tree):
     with pytest.raises(ValueError, match="nonnegative"):
-        clamped_descent(toy_tree, [-1, 0])
-
-
-def test_predict_and_reconstruct_leaf_return_ids(toy_tree, toy_dataset):
-    m = _constant_model()
-    assert predict_leaf(m, toy_tree) == toy_tree.id_of("cat")
-    rec = toy_dataset.records[2]
-    assert reconstruct_leaf(m, toy_tree, rec.code) == toy_tree.id_of("cat")
-
-
-def test_vdp_layer_apply():
-    x = code([1, 0, 2], 3)
-    inside = Ball(code([1, 0, 0], 3), 2)
-    outside = Ball(code([2, 0, 0], 3), 2)
-    out = vdp_layer_apply([(inside, 3.0), (outside, 2.0)], x, alpha=0.01)
-    assert out.tolist() == [3.0, 2.0 * 0.01]
-    # mapping input follows insertion order
-    out2 = vdp_layer_apply({outside: 1.0, inside: -1.0}, x, alpha=0.02)
-    assert out2.tolist() == [0.02, -1.0]
-    assert vdp_layer_apply([], x).shape == (0,)
-
-
-def test_vdp_layer_rejects_mixed_depths():
-    x = code([1, 0], 3)
-    with pytest.raises(ValueError, match="depths"):
-        vdp_layer_apply([(Ball(x, 1), 1.0), (Ball(x, 2), 1.0)], x)
-
-
-def test_vdp_layer_alpha_zero_is_exact_indicator():
-    x = code([1, 0], 3)
-    balls = [(Ball(code([d, 0], 3), 1), 1.0) for d in range(3)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = vdp_layer_apply(balls, x, alpha=0.0)
-    assert out.tolist() == [0.0, 1.0, 0.0]
-
-
-def test_vdp_layer_locality():
-    # with alpha=0 and unit coefficients, inputs closer than the ball scale
-    # activate identically: the layer cannot separate inside a ball
-    p, K, depth = 3, 4, 2
-    rng = np.random.default_rng(5)
-    balls = [
-        (Ball(code(rng.integers(0, p, size=K), p), depth), 1.0) for _ in range(8)
-    ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(50):
-            base = rng.integers(0, p, size=K)
-            near = base.copy()
-            near[depth + 1 :] = rng.integers(0, p, size=K - depth - 1)
-            a = code(base, p)
-            b = code(near, p)
-            assert ultrametric_distance(a, b) <= float(p) ** -depth
-            va = vdp_layer_apply(balls, a, alpha=0.0)
-            vb = vdp_layer_apply(balls, b, alpha=0.0)
-            assert np.array_equal(va, vb)
-
-
-def test_activation_path():
-    x = code([1, 0, 2], 3)
-    path = activation_path(x)
-    assert [b.depth for b in path] == [1, 2, 3]
-    assert all(b.center == x for b in path)
+        clamped_descent_matrix(toy_tree, [[-1, 0]])
 
 
 def test_describe_ball(toy_tree, toy_dataset):
