@@ -25,7 +25,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import HiPaNModel, clamped_descent_matrix, reconstruct_matrix
+from .model import (
+    HiPaNModel,
+    clamped_descent_matrix,
+    reconstruct_matrix,
+    reconstruction_confidence,
+)
 from .padic import PadicCode
 from .rng import child_rng
 from .tree import CodeIndex, EncodedDataset, TreeSpec, lca_depths
@@ -58,13 +63,14 @@ class AccuracyReport:
 class Evaluation:
     """One free-running reconstruction of every record, read by accuracy,
     calibration and the epoch log: the true and reconstructed (N, K)
-    digits, the softmax mass of each reconstructed digit, and whether
-    each record reached its own leaf (its whole code, without a tree)."""
+    digits, whether each record reached its own leaf (its whole code,
+    without a tree), and the model that reconstructed them.  Confidences
+    are computed only for calibration, from the model and pred."""
 
     digits: np.ndarray
     pred: np.ndarray
-    conf: np.ndarray
     leaf_hit: np.ndarray
+    model: HiPaNModel
 
     def accuracy(self) -> AccuracyReport:
         if not len(self.digits):
@@ -75,8 +81,10 @@ class Evaluation:
         return AccuracyReport(float(self.leaf_hit.mean()), per_digit, code_acc, len(hit))
 
     def calibration(self, n_bins: int = 15) -> CalibrationReport:
-        """Whole-code confidence (the product over digits) against leaf_hit."""
-        return binned_calibration(self.conf.prod(axis=1), self.leaf_hit, n_bins)
+        """Whole-code confidence against leaf_hit: the product over digits
+        of each reconstructed digit's softmax mass within its score row."""
+        conf = reconstruction_confidence(self.model, self.pred)
+        return binned_calibration(conf.prod(axis=1), self.leaf_hit, n_bins)
 
 
 def evaluate_digits(
@@ -87,10 +95,10 @@ def evaluate_digits(
 ) -> Evaluation:
     """One reconstruction of an (N, K) digit matrix and, given the tree and
     each row's leaf id, one clamped descent of all the reconstructions."""
-    pred, conf = reconstruct_matrix(model, D)
+    pred = reconstruct_matrix(model, D)
     if tree is None:
-        return Evaluation(D, pred, conf, (pred == D).all(axis=1))
-    return Evaluation(D, pred, conf, clamped_descent_matrix(tree, pred) == leaf_ids)
+        return Evaluation(D, pred, (pred == D).all(axis=1), model)
+    return Evaluation(D, pred, clamped_descent_matrix(tree, pred) == leaf_ids, model)
 
 
 def evaluate(
@@ -409,21 +417,6 @@ def binned_calibration(
     return CalibrationReport(float(ece), brier, tuple(bins), n)
 
 
-def calibration_report(
-    model: HiPaNModel,
-    dataset: EncodedDataset,
-    tree: TreeSpec | None = None,
-    n_bins: int = 15,
-) -> CalibrationReport:
-    """Reliability of whole-code reconstruction confidence.
-
-    A record's confidence is the product of its per-digit confidences;
-    its outcome is whether reconstruction reached the right leaf (exact
-    code match when no hierarchy is given).
-    """
-    return evaluate(model, dataset, tree).calibration(n_bins)
-
-
 # --- assembled report ---------------------------------------------------------
 
 
@@ -566,7 +559,6 @@ __all__ = [
     "average_ranks",
     "binned_calibration",
     "box_count_dimension",
-    "calibration_report",
     "diagnose",
     "digit_entropy_profile",
     "evaluate",

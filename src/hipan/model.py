@@ -17,8 +17,10 @@ observed digits up to quantization), otherwise the head falls back to its
 generative rule: the row argmax for the root and dense heads, the anchor's
 arbitration between the row's top two columns for deeper heads.
 `clamped_descent_matrix` walks the predicted digits to hierarchy leaves.
-Accuracy and calibration report this path: how much of the hierarchy the
-factorized tables actually store.
+Accuracy reports this path: how much of the hierarchy the factorized
+tables actually store.  Only calibration also asks how sure each head
+was, through `reconstruction_confidence`, which reads the predicted
+digits back.
 """
 
 from __future__ import annotations
@@ -219,22 +221,28 @@ def _anchored_choice_rows(
 
 def _row_summary(
     model: HiPaNModel, ke: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(table, row max, softmax denominator, generative fallback column)
-    for every row of the head at depth ke."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat row-major table, acceptance floor, generative fallback column)
+    of the head at depth ke; a row's floor is its max less
+    RECONSTRUCT_MARGIN."""
     table = _head_table(model, ke)
-    top = table.max(axis=1)
-    denom = np.exp(table - top[:, None]).sum(axis=1)
     if ke <= 1:
         fallback = table.argmax(axis=1)
     else:
         fallback = _anchored_choice_rows(model, ke, np.arange(table.shape[0]), table)
-    return table, top, denom, fallback
+    return table.ravel(), table.max(axis=1) - RECONSTRUCT_MARGIN, fallback
 
 
-def reconstruct_matrix(
-    model: HiPaNModel, digits_mat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _serving_rows(model: HiPaNModel, pred: np.ndarray, k: int) -> np.ndarray:
+    """Row of digit k's head that each reconstruction selects: the digit
+    predicted before it, or row 0 when the root head serves digit k (the
+    root has one row, whatever depth it serves under weight tying)."""
+    if _effective_depth(model, k) == 0:
+        return np.zeros(pred.shape[1], dtype=np.int64)
+    return pred[k - 1]
+
+
+def reconstruct_matrix(model: HiPaNModel, digits_mat: np.ndarray) -> np.ndarray:
     """Reconstruct every row of an (N, K) digit matrix at once.
 
     Rows chain on the digits actually predicted (free running); at each
@@ -243,35 +251,58 @@ def reconstruct_matrix(
     head answers with its generative rule.
 
     Cost: each head serving some depth (tied depths share one) is
-    summarized once per row, its max, softmax denominator and fallback
-    column, in O(p^2) time and memory; each depth is then a few O(N)
-    gathers from those summaries.  The total is O(K_heads p^2 + N K) time
-    and O(p^2 + N K) memory, with no (N, p) temporary.
+    summarized once per row, its acceptance floor (row max less the
+    margin) and fallback column, in O(p^2) time; each depth then reads
+    one contiguous digit column and makes three O(N) flat gathers, the
+    score at r * p + t, the floor and the fallback of row r.  The total is
+    O(K_heads p^2 + N K) time and O(p^2 + N K) memory, with no (N, p)
+    temporary.  Confidences are not computed here: see
+    `reconstruction_confidence`.
 
     Returns:
-        (predicted, confidence): (N, K) int digits and (N, K) softmax
-        mass of each predicted digit within its score row.
+        (N, K) int predicted digits, a transposed view of a (K, N) array,
+        so each depth's predictions are contiguous.
     """
     digits_mat = np.asarray(digits_mat, dtype=np.int64)
     n, width = digits_mat.shape
     if width != model.K:
         raise ValueError(f"digit matrix width {width} does not match K={model.K}")
-    pred = np.zeros((n, model.K), dtype=np.int64)
-    conf = np.zeros((n, model.K), dtype=np.float64)
+    cols = np.ascontiguousarray(digits_mat.T)
+    pred = np.empty((model.K, n), dtype=np.int64)
     summaries: dict[int, tuple[np.ndarray, ...]] = {}
     for k in range(model.K):
         ke = _effective_depth(model, k)
         if ke not in summaries:
             summaries[ke] = _row_summary(model, ke)
-        table, top, denom, fallback = summaries[ke]
-        r = pred[:, k - 1] if ke > 0 else np.zeros(n, dtype=np.int64)
-        t = digits_mat[:, k]
-        r_top = top[r]
-        accept = table[r, t] >= r_top - RECONSTRUCT_MARGIN
-        chosen = np.where(accept, t, fallback[r])
-        pred[:, k] = chosen
-        conf[:, k] = np.exp(table[r, chosen] - r_top) / denom[r]
-    return pred, conf
+        flat, floor, fallback = summaries[ke]
+        r = _serving_rows(model, pred, k)
+        t = cols[k]
+        accept = flat.take(r * model.p + t) >= floor.take(r)
+        pred[k] = np.where(accept, t, fallback.take(r))
+    return pred.T
+
+
+def reconstruction_confidence(model: HiPaNModel, pred: np.ndarray) -> np.ndarray:
+    """(N, K) softmax mass of each reconstructed digit within the score row
+    that chose it, for predictions from reconstruct_matrix.
+
+    Per depth, only the rows some reconstruction selects get their max
+    and softmax denominator, one exp pass over each such row; each record
+    then costs O(1) gathers.  The total is O(N K + p * rows selected).
+    """
+    pred = np.ascontiguousarray(np.asarray(pred, dtype=np.int64).T)
+    conf = np.zeros(pred.shape[::-1], dtype=np.float64)
+    for k in range(model.K):
+        table = _head_table(model, _effective_depth(model, k))
+        r = _serving_rows(model, pred, k)
+        used = np.flatnonzero(np.bincount(r, minlength=table.shape[0]))
+        rows = table[used]
+        top, denom = np.empty(table.shape[0]), np.empty(table.shape[0])
+        top[used] = rows.max(axis=1)
+        denom[used] = np.exp(rows - top[used, None]).sum(axis=1)
+        score = table.ravel().take(r * model.p + pred[k])
+        conf[:, k] = np.exp(score - top.take(r)) / denom.take(r)
+    return conf
 
 
 def clamped_descent_matrix(tree: TreeSpec, digits_mat: np.ndarray) -> np.ndarray:
@@ -283,13 +314,13 @@ def clamped_descent_matrix(tree: TreeSpec, digits_mat: np.ndarray) -> np.ndarray
     Raises:
         ValueError: a negative digit, or a row ending at an internal node.
     """
-    digits_mat = np.asarray(digits_mat, dtype=np.int64)
-    if (digits_mat < 0).any():
+    cols = np.ascontiguousarray(np.asarray(digits_mat, dtype=np.int64).T)
+    if (cols < 0).any():
         raise ValueError("clamped descent needs nonnegative digits")
     start, kids = tree.child_table
     n_kids = np.diff(start)
-    node = np.zeros(digits_mat.shape[0], dtype=np.int64)
-    for col in digits_mat.T:
+    node = np.zeros(cols.shape[1], dtype=np.int64)
+    for col in cols:
         inner = n_kids[node] > 0
         at = node[inner]
         node[inner] = kids[start[at] + np.minimum(col[inner], n_kids[at] - 1)]
@@ -464,6 +495,7 @@ __all__ = [
     "pack_array",
     "parameter_count",
     "reconstruct_matrix",
+    "reconstruction_confidence",
     "softmax_rows",
     "unpack_array",
 ]

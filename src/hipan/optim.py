@@ -15,8 +15,9 @@ objective summed over the digits a training phase enables:
 A record's loss at digit k depends only on its (digit k-1, digit k)
 pair, so the objective reads the data only through the dataset's pair
 counts (`EncodedDataset.pair_counts`): `dataset_loss` scores each
-distinct pair once and weighs it by its count, and nothing about the
-data is stored on the model.
+distinct pair once and weighs it by its count, summarizing each deep
+head row the pairs reach once, and nothing about the data is stored on
+the model.
 
 The lattice trainer moves one latent at a time by +-1 (wrapping mod p),
 accepting only strict improvement of this objective on the full data, so
@@ -371,11 +372,12 @@ def _digit_losses(
     """Teacher-forced loss of digit k for each (parent digit prev, digit t)
     pair, the deep heads' terms scaled by the pair's rarity weight w.
 
-    prev is not read for the root digit.
+    prev is not read for the root digit.  A deep head scores each run of
+    equal parents in prev once (its log-sum-exp and top two columns) and
+    gathers per pair; in DigitPairs order every parent is one run.
     """
     ke = _effective_depth(model, k)
     n = t.size
-    ar = np.arange(n)
     if ke == 0:
         s = model.root.scores
         return np.full(n, _lse_rows(s[None, :])[0]) - s[t]
@@ -383,13 +385,18 @@ def _digit_losses(
         assert model.dense is not None
         rows = model.dense.table[prev]
         one_hot = np.zeros_like(rows)
-        one_hot[ar, t] = 1.0
+        one_hot[np.arange(n), t] = 1.0
         return ((rows - one_hot) ** 2).sum(axis=1)
     head = model.deep[ke - 2]
-    rows = head.table[prev]
+    starts = np.ones(n, dtype=bool)
+    np.not_equal(prev[1:], prev[:-1], out=starts[1:])
+    run = np.cumsum(starts) - 1
+    rows = head.table[prev[starts]]
     top, second = _top_two(rows)
-    ce = _lse_rows(rows) - rows[ar, t]
-    return _deep_terms(model.config.tau, ce, top, second, head.anchor[prev], t, w)
+    ce = _lse_rows(rows)[run] - head.table.ravel()[prev * model.p + t]
+    return _deep_terms(
+        model.config.tau, ce, top[run], second[run], head.anchor[prev], t, w
+    )
 
 
 def _deep_terms(

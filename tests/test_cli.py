@@ -684,6 +684,37 @@ def test_only_diagnose_builds_the_code_index(capsys, tmp_path, toy_files, monkey
         built.clear()
 
 
+def test_only_diagnose_computes_confidences(capsys, tmp_path, toy_files, monkeypatch):
+    """Training epochs and eval read predictions only; each diagnose
+    computes the reconstruction confidences once, for calibration."""
+    from hipan import metrics
+
+    computed = []
+    compute = metrics.reconstruction_confidence
+
+    def counted(model, pred):
+        computed.append(len(pred))
+        return compute(model, pred)
+
+    monkeypatch.setattr(metrics, "reconstruction_confidence", counted)
+    tree_path, ds_path = toy_files
+    for optimizer in ("gist", "adam"):
+        _, ckdir = _train_toy(capsys, tmp_path, toy_files, "--optimizer", optimizer)
+        assert computed == []
+        common = [
+            "--dataset", ds_path, "--tree", tree_path,
+            "--checkpoint", os.path.join(ckdir, "ckpt-final.json"),
+        ]
+        rc, _, err = run(capsys, ["eval", *common])
+        assert rc == 0, err
+        assert computed == []
+        for _ in range(2):
+            rc, _, err = run(capsys, ["diagnose", *common, "--out-dir", str(tmp_path / "diag")])
+            assert rc == 0, err
+        assert computed == [3, 3]
+        computed.clear()
+
+
 def _as_v1(doc):
     """A format v2 checkpoint document rewritten in format v1, where every
     array is a list of floats."""

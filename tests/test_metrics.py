@@ -16,11 +16,11 @@ from hipan import (
     accuracy_report,
     binned_calibration,
     box_count_dimension,
-    calibration_report,
     code,
     diagnose,
     digit_entropy_profile,
     encode_tree,
+    evaluate,
     gen_synthetic,
     lca_depth,
     lca_depths,
@@ -544,7 +544,7 @@ def test_ece_never_rises_with_perfect_confident_records():
 
 def test_calibration_report_on_toy(toy_tree, toy_dataset):
     m = _decisive_zero_model(toy_dataset.codec)
-    rep = calibration_report(m, toy_dataset, toy_tree)
+    rep = evaluate(m, toy_dataset, toy_tree).calibration()
     assert rep.n_records == 3
     assert 0.0 <= rep.ece <= 1.0
     # decisive wrong answers are overconfident: ECE must be positive here

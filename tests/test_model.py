@@ -17,6 +17,7 @@ from hipan import (
     new_model,
     parameter_count,
     reconstruct_matrix,
+    reconstruction_confidence,
 )
 from hipan.model import (
     _anchored_choice_rows,
@@ -114,20 +115,20 @@ def test_anchored_two_logit_choice():
     # row 1's maximum, so the deep head answers with its rule
     x = np.array([[0, 1, 0]])
     m.deep[0].anchor[1] = 3.9
-    assert reconstruct_matrix(m, x)[0][0, 2] == 4  # (3.9-4)^2 < (3.9-2)^2
+    assert reconstruct_matrix(m, x)[0, 2] == 4  # (3.9-4)^2 < (3.9-2)^2
     m.deep[0].anchor[1] = 2.5
-    assert reconstruct_matrix(m, x)[0][0, 2] == 2  # (2.5-2)^2 < (2.5-4)^2
+    assert reconstruct_matrix(m, x)[0, 2] == 2  # (2.5-2)^2 < (2.5-4)^2
 
 
 def test_reconstruct_accepts_within_margin():
     m = _constant_model()
     # own digit 1 scores exactly max - margin: accepted
     m.dense.table[0] = np.array([5.0, 5.0 - RECONSTRUCT_MARGIN, 0.0])
-    pred, _ = reconstruct_matrix(m, np.array([[0, 1]]))
+    pred = reconstruct_matrix(m, np.array([[0, 1]]))
     assert pred[0].tolist() == [0, 1]
     # a hair below the margin: falls back to the row argmax
     m.dense.table[0, 1] -= 1e-9
-    pred, _ = reconstruct_matrix(m, np.array([[0, 1]]))
+    pred = reconstruct_matrix(m, np.array([[0, 1]]))
     assert pred[0].tolist() == [0, 0]
 
 
@@ -135,9 +136,9 @@ def test_reconstruct_matrix_free_runs_on_predictions():
     m = _constant_model()
     # root rejects digit 1, so row selection at depth 1 must use digit 0
     m.dense.table[1] = np.array([0.0, 0.0, 5.0])
-    pred, conf = reconstruct_matrix(m, np.array([[1, 0]]))
+    pred = reconstruct_matrix(m, np.array([[1, 0]]))
     assert pred[0].tolist() == [0, 0]
-    assert conf.shape == (1, 2)
+    assert reconstruction_confidence(m, pred).shape == (1, 2)
 
 
 def _reconstruct_reference(model, D):
@@ -192,14 +193,45 @@ def _model_and_digits(draw):
     return model, rng.integers(0, p, size=(n, K))
 
 
+def _assert_matches_reference(model, D):
+    """Predictions equal the reference's; confidences equal its full-row
+    softmax bit for bit."""
+    pred = reconstruct_matrix(model, D)
+    ref_pred, ref_conf = _reconstruct_reference(model, D)
+    assert np.array_equal(pred, ref_pred)
+    conf = reconstruction_confidence(model, pred)
+    assert conf.shape == ref_conf.shape
+    assert np.array_equal(conf.view(np.int64), ref_conf.view(np.int64))
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(_model_and_digits())
 def test_reconstruct_matrix_matches_full_row_reference(case):
-    model, D = case
-    pred, conf = reconstruct_matrix(model, D)
-    ref_pred, ref_conf = _reconstruct_reference(model, D)
-    assert np.array_equal(pred, ref_pred)
-    assert np.array_equal(conf, ref_conf)
+    _assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("k_heads", [1, 2, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reconstruct_matrix_matches_reference_on_tied_heads(k_heads, seed):
+    # K=5: one head serves every depth (K_heads=1), the dense head serves
+    # depths 1-4 (K_heads=2), or each depth has its own head; the rows
+    # are drawn in random order and repeat, so they neither ascend nor
+    # stay distinct, and small integer scores put many own digits
+    # exactly at the accept margin
+    p, K, n = 7, 5, 400
+    rng = np.random.default_rng(seed)
+    model = new_model(_config(p, K, k_heads), seed=seed)
+    model.root.scores = rng.integers(0, 4, size=p).astype(np.float64)
+    if model.dense is not None:
+        model.dense.table = rng.integers(0, 4, size=(p, p)).astype(np.float64)
+    for head in model.deep:
+        head.table = rng.normal(0.0, 2.0, size=(p, p))
+        head.anchor = rng.normal(3.0, 2.0, size=p)
+    D = rng.integers(0, p, size=(n // 2, K))
+    D = D[rng.integers(0, len(D), size=n)]
+    assert not (np.diff(D[:, 0]) >= 0).all()
+    _assert_matches_reference(model, D)
+    _assert_matches_reference(model, np.asfortranarray(D[::-1]))
 
 
 def test_reconstruct_matrix_memory_stays_below_one_n_by_p_array():
@@ -227,14 +259,15 @@ def test_constant_model_toy_accuracy(toy_tree, toy_dataset):
     # decisive all-zero answers: cat exact, dog/fern mispredicted as cat
     m = _constant_model()
     D = toy_dataset.digits_matrix()
-    pred, _ = reconstruct_matrix(m, D)
+    pred = reconstruct_matrix(m, D)
     assert (pred == D).all(axis=1).sum() == 1
     assert (pred[:, 0] == D[:, 0]).sum() == 2
 
 
 def test_confidence_is_softmax_of_row():
     m = _constant_model()
-    pred, conf = reconstruct_matrix(m, np.array([[0, 0]]))
+    pred = reconstruct_matrix(m, np.array([[0, 0]]))
+    conf = reconstruction_confidence(m, pred)
     row0 = softmax_rows(m.root.scores[None, :])[0]
     row1 = softmax_rows(m.dense.table[:1])[0]
     assert conf[0, 0] == pytest.approx(float(row0[pred[0, 0]]))

@@ -36,9 +36,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hipan.checkpoint import checkpoint_fingerprint, load_checkpoint, load_model, save_checkpoint
+from hipan import optim
 from hipan.model import (
     _anchored_choice_rows,
     _effective_depth,
+    _top_two,
     model_from_state,
     model_state,
     softmax_rows,
@@ -186,10 +188,71 @@ def _toy_setup(seed=0):
     return tree, ds, model
 
 
+def _digit_losses_reference(model, k, prev, t, w):
+    """Per-pair oracle of _digit_losses: every pair gathers its whole
+    parent row, and the row's log-sum-exp and top two columns are taken
+    over the (pairs, p) gather."""
+    ke = min(k, model.config.K_heads - 1)
+    n = t.size
+    ar = np.arange(n)
+    if ke == 0:
+        s = model.root.scores
+        return np.full(n, optim._lse_rows(s[None, :])[0]) - s[t]
+    if ke == 1:
+        rows = model.dense.table[prev]
+        one_hot = np.zeros_like(rows)
+        one_hot[ar, t] = 1.0
+        return ((rows - one_hot) ** 2).sum(axis=1)
+    head = model.deep[ke - 2]
+    rows = head.table[prev]
+    top, second = _top_two(rows)
+    ce = optim._lse_rows(rows) - rows[ar, t]
+    return optim._deep_terms(model.config.tau, ce, top, second, head.anchor[prev], t, w)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("source", ["digits", "tree"])
+@pytest.mark.parametrize("integer", [False, True])
+def test_digit_losses_match_the_per_pair_gather_bit_for_bit(seed, source, integer):
+    rng = np.random.default_rng(seed)
+    if source == "digits":
+        # 3,000 random rows over an alphabet of 61: up to 61 pairs per parent row
+        ds = digits_dataset(rng.integers(0, 61, size=(3000, 4)), 61)
+    else:
+        ds = encode_tree(irregular_tree(seed, 400, max_children=7, max_depth=5))
+    K = ds.codec.K
+    counts = ds.pair_counts()
+    for k_heads in sorted({K, 3, 2, 1}):
+        model = new_model(ModelConfig(ds.codec, k_heads), seed=seed)
+        for arr in _arrays(model).values():
+            # a two-value range ties the top two columns of many rows
+            if integer:
+                arr[...] = rng.integers(0, 2, size=arr.shape)
+            else:
+                arr[...] = rng.normal(0.0, 3.0, size=arr.shape)
+        for k in range(K):
+            pairs = counts[k]
+            assert k < 2 or (np.diff(pairs.parent) == 0).sum() >= pairs.parent.size // 4
+            w = huffman_weights(pairs.count)
+            # DigitPairs order, then a shuffled order with parents out of order
+            for order in (np.arange(pairs.count.size), rng.permutation(pairs.count.size)):
+                args = (model, k, pairs.parent[order], pairs.child[order], w[order])
+                got = _digit_losses(*args)
+                want = _digit_losses_reference(*args)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        want_total = sum(
+            float((counts[k].count * _digit_losses_reference(
+                model, k, counts[k].parent, counts[k].child, huffman_weights(counts[k].count)
+            )).sum())
+            for k in range(K)
+        ) / ds.n_records
+        assert dataset_loss(model, counts, range(K)) == want_total
+
+
 def _reference_row_loss(model, counts, digits, ke, row):
     """Loss of the pairs whose parent digit selects row `row` of head ke
-    (every pair for the root) at the given digits: _digit_losses weighted
-    by the pairs' counts, as dataset_loss adds them."""
+    (every pair for the root) at the given digits: the per-pair gather
+    oracle weighted by the pairs' counts, as dataset_loss adds them."""
     last = model.config.K_heads - 1
     total = 0.0
     for k in digits:
@@ -200,7 +263,7 @@ def _reference_row_loss(model, counts, digits, ke, row):
         if not sel.any():
             continue
         w = huffman_weights(pairs.count)[sel]
-        losses = _digit_losses(model, k, pairs.parent[sel], pairs.child[sel], w)
+        losses = _digit_losses_reference(model, k, pairs.parent[sel], pairs.child[sel], w)
         total += float((pairs.count[sel] * losses).sum())
     return total
 

@@ -21,7 +21,6 @@ UNREFERENCED_OK = {
     "encode_leaf": "oracle of the tree encoder's tests (encode_tree, decode_paths)",
     "two_logit_loss": "loss oracle of the optimizer tests",
     "triangle_violation_count": "counts triangles over rows that can repeat, as predicted codes do",
-    "calibration_report": "traced by name in bench/spans.py",
 }
 
 
