@@ -41,17 +41,22 @@ and away when right, so the anchor settles between competing row maxima
 rather than on top of one.
 
 An Adam step is one pass over every digit the phase trains.  At an
-epoch's start the arrays of the heads serving the phase's digits are
-laid end to end in one flat buffer, with their first and second moments
-in two more, and each digit's shuffled targets, selected rows, anchors
-and rarity weights are gathered once.  A step then scores the deep
-digits' rows in one stacked pass, adds every gradient term into one flat
-gradient with one bincount, and applies the bias-corrected moment update
-of Kingma and Ba once, over the flat buffers.  Each gradient entry sums
+epoch's start the arrays of the heads serving the phase's digits are laid
+end to end in one flat buffer, with their first and second moments in two
+more, and the epoch's per-record data is laid out step by step: the
+targets, selected rows, one-hot cells, scales and rarity weights of a
+step's records, and its root target counts, sit in contiguous slices, in
+O(digits x N) memory.  A step finds the distinct deep rows it touches by
+marking their ids among the run's live rows (those some pair reaches),
+scores each once (softmax, top two columns, anchor arbitration) and
+expands the results to its records; it adds every gradient term into one
+flat gradient with one bincount and applies the bias-corrected moment
+update of Kingma and Ba once, over the flat buffers.  For U distinct deep
+rows and M records a step costs O(U p + M p).  Each gradient entry sums
 its terms digit by digit, then record by record, the order of one
-np.add.at per digit and array, so the run is bit for bit that of
-updating each array on its own.  The epoch writes the buffer back into
-the heads' arrays.
+np.add.at per digit and array, so the run is bit for bit that of updating
+each array on its own.  The epoch writes the buffer back into the heads'
+arrays.
 """
 
 from __future__ import annotations
@@ -650,116 +655,186 @@ class _Flat:
             arr[...] = self.view(self.x, name)
 
 
-@dataclass(frozen=True)
+def _record_tables(
+    model: HiPaNModel, D: np.ndarray, counts: Sequence[DigitPairs]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scale, ids, live): a run's per-record tables for the Adam layout.
+
+    scale[i, k] multiplies the row term of record i's digit k: 2.0 where
+    the dense head serves digit k, else the pair's rarity weight.  The
+    live rows are the dense and deep head rows that some pair of a digit
+    the head serves reaches, numbered head by head in row order; live row
+    j is row live[1, j] of the head at depth live[0, j], and ids[i, k] is
+    the live row that record i's digit k selects (-1 where the root
+    serves digit k)."""
+    scale = _record_weights(D, counts, model.p)
+    reached = np.zeros((model.config.K_heads, model.p), dtype=bool)
+    for k in range(1, model.K):
+        ke = _effective_depth(model, k)
+        if ke == 1:
+            scale[:, k] = 2.0
+        if ke >= 1:
+            reached[ke, counts[k].parent] = True
+    number = np.full(reached.shape, -1, dtype=np.int64)
+    number[reached] = np.arange(np.count_nonzero(reached))
+    ids = np.full(D.shape, -1, dtype=np.int64)
+    for k in range(1, model.K):
+        ids[:, k] = number[_effective_depth(model, k), D[:, k - 1]]
+    return scale, ids, np.array(np.nonzero(reached), dtype=np.int64).reshape(2, -1)
+
+
 class _Batches:
-    """One epoch's records of every phase digit in shuffled order, as
-    (digits, N) matrices; an Adam step reads the columns of its batch.
+    """One epoch's records of every phase digit in shuffled order, laid
+    out step by step in O(digits x N) memory: step s reads columns
+    [s size, (s + 1) size) of each digit's permutation (perms, in phase
+    order), and each per-record array holds a step's records in one
+    contiguous slice, digit by digit in phase order, then record by
+    record.
 
-    root_t holds the root digits' targets, row r offset by r p, and
-    root_cells the root scores' flat indices, once per root digit.  The
-    other digits, dense ones first and each group in phase order, give
-    targets t and the flat index of each record's selected row (row);
-    deep digits also give their anchor's flat index (anchor) and the
-    record's rarity weight (w).  Indices point into a _Flat's x."""
+    root_hits holds each step's one-hot target counts of the root digits
+    over its record count, (steps, root digits, p); root is the root
+    scores' flat index.  The other digits, n_dense dense ones first, give
+    each record's target t, the flat index of its selected row's first
+    cell (row), the index of its target cell in the step's (p, records)
+    gradient block (onehot), its scale and the id of its row among the
+    run's live rows (live), both from the run's _record_tables, and its
+    scale times 2 tau (w2tau, read for deep records).  live_row and
+    live_anchor give each live row's index in x viewed as rows of p
+    (every trained array holds a multiple of p entries) and its anchor's
+    flat index.  cols is np.arange(p) as a column; cells, terms, mark and
+    slot are one step's scratch, cells with the root's indices in place.
+    Indices point into a _Flat's x."""
 
-    p: int
-    tau: float
-    root_cells: np.ndarray
-    root_t: np.ndarray
-    t: np.ndarray
-    row: np.ndarray
-    n_dense: int
-    anchor: np.ndarray
-    w: np.ndarray
+    def __init__(
+        self,
+        model: HiPaNModel,
+        flat: _Flat,
+        D: np.ndarray,
+        tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+        perms: dict[int, np.ndarray],
+        size: int,
+    ):
+        scale, ids, (live_heads, live_rows) = tables
+        p, (n, K) = model.p, D.shape
+        heads = {k: _effective_depth(model, k) for k in perms}
+        roots = [k for k in perms if heads[k] == 0]
+        deep = [k for k in perms if heads[k] >= 2]
+        rows = [k for k in perms if heads[k] == 1] + deep
+        self.p, self.n, self.size, self.tau = p, n, size, model.config.tau
+        self.n_rows, self.n_dense = len(rows), len(rows) - len(deep)
+        steps = self.steps
+        tail = n - (steps - 1) * size
+        cut = n - tail
+
+        # root: each step's target counts, over the step's record count
+        self.root = flat.start.get("root", 0)
+        offset = np.repeat(np.arange(steps) * len(roots) * p, size)[:n]
+        keys = [offset + j * p + D[perms[k], k] for j, k in enumerate(roots)]
+        hits = np.bincount(np.concatenate(keys), minlength=steps * len(roots) * p) if keys else []
+        per_step = np.full(steps, size)
+        per_step[-1] = tail
+        self.root_hits = np.reshape(hits, (steps, len(roots), p)) / per_step[:, None, None]
+
+        # the other digits: each position's flat index into the (N, K) tables
+        g = len(rows)
+        at = np.empty(g * n, dtype=np.int64)
+        body = at[: g * cut].reshape(steps - 1, g, size)
+        last = at[g * cut :].reshape(g, tail)
+        for j, k in enumerate(rows):
+            for out, perm in ((body[:, j], perms[k][:cut].reshape(-1, size)), (last[j], perms[k][cut:])):
+                np.multiply(perm, K, out=out)
+                out += k
+        self.t = np.take(D, at)
+        self.onehot = self.t * (g * size)
+        self.onehot[: g * cut].reshape(steps - 1, g * size)[...] += np.arange(g * size)
+        self.onehot[g * cut :] = self.t[g * cut :] * (g * tail) + np.arange(g * tail)
+        self.live = np.take(ids, at)
+        self.scale = np.take(scale, at)
+        self.w2tau = self.scale * 2.0
+        self.w2tau *= self.tau
+
+        def start(ke: int, part: str) -> int:
+            name = "dense" if ke == 1 else f"deep{ke - 2}.{part}"
+            return flat.start.get(name, 0) if ke else 0
+
+        heads_at = range(model.config.K_heads)
+        live_start = np.array([start(ke, "table") for ke in heads_at])[live_heads] + live_rows * p
+        self.row = live_start[self.live]
+        self.live_row = live_start // p
+        self.live_anchor = np.array([start(ke, "anchor") for ke in heads_at])[live_heads] + live_rows
+        self.cols = np.arange(p)[:, None]
+        m = g * min(size, n)
+        self.cells = np.empty(len(roots) * p + m * p + m, dtype=np.int64)
+        self.cells[: len(roots) * p] = np.tile(np.arange(p) + self.root, len(roots))
+        self.terms = np.empty(self.cells.size)
+        self.mark = np.zeros(live_rows.size, dtype=bool)
+        self.slot = np.empty(live_rows.size, dtype=np.int64)
+
+    @property
+    def steps(self) -> int:
+        return -(-self.n // self.size)
 
 
-def _batches(
-    model: HiPaNModel,
-    flat: _Flat,
-    D: np.ndarray,
-    W: np.ndarray,
-    perms: dict[int, np.ndarray],
-) -> _Batches:
-    """Gather the _Batches of one epoch from the record permutation of
-    each phase digit (perms, in phase order)."""
-    p, n = model.p, D.shape[0]
-    heads = {k: _effective_depth(model, k) for k in perms}
-    roots = [k for k in perms if heads[k] == 0]
-    deep = [k for k in perms if heads[k] >= 2]
-    rows = [k for k in perms if heads[k] == 1] + deep
-
-    def table(k: int) -> int:
-        return flat.start["dense" if heads[k] == 1 else f"deep{heads[k] - 2}.table"]
-
-    def matrix(ks: list[int], column, dtype=np.int64) -> np.ndarray:
-        return np.array([column(k, perms[k]) for k in ks], dtype=dtype).reshape(len(ks), n)
-
-    return _Batches(
-        p=p,
-        tau=model.config.tau,
-        root_cells=np.tile(flat.start.get("root", 0) + np.arange(p), len(roots)),
-        root_t=matrix(roots, lambda k, i: D[i, k] + roots.index(k) * p),
-        t=matrix(rows, lambda k, i: D[i, k]),
-        row=matrix(rows, lambda k, i: table(k) + D[i, k - 1] * p),
-        n_dense=len(rows) - len(deep),
-        anchor=matrix(deep, lambda k, i: flat.start[f"deep{heads[k] - 2}.anchor"] + D[i, k - 1]),
-        w=matrix(deep, lambda k, i: W[i, k], np.float64),
-    )
-
-
-def _accumulate_grads(x: np.ndarray, b: _Batches, s0: int, s1: int) -> np.ndarray:
-    """Mean gradient over the records in columns [s0, s1) of every phase
-    digit, flat over the parameters x.
+def _accumulate_grads(x: np.ndarray, b: _Batches, s: int) -> np.ndarray:
+    """Mean gradient over the records of step s of every phase digit,
+    flat over the parameters x.
 
     Root, dense and table entries are the analytic gradients of the
     objective; an anchor's is the closed-form update of the module
-    docstring.  The deep digits' rows are scored in one stacked pass, and
-    every term goes into one bincount whose indices run digit by digit,
-    then record by record, so each entry sums its terms in the order that
-    one np.add.at per digit and array would."""
-    n = s1 - s0
-    p = b.p
-    cells, terms = [], []
-    if b.root_t.size:
-        hits = np.bincount(b.root_t[:, s0:s1].ravel(), minlength=b.root_t.shape[0] * p)
-        cells.append(b.root_cells)
-        sm = softmax_rows(x[None, b.root_cells[:p]])[0]
-        terms.append((sm - hits.reshape(-1, p) / n).ravel())
-    if b.t.size:
-        t = b.t[:, s0:s1].ravel()
-        rows_at = b.row[:, s0:s1].ravel()[:, None] + np.arange(p)
-        rows = x[rows_at]
-        nd = b.n_dense * n
-        # each row less its one-hot target: the dense heads' squared
-        # distance, the deep heads' softmax cross entropy
-        g = rows.copy()
-        if b.w.size:
-            deep = rows[nd:]
-            top, second = _top_two(deep)
-            # softmax_rows's arithmetic, the row maximum read at the argmax
-            e = np.exp(deep - deep[np.arange(top.size), top][:, None])
-            g[nd:] = e / e.sum(axis=1, keepdims=True)
-        g[np.arange(t.size), t] -= 1.0
-        g[:nd] *= 2.0
-        w = b.w[:, s0:s1].ravel()
-        g[nd:] *= w[:, None]
+    docstring.  Each distinct deep row the step touches is scored once
+    (softmax, top two columns, anchor arbitration) and expanded to its
+    records, so the step costs O(U p + M p) for U distinct deep rows and
+    M records.  Every term goes into one bincount.  The gradient block
+    runs column by column, and a cell's terms keep their relative order,
+    digit by digit, then record by record: each entry sums its terms in
+    the order that one np.add.at per digit and array would."""
+    p, size = b.p, b.size
+    n = min(size, b.n - s * size)
+    cells, terms = b.cells, b.terms
+    i = b.root_hits.shape[1] * p
+    if i:
+        # softmax_rows's arithmetic on the one row
+        r = x[b.root : b.root + p]
+        e = np.exp(r - r.max())
+        np.subtract(e / e.sum(), b.root_hits[s], out=terms[:i].reshape(-1, p))
+    m = b.n_rows * n
+    if m:
+        a, nd = b.n_rows * size * s, b.n_dense * n
+        at = cells[i : i + p * m].reshape(p, m)
+        np.add(b.cols, b.row[a : a + m], out=at)
+        g = terms[i : i + p * m].reshape(p, m)
+        # every index is in range; mode "clip" spares take a buffered out
+        x.take(at[:, :nd], out=g[:, :nd], mode="clip")
+        if nd < m:
+            # each distinct deep row once
+            ids = b.live[a + nd : a + m]
+            b.mark[ids] = True
+            uniq = b.mark.nonzero()[0]
+            b.mark[uniq] = False
+            b.slot[uniq] = np.arange(uniq.size)
+            inv = b.slot[ids]
+            X = x.reshape(-1, p).take(b.live_row[uniq], axis=0)
+            softmax_rows(X).T.take(inv, axis=1, out=g[:, nd:], mode="clip")
+            # anchor: arbitration between the row's top two, trained toward
+            # or away from the true digit by the closed-form update; its
+            # terms follow the block's
+            span = slice(i + p * m, i + p * m + m - nd)
+            at = cells[span]
+            b.live_anchor.take(ids, out=at, mode="clip")
+            top, second = _top_two(X)
+            vu = x[b.live_anchor[uniq]]
+            choice = np.where((vu - top) ** 2 <= (vu - second) ** 2, top, second)[inv]
+            td = b.t[a + nd : a + m]
+            d = x[at] - td
+            ga = b.w2tau[a + nd : a + m] * d * (_sigmoid_vec(d * d / b.tau) - (choice == td))
+            np.divide(ga, n, out=terms[span])
+        # each row less its one-hot target, scaled: the dense heads'
+        # squared distance, the deep heads' weighted cross entropy
+        g.ravel()[b.onehot[a : a + m]] -= 1.0
+        g *= b.scale[a : a + m]
         g /= n
-        cells.append(rows_at.ravel())
-        terms.append(g.ravel())
-    if b.w.size:
-        # anchor: arbitration between the row's top two, trained toward or
-        # away from the true digit by the closed-form update
-        at = b.anchor[:, s0:s1].ravel()
-        v = x[at]
-        choice = np.where((v - top) ** 2 <= (v - second) ** 2, top, second)
-        td = t[nd:]
-        correct = (choice == td).astype(np.float64)
-        tau = b.tau
-        d = v - td
-        ga = w * 2.0 * tau * d * (_sigmoid_vec(d * d / tau) - correct)
-        cells.append(at)
-        terms.append(ga / n)
-    return np.bincount(np.concatenate(cells), np.concatenate(terms), minlength=x.size)
+        i += p * m + m - nd
+    return np.bincount(cells[:i], terms[:i], minlength=x.size)
 
 
 def _effective_lr(cfg: AdamConfig, base_lr: float, t: int) -> float:
@@ -925,7 +1000,7 @@ def train(
     if tree is not None:
         leaf_ids = tree.ids_of(dataset.leaves)
     counts = dataset.pair_counts()
-    W = _record_weights(D, counts, model.p) if kind == "adam" else None
+    tables = _record_tables(model, D, counts) if kind == "adam" else None
     if kind == "adam":
         # a phase checks only the arrays it trains, after its epochs
         _check_finite(_Flat(_arrays(model)))
@@ -1001,13 +1076,12 @@ def train(
                     for k in phase.digits
                 }
                 flat = _Flat(_served_arrays(model, phase.digits), state)
-                batches = _batches(model, flat, D, W, perms)
-                moves = 0
-                for s0 in range(0, n, batch_size):
-                    g = _accumulate_grads(flat.x, batches, s0, min(n, s0 + batch_size))
+                batches = _Batches(model, flat, D, tables, perms, batch_size)
+                for s in range(batches.steps):
+                    g = _accumulate_grads(flat.x, batches, s)
                     _adam_step(flat, g, state, optimizer, phase.lr)
-                    moves += 1
-                    steps += 1
+                moves = batches.steps
+                steps += moves
                 flat.write_back()
                 _check_finite(flat)
             loss, per_digit, leaf_acc = _epoch_metrics(

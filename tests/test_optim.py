@@ -3,6 +3,7 @@
 import json
 import math
 import io
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -46,16 +47,17 @@ from hipan.model import (
     softmax_rows,
 )
 from hipan.optim import (
+    _Batches,
     _Flat,
     _accumulate_grads,
     _adam_step,
     _arrays,
-    _batches,
     _digit_losses,
     _effective_lr,
     _epoch_metrics,
     _gist_sweep,
     _live_rows,
+    _record_tables,
     _record_weights,
     _row_losses,
     _served_arrays,
@@ -891,21 +893,37 @@ def _reference_adam_train(model, ds, cfg, plan, batch_size, seed, tree, checkpoi
 
 
 # (tree seed, extra nodes, max children, max depth, K_heads, batch size,
-# sqrt decay, digits of the first phase or None for the staged plan)
+# sqrt decay, digits of the first phase or None for the staged plan, leaf
+# children added to one node at the tree's deepest level)
 _ORACLE_CASES = [
-    (0, 70, 5, 6, None, 16, False, None),  # one head per digit
-    (1, 60, 4, 6, 3, 7, False, None),  # the last head serves digits >= 2
-    (2, 60, 4, 6, 1, 9, True, None),  # the root serves every digit
-    (3, 60, 4, 6, 2, 64, False, None),  # the dense head serves digits >= 1
-    (4, 80, 6, 5, None, 13, False, (0, 3)),  # trained arrays not adjacent
-    (5, 90, 5, 6, 4, 11, True, (4, 1, 0)),  # digits out of order
+    (0, 70, 5, 6, None, 16, False, None, 0),  # one head per digit
+    (1, 60, 4, 6, 3, 7, False, None, 0),  # the last head serves digits >= 2
+    (2, 60, 4, 6, 1, 9, True, None, 0),  # the root serves every digit
+    (3, 60, 4, 6, 2, 64, False, None, 0),  # the dense head serves digits >= 1
+    (4, 80, 6, 5, None, 13, False, (0, 3), 0),  # trained arrays not adjacent
+    (5, 90, 5, 6, 4, 11, True, (4, 1, 0), 0),  # digits out of order
+    (6, 100, 4, 6, None, 64, False, None, 0),  # one partial step per epoch
+    (7, 100, 4, 6, 3, 13, True, None, 0),  # a last step of one record
+    (8, 40, 4, 6, 3, 16, False, None, 40),  # few distinct rows per step
 ]
+
+
+def _with_wide_node(tree, width):
+    """tree with width more leaves under the parent of a deepest leaf, so
+    the records below it share their digits up to the last."""
+    names, parent = tree.names, tree.parent
+    hub = int(parent[tree.leaves[np.argmax(tree.depth[tree.leaves])]])
+    lines = [f"{name}\t{names[q] if q >= 0 else '-'}" for name, q in zip(names, parent.tolist())]
+    lines += [f"wide{i}\t{names[hub]}" for i in range(width)]
+    return loads_tree("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("case", _ORACLE_CASES)
 def test_adam_trainer_matches_per_array_reference(tmp_path, case):
-    seed, size, branching, depth, k_heads, batch_size, sqrt_decay, digits = case
+    seed, size, branching, depth, k_heads, batch_size, sqrt_decay, digits, wide = case
     tree = irregular_tree(seed, size, branching, depth)
+    if wide:
+        tree = _with_wide_node(tree, wide)
     ds = encode_tree(tree)
     K = ds.codec.K
     assert K >= 5 and len(ds.leaves) % batch_size != 0
@@ -944,13 +962,28 @@ def test_adam_trainer_matches_per_array_reference(tmp_path, case):
         assert _fingerprint(str(out / "ckpt-final.json")) == final, name
 
 
+def _anchor_records(model, D, W, digits, ke):
+    """(row, target, rarity weight, arbitration correct) of every record
+    that a digit of digits reads through the anchors of deep head ke, the
+    arbitration read from the model as it stands."""
+    parts = []
+    for k in digits:
+        if _effective_depth(model, k) == ke:
+            prev, t = D[:, k - 1], D[:, k]
+            choice = _anchored_choice_rows(model, ke, prev, model.deep[ke - 2].table[prev])
+            parts.append((prev, t, W[:, k], choice == t))
+    return [np.concatenate(a) for a in zip(*parts)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("k_heads", [None, 3, 2, 1])
 def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
     # with one batch holding every record, the step gradient of the root,
-    # dense and table entries is the gradient of dataset_loss; anchors are
-    # left out: their update is not the gradient of the logged loss, the
-    # module docstring's defect (b)
+    # dense and table entries is the gradient of dataset_loss.  An anchor's
+    # update is not the gradient of the logged loss (the module docstring's
+    # defect (b)): it is the gradient of sum w anchor_loss(v, t, tau,
+    # correct) / n over the records that read the anchor, with each
+    # record's arbitration held fixed
     ds = encode_tree(irregular_tree(seed, 40, 4, 5))
     K = ds.codec.K
     model = new_model(ModelConfig(ds.codec, k_heads), seed=seed)
@@ -959,16 +992,40 @@ def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
         arr += rng.normal(0.0, 1.5, size=arr.shape)
     counts = ds.pair_counts()
     D = ds.digits_matrix()
+    W = _record_weights(D, counts, model.p)
     n = D.shape[0]
+    tau = model.config.tau
     for digits in (tuple(range(K)), (0, 3), tuple(range(2, K))):
         served = _served_arrays(model, digits)
         flat = _Flat(served)
         perms = {k: rng.permutation(n) for k in digits}
-        batches = _batches(model, flat, D, _record_weights(D, counts, model.p), perms)
-        grad = _accumulate_grads(flat.x, batches, 0, n)
+        batches = _Batches(model, flat, D, _record_tables(model, D, counts), perms, n)
+        grad = _accumulate_grads(flat.x, batches, 0)
         h = 1e-6
         for name, arr in served.items():
             if name.endswith(".anchor"):
+                ke = int(name[len("deep") : name.index(".")]) + 2
+                rows, t, w, correct = _anchor_records(model, D, W, digits, ke)
+                top, second = _top_two(model.deep[ke - 2].table)
+                for r in np.unique(rows):
+                    v = arr[r]
+                    # away from switch points: the arbitration compares
+                    # (v - top)^2 - (v - second)^2, linear in v with slope
+                    # 2 (second - top), with 0; a step of h must not flip it
+                    gap = (v - top[r]) ** 2 - (v - second[r]) ** 2
+                    assert abs(gap) > 10 * 2 * abs(second[r] - top[r]) * h
+                    on = np.flatnonzero(rows == r)
+
+                    def potential(u):
+                        return sum(
+                            w[i] * anchor_loss(u, t[i], tau, bool(correct[i])) for i in on
+                        ) / n
+
+                    fd = (potential(v + h) - potential(v - h)) / (2 * h)
+                    assert flat.view(grad, name)[r] == pytest.approx(fd, rel=1e-5, abs=1e-8), (
+                        name, r, digits,
+                    )
+                assert not np.any(np.delete(flat.view(grad, name), rows))
                 continue
             if name.startswith("deep"):
                 # away from ties: a step of h must not reorder a row's top three
@@ -985,3 +1042,51 @@ def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
                 assert flat.view(grad, name)[at] == pytest.approx(fd, rel=1e-5, abs=1e-8), (
                     name, at, digits,
                 )
+
+
+def test_adam_epoch_layout_is_linear_in_digits_times_records():
+    # at p = 409 a (records, p) block of the whole epoch would take
+    # digits * N * p * 8 bytes (157 MB at N = 3,000); the layout holds a
+    # few arrays of digits * N entries and one step's scratch
+    p, K, size = 409, 16, 64
+    rng = np.random.default_rng(0)
+    for N in (1500, 3000):
+        ds = digits_dataset(rng.integers(0, p, (N, K)), p)
+        model = new_model(ModelConfig(ds.codec), seed=0)
+        D = ds.digits_matrix()
+        counts = ds.pair_counts()
+        tables = _record_tables(model, D, counts)
+        flat = _Flat(_served_arrays(model, tuple(range(K))))
+        perms = {k: rng.permutation(N) for k in range(K)}
+        tracemalloc.start()
+        try:
+            b = _Batches(model, flat, D, tables, perms, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = b.cells.nbytes + b.terms.nbytes
+        assert scratch < 2 * 8 * (K * size * p + p)
+        assert peak <= 16 * 8 * K * N + scratch, (N, peak, scratch)
+
+
+def test_adam_train_calls_the_traced_names_once_per_step(monkeypatch):
+    # bench/spans.py times Adam by replacing these module attributes, so
+    # train must look each one up per call: one gradient and one moment
+    # update per step, one metrics pass per epoch
+    calls = Counter()
+    for name in ("_accumulate_grads", "_adam_step", "_epoch_metrics"):
+
+        def counted(*args, _f=getattr(optim, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(optim, name, counted)
+    tree = irregular_tree(0, 40, 4, 5)
+    ds = encode_tree(tree)
+    plan = TrainPlan(uniform_plan(ds.codec.K, epochs=2, lr=0.03).phases)
+    result = train(new_model(ModelConfig(ds.codec), seed=0), ds, AdamConfig(), plan,
+                   batch_size=8, seed=0, tree=tree)
+    steps = len(result.history) * math.ceil(len(ds.leaves) / 8)
+    assert result.steps == steps > 0
+    assert calls == {"_accumulate_grads": steps, "_adam_step": steps,
+                     "_epoch_metrics": len(result.history)}
