@@ -1081,6 +1081,9 @@ def train(
                     g = _accumulate_grads(flat.x, batches, s)
                     _adam_step(flat, g, state, optimizer, phase.lr)
                 moves = batches.steps
+                # the layout is O(digits x N): free it before the next
+                # epoch lays out its own
+                del batches
                 steps += moves
                 flat.write_back()
                 _check_finite(flat)

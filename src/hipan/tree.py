@@ -9,20 +9,28 @@ leaf depth K.  With a prime alphabet p >= B_max + 1 (B_max = largest
 child count) every leaf receives a distinct code and the code ultrametric
 equals p**-(LCA depth) on leaf pairs.
 
-Both sources of a hierarchy feed one builder that works in whole-array
-passes, one per tree level, and a TreeSpec keeps its per-node fields as
-read-only int64 arrays.  The dataset interchange form is read the same
-way: plain ASCII codes are parsed as bytes straight into the (N, K)
-digit matrix.
+Every text is read and written in whole-buffer passes.  An edge list is
+checked on its UTF-8 bytes and split at every tab and newline in one
+call; only a text with blank or comment lines, padded names or other
+line breaks is first rewritten line by line.  Both sources of a
+hierarchy feed one builder that works in whole-array passes, one per
+tree level; a TreeSpec keeps its per-node fields as read-only int64
+arrays and the parser's name table, which name lookups read.  The dataset
+interchange form is one json.loads, whose codes are parsed as bytes
+into the (N, K) digit matrix, a block of codes per pass, and is written
+by formatting every code in one byte buffer and joining all records in
+one call.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from operator import countOf, itemgetter
 from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -57,7 +65,9 @@ class TreeSpec:
 
     The per-node fields, `leaves` and the child table are read-only int64
     arrays; `children` (tuples of child ids) and `name_to_id` (a dict)
-    are views built from them on first use.
+    are views built from them on first use.  Name lookups (id_of, ids_of)
+    read `name_table`, the table the parser built, so no second dict of
+    names is made.
 
     Attributes:
         names: node id -> name.
@@ -69,6 +79,10 @@ class TreeSpec:
             kids[start[i]:start[i + 1]], in sibling order.
         max_depth: K, the deepest leaf depth (>= 1).
         b_max: largest child count of any node.
+        name_table: (rows, ids): rows maps each name to its row in the
+            parsed input and ids[row] is that node's id (read-only int64).
+            Two equal trees may number their rows differently, so
+            equality ignores it.
     """
 
     names: tuple[str, ...]
@@ -79,9 +93,10 @@ class TreeSpec:
     child_table: tuple[np.ndarray, np.ndarray]
     max_depth: int
     b_max: int
+    name_table: tuple[dict[str, int], np.ndarray] = field(repr=False)
 
     def __post_init__(self) -> None:
-        for arr in self._arrays():
+        for arr in (*self._arrays(), self.name_table[1]):
             arr.flags.writeable = False
 
     def _arrays(self) -> tuple[np.ndarray, ...]:
@@ -119,15 +134,18 @@ class TreeSpec:
         return dict(zip(self.names, range(self.n_nodes)))
 
     def id_of(self, name: str) -> int:
+        rows, ids = self.name_table
         try:
-            return self.name_to_id[name]
+            return int(ids[rows[name]])
         except KeyError:
             raise KeyError(f"unknown node name {name!r}") from None
 
     def ids_of(self, names: Sequence[str]) -> np.ndarray:
-        """int64 node ids of many names; KeyError names the first unknown one."""
+        """int64 node ids of many names, looked up in the parser's name
+        table; KeyError names the first unknown one."""
+        rows, ids = self.name_table
         try:
-            return np.fromiter(map(self.name_to_id.__getitem__, names), np.int64, len(names))
+            return ids[np.fromiter(map(rows.__getitem__, names), np.int64, len(names))]
         except KeyError as exc:
             raise KeyError(f"unknown node name {exc.args[0]!r}") from None
 
@@ -140,25 +158,27 @@ class TreeSpec:
 
 
 def _build_tree(
-    names: list[str], parent: np.ndarray, line_of: Callable[[int], int]
+    names: list[str], parent: np.ndarray, rows: dict[str, int], line_of: Callable[[int], int]
 ) -> TreeSpec:
     """Assemble a TreeSpec in whole-array passes.
 
-    names are distinct; parent[i] is the index in `names` of node i's
-    parent, -1 for the one root; line_of(i) is the source line of node i
-    for error messages.  Each pass below runs once per tree level, never
-    once per node.
+    names are distinct and rows maps each to its index in `names`, the
+    table the tree keeps; parent[i] is the index of node i's parent, -1
+    for the one root; line_of(i) is the source line of node i for error
+    messages.  Each pass below runs once per tree level, never once per
+    node.
     """
     n = len(names)
-    by_name = np.array(sorted(range(n), key=names.__getitem__), dtype=np.int64)
+    by_name = np.fromiter(sorted(range(n), key=names.__getitem__), np.int64, n)
     # Edges grouped by parent, each group in name order; the root (parent
     # -1) sorts first and is not a child.
     kids = by_name[np.argsort(parent[by_name], kind="stable")][1:]
     count = np.bincount(parent[kids], minlength=n)
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(count, out=start[1:])
+    group = start[parent[kids]]  # where each child's sibling group starts in kids
     sibling = np.zeros(n, dtype=np.int64)
-    sibling[kids] = np.arange(n - 1) - start[parent[kids]]
+    sibling[kids] = np.arange(n - 1) - group
 
     # Breadth-first levels over the child table; a node no level reaches
     # sits on a parent cycle, since every node has exactly one parent.
@@ -185,9 +205,10 @@ def _build_tree(
     size = np.ones(n, dtype=np.int64)
     for level in reversed(levels[1:]):
         np.add.at(size, parent[level], size[level])
-    before = np.cumsum(size[kids]) - size[kids]
+    before = np.cumsum(size[kids])
+    before -= size[kids]
     offset = np.zeros(n, dtype=np.int64)
-    offset[kids] = before - before[start[parent[kids]]]
+    offset[kids] = before - before[group]
     pre = np.zeros(n, dtype=np.int64)
     for level in levels[1:]:
         pre[level] = pre[parent[level]] + 1 + offset[level]
@@ -211,7 +232,58 @@ def _build_tree(
         child_table=(out_start, out_kids),
         max_depth=len(levels) - 1,
         b_max=int(out_count.max()),
+        name_table=(rows, pre),
     )
+
+
+# Whitespace that str.strip removes other than tab, newline and space;
+# it holds every line break of str.splitlines other than newline.
+_OTHER_SPACE = (
+    "\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
+
+def _separators(blob: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of a text and the byte offsets of its tabs and of
+    its newlines."""
+    buf = np.frombuffer(blob.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    return buf, np.flatnonzero(buf == ord("\t")), np.flatnonzero(buf == ord("\n"))
+
+
+def _is_plain(blob: str, buf: np.ndarray, tabs: np.ndarray, breaks: np.ndarray) -> bool:
+    """Whether an edge list (less one final newline) splits at its
+    newlines into the lines that loads_tree keeps, each with unpadded
+    names: no blank or comment line, no padding, no other line break.
+
+    Once no other whitespace occurs, a name is padded or empty, or a line
+    blank, exactly where a byte next to a tab or newline, or at either
+    end, is a space, tab or newline; a comment line starts with "#".
+    """
+    if not blob:
+        return True
+    if any(map(blob.__contains__, _OTHER_SPACE)):
+        return False
+    name_ends = np.concatenate(([0, buf.size - 1], tabs - 1, tabs + 1, breaks - 1))
+    name_ends = np.take(buf, name_ends, mode="clip")
+    line_starts = np.take(buf, breaks + 1, mode="clip")
+    return not (
+        np.isin(name_ends, (ord("\t"), ord("\n"), ord(" "))).any()
+        or np.isin(line_starts, (ord("\t"), ord("\n"), ord(" "), ord("#"))).any()
+        or buf[0] == ord("#")
+    )
+
+
+def _one_edge_per_line(buf: np.ndarray, tabs: np.ndarray, breaks: np.ndarray) -> bool:
+    """Whether every line holds one tab with a nonempty name on each side:
+    the separators then run tab, newline, tab, ..., tab, and no two of
+    them, nor a separator and an end of the text, are adjacent."""
+    if tabs.size != breaks.size + 1:
+        return False
+    bounds = np.empty(2 * tabs.size + 1, dtype=np.int64)
+    bounds[0], bounds[-1] = -1, buf.size
+    bounds[1:-1:2], bounds[2:-1:2] = tabs, breaks
+    return bool((np.diff(bounds) > 1).all())
 
 
 def _edge_line_numbers(text: str) -> list[int]:
@@ -257,36 +329,41 @@ def loads_tree(text: str) -> TreeSpec:
     """Parse a hierarchy from edge-list text.
 
     Format: one "child<TAB>parent" pair per line; the root declares itself
-    as "name<TAB>-"; blank lines and lines starting with "#" are ignored.
-    All lines are split and checked at once; only a text that fails
-    those checks is walked line by line, to name its first bad line.
+    as "name<TAB>-"; blank lines and lines starting with "#" are ignored,
+    names lose surrounding whitespace, and one leading byte order mark is
+    dropped.  The text is checked on its bytes and split at every tab and
+    newline in one call; a text with blank or comment lines, padded names
+    or line breaks other than newline is first rewritten line by line,
+    and only a text that fails the checks is walked line by line, to name
+    its first bad line.  The tree keeps the name table built here
+    (TreeSpec.name_table).
 
     Raises:
         TreeParseError: duplicate child, multiple roots, missing root,
             undefined parent, parent cycle, or a root-only hierarchy.
     """
-    raws = list(filter(str.strip, text.splitlines()))
-    if "#" in text:
-        raws = [raw for raw in raws if not raw.lstrip().startswith("#")]
-    blob = "\n".join(raws)
-    # one tab per line: the separators run tab, newline, tab, ..., tab
-    seps = np.frombuffer(blob.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    seps = seps[(seps == ord("\t")) | (seps == ord("\n"))]
-    one_tab = seps.size == 2 * len(raws) - 1 and (seps[::2] == ord("\t")).all()
-    fields = list(map(str.strip, blob.replace("\n", "\t").split("\t")))
+    text = text.removeprefix("\ufeff")
+    blob = text.removesuffix("\n")
+    buf, tabs, breaks = _separators(blob)
+    if not _is_plain(blob, buf, tabs, breaks):
+        kept = (
+            raw for raw in text.splitlines() if raw.strip() and not raw.lstrip().startswith("#")
+        )
+        blob = "\n".join("\t".join(map(str.strip, raw.split("\t"))) for raw in kept)
+        buf, tabs, breaks = _separators(blob)
+    fields = blob.replace("\n", "\t").split("\t")
     names, parents = fields[0::2], fields[1::2]
-    index_of = dict(zip(names, range(len(names))))
+    rows = dict(zip(names, range(len(names))))
     if (
-        not one_tab
-        or "" in fields
-        or len(index_of) < len(names)
+        not _one_edge_per_line(buf, tabs, breaks)
+        or len(rows) < len(names)
         or parents.count("-") > 1
     ):
         _edge_line_numbers(text)  # raises at the first bad line
     if "-" not in parents:
         raise TreeParseError("no root line ('name<TAB>-') found")
     root = parents.index("-")
-    parent = np.fromiter(map(index_of.get, parents, repeat(-1)), np.int64, len(names))
+    parent = np.fromiter(map(rows.get, parents, repeat(-1)), np.int64, len(names))
     parent[root] = -1
     orphan = np.flatnonzero(parent < 0)
     orphan = orphan[orphan != root]
@@ -296,7 +373,7 @@ def loads_tree(text: str) -> TreeSpec:
             f"line {_edge_line_numbers(text)[k]}: parent {parents[k]!r} of "
             f"{names[k]!r} is never defined"
         )
-    return _build_tree(names, parent, lambda k: _edge_line_numbers(text)[k])
+    return _build_tree(names, parent, rows, lambda k: _edge_line_numbers(text)[k])
 
 
 def load_tree(source: str | TextIO) -> TreeSpec:
@@ -353,7 +430,8 @@ def gen_synthetic(kind: str, branching: int, depth: int, seed: int = 0) -> TreeS
             names.extend(f"{stem}.{j:0{pad}d}" for j in range(count))
             parent.extend([node] * count)
         level = next_level
-    return _build_tree(names, np.array(parent, dtype=np.int64), lambda k: 0)
+    rows = dict(zip(names, range(len(names))))
+    return _build_tree(names, np.array(parent, dtype=np.int64), rows, lambda k: 0)
 
 
 def select_prime(tree: TreeSpec) -> int:
@@ -501,12 +579,23 @@ class DigitPairs(NamedTuple):
     count: np.ndarray
 
 
+def _read_only_int64(values) -> np.ndarray:
+    """values as a read-only int64 array: an int64 array that is already
+    read-only as it is, anything else as a new array."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 and not values.flags.writeable:
+        return values
+    arr = np.array(values, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class EncodedDataset:
     """Every leaf of a hierarchy as arrays: leaf names, the (N, K) digit
     matrix of their codes and their depths, one row per record.
 
-    The arrays are read-only copies made at construction, where every
+    The arrays are read-only: an int64 array that is already read-only is
+    kept as it is, anything else is copied at construction, where every
     digit is checked to lie in [0, p) and every depth in [1, K].  The
     training objective reads the records only through pair_counts: per
     depth, how many records hold each (digit k-1, digit k) pair.  Records
@@ -521,18 +610,17 @@ class EncodedDataset:
     def __post_init__(self) -> None:
         K, p = self.codec.K, self.codec.p
         leaves = tuple(self.leaves)
-        digits = np.array(self.digits, dtype=np.int64)
+        digits = _read_only_int64(self.digits)
         if digits.size == 0:
             digits = digits.reshape(0, K)
-        depths = np.array(self.depths, dtype=np.int64).reshape(-1)
+        depths = _read_only_int64(self.depths).reshape(-1)
         if digits.shape != (len(leaves), K) or depths.shape != (len(leaves),):
             raise ValueError(
                 f"{len(leaves)} leaves need a ({len(leaves)}, {K}) digit matrix and "
                 f"{len(leaves)} depths, got {digits.shape} and {depths.shape}"
             )
-        bad = (digits < 0) | (digits >= p)
-        if bad.any():
-            i, k = np.argwhere(bad)[0]
+        if digits.size and (digits.min() < 0 or digits.max() >= p):
+            i, k = np.argwhere((digits < 0) | (digits >= p))[0]
             raise ValueError(
                 f"record {leaves[i]!r} has digit {digits[i, k]} at index {k} "
                 f"outside [0, {p - 1}]"
@@ -541,8 +629,6 @@ class EncodedDataset:
         if bad.any():
             i = np.flatnonzero(bad)[0]
             raise ValueError(f"record {leaves[i]!r} has depth {depths[i]} outside [1, K]")
-        digits.flags.writeable = False
-        depths.flags.writeable = False
         object.__setattr__(self, "leaves", leaves)
         object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "depths", depths)
@@ -634,26 +720,39 @@ def encode_tree(tree: TreeSpec, codec: CodecParams | None = None) -> EncodedData
         node = parent[node]
         below_root = node != tree.root
         rows, node = rows[below_root], node[below_root]
+    digits.flags.writeable = False
     return EncodedDataset(cp, tuple(tree.leaf_names()), digits, depth[leaves])
 
 
 def _code_texts(digits: np.ndarray) -> list[str]:
-    """Canonical hyphen-separated text of every row of a digit matrix.
+    """Canonical hyphen-separated text of every row of a matrix of
+    non-negative digits.
 
-    Each digit value is formatted once, in a table gathered per column;
-    the table spans 0..max digit unless that is longer than the matrix,
-    when it holds only the distinct digits.
+    Every digit is written into one byte buffer, its last decimal place
+    first and each higher place for the digits that reach it, between
+    hyphens and a newline at each row's end; one split makes the texts.
     """
-    if not len(digits):
+    n, K = digits.shape
+    if not n:
         return []
-    top = int(digits.max())
-    if top < digits.size:
-        values, which = range(top + 1), digits
-    else:
-        values, which = np.unique(digits, return_inverse=True)
-        values = values.tolist()
-    table = np.array(list(map(str, values)), dtype=object)
-    return list(map("-".join, zip(*table[which.reshape(digits.shape).T].tolist())))
+    value = digits.ravel()
+    top = int(value.max())
+    places = len(str(top))
+    width = np.ones(value.size, dtype=np.uint8)
+    for place in range(1, places):
+        width += value >= 10**place
+    # each digit's text and the separator after it end at `end`
+    end = np.cumsum(width + np.uint8(1), dtype=np.int64)
+    buf = np.full(end[-1], ord("-"), dtype=np.uint8)
+    buf[end[K - 1 :: K] - 1] = ord("\n")
+    at = end - 2
+    value = value.astype(np.min_scalar_type(top))
+    for place in range(places):
+        buf[at] = value % 10 + ord("0")
+        if place + 1 < places:
+            live = np.flatnonzero(value >= 10)
+            at, value = at[live] - 1, value[live] // 10
+    return buf[:-1].tobytes().decode("ascii").split("\n")
 
 
 def dataset_to_json(ds: EncodedDataset) -> str:
@@ -661,14 +760,23 @@ def dataset_to_json(ds: EncodedDataset) -> str:
 
     One JSON document: {"codec": {"K", "p"}, "records": [...]} with one
     {"code", "depth", "leaf"} object per line, keys in sorted order; the
-    code is its hyphen-separated digit text.
+    code is its hyphen-separated digit text.  Leaf names are escaped as
+    json.dumps escapes them, and every record piece goes into one join.
     """
-    lines = [
-        f'{{"code": "{code}", "depth": {depth}, "leaf": {json.dumps(leaf)}}}'
-        for code, depth, leaf in zip(_code_texts(ds.digits), ds.depths.tolist(), ds.leaves)
-    ]
     codec = json.dumps({"p": ds.codec.p, "K": ds.codec.K}, sort_keys=True)
-    return f'{{"codec": {codec}, "records": [\n' + ",\n".join(lines) + "\n]}\n"
+    depth_text = list(map(str, range(ds.codec.K + 1)))
+    records = zip(
+        chain(['{"code": "'], repeat(',\n{"code": "')),
+        _code_texts(ds.digits),
+        repeat('", "depth": '),
+        map(depth_text.__getitem__, ds.depths.tolist()),
+        repeat(', "leaf": '),
+        map(encode_basestring_ascii, ds.leaves),
+        repeat("}"),
+    )
+    return "".join(
+        chain([f'{{"codec": {codec}, "records": [\n'], chain.from_iterable(records), ["\n]}\n"])
+    )
 
 
 def tree_to_nested(tree: TreeSpec, dataset: EncodedDataset | None = None) -> dict:
@@ -715,42 +823,75 @@ def _is_code(text: str, K: int) -> bool:
     return len(fields) == K
 
 
+# Tokens read per block by _parse_ascii_codes: about a megabyte of
+# temporaries, which the next block reuses where one pass over every
+# code would page in tens of fresh megabytes.
+_CODE_BLOCK = 1 << 16
+
+
 def _parse_ascii_codes(codes: list[str], K: int) -> np.ndarray | None:
     """(N, K) digits of code texts read as bytes, or None unless every
     code is exactly K hyphen-separated tokens of 1 to 18 ASCII digits
-    (18 digits always fit int64)."""
-    text = "\n".join(codes)
+    (18 digits always fit int64).  The codes are read in blocks of about
+    _CODE_BLOCK tokens, each in whole-array passes."""
+    value = np.empty((len(codes), K), dtype=np.int64)
+    step = max(1, _CODE_BLOCK // K)
+    for r in range(0, len(codes), step):
+        if not _read_ascii_codes(codes[r : r + step], K, value[r : r + step].ravel()):
+            return None
+    return value
+
+
+def _read_ascii_codes(codes: list[str], K: int, out: np.ndarray) -> bool:
+    """Whether _parse_ascii_codes can read these codes, writing their
+    digits into out (flat, row-major) when it can.
+
+    The codes are joined between newlines, so the separators (the bytes
+    below "0") must run newline, K - 1 hyphens, newline, ..., newline;
+    with no two adjacent, the byte before each one after the first is a
+    token's units digit.  Only the tokens of more digits are read again,
+    a place at a time.
+    """
+    text = "\n".join(["", *codes, ""])
     if not text.isascii():
-        return None
+        return False
     buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    sep = np.flatnonzero((buf == ord("-")) | (buf == ord("\n")))
-    n_digits = np.count_nonzero(buf - ord("0") < 10)
-    if sep.size != len(codes) * K - 1 or sep.size + n_digits != buf.size:
-        return None
-    # a newline ends every K-th token and a hyphen every other one
-    kind = np.append(buf[sep], ord("\n")).reshape(-1, K)
-    if not ((kind[:, -1] == ord("\n")).all() and (kind[:, :-1] == ord("-")).all()):
-        return None
-    bounds = np.concatenate(([-1], sep, [buf.size]))
-    width, last = np.diff(bounds) - 1, bounds[1:] - 1
-    if width.min() < 1 or width.max() > 18:
-        return None
-    # units digit of every token, then each higher place for the tokens
-    # that reach it
-    value = (buf[last] - ord("0")).astype(np.int64)
-    for place in range(1, width.max()):
-        live = np.flatnonzero(width > place)
-        value[live] += (buf[last[live] - place] - ord("0")) * np.int64(10) ** place
-    return value.reshape(-1, K)
+    if buf.max() > ord("9"):
+        return False
+    at = np.flatnonzero(buf < ord("0"))
+    kind = buf[at]
+    if not (
+        kind.size == out.size + 1
+        and (kind[::K] == ord("\n")).all()
+        and np.count_nonzero(kind == ord("-")) == out.size - len(codes)
+    ):
+        return False
+    at = at[1:]
+    at -= 1
+    units = buf[at]
+    if units.min() < ord("0"):  # two adjacent separators
+        return False
+    np.subtract(units, ord("0"), out=out, dtype=np.int64)
+    at -= 1
+    tok = np.flatnonzero(buf[at] >= ord("0"))
+    at = at[tok]
+    for place in range(1, 18):
+        out[tok] += (buf[at] - ord("0")) * np.int64(10) ** place
+        at -= 1
+        live = np.flatnonzero(buf[at] >= ord("0"))
+        tok, at = tok[live], at[live]
+        if not tok.size:
+            return True
+    return False
 
 
 def _parse_codes(codes: list[str], leaves: list[str], K: int) -> np.ndarray:
-    """(N, K) digits of code texts, parsed in one pass over their join;
-    digit ranges are left to EncodedDataset.
+    """(N, K) digits of code texts; digit ranges are left to
+    EncodedDataset.
 
-    Plain ASCII codes are read as bytes; any other text (a sign, a
-    non-ASCII digit, a token of 19 or more digits) is read token by token
-    with int().
+    Plain ASCII codes are read as bytes, a block of codes per pass; any
+    other text (a sign, a non-ASCII digit, a token of 19 or more digits)
+    sends every code to int(), token by token.
 
     Raises:
         ValueError: naming the first code that is not exactly K
@@ -858,8 +999,9 @@ class CodeIndex:
 def dataset_from_json(text: str) -> EncodedDataset:
     """Parse the dataset interchange form.
 
-    Every code is parsed into the digit matrix in one pass; the checks
-    run on whole columns.
+    One json.loads; each field is then gathered and type-checked over all
+    records at once, every code is parsed into the digit matrix in one
+    pass, and the checks run on whole columns.
 
     Raises:
         ValueError: structurally invalid payload, wrongly typed fields,
@@ -872,33 +1014,33 @@ def dataset_from_json(text: str) -> EncodedDataset:
         rows = payload["records"]
         if not isinstance(rows, list):
             raise TypeError(f"'records' must be a list, got {type(rows).__name__}")
-        fields = {key: [r[key] for r in rows] for key in ("leaf", "code", "depth")}
+        leaves, codes, depths = (
+            list(map(itemgetter(key), rows)) for key in ("leaf", "code", "depth")
+        )
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed dataset JSON: {exc}") from exc
-    for key, kind in (("leaf", str), ("code", str), ("depth", int)):
-        values = fields[key]
-        if set(map(type, values)) - {kind}:
+    for key, kind, values in (("leaf", str, leaves), ("code", str, codes), ("depth", int, depths)):
+        if countOf(map(type, values), kind) < len(values):
             bad = next(v for v in values if type(v) is not kind)
             raise ValueError(
                 f"malformed dataset JSON: {key!r} must be {kind.__name__}, got {bad!r}"
             )
-    leaves = fields["leaf"]
-    digits = _parse_codes(fields["code"], leaves, codec.K)
+    digits = _parse_codes(codes, leaves, codec.K)
+    digits.flags.writeable = False
     try:
-        ds = EncodedDataset(codec, tuple(leaves), digits, fields["depth"])
+        ds = EncodedDataset(codec, tuple(leaves), digits, depths)
     except ValueError as exc:
         raise ValueError(f"malformed dataset JSON: {exc}") from None
     except OverflowError:  # a depth past int64
-        leaf, depth = next(
-            (leaf, d) for leaf, d in zip(leaves, fields["depth"]) if not 1 <= d <= codec.K
-        )
+        leaf, depth = next((leaf, d) for leaf, d in zip(leaves, depths) if not 1 <= d <= codec.K)
         raise ValueError(
             f"malformed dataset JSON: record {leaf!r} has depth {depth} outside [1, K]"
         ) from None
     if len(set(leaves)) < len(leaves):
         raise ValueError("malformed dataset JSON: duplicate leaf")
-    if len(digits) > 1:
-        ordered = digits if _rows_ascend(digits) else digits[np.lexsort(digits.T[::-1])]
+    # rows that ascend are distinct; others are sorted to find a repeat
+    if len(digits) > 1 and not _rows_ascend(digits):
+        ordered = digits[np.lexsort(digits.T[::-1])]
         if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise ValueError("malformed dataset JSON: duplicate code")
     return ds

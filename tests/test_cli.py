@@ -4,6 +4,7 @@ import base64
 import json
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from hipan import (
     new_model,
     train,
 )
+import hipan.cli
+import hipan.tree
 from hipan.checkpoint import FORMAT, canonical_json, checkpoint_fingerprint, load_checkpoint
 from hipan.cli import main, parse_config_file, resolve_config
 from conftest import TOY_TEXT
@@ -812,3 +815,52 @@ def test_corrupt_table_exit_2_naming_it(capsys, tmp_path, toy_files, corrupt):
     assert rc == 2
     assert err.startswith("error: table dense")
     assert "Traceback" not in err
+
+
+def test_ingest_ignores_a_byte_order_mark(capsys, tmp_path):
+    text = "a\tr\nr\t-\nb\tr\n"
+    outputs = []
+    for i, variant in enumerate([text, "\ufeff" + text, "\ufeffr\t-\na\tr\nb\tr\n"]):
+        tree_path, out_path = tmp_path / f"t{i}.tsv", tmp_path / f"d{i}.json"
+        tree_path.write_text(variant, encoding="utf-8")
+        rc, _, err = run(capsys, ["ingest", "--tree", str(tree_path), "--out", str(out_path)])
+        assert rc == 0, err
+        outputs.append(out_path.read_bytes())
+    assert outputs[1] == outputs[2] == outputs[0]
+    assert [r["leaf"] for r in json.loads(outputs[0])["records"]] == ["a", "b"]
+
+
+def test_eval_and_diagnose_read_each_input_once(capsys, tmp_path, toy_files, monkeypatch):
+    # bench/spans.py times these readers by the module attributes the
+    # commands call; one read each, and name lookups use the parser's
+    # table rather than a name_to_id dict of their own
+    tree_path, ds_path = toy_files
+    _, ckdir = _train_toy(capsys, tmp_path, toy_files)
+    calls, trees = Counter(), []
+
+    def loads_tree(text, _f=hipan.tree.loads_tree):
+        calls["loads_tree"] += 1
+        trees.append(_f(text))
+        return trees[-1]
+
+    def dataset_from_json(text, _f=hipan.cli.dataset_from_json):
+        calls["dataset_from_json"] += 1
+        return _f(text)
+
+    def ids_of(self, names, _f=hipan.tree.TreeSpec.ids_of):
+        calls["ids_of"] += 1
+        return _f(self, names)
+
+    monkeypatch.setattr(hipan.tree, "loads_tree", loads_tree)
+    monkeypatch.setattr(hipan.cli, "dataset_from_json", dataset_from_json)
+    monkeypatch.setattr(hipan.tree.TreeSpec, "ids_of", ids_of)
+    for command in ("eval", "diagnose"):
+        calls.clear()
+        trees.clear()
+        argv = [command, "--dataset", ds_path, "--tree", tree_path,
+                "--checkpoint", os.path.join(ckdir, "ckpt-final.json")]
+        rc, _, err = run(capsys, argv)
+        assert rc == 0, err
+        assert calls["loads_tree"] == calls["dataset_from_json"] == 1
+        assert calls["ids_of"] >= 1
+        assert "name_to_id" not in vars(trees[0])

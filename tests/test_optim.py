@@ -4,6 +4,7 @@ import json
 import math
 import io
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -1090,3 +1091,23 @@ def test_adam_train_calls_the_traced_names_once_per_step(monkeypatch):
     assert result.steps == steps > 0
     assert calls == {"_accumulate_grads": steps, "_adam_step": steps,
                      "_epoch_metrics": len(result.history)}
+
+
+def test_adam_frees_each_epoch_layout_before_the_next(monkeypatch):
+    # an epoch's layout is O(digits x N), so holding the previous one
+    # while the next is built would double Adam's peak layout memory
+    layouts = []
+
+    class Tracked(optim._Batches):
+        def __init__(self, *args):
+            assert all(ref() is None for ref in layouts)
+            super().__init__(*args)
+            layouts.append(weakref.ref(self))
+
+    monkeypatch.setattr(optim, "_Batches", Tracked)
+    tree = irregular_tree(0, 40, 4, 5)
+    ds = encode_tree(tree)
+    plan = TrainPlan(uniform_plan(ds.codec.K, epochs=3, lr=0.03).phases)
+    result = train(new_model(ModelConfig(ds.codec), seed=0), ds, AdamConfig(), plan,
+                   batch_size=8, seed=0, tree=tree)
+    assert len(layouts) == len(result.history) > 1

@@ -647,6 +647,81 @@ def test_loads_tree_errors_match_reference_parser(text):
     assert ours == _outcome(_reference_loads_tree, text)
 
 
+# One character that makes loads_tree rewrite a text line by line before
+# splitting it (padding, a blank or comment line, another line break or
+# whitespace), or that breaks a line (a tab or line break mid-name).
+_IRREGULAR = st.sampled_from(
+    [" ", "\t", "\n", "\r", "\r\n", "#", "\x0b", "\x1f", "\xa0", "\u2028", "\u3000"]
+)
+
+
+@st.composite
+def _nearly_plain_edge_texts(draw):
+    """Edge-list texts of random trees that split at every newline as they
+    stand (no padding, blank or comment line, one kind of line break),
+    with or without a final newline, and then, in most examples, one
+    irregular character inserted, often next to a separator or an end."""
+    names = draw(st.lists(_NAMES, min_size=2, max_size=10, unique=True))
+    edges = [(names[0], "-")] + [
+        (name, names[draw(st.integers(0, i - 1))]) for i, name in enumerate(names[1:], 1)
+    ]
+    text = "\n".join(map("\t".join, draw(st.permutations(edges))))
+    text += draw(st.sampled_from(["", "\n"]))
+    if draw(st.integers(0, 3)):
+        seps = [i for i, c in enumerate(text) if c in "\t\n"]
+        spots = sorted({0, len(text), *seps, *(i + 1 for i in seps)})
+        at = draw(st.one_of(st.integers(0, len(text)), st.sampled_from(spots)))
+        text = text[:at] + draw(_IRREGULAR) + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_nearly_plain_edge_texts())
+def test_loads_tree_splits_plain_texts_as_the_reference_parser(text):
+    ours = _outcome(lambda t: _fields(loads_tree(t)), text)
+    assert ours == _outcome(_reference_loads_tree, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "r\t-\na\tr ", "r\t-\na\tr \n", " r\t-\na\tr", "r\t-\n a\tr", "r\t-\na \tr",
+        "r\t-\na\t r", "r\t- \na\tr", "#c\nr\t-\na\tr", "r\t-\n#c\na\tr", "r\t-\na\t#r",
+        "\nr\t-\na\tr", "r\t-\n\na\tr", "r\t-\na\tr\n\n", "r\t-\n\t\na\tr", "r\t-\r\na\tr\r\n",
+        "r\t-\na\u2028b\tr", "r\t-\na\xa0b\tr", "r\t-\na\tr\t", "\tr\t-\na\tr", "", "\n", "#\n",
+    ],
+)
+def test_loads_tree_edges_of_plain_texts_match_reference_parser(text):
+    # one irregular byte at each place where names and lines start and end
+    ours = _outcome(lambda t: _fields(loads_tree(t)), text)
+    assert ours == _outcome(_reference_loads_tree, text)
+
+
+def test_loads_tree_drops_one_byte_order_mark():
+    text = "a\tr\nr\t-\nb\tr\n"
+    for marked in ("\ufeff" + text, "\ufeffr\t-\na\tr\nb\tr\n"):
+        tree = loads_tree(marked)
+        assert tree == loads_tree(text)
+        assert tree.leaf_names() == ["a", "b"]
+        assert encode_tree(tree).digits.tolist() == [[0], [1]]
+    # only the first: a second mark is part of the first name
+    assert loads_tree("\ufeff\ufeff" + text).leaf_names() == ["b", "\ufeffa"]
+
+
+def test_name_lookups_read_the_parser_table():
+    text = dump_tree(irregular_tree(3, 60))
+    shuffled = "\n".join(text.splitlines()[::-1])
+    for tree in (loads_tree(text), loads_tree(shuffled), gen_synthetic("random", 4, 3, 2)):
+        names = list(tree.names)
+        want = list(range(tree.n_nodes))
+        assert tree.ids_of(names).tolist() == want
+        assert [tree.id_of(name) for name in names] == want
+        assert tree.name_to_id == dict(zip(names, want))
+        rows, ids = tree.name_table
+        assert not ids.flags.writeable and ids.dtype == np.int64
+        assert sorted(ids[list(rows.values())].tolist()) == want
+
+
 @pytest.mark.parametrize(
     "args",
     [("complete", 3, 3, 0), ("complete", 1, 4, 0), ("random", 4, 4, 11), ("random", 12, 3, 5)],
@@ -721,3 +796,63 @@ def test_parse_codes_matches_int_reading(codes, K, byte_path):
     else:
         got = _tree._parse_codes(codes, leaves, K)
         assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def _reference_dataset_to_json(ds):
+    """Record-at-a-time writer: json.dumps of each leaf and each code's
+    digits joined one row at a time."""
+    lines = [
+        f'{{"code": "{"-".join(map(str, row))}", "depth": {depth}, "leaf": {json.dumps(leaf)}}}'
+        for row, depth, leaf in zip(ds.digits.tolist(), ds.depths.tolist(), ds.leaves)
+    ]
+    codec = json.dumps({"p": ds.codec.p, "K": ds.codec.K}, sort_keys=True)
+    return f'{{"codec": {codec}, "records": [\n' + ",\n".join(lines) + "\n]}\n"
+
+
+# Leaf names with quotes, backslashes, control characters, non-ASCII and
+# astral characters and a lone surrogate, which JSON escapes.
+_LEAF_NAMES = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é漢\U0001f600\ud800'), st.characters()),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from([2, 3, 11, 409, 1_000_003, 2**61 - 1]), st.integers(1, 4), st.data())
+def test_dataset_to_json_matches_record_writer(p, K, data):
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * K), max_size=25, unique=True))
+    n = len(rows)
+    leaves = data.draw(st.lists(_LEAF_NAMES, min_size=n, max_size=n, unique=True))
+    depths = data.draw(st.lists(st.integers(1, K), min_size=n, max_size=n))
+    ds = EncodedDataset(CodecParams(p, K), tuple(leaves), rows, depths)
+    text = dataset_to_json(ds)
+    assert text == _reference_dataset_to_json(ds)
+    assert dataset_from_json(text) == ds
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from([3, 409, 2**61 - 1]), st.integers(1, 4), st.integers(1, 9), st.data())
+def test_parse_codes_reads_block_by_block(p, K, block, data):
+    # small blocks put block boundaries between every few codes; a code
+    # the byte reader refuses, in any block, sends them all to int()
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * K), min_size=1, max_size=30))
+    codes = ["-".join(map(str, row)) for row in rows]
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(codes) - 1))
+        codes[i] = data.draw(st.sampled_from(["+" + codes[i], codes[i] + "-0", "0" * 19, "x"]))
+    leaves = [f"r{i}" for i in range(len(codes))]
+    saved, _tree._CODE_BLOCK = _tree._CODE_BLOCK, block
+    try:
+        got = _outcome_of(lambda: _tree._parse_codes(codes, leaves, K))
+    finally:
+        _tree._CODE_BLOCK = saved
+    want = _outcome_of(lambda: _reference_parse_codes(codes, leaves, K))
+    assert got == want
+
+
+def _outcome_of(parse):
+    """A parse's digits as lists, or the message of the ValueError it raised."""
+    try:
+        return parse().tolist()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
