@@ -7,11 +7,22 @@ written in canonical form (sorted keys, minimal separators, shortest
 round-trip float text for scalars), so identical state always produces
 identical bytes.
 
-Format v2 stores each latent array and each Adam moment array as one
-base64 string of its little-endian values, int16 when that is exact
-(lattice-trained latents) and float64 otherwise (`model.pack_array`);
-decoding gives the arrays back bit for bit.  Format v1 files, which hold
-the arrays as lists of floats, still load.
+Format v3 stores only what training changed.  Its model state names
+the init scheme ("init": "uniform-v1", the draws of
+`new_model(config, seed)`) and stores each latent array as the rows
+whose bits differ from that init; each Adam moment array is stored as
+its rows whose bits differ from zero (`model.pack_rows`).  A stored
+array is {"rows": ascending row indices, "values": those rows}, both
+packed by `model.pack_array`: base64 of little-endian values, int16 when
+that is exact (lattice-trained latents, row indices) and float64
+otherwise.  Each entry of a 1-d array (root scores, an anchor) is a row.
+Loading draws the init again and writes the stored rows over it
+(`model.unpack_rows`), so every array comes back bit for bit, whichever
+rows training reached.
+
+Format v2 files, which store every value of each array as one
+`pack_array` string, and format v1 files, which hold the arrays as lists
+of floats, still load.
 
 `created_unix_ms` is the one intentionally nondeterministic field; the
 fingerprint zeroes it before hashing so two runs of the same seed yield
@@ -28,7 +39,8 @@ from typing import Any
 
 from .model import HiPaNModel, model_from_state, model_state
 
-FORMAT = "hipan-checkpoint-v2"
+FORMAT = "hipan-checkpoint-v3"
+FORMAT_V2 = "hipan-checkpoint-v2"
 FORMAT_V1 = "hipan-checkpoint-v1"
 
 
@@ -96,7 +108,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read and validate a checkpoint document (format v2 or v1); its
+    """Read and validate a checkpoint document (format v3, v2 or v1); its
     arrays stay packed until load_model.
 
     Raises:
@@ -107,7 +119,7 @@ def load_checkpoint(path: str) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("format") not in (FORMAT_V1, FORMAT):
+    if not isinstance(doc, dict) or doc.get("format") not in (FORMAT_V1, FORMAT_V2, FORMAT):
         raise ValueError(f"{path}: not a checkpoint file")
     return doc
 

@@ -30,7 +30,7 @@ import binascii
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,8 +45,12 @@ from .tree import EncodedDataset, TreeSpec
 # fall back to the generative rule and may miss.
 RECONSTRUCT_MARGIN = 2.0
 
-CHECKPOINT_FORMAT = "hipan-model-v2"
+CHECKPOINT_FORMAT = "hipan-model-v3"
+CHECKPOINT_FORMAT_V2 = "hipan-model-v2"
 CHECKPOINT_FORMAT_V1 = "hipan-model-v1"
+# Names the init that format v3 tables are stored against: new_model's
+# i.i.d. uniform draws over {0, ..., p-1} from child_rng(seed, "init").
+INIT_SCHEME = "uniform-v1"
 
 
 @dataclass
@@ -150,8 +154,10 @@ def new_model(config: ModelConfig, seed: int = 0) -> HiPaNModel:
     """Fresh model with latents drawn i.i.d. uniform over {0, ..., p-1}.
 
     Integer-valued floats keep the +-1 move lattice exact and make the
-    initial rounded digits uniform over the alphabet.  Draw order: root
-    scores, dense table, then each deep head's table then anchor.
+    initial rounded digits uniform over the alphabet.  The arrays are
+    drawn one after another in the order of `model_arrays`, the one
+    place that fixes it; checkpoints (`model_state`) store each array as
+    its rows that differ from these draws.
 
     Raises:
         ValueError: the latents would not fit in physical memory.
@@ -163,18 +169,51 @@ def new_model(config: ModelConfig, seed: int = 0) -> HiPaNModel:
             f"a model with p={p} needs {need} bytes of float64 latents, "
             f"more than the {have} bytes of physical memory"
         )
+    model = _blank_model(config, seed)
+    for _, arr, draw in _init_draws(model, seed):
+        arr[...] = draw
+    return model
+
+
+def _blank_model(config: ModelConfig, seed: int) -> HiPaNModel:
+    """Model of the given shape whose arrays are left uninitialized."""
+    p = config.codec.p
+    return HiPaNModel(
+        config,
+        RootHead(np.empty(p)),
+        DenseMSEHead(np.empty((p, p))) if config.K_heads >= 2 else None,
+        [TwoLogitCEHead(np.empty((p, p)), np.empty(p)) for _ in range(config.K_heads - 2)],
+        init_seed=seed,
+    )
+
+
+def model_arrays(model: HiPaNModel) -> dict[str, np.ndarray]:
+    """Every latent array of model, by name, in draw order: "root" (root
+    scores), "dense" (dense table), then "deep{i}.table" and
+    "deep{i}.anchor" for each deep head i.
+
+    The arrays themselves, not copies.  `new_model` draws the init in
+    this order, checkpoints name their tables by these names, and the
+    trainers lay the arrays out in it.
+    """
+    out = {"root": model.root.scores}
+    if model.dense is not None:
+        out["dense"] = model.dense.table
+    for i, head in enumerate(model.deep):
+        out[f"deep{i}.table"] = head.table
+        out[f"deep{i}.anchor"] = head.anchor
+    return out
+
+
+def _init_draws(
+    model: HiPaNModel, seed: int
+) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
+    """(name, array, init draw) for each array of model in draw order: the
+    integers new_model(model.config, seed) gives that array, drawn one
+    array at a time."""
     rng = child_rng(seed, "init")
-
-    def draw(shape: tuple[int, ...]) -> np.ndarray:
-        return rng.integers(0, p, size=shape).astype(np.float64)
-
-    root = RootHead(draw((p,)))
-    dense = DenseMSEHead(draw((p, p))) if config.K_heads >= 2 else None
-    deep = [
-        TwoLogitCEHead(draw((p, p)), draw((p,)))
-        for _ in range(max(0, config.K_heads - 2))
-    ]
-    return HiPaNModel(config, root, dense, deep, init_seed=seed)
+    for name, arr in model_arrays(model).items():
+        yield name, arr, rng.integers(0, model.p, size=arr.shape)
 
 
 def _effective_depth(model: HiPaNModel, k: int) -> int:
@@ -398,6 +437,28 @@ def pack_array(name: str, arr: np.ndarray) -> str:
 _BLOB_DTYPES = {"int16": np.dtype("<i2"), "float64": np.dtype("<f8")}
 
 
+def _decode(name: str, value: str | list) -> np.ndarray:
+    """float64 values of pack_array text, or of a format v1 list of floats."""
+    if isinstance(value, list):
+        try:
+            return np.array(value, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"table {name} is not a list of numbers ({exc})") from None
+    if not isinstance(value, str):
+        raise ValueError(f"table {name} is neither an array text nor a list")
+    tag, _, text = value.partition(":")
+    dtype = _BLOB_DTYPES.get(tag)
+    if dtype is None:
+        raise ValueError(f"table {name} has unknown array type {tag!r}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"table {name} is not valid base64 ({exc})") from None
+    if len(raw) % dtype.itemsize:
+        raise ValueError(f"table {name} holds {len(raw)} bytes, not whole {tag} values")
+    return np.frombuffer(raw, dtype=dtype).astype(np.float64)
+
+
 def unpack_array(name: str, value: str | list, shape: tuple[int, ...]) -> np.ndarray:
     """float64 array of a given shape from pack_array text, or from the
     list of floats that format v1 files hold.
@@ -406,76 +467,104 @@ def unpack_array(name: str, value: str | list, shape: tuple[int, ...]) -> np.nda
         ValueError: (naming the table) an unknown tag, invalid base64, a
             byte count that is not whole values, or a wrong value count.
     """
-    if isinstance(value, list):
-        try:
-            arr = np.array(value, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"table {name} is not a list of numbers ({exc})") from None
-    elif isinstance(value, str):
-        tag, _, text = value.partition(":")
-        dtype = _BLOB_DTYPES.get(tag)
-        if dtype is None:
-            raise ValueError(f"table {name} has unknown array type {tag!r}")
-        try:
-            raw = base64.b64decode(text, validate=True)
-        except binascii.Error as exc:
-            raise ValueError(f"table {name} is not valid base64 ({exc})") from None
-        if len(raw) % dtype.itemsize:
-            raise ValueError(f"table {name} holds {len(raw)} bytes, not whole {tag} values")
-        arr = np.frombuffer(raw, dtype=dtype).astype(np.float64)
-    else:
-        raise ValueError(f"table {name} is neither an array text nor a list")
+    arr = _decode(name, value)
     if arr.size != math.prod(shape):
         raise ValueError(f"table {name} has {arr.size} values, wanted {shape}")
     return arr.reshape(shape)
 
 
+def pack_rows(name: str, arr: np.ndarray, base: np.ndarray | None = None) -> dict:
+    """Checkpoint form of the rows of arr whose float64 bits differ from
+    base's: {"rows": their ascending indices, "values": the rows}, each
+    packed by pack_array.  Each entry of a 1-d array is a row.  base
+    holds nonnegative integers, such as the seeded init (all zeros when
+    None); unpack_rows writes the rows back over it.
+
+    Raises:
+        ValueError: a stored row holds NaN or infinity (named by name).
+    """
+    # against +0.0 and positive numbers, bits differ exactly where the
+    # values differ (NaN included) or the sign bit is set (-0.0 included)
+    differs = (arr != (0 if base is None else base)) | np.signbit(arr)
+    rows = np.flatnonzero(differs.any(axis=tuple(range(1, differs.ndim))))
+    return {"rows": pack_array(name, rows), "values": pack_array(name, arr[rows])}
+
+
+def unpack_rows(name: str, value: dict, out: np.ndarray) -> np.ndarray:
+    """Write the rows that pack_rows stored over out, in place; returns out.
+
+    Raises:
+        ValueError: (naming the table) value is not a rows/values pair, a
+            row index is not one of out's rows, the indices do not
+            strictly ascend, the values are not len(rows) whole rows, or
+            either text is malformed as unpack_array says.
+    """
+    if not isinstance(value, dict) or value.keys() != {"rows", "values"}:
+        raise ValueError(f"table {name} is not a rows/values pair")
+    at = _decode(name, value["rows"]).ravel()
+    outside = (at < 0) | (at >= len(out)) | (at != np.floor(at))
+    if outside.any():
+        raise ValueError(
+            f"table {name} names row {at[outside.argmax()]:g}, not one of its {len(out)} rows"
+        )
+    rows = at.astype(np.int64)
+    if (np.diff(rows) <= 0).any():
+        raise ValueError(f"table {name} row indices do not strictly ascend")
+    out[rows] = unpack_array(name, value["values"], (len(rows), *out.shape[1:]))
+    return out
+
+
 def model_state(model: HiPaNModel) -> dict:
-    """JSON-ready model snapshot: header scalars + each table packed by
-    pack_array, keyed by name."""
+    """JSON-ready model snapshot in format v3: header scalars, the init
+    scheme, and each table as the rows that differ from the model's
+    seeded init (pack_rows), keyed by name.
+
+    The init is drawn again one array at a time, so a save never holds a
+    second whole model.
+    """
     cfg = model.config
-    arrays = {"root": model.root.scores}
-    if model.dense is not None:
-        arrays["dense"] = model.dense.table
-    for i, head in enumerate(model.deep):
-        arrays[f"deep{i}.table"] = head.table
-        arrays[f"deep{i}.anchor"] = head.anchor
     return {
         "format": CHECKPOINT_FORMAT,
+        "init": INIT_SCHEME,
         "p": cfg.codec.p,
         "K": cfg.codec.K,
         "K_heads": cfg.K_heads,
         "tau": cfg.tau,
         "seed": model.init_seed,
-        "tables": {name: pack_array(name, arr) for name, arr in arrays.items()},
+        "tables": {
+            name: pack_rows(name, arr, draw)
+            for name, arr, draw in _init_draws(model, model.init_seed)
+        },
     }
 
 
 def model_from_state(state: dict) -> HiPaNModel:
-    """Inverse of model_state; also reads format v1 states, whose tables
-    are lists of floats.  An "alpha" key, written by earlier versions, is
-    ignored.
+    """Inverse of model_state: the seeded init with the stored rows written
+    over it.  Also reads format v2 and v1 states, whose tables hold every
+    value (pack_array text, or lists of floats).  An "alpha" key, written
+    by earlier versions, is ignored.
 
     Raises:
-        ValueError: unknown format tag or malformed tables.
+        ValueError: unknown format tag or init scheme, or malformed tables.
     """
-    if state.get("format") not in (CHECKPOINT_FORMAT_V1, CHECKPOINT_FORMAT):
-        raise ValueError(f"unknown model state format {state.get('format')!r}")
+    fmt = state.get("format")
+    if fmt not in (CHECKPOINT_FORMAT_V1, CHECKPOINT_FORMAT_V2, CHECKPOINT_FORMAT):
+        raise ValueError(f"unknown model state format {fmt!r}")
     codec = CodecParams(int(state["p"]), int(state["K"]))
     config = ModelConfig(codec, int(state["K_heads"]), float(state["tau"]))
-    p = codec.p
+    seed = int(state.get("seed", 0))
     tables = state["tables"]
-
-    def pull(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        return unpack_array(name, tables[name], shape)
-
-    root = RootHead(pull("root", (p,)))
-    dense = DenseMSEHead(pull("dense", (p, p))) if config.K_heads >= 2 else None
-    deep = [
-        TwoLogitCEHead(pull(f"deep{i}.table", (p, p)), pull(f"deep{i}.anchor", (p,)))
-        for i in range(max(0, config.K_heads - 2))
-    ]
-    return HiPaNModel(config, root, dense, deep, init_seed=int(state.get("seed", 0)))
+    if fmt != CHECKPOINT_FORMAT:
+        model = _blank_model(config, seed)
+        for name, arr in model_arrays(model).items():
+            arr[...] = unpack_array(name, tables[name], arr.shape)
+        return model
+    if state.get("init") != INIT_SCHEME:
+        raise ValueError(f"unknown init scheme {state.get('init')!r}")
+    model = new_model(config, seed)
+    for name, arr in model_arrays(model).items():
+        unpack_rows(name, tables[name], arr)
+    return model
 
 
 __all__ = [
@@ -489,13 +578,16 @@ __all__ = [
     "TwoLogitCEHead",
     "clamped_descent_matrix",
     "describe_ball",
+    "model_arrays",
     "model_from_state",
     "model_state",
     "new_model",
     "pack_array",
+    "pack_rows",
     "parameter_count",
     "reconstruct_matrix",
     "reconstruction_confidence",
     "softmax_rows",
     "unpack_array",
+    "unpack_rows",
 ]

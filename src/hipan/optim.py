@@ -73,9 +73,11 @@ from .model import (
     HiPaNModel,
     _effective_depth,
     _top_two,
-    pack_array,
+    model_arrays,
+    pack_rows,
     softmax_rows,
     unpack_array,
+    unpack_rows,
 )
 from .rng import child_rng
 from .tree import DigitPairs, EncodedDataset, TreeSpec
@@ -334,17 +336,6 @@ def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _arrays(model: HiPaNModel) -> dict[str, np.ndarray]:
-    """Named views of every trainable array, in sweep order."""
-    out = {"root": model.root.scores}
-    if model.dense is not None:
-        out["dense"] = model.dense.table
-    for i, head in enumerate(model.deep):
-        out[f"deep{i}.table"] = head.table
-        out[f"deep{i}.anchor"] = head.anchor
-    return out
-
-
 def _served_digits(model: HiPaNModel, ke: int, phase_digits: tuple[int, ...]) -> tuple[int, ...]:
     """Digits of the phase that head depth ke is responsible for."""
     last = model.config.K_heads - 1
@@ -354,9 +345,9 @@ def _served_digits(model: HiPaNModel, ke: int, phase_digits: tuple[int, ...]) ->
 
 
 def _served_arrays(model: HiPaNModel, phase_digits: tuple[int, ...]) -> dict[str, np.ndarray]:
-    """The arrays of _arrays whose head serves some digit of the phase."""
+    """The arrays of model_arrays whose head serves some digit of the phase."""
     heads = {_effective_depth(model, k) for k in phase_digits}
-    return {name: arr for name, arr in _arrays(model).items() if _head_of_array(name) in heads}
+    return {name: arr for name, arr in model_arrays(model).items() if _head_of_array(name) in heads}
 
 
 def _head_of_array(name: str) -> int:
@@ -913,8 +904,8 @@ _GIST_SWEEP = "full-batch"
 
 
 def optim_state_dict(kind: str, state: OptimState, streak: int = 0) -> dict:
-    """Serializable optimizer state for checkpoints; Adam's moment arrays
-    are packed by pack_array.
+    """Serializable optimizer state for checkpoints; each of Adam's moment
+    arrays is stored as its nonzero rows (pack_rows against zeros).
 
     Raises:
         ValueError: a moment array holds NaN or infinity.
@@ -925,23 +916,28 @@ def optim_state_dict(kind: str, state: OptimState, streak: int = 0) -> dict:
         "kind": "adam",
         "t": state.t,
         "shapes": {k: list(a.shape) for k, a in state.m.items()},
-        "m": {k: pack_array(f"m.{k}", a) for k, a in state.m.items()},
-        "u": {k: pack_array(f"u.{k}", a) for k, a in state.u.items()},
+        "m": {k: pack_rows(f"m.{k}", a) for k, a in state.m.items()},
+        "u": {k: pack_rows(f"u.{k}", a) for k, a in state.u.items()},
     }
 
 
 def restore_optim_state(doc: dict, model: HiPaNModel) -> OptimState:
-    """Rebuild an OptimState from its checkpoint form, packed arrays or
-    the float lists of format v1; the per-coordinate "last_improved" map
-    of earlier lattice checkpoints is ignored."""
+    """Rebuild an OptimState from its checkpoint form: nonzero rows
+    (format v3), whole packed arrays (v2) or float lists (v1); the
+    per-coordinate "last_improved" map of earlier lattice checkpoints is
+    ignored."""
     state = OptimState(t=int(doc.get("t", 0)))
     if doc.get("kind") == "gist":
         return state
-    shapes = {k: a.shape for k, a in _arrays(model).items()}
+    shapes = {k: a.shape for k, a in model_arrays(model).items()}
     shapes.update({k: tuple(v) for k, v in doc.get("shapes", {}).items()})
     for part, target in (("m", state.m), ("u", state.u)):
         for name, value in doc[part].items():
-            target[name] = unpack_array(f"{part}.{name}", value, shapes[name])
+            label = f"{part}.{name}"
+            if isinstance(value, dict):
+                target[name] = unpack_rows(label, value, np.zeros(shapes[name]))
+            else:
+                target[name] = unpack_array(label, value, shapes[name])
     return state
 
 
@@ -1003,7 +999,7 @@ def train(
     tables = _record_tables(model, D, counts) if kind == "adam" else None
     if kind == "adam":
         # a phase checks only the arrays it trains, after its epochs
-        _check_finite(_Flat(_arrays(model)))
+        _check_finite(_Flat(model_arrays(model)))
 
     start_phase, start_epoch = 0, 0
     streak = 0

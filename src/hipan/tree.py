@@ -142,7 +142,16 @@ class TreeSpec:
 
     def ids_of(self, names: Sequence[str]) -> np.ndarray:
         """int64 node ids of many names, looked up in the parser's name
-        table; KeyError names the first unknown one."""
+        table; KeyError names the first unknown one.
+
+        Names that list every leaf in the tree's own leaf order, as the
+        dataset `encode_tree` makes of this tree does, give `leaves`
+        itself (read-only) without a lookup.
+        """
+        leaves = self.leaves.tolist()
+        # itemgetter of two or more indices gives a tuple of the names
+        if len(names) == len(leaves) > 1 and itemgetter(*leaves)(self.names) == tuple(names):
+            return self.leaves
         rows, ids = self.name_table
         try:
             return ids[np.fromiter(map(rows.__getitem__, names), np.int64, len(names))]

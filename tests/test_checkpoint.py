@@ -27,8 +27,18 @@ from hipan.checkpoint import (
     config_matches,
     load_model,
 )
-from hipan.model import model_state, pack_array, unpack_array
-from hipan.optim import OptimState, optim_state_dict
+from hipan.model import (
+    DenseMSEHead,
+    HiPaNModel,
+    RootHead,
+    TwoLogitCEHead,
+    model_arrays,
+    model_from_state,
+    model_state,
+    pack_array,
+    unpack_array,
+)
+from hipan.optim import OptimState, optim_state_dict, restore_optim_state
 
 
 def test_canonical_json_is_sorted_and_compact():
@@ -232,11 +242,92 @@ def test_save_refuses_non_finite_moments(bad):
 
 
 def test_lattice_checkpoint_is_compact(tmp_path):
+    # a fresh model stores no rows; one edited row stores exactly that row
     path = tmp_path / "ckpt.json"
     model = new_model(ModelConfig(CodecParams(31, 4)), seed=0)
     save_checkpoint(str(path), model)
     doc = load_checkpoint(str(path))
     assert doc["format"] == FORMAT
-    assert all(v.startswith("int16:") for v in doc["model"]["tables"].values())
-    # two bytes per latent, a third more for base64, plus the header
-    assert path.stat().st_size < 3 * (31 + 3 * 31 * 31 + 2 * 31)
+    assert doc["model"]["init"] == "uniform-v1"
+    empty = {"rows": "int16:", "values": "int16:"}
+    assert doc["model"]["tables"].keys() == model_arrays(model).keys()
+    assert all(v == empty for v in doc["model"]["tables"].values())
+    assert path.stat().st_size < 600
+    model.deep[1].table[7, 3] += 1
+    save_checkpoint(str(path), model)
+    tables = load_checkpoint(str(path))["model"]["tables"]
+    assert tables.pop("deep1.table") == {
+        "rows": pack_array("t", np.array([7])),
+        "values": pack_array("t", model.deep[1].table[7]),
+    }
+    assert all(v == empty for v in tables.values())
+    # two bytes per stored value, a third more for base64, plus the header
+    assert path.stat().st_size < 600 + 3 * 31
+
+
+def test_hand_built_model_round_trips_every_bit():
+    # arrays that new_model never drew: all-zero root, a -0.0 dense table,
+    # the init's own deep table and a non-integer anchor
+    config = ModelConfig(CodecParams(5, 3))
+    fresh = new_model(config, seed=4)
+    built = HiPaNModel(
+        config,
+        RootHead(np.zeros(5)),
+        DenseMSEHead(np.full((5, 5), -0.0)),
+        [TwoLogitCEHead(fresh.deep[0].table.copy(), np.linspace(-1.5, 70000.25, 5))],
+        init_seed=4,
+    )
+    state = json.loads(canonical_json(model_state(built)))
+    assert state["tables"]["deep0.table"] == {"rows": "int16:", "values": "int16:"}
+    back = model_from_state(state)
+    for (name, a), b in zip(model_arrays(built).items(), model_arrays(back).values()):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
+def _edit_values():
+    return st.one_of(
+        st.sampled_from(_SPECIAL),
+        st.integers(-40_000, 40_000).map(float),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.lists(st.tuples(*[st.integers(0, 99)] * 3, _edit_values()), max_size=12),
+    st.lists(st.tuples(st.integers(0, 1), *[st.integers(0, 99)] * 2, _edit_values()), max_size=8),
+)
+def test_v3_round_trips_every_bit(p, K, seed, edits, moment_edits):
+    model = new_model(ModelConfig(CodecParams(p, K + 1), K_heads=K), seed=seed)
+    arrays = list(model_arrays(model).values())
+    for which, row, col, value in edits:
+        arr = arrays[which % len(arrays)]
+        arr[(row % p, col % p)[: arr.ndim]] = value
+    moments = tuple({name: np.zeros(a.shape) for name, a in model_arrays(model).items()} for _ in "mu")
+    for part, which, row, value in moment_edits:
+        m = list(moments[part].values())[which % len(arrays)]
+        m[row % p] = value
+    state = OptimState(t=3, m=moments[0], u=moments[1])
+
+    text = canonical_json(model_state(model))
+    back = model_from_state(json.loads(text))
+    for (name, a), b in zip(model_arrays(model).items(), model_arrays(back).values()):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+    assert canonical_json(model_state(back)) == text
+    # only the rows whose bits differ from the seeded init are stored
+    fresh = model_arrays(new_model(model.config, seed=seed))
+    for name, a in model_arrays(model).items():
+        differs = a.view(np.int64) != fresh[name].view(np.int64)
+        changed = np.flatnonzero(differs.reshape(len(a), -1).any(axis=1))
+        assert json.loads(text)["tables"][name]["rows"] == pack_array(name, changed)
+
+    optim_text = canonical_json(optim_state_dict("adam", state))
+    restored = restore_optim_state(json.loads(optim_text), model)
+    for part in ("m", "u"):
+        for name, a in getattr(state, part).items():
+            b = getattr(restored, part)[name]
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), (part, name)
+    assert canonical_json(optim_state_dict("adam", restored)) == optim_text

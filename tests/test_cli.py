@@ -24,7 +24,15 @@ from hipan import (
 )
 import hipan.cli
 import hipan.tree
-from hipan.checkpoint import FORMAT, canonical_json, checkpoint_fingerprint, load_checkpoint
+from hipan.checkpoint import (
+    FORMAT,
+    canonical_json,
+    checkpoint_fingerprint,
+    load_checkpoint,
+    load_model,
+)
+from hipan.model import model_arrays, pack_array
+from hipan.optim import restore_optim_state
 from hipan.cli import main, parse_config_file, resolve_config
 from conftest import TOY_TEXT
 
@@ -549,7 +557,7 @@ def test_resume_after_numeric_poison_exit_3(capsys, tmp_path, toy_files):
     mids = sorted(c for c in summary["checkpoints"] if "final" not in c)
     assert mids
     victim = mids[0]
-    doc = json.loads(open(victim).read())
+    doc = _as_v2(load_checkpoint(victim))
     tables = doc["model"]["tables"]
     tables["dense"] = [1e308] * doc["model"]["p"] ** 2
     with open(victim, "w") as fh:
@@ -718,6 +726,23 @@ def test_only_diagnose_computes_confidences(capsys, tmp_path, toy_files, monkeyp
         computed.clear()
 
 
+def _as_v2(doc):
+    """A format v3 checkpoint document rewritten in format v2, where every
+    array is stored whole as one pack_array text."""
+    model = load_model(doc)
+    old = json.loads(json.dumps(doc))
+    old["format"] = "hipan-checkpoint-v2"
+    old["model"]["format"] = "hipan-model-v2"
+    del old["model"]["init"]
+    old["model"]["tables"] = {k: pack_array(k, a) for k, a in model_arrays(model).items()}
+    if old["optim"].get("kind") == "adam":
+        state = restore_optim_state(doc["optim"], model)
+        for part in ("m", "u"):
+            moments = getattr(state, part).items()
+            old["optim"][part] = {k: pack_array(f"{part}.{k}", a) for k, a in moments}
+    return old
+
+
 def _as_v1(doc):
     """A format v2 checkpoint document rewritten in format v1, where every
     array is a list of floats."""
@@ -737,41 +762,47 @@ def _as_v1(doc):
     return old
 
 
-def _write_v1(path, v2_path):
-    doc = load_checkpoint(v2_path)
+def _older_forms(tmp_path, v3_path):
+    """(v2 path, v1 path) of files holding a format v3 checkpoint's state."""
+    doc = load_checkpoint(v3_path)
     assert doc["format"] == FORMAT
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(_as_v1(doc)) + "\n")
-    return str(path)
+    v2 = _as_v2(doc)
+    paths = []
+    for name, old in (("v2", v2), ("v1", _as_v1(v2))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(canonical_json(old) + "\n", encoding="utf-8")
+        paths.append(str(path))
+    return paths
 
 
 @pytest.mark.parametrize("optimizer", ["gist", "adam"])
 def test_v1_checkpoint_reads_like_its_v2_form(capsys, tmp_path, toy_files, optimizer):
+    # and like its format v3 form, the one training writes
     tree_path, ds_path = toy_files
     _, ckdir = _train_toy(capsys, tmp_path, toy_files, "--optimizer", optimizer)
-    v2 = os.path.join(ckdir, "ckpt-final.json")
-    v1 = _write_v1(tmp_path / "v1.json", v2)
+    v3 = os.path.join(ckdir, "ckpt-final.json")
     for command in ("eval", "diagnose"):
         outputs = []
-        for ckpt in (v2, v1):
+        for ckpt in (v3, *_older_forms(tmp_path, v3)):
             rc, out, err = run(
                 capsys,
                 [command, "--dataset", ds_path, "--tree", tree_path, "--checkpoint", ckpt],
             )
             assert rc == 0, err
             outputs.append(out)
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 # a patience the toy tree never exhausts, so the lattice run passes an
 # interval checkpoint too
 @pytest.mark.parametrize("args", [["--optimizer", "gist", "--patience", "500"], ["--optimizer", "adam"]])
 def test_resume_from_v1_checkpoint_matches_v2(capsys, tmp_path, toy_files, args):
+    # and resuming from its format v3 form, the one training writes
     tree_path, ds_path = toy_files
     summary, _ = _train_toy(capsys, tmp_path, toy_files, *args)
     mid = sorted(c for c in summary["checkpoints"] if "final" not in c)[0]
     fingerprints = []
-    for name, ckpt in (("v2", mid), ("v1", _write_v1(tmp_path / "v1.json", mid))):
+    for name, ckpt in zip(("v3", "v2", "v1"), (mid, *_older_forms(tmp_path, mid))):
         rc, _, err = run(
             capsys,
             [
@@ -783,7 +814,7 @@ def test_resume_from_v1_checkpoint_matches_v2(capsys, tmp_path, toy_files, args)
         assert rc == 0, err
         final = load_checkpoint(str(tmp_path / name / "ckpt-final.json"))
         fingerprints.append(checkpoint_fingerprint(final))
-    assert fingerprints[0] == fingerprints[1]
+    assert fingerprints[0] == fingerprints[1] == fingerprints[2]
     assert fingerprints[0] == checkpoint_fingerprint(
         load_checkpoint(os.path.join(str(tmp_path / "ck"), "ckpt-final.json"))
     )
@@ -805,7 +836,7 @@ def test_resume_from_v1_checkpoint_matches_v2(capsys, tmp_path, toy_files, args)
 def test_corrupt_table_exit_2_naming_it(capsys, tmp_path, toy_files, corrupt):
     tree_path, ds_path = toy_files
     _, ckdir = _train_toy(capsys, tmp_path, toy_files)
-    doc = load_checkpoint(os.path.join(ckdir, "ckpt-final.json"))
+    doc = _as_v2(load_checkpoint(os.path.join(ckdir, "ckpt-final.json")))
     doc["model"]["tables"]["dense"] = corrupt(doc["model"]["tables"]["dense"])
     bad = tmp_path / "bad.json"
     bad.write_text(canonical_json(doc))
@@ -814,6 +845,51 @@ def test_corrupt_table_exit_2_naming_it(capsys, tmp_path, toy_files, corrupt):
     )
     assert rc == 2
     assert err.startswith("error: table dense")
+    assert "Traceback" not in err
+
+
+def _dense_rows(rows, n_values):
+    """A format v3 dense table storing rows (any floats) and n_values zeros."""
+    return {
+        "rows": pack_array("dense", np.array(rows, dtype=float)),
+        "values": pack_array("dense", np.zeros(n_values)),
+    }
+
+
+# the toy tree's alphabet is p = 3, so a dense row holds 3 values
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("dense", _dense_rows([3], 3), "table dense names row 3, not one of its 3 rows"),
+        ("dense", _dense_rows([-1], 3), "table dense names row -1,"),
+        ("dense", _dense_rows([0.5], 3), "table dense names row 0.5,"),
+        ("dense", _dense_rows([1, 1], 6), "table dense row indices do not strictly ascend"),
+        ("dense", _dense_rows([2, 0], 6), "table dense row indices do not strictly ascend"),
+        ("dense", _dense_rows([0, 2], 5), "table dense has 5 values, wanted (2, 3)"),
+        ("dense", _dense_rows([0, 2], 9), "table dense has 9 values, wanted (2, 3)"),
+        ("dense", {"rows": "int16:", "values": "float64:!"}, "table dense is not valid base64"),
+        ("dense", {"rows": "int16:"}, "table dense is not a rows/values pair"),
+        ("dense", "int16:AAAAAAAAAAAAAAAAAAAA", "table dense is not a rows/values pair"),
+        ("init", "gaussian-v1", "unknown init scheme 'gaussian-v1'"),
+        ("init", None, "unknown init scheme None"),
+    ],
+)
+def test_malformed_v3_table_exit_2_naming_it(capsys, tmp_path, toy_files, field, value, message):
+    tree_path, ds_path = toy_files
+    _, ckdir = _train_toy(capsys, tmp_path, toy_files)
+    doc = load_checkpoint(os.path.join(ckdir, "ckpt-final.json"))
+    assert doc["format"] == FORMAT and doc["model"]["p"] == 3
+    if field == "init":
+        doc["model"]["init"] = value
+    else:
+        doc["model"]["tables"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_json(doc))
+    rc, _, err = run(
+        capsys, ["eval", "--dataset", ds_path, "--tree", tree_path, "--checkpoint", str(bad)]
+    )
+    assert rc == 2
+    assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
 
 

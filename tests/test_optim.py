@@ -43,6 +43,7 @@ from hipan.model import (
     _anchored_choice_rows,
     _effective_depth,
     _top_two,
+    model_arrays,
     model_from_state,
     model_state,
     softmax_rows,
@@ -52,7 +53,6 @@ from hipan.optim import (
     _Flat,
     _accumulate_grads,
     _adam_step,
-    _arrays,
     _digit_losses,
     _effective_lr,
     _epoch_metrics,
@@ -227,7 +227,7 @@ def test_digit_losses_match_the_per_pair_gather_bit_for_bit(seed, source, intege
     counts = ds.pair_counts()
     for k_heads in sorted({K, 3, 2, 1}):
         model = new_model(ModelConfig(ds.codec, k_heads), seed=seed)
-        for arr in _arrays(model).values():
+        for arr in model_arrays(model).values():
             # a two-value range ties the top two columns of many rows
             if integer:
                 arr[...] = rng.integers(0, 2, size=arr.shape)
@@ -329,7 +329,7 @@ def _sweep_cases(draw):
     model = new_model(config, seed=seed)
     top = draw(st.sampled_from([None, 1, 2]))
     if top is not None:
-        for arr in _arrays(model).values():
+        for arr in model_arrays(model).values():
             arr[...] = rng.integers(0, top + 1, size=arr.shape)
     digits = sorted(draw(st.sets(st.integers(0, K - 1), min_size=1)))
     return ds, model, tuple(digits)
@@ -345,7 +345,7 @@ def test_gist_sweep_matches_per_coordinate_reference(case):
         want = _reference_sweep(reference, counts, digits)
         got, _ = _gist_sweep(model, counts, digits)
         assert got == want
-        for a, b in zip(_arrays(model).values(), _arrays(reference).values()):
+        for a, b in zip(model_arrays(model).values(), model_arrays(reference).values()):
             assert np.array_equal(a, b)
 
 
@@ -427,7 +427,7 @@ def test_gist_sweep_pass_width_stays_within_the_row():
     for _ in range(2):
         got, _ = _gist_sweep(model, counts, (2,))
         assert got == _reference_sweep(reference, counts, (2,))
-        for a, b in zip(_arrays(model).values(), _arrays(reference).values()):
+        for a, b in zip(model_arrays(model).values(), model_arrays(reference).values()):
             assert np.array_equal(a, b)
 
 
@@ -878,7 +878,7 @@ def _reference_adam_train(model, ds, cfg, plan, batch_size, seed, tree, checkpoi
                 for name, g in grads.items():
                     if name not in state.m:
                         state.m[name], state.u[name] = np.zeros(g.shape), np.zeros(g.shape)
-                    arr = _arrays(model)[name]
+                    arr = model_arrays(model)[name]
                     _reference_update(arr, g, state.m[name], state.u[name], cfg, lr, state.t)
             loss, per_digit, leaf_acc = _epoch_metrics(model, D, counts, tree, leaf_ids, phase.digits)
             history.append({
@@ -989,7 +989,7 @@ def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
     K = ds.codec.K
     model = new_model(ModelConfig(ds.codec, k_heads), seed=seed)
     rng = np.random.default_rng(seed)
-    for arr in _arrays(model).values():
+    for arr in model_arrays(model).values():
         arr += rng.normal(0.0, 1.5, size=arr.shape)
     counts = ds.pair_counts()
     D = ds.digits_matrix()

@@ -472,6 +472,23 @@ def test_ids_of(toy_tree, toy_dataset):
         toy_tree.ids_of(["cat", "wolf"])
 
 
+def test_ids_of_any_order_of_names():
+    tree = irregular_tree(5, 80)
+    leaves = tree.leaf_names()
+    # the encoded dataset lists the leaves in the tree's own order
+    assert list(encode_tree(tree).leaves) == leaves
+    for names in (leaves, tuple(leaves)):
+        assert tree.ids_of(names) is tree.leaves
+    rng = np.random.default_rng(0)
+    shuffled = [leaves[i] for i in rng.permutation(len(leaves))]
+    for names in (shuffled, shuffled[: len(leaves) // 2], leaves[::-1], leaves[:1], list(tree.names)):
+        assert tree.ids_of(names).tolist() == [tree.id_of(name) for name in names]
+    with pytest.raises(KeyError, match="wolf"):
+        tree.ids_of([*leaves[:-1], "wolf"])
+    with pytest.raises(KeyError, match="wolf"):
+        tree.ids_of(["wolf", *shuffled[1:]])
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.sampled_from([2, 3, 409, 1_000_003]), st.integers(1, 5), st.data())
 def test_dataset_json_round_trips_digit_matrices(p, K, data):
