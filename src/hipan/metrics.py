@@ -120,12 +120,33 @@ def accuracy_report(
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks with ties sharing their group's average rank."""
-    x = np.asarray(values, dtype=np.float64)
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    """1-based ranks with ties sharing their group's average rank.  Small
+    unsigned integers (at most 16 bits), like the levels that
+    spearman_ultrametric ranks, are counted; anything else is sorted."""
+    x = np.asarray(values)
+    if x.dtype.kind == "u" and x.dtype.itemsize <= 2:
+        inverse, counts = x, np.bincount(x)
+    else:
+        _, inverse, counts = np.unique(x.astype(float), return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)
     starts = ends - counts + 1
     return ((starts + ends) / 2.0)[inverse]
+
+
+def _at_least_one(**sizes: int) -> None:
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
+
+
+def _distinct_draws(draws: np.ndarray, limit: int) -> list[np.ndarray]:
+    """The columns of the first `limit` rows of a block of index draws
+    whose entries all differ, gathered without copying the block."""
+    distinct = np.ones(len(draws), dtype=bool)
+    for x, y in combinations(draws.T, 2):
+        distinct &= x != y
+    keep = np.flatnonzero(distinct)[:limit]
+    return [col[keep] for col in draws.T]
 
 
 @dataclass(frozen=True)
@@ -133,16 +154,6 @@ class SpearmanResult:
     rho: float
     n_pairs: int
     degenerate: bool
-
-
-def _code_distances(
-    index: CodeIndex, p: int
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Valuation distances between rows i and j of an indexed digit
-    matrix: p**-v for first differing column v, 0.0 for equal codes."""
-    scale = np.power(float(p), -np.arange(index.width + 1, dtype=np.float64))
-    scale[-1] = 0.0
-    return lambda i, j: scale[index.first_difference(i, j)]
 
 
 def spearman_ultrametric(
@@ -158,31 +169,30 @@ def spearman_ultrametric(
     ancestor and by the valuation distance of their codes; a faithful
     encoding makes the two orderings exact mirrors, so the coefficient
     is -1.  All pairs are used when there are at most max_pairs of them;
-    otherwise a seeded sample of max_pairs pairs.
+    otherwise a seeded sample of max_pairs pairs (ValueError below 1).
 
     Degenerate inputs (every pair tied on either axis) report rho = 0
     with the degenerate flag set.  leaf_ids, the node id of each record's
     leaf, is looked up in the tree when not given.
 
-    Code distances come from the dataset's code_index: O(N log N) to
-    build on first use, then O(1) per pair.
+    Both axes are integer levels, ranked by counting: the LCA depth, and
+    K minus the first differing column v from the dataset's code_index
+    (O(N log N) to build on first use, then O(1) per pair), whose ranks
+    are those of the distances, since p**-v falls strictly as v rises.
     """
+    _at_least_one(max_pairs=max_pairs)
     n = dataset.n_records
     if n < 2:
         return SpearmanResult(0.0, 0, True)
-    total = n * (n - 1) // 2
-    if total <= max_pairs:
+    if n * (n - 1) // 2 <= max_pairs:
         i, j = np.triu_indices(n, k=1)
     else:
-        rng = child_rng(seed, "spearman")
-        draws = rng.integers(0, n, size=(int(max_pairs * 1.2) + 16, 2))
-        draws = draws[draws[:, 0] != draws[:, 1]][:max_pairs]
-        i, j = draws[:, 0], draws[:, 1]
+        draws = child_rng(seed, "spearman").integers(0, n, size=(int(max_pairs * 1.2) + 16, 2))
+        i, j = _distinct_draws(draws, max_pairs)
     ids = tree.ids_of(dataset.leaves) if leaf_ids is None else leaf_ids
-    depths = lca_depths(tree, ids[i], ids[j]).astype(np.float64)
-    dists = _code_distances(dataset.code_index, dataset.codec.p)(i, j)
-    rx = average_ranks(depths)
-    ry = average_ranks(dists)
+    index = dataset.code_index
+    rx = average_ranks(lca_depths(tree, ids[i], ids[j]))
+    ry = average_ranks(index.width - index.first_difference(i, j))
     sx, sy = rx.std(), ry.std()
     if sx == 0.0 or sy == 0.0:
         return SpearmanResult(0.0, i.size, True)
@@ -200,40 +210,49 @@ class TriangleReport:
     exhaustive: bool
 
 
-def _hook_distances(
-    D: np.ndarray, distance_fn: Callable[[np.ndarray, np.ndarray], float]
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """distance_fn over rows i and j of a digit matrix, one pair per call."""
-    return lambda i, j: np.array([distance_fn(D[x], D[y]) for x, y in zip(i, j)])
+def _triples(n: int) -> list[np.ndarray]:
+    """The columns of every (a, b, c) with a < b < c < n, in the order of
+    itertools.combinations: for each a, its pairs (b, c) are the last
+    C(n-1-a, 2) of the ordered pairs b < c."""
+    b, c = np.triu_indices(n, k=1)
+    after = np.arange(n - 1, -1, -1)
+    tails = after * (after - 1) // 2
+    pair = np.arange(tails.sum()) + np.repeat(len(b) - np.cumsum(tails), tails)
+    return [np.repeat(np.arange(n), tails), b[pair], c[pair]]
 
 
 def _triangle_engine(
-    n: int,
-    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rows: CodeIndex | np.ndarray,
+    distance_fn: Callable[[np.ndarray, np.ndarray], float] | None,
     exhaustive_limit: int,
     seed: int,
 ) -> TriangleReport:
-    """Strong-triangle check over triples of n rows, whose sides are
-    distance(rows, rows) for index arrays."""
+    """Strong-triangle check over triples of a CodeIndex's rows, with sides
+    K minus first differing columns, or of a digit matrix's rows, with
+    distance_fn sides.  A triple violates where its largest side is
+    attained exactly once; a NaN side leaves it no largest side."""
+    _at_least_one(exhaustive_limit=exhaustive_limit)
+    n = len(rows.rank) if distance_fn is None else len(rows)
     if n < 3:
         return TriangleReport(0, 0, True)
-    total = n * (n - 1) * (n - 2) // 6
-    exhaustive = total <= exhaustive_limit
+    exhaustive = n * (n - 1) * (n - 2) // 6 <= exhaustive_limit
     if exhaustive:
-        triples = np.array(list(combinations(range(n), 3)), dtype=np.int64)
+        a, b, c = _triples(n)
     else:
         rng = child_rng(seed, "triangles")
         draws = rng.integers(0, n, size=(int(exhaustive_limit * 1.3) + 16, 3))
-        distinct = (
-            (draws[:, 0] != draws[:, 1])
-            & (draws[:, 0] != draws[:, 2])
-            & (draws[:, 1] != draws[:, 2])
-        )
-        triples = draws[distinct][:exhaustive_limit]
-    a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
-    sides = np.sort(np.stack([distance(a, b), distance(b, c), distance(a, c)], axis=1), axis=1)
-    violations = int((sides[:, 2] > sides[:, 1]).sum())
-    return TriangleReport(len(triples), violations, exhaustive)
+        a, b, c = _distinct_draws(draws, exhaustive_limit)
+    if distance_fn is None:
+        a, b, c = rows.rank[a], rows.rank[b], rows.rank[c]
+    x, y, z = (
+        rows.width - rows.first_difference_sorted(u, v)
+        if distance_fn is None
+        else np.array([distance_fn(rows[i], rows[j]) for i, j in zip(u, v)])
+        for u, v in ((a, b), (b, c), (a, c))
+    )
+    top = np.maximum(np.maximum(x, y), z)
+    ties = (x == top).astype(np.uint8) + (y == top) + (z == top)
+    return TriangleReport(len(a), int(np.count_nonzero(ties == 1)), exhaustive)
 
 
 def triangle_violations(
@@ -251,14 +270,13 @@ def triangle_violations(
 
     All C(n,3) triples are checked when that count is at most
     exhaustive_limit, otherwise a seeded sample of exhaustive_limit
-    triples.  Without a hook the sides come from the dataset's
-    code_index: O(N log N) to build on first use, then O(1) per side.
+    triples (ValueError below 1).  Without a hook the sides are compared
+    as first differing columns, by which the distance falls strictly, from
+    the dataset's code_index (O(N log N) to build on first use, then O(1)
+    per side).  Hook sides stay floats; a NaN side makes no violation.
     """
-    if distance_fn is None:
-        distance = _code_distances(dataset.code_index, dataset.codec.p)
-    else:
-        distance = _hook_distances(dataset.digits_matrix(), distance_fn)
-    return _triangle_engine(dataset.n_records, distance, exhaustive_limit, seed)
+    rows = dataset.code_index if distance_fn is None else dataset.digits_matrix()
+    return _triangle_engine(rows, distance_fn, exhaustive_limit, seed)
 
 
 def triangle_violation_count(
@@ -278,11 +296,8 @@ def triangle_violation_count(
     if any(c.params != codec for c in codes):
         raise ValueError("codes mix codecs")
     D = np.array([c.digits for c in codes], dtype=np.int64)
-    if distance_fn is None:
-        distance = _code_distances(CodeIndex(D), codec.p)
-    else:
-        distance = _hook_distances(D, distance_fn)
-    return _triangle_engine(len(D), distance, max_triples, seed).violations
+    rows = CodeIndex(D) if distance_fn is None else D
+    return _triangle_engine(rows, distance_fn, max_triples, seed).violations
 
 
 # --- entropy profiles ---------------------------------------------------------
@@ -388,8 +403,9 @@ def binned_calibration(
 
     ECE is the count-weighted mean absolute gap between each bin's
     accuracy and its mean confidence; Brier is the mean squared gap
-    between confidence and the 0/1 outcome.
+    between confidence and the 0/1 outcome.  n_bins below 1 is a ValueError.
     """
+    _at_least_one(n_bins=n_bins)
     conf = np.asarray(confidences, dtype=np.float64)
     hit = np.asarray(correct, dtype=np.float64)
     if conf.shape != hit.shape:
@@ -485,7 +501,9 @@ def diagnose(
     n_bins: int = 15,
     seed: int = 0,
 ) -> DiagnosticsReport:
-    """Run every structural check against one model and dataset."""
+    """Run every structural check against one model and dataset; a
+    sample size or bin count below 1 is a ValueError."""
+    _at_least_one(max_pairs=max_pairs, triangle_limit=triangle_limit, n_bins=n_bins)
     leaf_ids = tree.ids_of(dataset.leaves)
     evaluation = evaluate_digits(model, dataset.digits_matrix(), tree, leaf_ids)
     return DiagnosticsReport(
@@ -538,12 +556,15 @@ def write_distance_matrix_tsv(
     None writes all of them.
     """
     leaves = dataset.leaves if limit is None else dataset.leaves[:limit]
-    distance = _code_distances(dataset.code_index, dataset.codec.p)
-    cols = np.arange(len(leaves))
+    index, cols = dataset.code_index, np.arange(len(leaves))
+    # p**-v for first differing column v, 0.0 for equal codes
+    scale = np.power(float(dataset.codec.p), -np.arange(index.width + 1, dtype=np.float64))
+    scale[-1] = 0.0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("leaf\t" + "\t".join(leaves) + "\n")
         for i, leaf in enumerate(leaves):
-            fh.write(leaf + "\t" + "\t".join(map(repr, distance(i, cols).tolist())) + "\n")
+            row = scale[index.first_difference(i, cols)]
+            fh.write(leaf + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
 
 
 __all__ = [

@@ -539,22 +539,24 @@ def lca_depth(tree: TreeSpec, a: int | str, b: int | str) -> int:
 
 
 def lca_depths(tree: TreeSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Depth of the lowest common ancestor of each node pair (a[i], b[i]).
+    """Depth of the lowest common ancestor of each node pair (a[i], b[i]),
+    in the smallest unsigned dtype that holds the tree's depth.
 
-    Array form of lca_depth: every pair that has not met yet climbs one
-    level per step (the deeper node, or both at equal depth), so the
-    loop runs at most twice the hierarchy depth.
+    Array form of lca_depth.  Node ids are preorder positions, so for
+    ids u < v the nodes u+1..v all lie below the ancestor and the
+    shallowest of them is its child: the depth is one less than their
+    minimum depth, or depth[u] where u == v.  That is one range minimum
+    per pair over the preorder depths, from an O(n log n) sparse table.
+    A node id outside the tree raises IndexError.
     """
-    parent, depth = tree.parent, tree.depth
     x = np.asarray(a, dtype=np.int64)
     y = np.asarray(b, dtype=np.int64)
-    while True:
-        apart = x != y
-        if not apart.any():
-            return depth[x]
-        dx, dy = depth[x], depth[y]
-        x = np.where(apart & (dx >= dy), parent[x], x)
-        y = np.where(apart & (dy >= dx), parent[y], y)
+    for ids in (x, y):
+        if ids.size and (ids.min() < 0 or ids.max() >= tree.n_nodes):
+            raise IndexError(f"node ids must lie in [0, {tree.n_nodes})")
+    dtype = np.min_scalar_type(tree.max_depth + 1)
+    depths = _RangeMinima(tree.depth[1:].astype(dtype), (tree.depth + 1).astype(dtype))
+    return depths.window_minima(np.minimum(x, y), np.abs(x - y)) - 1
 
 
 def branching_stats(tree: TreeSpec) -> dict[int, dict[int, int]]:
@@ -941,24 +943,51 @@ def _first_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(diffs.any(axis=1), diffs.argmax(axis=1), a.shape[1])
 
 
-class CodeIndex:
+class _RangeMinima:
+    """Minima of an array over any window, two gathers each: a sparse table
+    (Bender and Farach-Colton, "The LCA Problem Revisited", 2000).
+
+    Level 0 holds `empty`, one value per position, the answer for an empty
+    window; level l >= 1 the minima of `values` over windows of 2**(l-1).
+    A window of length s is the union of two windows of its level (the bit
+    length of s), one at each end, which start `_near[s]` and `_far[s]`
+    into the table past the window's start.  Building costs O(n log n).
+    """
+
+    def __init__(self, values: np.ndarray, empty: np.ndarray) -> None:
+        levels = [empty, values]
+        window = 1
+        while 2 * window <= len(values):
+            levels.append(np.minimum(levels[-1][:-window], levels[-1][window:]))
+            window *= 2
+        self._table = np.concatenate(levels)
+        span = np.arange(len(empty))
+        level = np.frexp(span)[1]  # bit length: 0 for an empty window
+        widths = np.array([0] + [1 << l for l in range(len(levels) - 1)])
+        self._near = np.cumsum([0] + [len(t) for t in levels[:-1]])[level]
+        self._far = self._near + span - widths[level]
+
+    def window_minima(self, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+        """min(values[lo:lo + span]) for each window; empty[lo] where span is 0."""
+        return np.minimum(self._table[self._near[span] + lo], self._table[self._far[span] + lo])
+
+
+class CodeIndex(_RangeMinima):
     """The rows of an (N, K) digit matrix in lexicographic order, for
     first-difference queries on any pairs of rows.
 
     Two sorted rows first differ at the smallest first difference of the
     adjacent sorted rows between them, so one sort, the first differences
-    of adjacent sorted rows (`lcp`, K where two rows are equal) and a
-    sparse table of range minima over them answer any pair with two
-    gathers and one np.minimum (Bender and Farach-Colton, "The LCA
-    Problem Revisited", 2000).  Building costs O(N log N): no sort when
-    the rows already ascend, as those of every encoded or loaded
-    dataset in sorted-path order do, else one np.lexsort.
+    of adjacent sorted rows (`lcp`, K where two rows are equal) and range
+    minima over them answer any pair with two gathers and one np.minimum.
+    Building costs O(N log N): no sort when the rows already ascend, as
+    those of every encoded or loaded dataset in sorted-path order do,
+    else one np.lexsort.
 
     `order` lists the rows in sorted order and `rank` is its inverse.
-    The table stores, for each level l >= 1, the minima of `lcp` over
-    the windows of 2**(l-1) adjacent sorted pairs; level 0 holds K for
-    each row, the minimum over an empty window, which answers i == j.
-    Columns come back in the smallest unsigned dtype that holds K.
+    The range minima are over `lcp`, with K for an empty window, which
+    answers i == j.  Columns come back in the smallest unsigned dtype
+    that holds K.
     """
 
     def __init__(self, digits: np.ndarray) -> None:
@@ -970,26 +999,16 @@ class CodeIndex:
         self.rank[self.order] = np.arange(n)
         rows = digits if ascend else digits[self.order]
         self.lcp = _first_difference(rows[1:], rows[:-1]).astype(np.min_scalar_type(K))
-        levels = [np.full(n, K, dtype=self.lcp.dtype), self.lcp]
-        window = 1
-        while 2 * window <= len(self.lcp):
-            levels.append(np.minimum(levels[-1][:-window], levels[-1][window:]))
-            window *= 2
-        self._table = np.concatenate(levels)
-        self._start = np.cumsum([0] + [len(t) for t in levels[:-1]])
-        self._window = np.array([0] + [1 << l for l in range(len(levels) - 1)])
+        super().__init__(self.lcp, np.full(n, K, dtype=self.lcp.dtype))
 
     def first_difference(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """First differing column of rows i and j (broadcast index arrays);
         K where i == j or the rows are equal."""
-        ri, rj = self.rank[i], self.rank[j]
-        lo = np.minimum(ri, rj)
-        span = np.abs(ri - rj)
-        level = np.frexp(span)[1]  # bit length: 0 for an empty window
-        start = self._start[level] + lo
-        return np.minimum(
-            self._table[start], self._table[start + span - self._window[level]]
-        )
+        return self.first_difference_sorted(self.rank[i], self.rank[j])
+
+    def first_difference_sorted(self, ri: np.ndarray, rj: np.ndarray) -> np.ndarray:
+        """first_difference of the rows at sorted positions ri and rj."""
+        return self.window_minima(np.minimum(ri, rj), np.abs(ri - rj))
 
     def prefix_group_sizes(self) -> list[np.ndarray]:
         """For k = 1..K, how many rows share each distinct k-digit prefix,

@@ -239,6 +239,37 @@ def test_diagnose_stdout_and_out_dir(capsys, tmp_path, toy_files):
     assert on_disk == doc
 
 
+@pytest.mark.parametrize(
+    "name,value", [("max_pairs", "0"), ("max_pairs", "-5"), ("bins", "0"), ("bins", "-2")]
+)
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_diagnose_size_below_one_exit_2(
+    capsys, tmp_path, toy_files, monkeypatch, source, name, value
+):
+    """A pair budget or bin count below 1 is refused from any source,
+    instead of a NaN rho (not JSON) or an empty calibration."""
+    tree_path, ds_path = toy_files
+    _, ckdir = _train_toy(capsys, tmp_path, toy_files)
+    out_path = tmp_path / "diag.json"
+    argv = [
+        "diagnose", "--dataset", ds_path, "--tree", tree_path,
+        "--checkpoint", os.path.join(ckdir, "ckpt-final.json"), "--out", str(out_path),
+    ]
+    if source == "flag":
+        argv += ["--" + name.replace("_", "-"), value]
+    elif source == "env":
+        monkeypatch.setenv("HIPAN_" + name.upper(), value)
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name}={value}\n")
+        argv = ["--config", str(cfg), *argv]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    param = "n_bins" if name == "bins" else name
+    assert err == f"error: {param} must be at least 1, got {value}\n"
+    assert not out_path.exists()
+
+
 def test_inspect_depth_histogram(capsys, toy_files):
     _, ds_path = toy_files
     rc, out, _ = run(capsys, ["inspect", "--dataset", ds_path])

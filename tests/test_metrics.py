@@ -252,6 +252,17 @@ def test_lca_depths_match_lca_depth(tree, data):
     assert lca_depths(tree, a, b).tolist() == want
 
 
+def test_lca_depths_refuse_ids_outside_the_tree(toy_tree):
+    n = toy_tree.n_nodes
+    assert lca_depths(toy_tree, [], []).tolist() == []
+    assert lca_depths(toy_tree, [n - 1], [0]).tolist() == [0]
+    for bad in (n, -1):
+        with pytest.raises(IndexError, match="node ids"):
+            lca_depths(toy_tree, [0, bad], [0, 0])
+        with pytest.raises(IndexError, match="node ids"):
+            lca_depths(toy_tree, [0, 0], [0, bad])
+
+
 def test_spearman_complete_tree_is_minus_one():
     tree = gen_synthetic("complete", 3, 3)
     ds = encode_tree(tree)
@@ -447,6 +458,93 @@ def test_triangle_counts_match_gather_engine(D, limit, seed):
         want = _gather_triangles(D, 5, hook, limit, seed)
         assert triangle_violations(ds, hook, limit, seed) == want
         assert triangle_violation_count(codes, limit, seed, hook) == want.violations
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "sides",
+    [
+        (1, 1, 1), (2, 2, 1), (2, 1, 2), (1, 2, 2), (0, 3, 3),  # ties at the maximum
+        (1, 1, 2), (2, 1, 1), (1, 2, 1), (0, 1, 3),  # a unique maximum
+        (0.5, 0.5, 0.5), (0.25, 0.5, 0.5), (0.5, 0.25, 0.125), (-0.0, 0.0, -1.0),
+        (NAN, 1, 1), (1, NAN, 2), (2, 1, NAN), (NAN, NAN, 1), (NAN, NAN, NAN),
+        (INF, 1, 1), (INF, INF, 1), (1, INF, INF), (INF, INF, INF), (INF, NAN, 1),
+        (-INF, -INF, 0), (-INF, 0, 0), (-INF, -INF, -INF),
+    ],
+)
+def test_violation_rule_matches_sort_oracle(sides):
+    # the one triple of three rows, whose sides ab, bc and ac the hook gives;
+    # the gather engine's sort-based rule is the oracle
+    D = np.array([[0], [1], [2]], dtype=np.int64)
+    table = {(0, 1): sides[0], (1, 2): sides[1], (0, 2): sides[2]}
+    hook = lambda u, v: table[int(u[0]), int(v[0])]
+    want = _gather_triangles(D, 3, hook, 1, 0)
+    unique_max = sides.count(max(sides)) == 1 and not any(map(math.isnan, sides))
+    assert want == TriangleReport(1, int(unique_max), True)
+    assert triangle_violations(digits_dataset(D, 3), distance_fn=hook) == want
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_digit_matrices(), st.integers(1, 400), st.integers(0, 2**32 - 1))
+def test_hook_with_nan_and_inf_matches_sort_oracle(D, limit, seed):
+    values = [0.0, 1.0, 1.0, 2.0, INF, NAN, -INF, 2.0]
+    hook = lambda u, v: values[(3 * int(u.sum()) + int(v.sum())) % len(values)]
+    codes = [code(row, 5) for row in D.tolist()]
+    want = _gather_triangles(D, 5, hook, limit, seed)
+    assert triangle_violations(digits_dataset(D, 5), hook, limit, seed) == want
+    assert triangle_violation_count(codes, limit, seed, hook) == want.violations
+
+
+@pytest.mark.parametrize("limit", [1000, 60])
+def test_index_sides_are_ab_bc_and_ac(monkeypatch, limit):
+    # no ultrametric: a made-up first difference (0..K) of two sorted positions
+    fake = lambda self, ri, rj: np.asarray((ri + 2 * rj) % 3, dtype=np.uint8)
+    monkeypatch.setattr(CodeIndex, "first_difference_sorted", fake)
+    D = np.array(list(np.ndindex(3, 4)), dtype=np.int64)[::-1]  # 12 rows, descending
+    ds = digits_dataset(D, 5)
+    rank = {tuple(row): int(r) for row, r in zip(D.tolist(), ds.code_index.rank)}
+    level = lambda u, v: 2 - int(fake(None, rank[tuple(u)], rank[tuple(v)]))
+    got = triangle_violations(ds, exhaustive_limit=limit, seed=4)
+    assert got.exhaustive == (limit == 1000) and got.violations > 0
+    assert got == _gather_triangles(D, 5, level, limit, 4)
+
+
+@pytest.mark.parametrize("n", [*range(13), 107])
+def test_triples_match_combinations(n):
+    want = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
+    got = metrics._triples(n)
+    assert all(col.dtype == np.int64 for col in got)
+    assert np.array_equal(np.stack(got, axis=1), want)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.integers(0, 2**16 - 1), max_size=60), st.sampled_from([np.uint8, np.uint16]))
+def test_average_ranks_counts_small_unsigned_as_it_sorts(values, dtype):
+    x = np.array(values, dtype=np.int64) % (np.iinfo(dtype).max + 1)
+    counted = average_ranks(x.astype(dtype))
+    sorted_ = average_ranks(x.astype(np.float64))
+    assert counted.dtype == sorted_.dtype == np.float64
+    assert np.array_equal(counted, sorted_)
+    assert np.array_equal(average_ranks(x.astype(np.uint64)), sorted_)
+
+
+def test_sample_sizes_below_one_raise(toy_tree, toy_dataset):
+    model = new_model(ModelConfig(toy_dataset.codec), seed=0)
+    codes = [code([0, 0], 3), code([1, 1], 3), code([2, 2], 3)]
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match=f"max_pairs must be at least 1, got {bad}"):
+            spearman_ultrametric(toy_dataset, toy_tree, max_pairs=bad)
+        with pytest.raises(ValueError, match="exhaustive_limit must be at least 1"):
+            triangle_violations(toy_dataset, exhaustive_limit=bad)
+        with pytest.raises(ValueError, match="exhaustive_limit must be at least 1"):
+            triangle_violation_count(codes, max_triples=bad)
+        with pytest.raises(ValueError, match=f"n_bins must be at least 1, got {bad}"):
+            binned_calibration([0.5], [True], n_bins=bad)
+        for name in ("max_pairs", "triangle_limit", "n_bins"):
+            with pytest.raises(ValueError, match=f"{name} must be at least 1, got {bad}"):
+                diagnose(model, toy_dataset, toy_tree, **{name: bad})
 
 
 def _gather_distance_tsv(path, dataset, limit=None):
