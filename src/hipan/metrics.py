@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -139,14 +139,31 @@ def _at_least_one(**sizes: int) -> None:
             raise ValueError(f"{name} must be at least 1, got {size}")
 
 
-def _distinct_draws(draws: np.ndarray, limit: int) -> list[np.ndarray]:
-    """The columns of the first `limit` rows of a block of index draws
-    whose entries all differ, gathered without copying the block."""
-    distinct = np.ones(len(draws), dtype=bool)
-    for x, y in combinations(draws.T, 2):
-        distinct &= x != y
-    keep = np.flatnonzero(distinct)[:limit]
-    return [col[keep] for col in draws.T]
+_BLOCK = 1 << 14  # rows per block of the geometry checks' samples
+
+
+def _distinct_blocks(
+    seed: int, stream: str, n: int, width: int, limit: int, rate: float
+) -> Iterator[list[np.ndarray]]:
+    """The columns of the first `limit` of int(limit * rate) + 16 seeded
+    rows of `width` indices below n whose entries all differ, drawn in
+    blocks of _BLOCK rows that hold the values of one whole draw."""
+    rng, budget = child_rng(seed, stream), int(limit * rate) + 16
+    while limit > 0 and budget > 0:
+        draws = rng.integers(0, n, size=(min(_BLOCK, budget), width))
+        budget -= len(draws)
+        distinct = np.logical_and.reduce([x != y for x, y in combinations(draws.T, 2)])
+        keep = np.flatnonzero(distinct)[:limit]
+        limit -= len(keep)
+        yield [col[keep] for col in draws.T]
+
+
+def _pairs(n: int) -> Iterator[list[np.ndarray]]:
+    """Every (i, j) with i < j < n in np.triu_indices order, in row blocks."""
+    cols, step = np.arange(n), max(1, _BLOCK // n)
+    for lo in range(0, n, step):
+        i, j = np.nonzero(cols > cols[lo : lo + step, None])
+        yield [i + lo, j]
 
 
 @dataclass(frozen=True)
@@ -179,25 +196,27 @@ def spearman_ultrametric(
     K minus the first differing column v from the dataset's code_index
     (O(N log N) to build on first use, then O(1) per pair), whose ranks
     are those of the distances, since p**-v falls strictly as v rises.
+    Pairs are drawn in fixed blocks; working memory peaks at 24 B a pair.
     """
     _at_least_one(max_pairs=max_pairs)
     n = dataset.n_records
     if n < 2:
         return SpearmanResult(0.0, 0, True)
-    if n * (n - 1) // 2 <= max_pairs:
-        i, j = np.triu_indices(n, k=1)
-    else:
-        draws = child_rng(seed, "spearman").integers(0, n, size=(int(max_pairs * 1.2) + 16, 2))
-        i, j = _distinct_draws(draws, max_pairs)
+    exhaustive = n * (n - 1) // 2 <= max_pairs
+    pairs = _pairs(n) if exhaustive else _distinct_blocks(seed, "spearman", n, 2, max_pairs, 1.2)
     ids = tree.ids_of(dataset.leaves) if leaf_ids is None else leaf_ids
     index = dataset.code_index
-    rx = average_ranks(lca_depths(tree, ids[i], ids[j]))
-    ry = average_ranks(index.width - index.first_difference(i, j))
+    levels = (
+        (lca_depths(tree, ids[i], ids[j]), index.width - index.first_difference(i, j))
+        for i, j in pairs
+    )
+    rx, ry = (average_ranks(np.concatenate(axis)) for axis in zip(*levels))
     sx, sy = rx.std(), ry.std()
     if sx == 0.0 or sy == 0.0:
-        return SpearmanResult(0.0, i.size, True)
-    rho = float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
-    return SpearmanResult(rho, i.size, False)
+        return SpearmanResult(0.0, rx.size, True)
+    rx -= rx.mean()
+    ry -= ry.mean()
+    return SpearmanResult(float((rx * ry).mean() / (sx * sy)), rx.size, False)
 
 
 # --- strong triangle inequality ----------------------------------------------
@@ -237,22 +256,24 @@ def _triangle_engine(
         return TriangleReport(0, 0, True)
     exhaustive = n * (n - 1) * (n - 2) // 6 <= exhaustive_limit
     if exhaustive:
-        a, b, c = _triples(n)
+        blocks = [_triples(n)]
     else:
-        rng = child_rng(seed, "triangles")
-        draws = rng.integers(0, n, size=(int(exhaustive_limit * 1.3) + 16, 3))
-        a, b, c = _distinct_draws(draws, exhaustive_limit)
-    if distance_fn is None:
-        a, b, c = rows.rank[a], rows.rank[b], rows.rank[c]
-    x, y, z = (
-        rows.width - rows.first_difference_sorted(u, v)
-        if distance_fn is None
-        else np.array([distance_fn(rows[i], rows[j]) for i, j in zip(u, v)])
-        for u, v in ((a, b), (b, c), (a, c))
-    )
-    top = np.maximum(np.maximum(x, y), z)
-    ties = (x == top).astype(np.uint8) + (y == top) + (z == top)
-    return TriangleReport(len(a), int(np.count_nonzero(ties == 1)), exhaustive)
+        blocks = _distinct_blocks(seed, "triangles", n, 3, exhaustive_limit, 1.3)
+    checked = violations = 0
+    for a, b, c in blocks:
+        if distance_fn is None:
+            a, b, c = rows.rank[a], rows.rank[b], rows.rank[c]
+        x, y, z = (
+            rows.width - rows.first_difference_sorted(u, v)
+            if distance_fn is None
+            else np.array([distance_fn(rows[i], rows[j]) for i, j in zip(u, v)])
+            for u, v in ((a, b), (b, c), (a, c))
+        )
+        top = np.maximum(np.maximum(x, y), z)
+        ties = (x == top).astype(np.uint8) + (y == top) + (z == top)
+        checked += len(a)
+        violations += int(np.count_nonzero(ties == 1))
+    return TriangleReport(checked, violations, exhaustive)
 
 
 def triangle_violations(
@@ -269,11 +290,11 @@ def triangle_violations(
     less rigid (it receives two digit rows).
 
     All C(n,3) triples are checked when that count is at most
-    exhaustive_limit, otherwise a seeded sample of exhaustive_limit
-    triples (ValueError below 1).  Without a hook the sides are compared
-    as first differing columns, by which the distance falls strictly, from
-    the dataset's code_index (O(N log N) to build on first use, then O(1)
-    per side).  Hook sides stay floats; a NaN side makes no violation.
+    exhaustive_limit, else a seeded sample of that many, in fixed blocks
+    of bounded memory (ValueError below 1).  Without a hook the sides
+    are first differing columns, by which the distance falls strictly,
+    from the dataset's code_index (O(N log N) to build on first use,
+    then O(1) per side).  Hook sides stay floats; NaN makes no violation.
     """
     rows = dataset.code_index if distance_fn is None else dataset.digits_matrix()
     return _triangle_engine(rows, distance_fn, exhaustive_limit, seed)
@@ -413,7 +434,7 @@ def binned_calibration(
     n = len(conf)
     if n == 0:
         return CalibrationReport(0.0, 0.0, (), 0)
-    if conf.min() < 0.0 or conf.max() > 1.0:
+    if not (conf.min() >= 0.0 and conf.max() <= 1.0):  # NaN fails both
         raise ValueError("confidences must lie in [0, 1]")
     which = np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
     bins = []
@@ -502,7 +523,8 @@ def diagnose(
     seed: int = 0,
 ) -> DiagnosticsReport:
     """Run every structural check against one model and dataset; a
-    sample size or bin count below 1 is a ValueError."""
+    sample size or bin count below 1 is a ValueError.  Working memory:
+    24 B per Spearman pair, a fixed block for the sampled triangles."""
     _at_least_one(max_pairs=max_pairs, triangle_limit=triangle_limit, n_bins=n_bins)
     leaf_ids = tree.ids_of(dataset.leaves)
     evaluation = evaluate_digits(model, dataset.digits_matrix(), tree, leaf_ids)

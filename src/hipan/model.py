@@ -438,25 +438,29 @@ _BLOB_DTYPES = {"int16": np.dtype("<i2"), "float64": np.dtype("<f8")}
 
 
 def _decode(name: str, value: str | list) -> np.ndarray:
-    """float64 values of pack_array text, or of a format v1 list of floats."""
+    """Finite float64 values of pack_array text, or of a v1 list of floats."""
     if isinstance(value, list):
         try:
-            return np.array(value, dtype=np.float64)
+            arr = np.array(value, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"table {name} is not a list of numbers ({exc})") from None
-    if not isinstance(value, str):
+    elif not isinstance(value, str):
         raise ValueError(f"table {name} is neither an array text nor a list")
-    tag, _, text = value.partition(":")
-    dtype = _BLOB_DTYPES.get(tag)
-    if dtype is None:
-        raise ValueError(f"table {name} has unknown array type {tag!r}")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except binascii.Error as exc:
-        raise ValueError(f"table {name} is not valid base64 ({exc})") from None
-    if len(raw) % dtype.itemsize:
-        raise ValueError(f"table {name} holds {len(raw)} bytes, not whole {tag} values")
-    return np.frombuffer(raw, dtype=dtype).astype(np.float64)
+    else:
+        tag, _, text = value.partition(":")
+        dtype = _BLOB_DTYPES.get(tag)
+        if dtype is None:
+            raise ValueError(f"table {name} has unknown array type {tag!r}")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except binascii.Error as exc:
+            raise ValueError(f"table {name} is not valid base64 ({exc})") from None
+        if len(raw) % dtype.itemsize:
+            raise ValueError(f"table {name} holds {len(raw)} bytes, not whole {tag} values")
+        arr = np.frombuffer(raw, dtype=dtype).astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"table {name} holds a non-finite value; it cannot be loaded")
+    return arr
 
 
 def unpack_array(name: str, value: str | list, shape: tuple[int, ...]) -> np.ndarray:
@@ -465,7 +469,8 @@ def unpack_array(name: str, value: str | list, shape: tuple[int, ...]) -> np.nda
 
     Raises:
         ValueError: (naming the table) an unknown tag, invalid base64, a
-            byte count that is not whole values, or a wrong value count.
+            byte count that is not whole values, a NaN or infinite value,
+            or a wrong value count.
     """
     arr = _decode(name, value)
     if arr.size != math.prod(shape):

@@ -133,6 +133,12 @@ class TreeSpec:
         """name -> node id."""
         return dict(zip(self.names, range(self.n_nodes)))
 
+    @cached_property
+    def depth_minima(self) -> _RangeMinima:
+        """lca_depths' range minima over the preorder depths, built on first use."""
+        dtype = np.min_scalar_type(self.max_depth + 1)
+        return _RangeMinima(self.depth[1:].astype(dtype), (self.depth + 1).astype(dtype))
+
     def id_of(self, name: str) -> int:
         rows, ids = self.name_table
         try:
@@ -546,17 +552,14 @@ def lca_depths(tree: TreeSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ids u < v the nodes u+1..v all lie below the ancestor and the
     shallowest of them is its child: the depth is one less than their
     minimum depth, or depth[u] where u == v.  That is one range minimum
-    per pair over the preorder depths, from an O(n log n) sparse table.
+    per pair over the preorder depths, from the tree's depth_minima.
     A node id outside the tree raises IndexError.
     """
-    x = np.asarray(a, dtype=np.int64)
-    y = np.asarray(b, dtype=np.int64)
+    x, y = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     for ids in (x, y):
         if ids.size and (ids.min() < 0 or ids.max() >= tree.n_nodes):
             raise IndexError(f"node ids must lie in [0, {tree.n_nodes})")
-    dtype = np.min_scalar_type(tree.max_depth + 1)
-    depths = _RangeMinima(tree.depth[1:].astype(dtype), (tree.depth + 1).astype(dtype))
-    return depths.window_minima(np.minimum(x, y), np.abs(x - y)) - 1
+    return tree.depth_minima.window_minima(np.minimum(x, y), np.abs(x - y)) - 1
 
 
 def branching_stats(tree: TreeSpec) -> dict[int, dict[int, int]]:

@@ -1,5 +1,6 @@
 """Checkpoint serialization: canonical JSON, hashes, fingerprints, round trips."""
 
+import base64
 import json
 import math
 
@@ -239,6 +240,50 @@ def test_save_refuses_non_finite_moments(bad):
     state = OptimState(t=1, m={"root": np.zeros(3)}, u={"root": np.array([0.0, bad, 0.0])})
     with pytest.raises(ValueError, match="table u.root"):
         optim_state_dict("adam", state)
+
+
+def _float64_text(values):
+    """pack_array's float64 form of any values, non-finite ones included."""
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    return "float64:" + base64.b64encode(raw).decode("ascii")
+
+
+def _poisoned_state(form, bad):
+    """A model state in format v3, v2 or v1 whose deep0.table holds bad,
+    in the stored values or (v3) in the row indices."""
+    model = new_model(ModelConfig(CodecParams(3, 3)), seed=0)
+    state = model_state(model)
+    table = model.deep[0].table.copy()
+    table[1, 2] = bad
+    if form == "v3 values":
+        packed = {"rows": pack_array("t", np.array([1])), "values": _float64_text(table[1])}
+    elif form == "v3 rows":
+        packed = {"rows": _float64_text([bad]), "values": _float64_text(table[1])}
+    else:
+        state["format"] = "hipan-model-" + form
+        del state["init"]
+        arrays = model_arrays(model)
+        if form == "v2":
+            state["tables"] = {k: pack_array(k, a) for k, a in arrays.items()}
+            packed = _float64_text(table.ravel())
+        else:
+            state["tables"] = {k: a.ravel().tolist() for k, a in arrays.items()}
+            packed = table.ravel().tolist()
+    state["tables"]["deep0.table"] = packed
+    return state
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("form", ["v3 values", "v3 rows", "v2", "v1"])
+def test_load_refuses_non_finite_latents(form, bad):
+    state = _poisoned_state(form, bad)
+    # through JSON text, as a file holds it (NaN and Infinity tokens in v1)
+    state = json.loads(json.dumps(state))
+    with pytest.raises(ValueError, match="table deep0.table holds a non-finite value"):
+        model_from_state(state)
+    # the same state with 1.0 in place of the bad value loads
+    fine = json.loads(json.dumps(_poisoned_state(form, 1.0)))
+    assert model_from_state(fine).deep[0].table[1, 2] == 1.0
 
 
 def test_lattice_checkpoint_is_compact(tmp_path):

@@ -924,6 +924,39 @@ def test_malformed_v3_table_exit_2_naming_it(capsys, tmp_path, toy_files, field,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("command", ["eval", "diagnose", "resume"])
+def test_non_finite_latent_exit_2_naming_it(capsys, tmp_path, toy_files, command, bad):
+    # a stored dense row holding NaN or infinity: no NaN report, no
+    # numeric failure mid-training, and nothing written
+    tree_path, ds_path = toy_files
+    _, ckdir = _train_toy(capsys, tmp_path, toy_files)
+    doc = load_checkpoint(os.path.join(ckdir, "ckpt-final.json"))
+    row = np.array([0.0, bad, 1.0], dtype="<f8")
+    doc["model"]["tables"]["dense"] = {
+        "rows": pack_array("dense", np.array([1])),
+        "values": "float64:" + base64.b64encode(row.tobytes()).decode("ascii"),
+    }
+    poisoned = tmp_path / "poisoned.json"
+    poisoned.write_text(canonical_json(doc))
+    out = tmp_path / "out"
+    common = ["--dataset", ds_path, "--tree", tree_path]
+    argv = {
+        "eval": ["eval", *common, "--checkpoint", str(poisoned), "--out", str(out)],
+        "diagnose": ["diagnose", *common, "--checkpoint", str(poisoned), "--out", str(out)],
+        "resume": [
+            "train", *common, "--checkpoint-dir", str(out), "--resume", str(poisoned),
+            "--log", str(tmp_path / "resume.jsonl"), "--seed", "0",
+        ],
+    }[command]
+    rc, stdout, err = run(capsys, argv)
+    assert rc == 2
+    assert err.startswith("error: table dense holds a non-finite value")
+    assert stdout == ""
+    assert not out.exists()
+    assert not (tmp_path / "resume.jsonl").exists()
+
+
 def test_ingest_ignores_a_byte_order_mark(capsys, tmp_path):
     text = "a\tr\nr\t-\nb\tr\n"
     outputs = []

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from itertools import combinations
 from unittest.mock import patch
 
@@ -519,6 +520,176 @@ def test_triples_match_combinations(n):
     assert np.array_equal(np.stack(got, axis=1), want)
 
 
+# --- streamed samples: the geometry checks draw, keep and measure their
+# samples in blocks of metrics._BLOCK rows, and must take exactly the rows
+# one draw of the whole budget takes
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.integers(1, 2**40),
+    st.integers(0, 300),
+    st.integers(1, 3),
+    st.lists(st.integers(1, 70), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_chunked_integers_match_one_draw(n, rows, width, sizes, seed):
+    # the property the block sampler rests on, for even and odd block sizes
+    want = child_rng(seed, "spearman").integers(0, n, size=(rows, width))
+    rng, parts, drawn = child_rng(seed, "spearman"), [], 0
+    while drawn < rows:
+        size = min(sizes[len(parts) % len(sizes)], rows - drawn)
+        parts.append(rng.integers(0, n, size=(size, width)))
+        drawn += size
+    assert np.array_equal(np.concatenate([want[:0], *parts]), want)
+
+
+def _all_differ(draws):
+    distinct = np.ones(len(draws), dtype=bool)
+    for x, y in combinations(draws.T, 2):
+        distinct &= x != y
+    return distinct
+
+
+def _one_draw_sample(seed, stream, n, width, limit, rate):
+    """The sample as one block takes it: all int(limit * rate) + 16 rows
+    in one draw, then the first limit rows whose entries all differ."""
+    draws = child_rng(seed, stream).integers(0, n, size=(int(limit * rate) + 16, width))
+    return draws[_all_differ(draws)][:limit]
+
+
+def _streamed_blocks(block, *args):
+    with patch.object(metrics, "_BLOCK", block):
+        return [np.stack(cols, axis=1) for cols in metrics._distinct_blocks(*args)]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.sampled_from([1, 7, 64]),
+    st.integers(2, 40),
+    st.integers(2, 3),
+    st.integers(1, 300),
+    st.sampled_from([0.0, 1.2, 1.3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_distinct_blocks_match_one_draw(block, n, width, limit, rate, seed):
+    # rate 0 leaves a budget of 16 rows, which runs out before most limits
+    args = (seed, "triangles", n, width, limit, rate)
+    blocks = _streamed_blocks(block, *args)
+    assert all(b.dtype == np.int64 and b.shape[1] == width for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), _one_draw_sample(*args))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_distinct_blocks_stop_at_a_block_that_ends_at_the_limit(block):
+    # pick the limit whose last row closes a block: the sampler yields
+    # exactly the blocks up to it and draws no further
+    seed, n, width, rate = 3, 6, 3, 10.0
+    prefix = child_rng(seed, "triangles").integers(0, n, size=(4000, width))
+    ends = np.flatnonzero(_all_differ(prefix)) + 1  # row count up to each kept row
+    limit = 1 + int(np.flatnonzero((ends % block == 0) & (ends > block))[0])
+    args = (seed, "triangles", n, width, limit, rate)
+    blocks = _streamed_blocks(block, *args)
+    assert len(blocks) == ends[limit - 1] // block
+    assert np.array_equal(np.concatenate(blocks), _one_draw_sample(*args))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_distinct_blocks_when_the_budget_runs_out(block):
+    # 3 indices make 6 distinct triples of 27: 146 rows keep about 32
+    args = (0, "triangles", 3, 3, 100, 1.3)
+    got = np.concatenate(_streamed_blocks(block, *args))
+    assert 0 < len(got) < 100
+    assert np.array_equal(got, _one_draw_sample(*args))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from([1, 7, 64]),
+    _irregular_trees(),
+    st.integers(1, 400),
+    st.integers(0, 2**32 - 1),
+)
+def test_streamed_checks_match_one_draw_oracles(block, tree, limit, seed):
+    # both oracles draw their whole sample at once; the exhaustive pairs
+    # come in row blocks of every size too, and the euclidean hook makes
+    # violations to add up over the blocks
+    ds = encode_tree(tree)
+    D, p = ds.digits_matrix(), ds.codec.p
+    euclid = lambda a, b: float(np.linalg.norm(a - b))
+    with patch.object(metrics, "_BLOCK", block):
+        assert spearman_ultrametric(ds, tree, limit, seed) == _spearman_per_pair(
+            ds, tree, limit, seed
+        )
+        for hook in (None, euclid):
+            assert triangle_violations(ds, hook, limit, seed) == _gather_triangles(
+                D, p, hook, limit, seed
+            )
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_streamed_triangles_when_the_budget_runs_out(block):
+    # seed 10 keeps 215 distinct triples of 12 rows in its 300-row budget
+    D = np.array(list(np.ndindex(3, 4)), dtype=np.int64)
+    ds = digits_dataset(D, 5)
+    with patch.object(metrics, "_BLOCK", block):
+        got = triangle_violations(ds, exhaustive_limit=219, seed=10)
+    assert got.checked < 219
+    assert got == _gather_triangles(D, 5, None, 219, 10)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_triangles_hold_one_block_whatever_the_limit():
+    ds = digits_dataset(np.random.default_rng(0).integers(0, 5, (400, 6)), 5)
+    ds.code_index  # built once, outside the traced calls
+    peaks = [
+        _traced_peak(lambda: triangle_violations(ds, exhaustive_limit=limit))
+        for limit in (200_000, 800_000)
+    ]
+    # one block's draws alone take 3 int64 entries a row
+    assert abs(peaks[1] - peaks[0]) < metrics._BLOCK * 3 * 8, peaks
+
+
+def test_spearman_holds_at_most_40_bytes_a_pair():
+    tree = gen_synthetic("random", 8, 5, 0)  # 1,637 leaves: 1.3M pairs
+    ds = encode_tree(tree)
+    ids = tree.ids_of(ds.leaves)
+    ds.code_index, tree.depth_minima  # built once, outside the traced call
+    pairs = 400_000
+    result = []
+    run = lambda: result.append(spearman_ultrametric(ds, tree, max_pairs=pairs, leaf_ids=ids))
+    peak = _traced_peak(run)
+    assert result[0].n_pairs == pairs and result[0].rho == pytest.approx(-1.0, abs=1e-12)
+    assert peak <= 40 * pairs, peak / pairs
+
+
+def test_depth_minima_are_built_once_per_tree(monkeypatch):
+    # neither the per-block lca_depths calls nor a second run rebuild them
+    tree = irregular_tree(4, 60)
+    ds = encode_tree(tree)
+    ds.code_index
+    built, init = [], tree_module._RangeMinima.__init__
+
+    def counted(self, *args):
+        built.append(type(self))
+        init(self, *args)
+
+    monkeypatch.setattr(tree_module._RangeMinima, "__init__", counted)
+    with patch.object(metrics, "_BLOCK", 7):
+        first = spearman_ultrametric(ds, tree, max_pairs=300, seed=1)
+        again = spearman_ultrametric(ds, tree, max_pairs=300, seed=1)
+    assert first == again and first.n_pairs == 300
+    assert built == [tree_module._RangeMinima]
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.lists(st.integers(0, 2**16 - 1), max_size=60), st.sampled_from([np.uint8, np.uint16]))
 def test_average_ranks_counts_small_unsigned_as_it_sorts(values, dtype):
@@ -627,6 +798,13 @@ def test_binned_calibration_validation():
         binned_calibration([0.5, 0.5], [True])
     empty = binned_calibration([], [])
     assert (empty.ece, empty.brier, empty.n_records) == (0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("conf", [[math.nan], [0.5, math.nan, 0.25]])
+def test_binned_calibration_refuses_nan(conf):
+    # NaN fails both range comparisons; binned, it would land in no bin
+    with pytest.raises(ValueError, match=r"confidences must lie in \[0, 1\]"):
+        binned_calibration(conf, [True] * len(conf))
 
 
 def test_ece_never_rises_with_perfect_confident_records():
