@@ -38,6 +38,7 @@ import time
 from typing import Any
 
 from .model import HiPaNModel, model_from_state, model_state
+from .tree import _typed
 
 FORMAT = "hipan-checkpoint-v3"
 FORMAT_V2 = "hipan-checkpoint-v2"
@@ -125,8 +126,13 @@ def load_checkpoint(path: str) -> dict:
 
 
 def load_model(doc: dict) -> HiPaNModel:
-    """Model snapshot out of a loaded checkpoint document."""
-    return model_from_state(doc["model"])
+    """Model snapshot out of a loaded checkpoint document.
+
+    Raises:
+        ValueError: the model state is not a mapping, or model_from_state
+            refuses it.
+    """
+    return model_from_state(_typed(doc, "model", dict, "checkpoint"))
 
 
 def config_matches(doc: dict, run_config: dict | None) -> bool:

@@ -227,22 +227,23 @@ def cmd_train(ns: argparse.Namespace) -> int:
     else:
         mconf = ModelConfig(codec, cfg.k_heads or None, cfg.tau)
         model = new_model(mconf, cfg.seed)
+    # only the rates the user set; the others are the library's defaults
+    lr = {"lr": cfg.lr} if cfg.lr else {}
+    warmup_lr = {"warmup_lr": cfg.warmup_lr} if cfg.warmup_lr else {}
     if cfg.optimizer == "gist":
         optimizer: GistConfig | AdamConfig = GistConfig(patience=cfg.patience, seed=cfg.seed)
         hyper: dict = {"patience": cfg.patience}
     else:
-        optimizer = AdamConfig(lr=cfg.lr or 0.015, warmup_lr=cfg.warmup_lr or 0.03)
+        optimizer = AdamConfig(**lr, **warmup_lr)
         hyper = {
             "beta1": optimizer.beta1,
             "beta2": optimizer.beta2,
             "lr": optimizer.lr,
         }
     if cfg.plan == "default":
-        plan = default_plan(
-            codec.K, lr=cfg.lr or 0.015, warmup_lr=cfg.warmup_lr or 0.03
-        )
+        plan = default_plan(codec.K, **lr, **warmup_lr)
     else:
-        plan = uniform_plan(codec.K, lr=cfg.lr or 1e-3)
+        plan = uniform_plan(codec.K, **lr)
     log_fh = open(ns.log, "w", encoding="utf-8") if ns.log else sys.stdout
     t0 = time.monotonic()
     try:
@@ -259,6 +260,12 @@ def cmd_train(ns: argparse.Namespace) -> int:
             run_config=config_dict,
             resume=resume_doc,
         )
+    except (ValueError, KeyError):
+        # bad input found before an epoch was logged: leave no log behind
+        if log_fh is not sys.stdout and log_fh.tell() == 0:
+            log_fh.close()
+            os.remove(ns.log)
+        raise
     finally:
         if log_fh is not sys.stdout:
             log_fh.close()

@@ -36,7 +36,7 @@ import numpy as np
 
 from .padic import CodecParams
 from .rng import child_rng
-from .tree import EncodedDataset, TreeSpec
+from .tree import EncodedDataset, TreeSpec, _typed
 
 # A record's own digit is accepted during reconstruction when its score is
 # within this margin of the row maximum.  2.0 covers exact ties (complete
@@ -550,15 +550,18 @@ def model_from_state(state: dict) -> HiPaNModel:
     by earlier versions, is ignored.
 
     Raises:
-        ValueError: unknown format tag or init scheme, or malformed tables.
+        ValueError: unknown format tag or init scheme, a header field or
+            the tables of the wrong JSON type (named), or malformed tables.
     """
     fmt = state.get("format")
     if fmt not in (CHECKPOINT_FORMAT_V1, CHECKPOINT_FORMAT_V2, CHECKPOINT_FORMAT):
         raise ValueError(f"unknown model state format {fmt!r}")
-    codec = CodecParams(int(state["p"]), int(state["K"]))
-    config = ModelConfig(codec, int(state["K_heads"]), float(state["tau"]))
-    seed = int(state.get("seed", 0))
-    tables = state["tables"]
+    what = "checkpoint model"
+    codec = CodecParams(_typed(state, "p", int, what), _typed(state, "K", int, what))
+    tau = float(_typed(state, "tau", (int, float), what))
+    config = ModelConfig(codec, _typed(state, "K_heads", int, what), tau)
+    seed = _typed(state, "seed", int, what, 0)
+    tables = _typed(state, "tables", dict, what)
     if fmt != CHECKPOINT_FORMAT:
         model = _blank_model(config, seed)
         for name, arr in model_arrays(model).items():

@@ -24,10 +24,11 @@ accepting only strict improvement of this objective on the full data, so
 integer-valued latents stay integers forever and the logged loss never
 rises from sweep to sweep.  A coordinate of a head row, or the row's
 anchor, changes only the loss of the pairs whose parent digit selects
-that row, so the sweep scores each row on its own pairs: rows that no
-pair reaches are skipped, and a live row scores the +-1 moves of many
-columns in one numpy pass, in the arithmetic of the loss itself, so its
-moves are those of a sweep that rescored one coordinate at a time.
+that row, so the sweep skips rows that no pair reaches and scores each
+live root row, deep row and anchor on its own pairs, in the arithmetic
+of the loss itself, through the routine gist_minimize uses
+(_lattice_sweep).  A dense row's squared distance separates by column,
+so one pass of its own moves every column (_sweep_dense_row).
 
 The Adam trainer does not descend this objective as a whole.  Its root,
 dense and table gradients are the analytic gradients of the objective,
@@ -80,7 +81,7 @@ from .model import (
     unpack_rows,
 )
 from .rng import child_rng
-from .tree import DigitPairs, EncodedDataset, TreeSpec
+from .tree import DigitPairs, EncodedDataset, TreeSpec, _typed
 
 
 class NumericAbort(RuntimeError):
@@ -281,6 +282,47 @@ def _idle_streak(streak: int, accepted: int) -> int:
     return 0 if accepted else streak + 1
 
 
+# The width of a _lattice_sweep pass that no earlier move bounds.
+_FIRST_CHUNK = 32
+
+
+def _lattice_sweep(x: np.ndarray, p: int, losses) -> int:
+    """Sweep the entries of the 1-d array x in index order, in place, by
+    the lattice rule; returns the accepted moves.  losses(X) is the
+    objective of each candidate row of X.
+
+    A pass scores a run of entries at once (the incumbent x, then each
+    entry's +1, then each one's -1, mod p) and moves the first entry whose
+    best candidate is not the incumbent; the next pass starts after it.  Every entry
+    before the first mover is scored against the same incumbent as in a
+    one-coordinate-at-a-time sweep, so the moves are that sweep's.  A
+    pass ends at the next entry an earlier pass saw move, or else after
+    _FIRST_CHUNK entries, twice as many (at most x.size) after each pass
+    without a move.  Steps add the integer 1: integer x stays exact."""
+    n = x.size
+    accepted, j, width = 0, 0, _FIRST_CHUNK
+    ahead = np.empty(0, dtype=np.int64)
+    while j < n:
+        stop = ahead[0] + 1 if ahead.size else min(n, j + width)
+        cols = np.arange(j, stop)
+        m = cols.size
+        cands = np.stack([x[cols], (x[cols] + 1) % p, (x[cols] - 1) % p])
+        X = np.repeat(x[None, :], 2 * m + 1, axis=0)
+        X[np.arange(1, 2 * m + 1), np.tile(cols, 2)] = cands[1:].ravel()
+        scores = losses(X)
+        moves = _lattice_move(scores[0], scores[1 : m + 1], scores[m + 1 :])
+        moved = np.flatnonzero(moves)
+        later = ahead[ahead >= stop]
+        if moved.size == 0:
+            j, ahead, width = stop, later, min(2 * width, n)
+            continue
+        i = moved[0]
+        x[cols[i]] = cands[moves[i], i]
+        accepted += 1
+        j, ahead, width = cols[i] + 1, np.concatenate([cols[moved[1:]], later]), _FIRST_CHUNK
+    return accepted
+
+
 def gist_minimize(
     objective,
     digits0: Sequence[int],
@@ -288,35 +330,28 @@ def gist_minimize(
     max_sweeps: int = 200,
     patience: int = 2,
 ) -> tuple[list[int], list[int]]:
-    """Generic coordinate descent on the digit lattice {0..p-1}^n.
+    """Generic coordinate descent on the digit lattice {0..p-1}^n, p < 2^63.
 
-    Each sweep visits coordinates in index order; a coordinate scores
-    itself, +1 and -1 (mod p) and moves by the trainer's rule
-    (_lattice_move).  Stops after `patience` consecutive sweeps with no
+    Each sweep is the trainer's (_lattice_sweep) over the digits as
+    int64: coordinates in index order, each scoring itself, +1 and -1
+    (mod p) as a list of ints, values compared as objective returns
+    them.  A pass may score coordinates after its first mover and score
+    them again later.  Stops after `patience` consecutive sweeps with no
     accepted move.
 
     Returns:
         (digits, accepted_per_sweep).
     """
-    digits = [int(d) % p for d in digits0]
+    x = np.array([int(d) % p for d in digits0], dtype=np.int64)
     history: list[int] = []
     streak = 0
     for _ in range(max_sweeps):
-        accepted = 0
-        for i in range(len(digits)):
-            cands = [digits[i], (digits[i] + 1) % p, (digits[i] - 1) % p]
-            losses = []
-            for cand in cands:
-                digits[i] = cand
-                losses.append(objective(digits))
-            move = int(_lattice_move(*losses))
-            digits[i] = cands[move]
-            accepted += move != 0
+        accepted = _lattice_sweep(x, p, lambda X: np.array([objective(r) for r in X.tolist()]))
         history.append(accepted)
         streak = _idle_streak(streak, accepted)
         if streak >= patience:
             break
-    return digits, history
+    return x.tolist(), history
 
 
 # --- model-coupled training -------------------------------------------------
@@ -437,11 +472,6 @@ def dataset_loss(
 # parent digit.
 _RowParts = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-# Columns a pass over a live row scores when no earlier pass saw a column
-# ahead move; doubled, up to the row's length, after each pass in which no
-# column moved.
-_FIRST_CHUNK = 32
-
 
 def _live_rows(
     model: HiPaNModel, ke: int, counts: Sequence[DigitPairs], served: tuple[int, ...]
@@ -490,62 +520,14 @@ def _row_losses(
     return total
 
 
-def _sweep_table_row(
-    model: HiPaNModel, ke: int, x: np.ndarray, v: float, parts: _RowParts
-) -> int:
-    """Sweep the columns of one live root or deep-head row x in column
-    order, in place, holding its anchor v; returns the accepted moves.
-
-    A pass scores a run of columns at once (the incumbent row, then each
-    column's +1, then each column's -1) and accepts the first column that
-    moves; the next pass starts after it, on the new row.  Every column
-    before the first mover is scored against the same incumbent as in a
-    one-coordinate-at-a-time sweep, so the moves are that sweep's.  A
-    pass ends at the next column an earlier pass saw move, or else after
-    _FIRST_CHUNK columns, twice as many (at most p) after each pass
-    without a move."""
-    p = x.size
-    accepted, j, width = 0, 0, _FIRST_CHUNK
-    ahead = np.empty(0, dtype=np.int64)
-    while j < p:
-        stop = ahead[0] + 1 if ahead.size else min(p, j + width)
-        cols = np.arange(j, stop)
-        m = cols.size
-        cands = np.stack([x[cols], (x[cols] + 1.0) % p, (x[cols] - 1.0) % p])
-        X = np.repeat(x[None, :], 2 * m + 1, axis=0)
-        X[np.arange(1, 2 * m + 1), np.tile(cols, 2)] = cands[1:].ravel()
-        losses = _row_losses(model, ke, X, v, parts)
-        moves = _lattice_move(losses[0], losses[1 : m + 1], losses[m + 1 :])
-        moved = np.flatnonzero(moves)
-        later = ahead[ahead >= stop]
-        if moved.size == 0:
-            j, ahead, width = stop, later, min(2 * width, p)
-            continue
-        i = moved[0]
-        x[cols[i]] = cands[moves[i], i]
-        accepted += 1
-        j, ahead, width = cols[i] + 1, np.concatenate([cols[moved[1:]], later]), _FIRST_CHUNK
-    return accepted
-
-
-def _sweep_anchor(model: HiPaNModel, ke: int, r: int, parts: _RowParts) -> int:
-    """Lattice step of one live deep row's anchor; returns 1 if it moved."""
-    head = model.deep[ke - 2]
-    p = model.p
-    v = head.anchor[r]
-    cands = np.array([v, (v + 1.0) % p, (v - 1.0) % p])
-    losses = _row_losses(model, ke, head.table[r][None, :], cands[:, None], parts)
-    move = int(_lattice_move(*losses))
-    head.anchor[r] = cands[move]
-    return int(move != 0)
-
-
 def _sweep_dense_row(x: np.ndarray, parts: _RowParts) -> int:
     """Lattice step of every column of one live dense row, in place;
     returns the accepted moves.  The squared distance separates by
     column, so each column is scored alone: when h of the row's n records
     have the column's digit, the column at value y costs
-    (n - h) y^2 + h (y - 1)^2, exactly so for integer latents."""
+    (n - h) y^2 + h (y - 1)^2, exactly so for integer latents, and one
+    pass moves every column; _lattice_sweep would end a pass at each
+    mover and score the rest of the row again."""
     p = x.size
     hits = sum(np.bincount(t, weights=count, minlength=p) for t, count, _ in parts)
     n = sum(float(count.sum()) for _, count, _ in parts)
@@ -576,7 +558,8 @@ def _gist_sweep(
             continue
         for r, parts in _live_rows(model, ke, counts, served):
             if ke == 0:
-                accepted += _sweep_table_row(model, ke, model.root.scores, 0.0, parts)
+                row = model.root.scores
+                accepted += _lattice_sweep(row, p, lambda X: _row_losses(model, 0, X, 0.0, parts))
                 coords += p
             elif ke == 1:
                 assert model.dense is not None
@@ -584,8 +567,12 @@ def _gist_sweep(
                 coords += p
             else:
                 head = model.deep[ke - 2]
-                accepted += _sweep_table_row(model, ke, head.table[r], head.anchor[r], parts)
-                accepted += _sweep_anchor(model, ke, r, parts)
+                row, v = head.table[r], head.anchor[r : r + 1]
+                accepted += _lattice_sweep(row, p, lambda X: _row_losses(model, ke, X, v[0], parts))
+                # the anchor's candidates as a column, against the one row
+                accepted += _lattice_sweep(
+                    v, p, lambda V: _row_losses(model, ke, row[None], V, parts)
+                )
                 coords += p + 1
     return accepted, 3 * coords
 
@@ -925,14 +912,26 @@ def restore_optim_state(doc: dict, model: HiPaNModel) -> OptimState:
     """Rebuild an OptimState from its checkpoint form: nonzero rows
     (format v3), whole packed arrays (v2) or float lists (v1); the
     per-coordinate "last_improved" map of earlier lattice checkpoints is
-    ignored."""
-    state = OptimState(t=int(doc.get("t", 0)))
+    ignored.
+
+    Raises:
+        ValueError: a field of the wrong JSON type (named), a stored shape
+            that is not a list of sizes or not its model array's, or a
+            malformed moment array.
+    """
+    what = "checkpoint optim"
+    state = OptimState(t=_typed(doc, "t", int, what, 0))
     if doc.get("kind") == "gist":
         return state
     shapes = {k: a.shape for k, a in model_arrays(model).items()}
-    shapes.update({k: tuple(v) for k, v in doc.get("shapes", {}).items()})
+    for name, shape in _typed(doc, "shapes", dict, what, {}).items():
+        sizes = isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+        want = list(shapes[name]) if name in shapes else "a list of sizes"
+        if not sizes or (name in shapes and shape != want):
+            raise ValueError(f"malformed {what}: shapes {name!r} must be {want}, got {shape!r}")
+        shapes[name] = tuple(shape)
     for part, target in (("m", state.m), ("u", state.u)):
-        for name, value in doc[part].items():
+        for name, value in _typed(doc, part, dict, what).items():
             label = f"{part}.{name}"
             if isinstance(value, dict):
                 target[name] = unpack_rows(label, value, np.zeros(shapes[name]))
@@ -970,9 +969,11 @@ def train(
 
     Raises:
         NumericAbort: a latent became non-finite.
-        ValueError: the dataset is empty, Adam's batch_size is below 1,
-            or the resume checkpoint holds the state of the other
-            optimizer or of the minibatch lattice sweep.
+        ValueError: the dataset is empty or not of the model's codec,
+            Adam's batch_size is below 1, or the resume checkpoint holds
+            a field of the wrong JSON type (named), a cursor that train
+            does not write, or the state of the other optimizer or of the
+            minibatch lattice sweep.
     """
     import json as _json
 
@@ -986,6 +987,8 @@ def train(
             plan = default_plan(model.K, lr=optimizer.lr, warmup_lr=optimizer.warmup_lr)
         else:
             plan = default_plan(model.K)
+    if model.config.codec != dataset.codec:
+        raise ValueError(f"dataset codec {dataset.codec} does not match model {model.config.codec}")
     D = dataset.digits_matrix()
     n = D.shape[0]
     if n == 0:
@@ -1005,9 +1008,20 @@ def train(
     streak = 0
     state = OptimState()
     if resume is not None:
-        cur = resume["cursor"]
-        start_phase, start_epoch = int(cur["phase"]), int(cur["epoch"])
-        saved = resume.get("optim", {})
+        cur = _typed(resume, "cursor", dict, "checkpoint")
+        start_phase, start_epoch = (
+            _typed(cur, key, int, "checkpoint cursor") for key in ("phase", "epoch")
+        )
+        # train writes (phase, epoch) inside a phase's epochs, and (phase, 0)
+        # for any phase up to len(plan.phases)
+        n_phases = len(plan.phases)
+        epochs = plan.phases[start_phase].epochs if 0 <= start_phase < n_phases else 0
+        if not (0 <= start_phase <= n_phases and 0 <= start_epoch < max(epochs, 1)):
+            raise ValueError(
+                f"resume cursor (phase {start_phase}, epoch {start_epoch}) lies outside the "
+                f"plan, whose {n_phases} phases run {[ph.epochs for ph in plan.phases]} epochs"
+            )
+        saved = _typed(resume, "optim", dict, "checkpoint", {})
         saved_kind = saved.get("kind")
         if saved_kind not in (None, kind):
             raise ValueError(
@@ -1022,7 +1036,7 @@ def train(
         if saved_kind == kind:
             state = restore_optim_state(saved, model)
             if kind == "gist":
-                streak = int(saved.get("streak", 0))
+                streak = _typed(saved, "streak", int, "checkpoint optim", 0)
 
     global_epoch = (
         sum(ph.epochs for ph in plan.phases[:start_phase] if ph.digits) + start_epoch

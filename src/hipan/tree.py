@@ -25,6 +25,7 @@ one call.
 from __future__ import annotations
 
 import json
+import reprlib
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -816,13 +817,23 @@ def tree_to_nested(tree: TreeSpec, dataset: EncodedDataset | None = None) -> dic
     return build(tree.root)
 
 
-def _typed(obj: dict, key: str, kind: type) -> int | str:
-    """obj[key], required to be of type kind; JSON true and false are not ints."""
+_REQUIRED = object()
+
+
+def _typed(
+    obj: dict, key: str, kind: type | tuple[type, ...], what: str = "dataset JSON", default=_REQUIRED
+):
+    """obj[key], required to be of type kind (a type or a tuple of types),
+    or default where obj has no key and a default is given; JSON true and
+    false are not ints.  what names the document in the error."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"malformed {what}: {key!r} is missing")
+        return default
     value = obj[key]
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(
-            f"malformed dataset JSON: {key!r} must be {kind.__name__}, got {value!r}"
-        )
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ValueError(f"malformed {what}: {key!r} must be {names}, got {reprlib.repr(value)}")
     return value
 
 

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from hipan import (
+    AdamConfig,
+    CodecParams,
     GistConfig,
     ModelConfig,
     TrainPlan,
@@ -21,8 +23,10 @@ from hipan import (
     loads_tree,
     new_model,
     train,
+    uniform_plan,
 )
 import hipan.cli
+import hipan.optim
 import hipan.tree
 from hipan.checkpoint import (
     FORMAT,
@@ -30,6 +34,7 @@ from hipan.checkpoint import (
     checkpoint_fingerprint,
     load_checkpoint,
     load_model,
+    save_checkpoint,
 )
 from hipan.model import model_arrays, pack_array
 from hipan.optim import restore_optim_state
@@ -174,6 +179,36 @@ def test_train_adam_uniform_plan(capsys, tmp_path, toy_files):
     )
     assert summary["event"] == "summary"
     assert summary["leaf_acc"] is not None
+
+
+# the rates that train ran with before the command line left unset
+# rates to the library: 0.015 and 0.03, or 1e-3 for the uniform plan
+@pytest.mark.parametrize(
+    "flags, optimizer, plan",
+    [
+        ((), AdamConfig(lr=0.015, warmup_lr=0.03), default_plan(2, lr=0.015, warmup_lr=0.03)),
+        (("--lr", "0.2"), AdamConfig(lr=0.2, warmup_lr=0.03), default_plan(2, 0.2, 0.03)),
+        (("--warmup-lr", "0.1"), AdamConfig(lr=0.015, warmup_lr=0.1), default_plan(2, 0.015, 0.1)),
+        (("--plan", "uniform"), AdamConfig(lr=0.015, warmup_lr=0.03), uniform_plan(2, lr=1e-3)),
+        (("--plan", "uniform", "--lr", "0.2"), AdamConfig(lr=0.2), uniform_plan(2, lr=0.2)),
+    ],
+)
+def test_train_rates_left_unset_are_the_library_defaults(
+    capsys, toy_files, monkeypatch, flags, optimizer, plan
+):
+    seen = {}
+
+    def fake_train(model, ds, opt, plan, **kwargs):
+        seen.update(optimizer=opt, plan=plan)
+        return hipan.optim.TrainResult([], 0, 0, [])
+
+    monkeypatch.setattr(hipan.cli, "train", fake_train)
+    _, ds_path = toy_files
+    rc, out, err = run(capsys, ["train", "--dataset", ds_path, "--optimizer", "adam", *flags])
+    assert rc == 0, err
+    assert seen == {"optimizer": optimizer, "plan": plan}
+    hyper = json.loads(out)["hyperparameters"]
+    assert hyper == {"beta1": 0.9, "beta2": 0.999, "lr": optimizer.lr}
 
 
 def test_eval_trained_checkpoint(capsys, tmp_path, toy_files):
@@ -955,6 +990,130 @@ def test_non_finite_latent_exit_2_naming_it(capsys, tmp_path, toy_files, command
     assert stdout == ""
     assert not out.exists()
     assert not (tmp_path / "resume.jsonl").exists()
+
+
+@pytest.fixture(scope="module")
+def adam_checkpoint(tmp_path_factory):
+    """The final checkpoint of a short Adam run on the toy tree, written
+    without a run configuration, so any resume configuration matches it."""
+    ds = encode_tree(loads_tree(TOY_TEXT))
+    ck = tmp_path_factory.mktemp("adam")
+    plan = uniform_plan(ds.codec.K, epochs=2)
+    train(new_model(ModelConfig(ds.codec), seed=0), ds, AdamConfig(), plan, checkpoint_dir=str(ck))
+    return load_checkpoint(str(ck / "ckpt-final.json"))
+
+
+def _refused(capsys, tmp_path, toy_files, command, doc):
+    """Run command ("eval", "diagnose" or "resume") on checkpoint doc;
+    asserts exit 2, nothing on stdout, no traceback and no file written,
+    and returns stderr."""
+    tree_path, ds_path = toy_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out, log = tmp_path / "out", tmp_path / "log.jsonl"
+    common = ["--dataset", ds_path, "--tree", tree_path]
+    argv = {
+        "eval": ["eval", *common, "--checkpoint", str(bad), "--out", str(out)],
+        "diagnose": ["diagnose", *common, "--checkpoint", str(bad), "--out", str(out)],
+        "resume": [
+            "train", *common, "--checkpoint-dir", str(out), "--resume", str(bad),
+            "--log", str(log), "--optimizer", "adam",
+        ],
+    }[command]
+    rc, stdout, err = run(capsys, argv)
+    assert rc == 2, err
+    assert stdout == ""
+    assert "Traceback" not in err
+    assert not out.exists() and not log.exists()
+    return err
+
+
+def _set(doc, path, value):
+    """A copy of doc with the field at path (a tuple of keys) set to value."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("model",), [], "malformed checkpoint: 'model' must be dict, got []"),
+        *(
+            (("model", key), None, f"malformed checkpoint model: {key!r} must be int, got None")
+            for key in ("p", "K", "K_heads", "seed")
+        ),
+        (("model", "tau"), [1], "malformed checkpoint model: 'tau' must be int or float, got [1]"),
+        (("model", "tables"), ["int16:"], "malformed checkpoint model: 'tables' must be dict"),
+    ],
+)
+@pytest.mark.parametrize("command", ["eval", "diagnose", "resume"])
+def test_malformed_model_state_exit_2_naming_the_field(
+    capsys, tmp_path, toy_files, adam_checkpoint, command, path, value, message
+):
+    err = _refused(capsys, tmp_path, toy_files, command, _set(adam_checkpoint, path, value))
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # the toy tree's default plan runs 2 phases: 4 and 100 epochs
+        (("cursor",), None, "malformed checkpoint: 'cursor' must be dict, got None"),
+        (("cursor", "phase"), "1", "malformed checkpoint cursor: 'phase' must be int, got '1'"),
+        (("cursor", "epoch"), 1.0, "malformed checkpoint cursor: 'epoch' must be int, got 1.0"),
+        (("optim",), [], "malformed checkpoint: 'optim' must be dict, got []"),
+        (("optim", "t"), None, "malformed checkpoint optim: 't' must be int, got None"),
+        (("optim", "m"), [], "malformed checkpoint optim: 'm' must be dict, got []"),
+        (("optim", "shapes"), [], "malformed checkpoint optim: 'shapes' must be dict, got []"),
+        *(
+            (
+                ("optim", "shapes", "root"), bad,
+                f"malformed checkpoint optim: shapes 'root' must be [3], got {bad!r}",
+            )
+            for bad in ("3", [3.0], [2])
+        ),
+        (
+            ("optim", "shapes", "extra"), "3",
+            "malformed checkpoint optim: shapes 'extra' must be a list of sizes, got '3'",
+        ),
+        (
+            ("cursor",), {"phase": 99, "epoch": 0},
+            "resume cursor (phase 99, epoch 0) lies outside the plan, whose 2 phases run "
+            "[4, 100] epochs",
+        ),
+        (("cursor",), {"phase": 1, "epoch": -5}, "resume cursor (phase 1, epoch -5) lies outside"),
+        (("cursor",), {"phase": 1, "epoch": 100}, "resume cursor (phase 1, epoch 100) lies"),
+        (("cursor",), {"phase": 2, "epoch": 1}, "resume cursor (phase 2, epoch 1) lies outside"),
+        (("cursor",), {"epoch": 0}, "malformed checkpoint cursor: 'phase' is missing"),
+    ],
+)
+def test_malformed_resume_state_exit_2_naming_the_field(
+    capsys, tmp_path, toy_files, adam_checkpoint, path, value, message
+):
+    err = _refused(capsys, tmp_path, toy_files, "resume", _set(adam_checkpoint, path, value))
+    assert err.startswith(f"error: {message}")
+
+
+# the toy tree's codec is p = 3, K = 2
+@pytest.mark.parametrize("p, K", [(2, 2), (5, 2), (7, 2), (3, 3)])
+def test_resume_with_a_model_of_another_codec_exit_2(
+    capsys, tmp_path, toy_files, adam_checkpoint, p, K
+):
+    # no configuration hash: the codec check is what stops the resume
+    model = new_model(ModelConfig(CodecParams(p, K)), seed=0)
+    save_checkpoint(str(tmp_path / "other.json"), model, optim_state=adam_checkpoint["optim"])
+    doc = load_checkpoint(str(tmp_path / "other.json"))
+    assert doc["config_hash"] is None
+    err = _refused(capsys, tmp_path, toy_files, "resume", doc)
+    assert err.startswith(
+        f"error: dataset codec CodecParams(p=3, K=2) does not match model "
+        f"CodecParams(p={p}, K={K})"
+    )
 
 
 def test_ingest_ignores_a_byte_order_mark(capsys, tmp_path):

@@ -182,6 +182,65 @@ def test_gist_minimize_reaches_local_fixpoint():
             assert objective(nb) >= base
 
 
+def _sequential_minimize(objective, digits0, p, max_sweeps, patience):
+    """gist_minimize one coordinate at a time: each coordinate, in index
+    order, scores itself, +1 and -1 (mod p) against the current digits and
+    keeps the strictly lowest, ties to the incumbent, then to +1."""
+    digits = [d % p for d in digits0]
+    history, streak = [], 0
+    for _ in range(max_sweeps):
+        accepted = 0
+        for i in range(len(digits)):
+            cands = [digits[i], (digits[i] + 1) % p, (digits[i] - 1) % p]
+            losses = []
+            for cand in cands:
+                digits[i] = cand
+                losses.append(objective(digits))
+            stay, up, down = losses
+            best = 1 if up < stay and up <= down else 2 if down < stay and down < up else 0
+            digits[i] = cands[best]
+            accepted += best != 0
+        history.append(accepted)
+        streak = 0 if accepted else streak + 1
+        if streak >= patience:
+            break
+    return digits, history
+
+
+@st.composite
+def _lookup_problems(draw):
+    """A lattice problem whose objective is a sum of table lookups over a
+    few values, so candidates tie: one per coordinate, and one per pair of
+    a coordinate and a partner, often its successor, so that a move
+    changes the scores of the coordinates after it."""
+    p = draw(st.sampled_from([2, 3, 5, 13]))
+    n = draw(st.integers(0, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.integers(1, 4))
+    unary = rng.integers(0, values, size=(n, p)).tolist()
+    partner = [i + 1 if rng.random() < 0.5 else int(rng.integers(n)) for i in range(n - 1)]
+    pair = rng.integers(0, values, size=(max(n - 1, 0), p, p)).tolist()
+    as_float = draw(st.booleans())
+
+    def objective(d):
+        total = sum(unary[i][d[i]] for i in range(n))
+        total += sum(pair[i][d[i]][d[j]] for i, j in enumerate(partner))
+        return float(total) if as_float else total
+
+    start = draw(st.lists(st.integers(-2 * p, 2 * p), min_size=n, max_size=n))
+    return objective, start, p, draw(st.integers(1, 8)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_lookup_problems())
+def test_gist_minimize_matches_one_coordinate_at_a_time(problem):
+    # n up to 100 runs passes wider than optim._FIRST_CHUNK and stops
+    # them at later movers
+    objective, start, p, max_sweeps, patience = problem
+    want = _sequential_minimize(objective, start, p, max_sweeps, patience)
+    assert gist_minimize(objective, start, p, max_sweeps, patience) == want
+
+
 def _toy_setup(seed=0):
     tree = loads_tree(
         "root\t-\nanimal\troot\nplant\troot\ncat\tanimal\ndog\tanimal\nfern\tplant\n"
@@ -780,6 +839,56 @@ def test_train_refuses_minibatch_gist_checkpoint(tmp_path):
     doc["optim"] = {"kind": "gist", "t": 2, "streak": 0, "last_improved": {"root[0]": 1}}
     with pytest.raises(ValueError, match="minibatch"):
         train(load_model(doc), ds, GistConfig(), plan, tree=tree, resume=doc)
+
+
+@pytest.mark.parametrize("p, K", [(2, 3), (5, 3), (3, 4)])
+def test_train_refuses_a_model_of_another_codec(tmp_path, p, K):
+    tree, ds, _ = _toy_setup()
+    model = new_model(ModelConfig(CodecParams(p, K)), seed=0)
+    with pytest.raises(ValueError) as err:
+        train(model, ds, GistConfig(), tree=tree, checkpoint_dir=str(tmp_path / "ck"))
+    assert str(ds.codec) in str(err.value) and str(model.config.codec) in str(err.value)
+    assert not (tmp_path / "ck").exists()
+
+
+# phases of 2, 0 and 3 epochs, a checkpoint after every epoch
+_PLAN_203 = TrainPlan(
+    (
+        TrainPhase("a", 2, 0.03, (0, 1)),
+        TrainPhase("b", 0, 0.03, (0,)),
+        TrainPhase("c", 3, 0.03, (0, 1)),
+    ),
+    checkpoint_interval=1,
+)
+
+
+@pytest.mark.parametrize(
+    "phase, epoch",
+    [(99, 0), (0, -5), (-1, 0), (0, 2), (1, 1), (2, 3), (3, 1), (4, 0)],
+)
+def test_train_refuses_a_resume_cursor_outside_the_plan(tmp_path, phase, epoch):
+    tree, ds, model = _toy_setup(seed=3)
+    train(model, ds, GistConfig(), _PLAN_203, tree=tree, checkpoint_dir=str(tmp_path))
+    doc = load_checkpoint(str(tmp_path / "ckpt-00001.json"))
+    doc["cursor"] = {"phase": phase, "epoch": epoch}
+    want = rf"resume cursor \(phase {phase}, epoch {epoch}\) lies outside the plan"
+    with pytest.raises(ValueError, match=want):
+        train(load_model(doc), ds, GistConfig(), _PLAN_203, tree=tree, resume=doc)
+
+
+def test_train_resumes_from_every_cursor_it_writes(tmp_path):
+    tree, ds, model = _toy_setup(seed=3)
+    opt = GistConfig(patience=99)
+    full = train(model, ds, opt, _PLAN_203, tree=tree, checkpoint_dir=str(tmp_path / "full"))
+    cursors = []
+    for path in full.checkpoints:
+        doc = load_checkpoint(path)
+        cursors.append((doc["cursor"]["phase"], doc["cursor"]["epoch"]))
+        out = tmp_path / f"resume-{len(cursors)}"
+        train(load_model(doc), ds, opt, _PLAN_203, tree=tree, checkpoint_dir=str(out), resume=doc)
+        assert _fingerprint(str(out / "ckpt-final.json")) == _fingerprint(full.checkpoints[-1])
+    # after phase a, the cursor (1, 0) opens phase b, which has no epochs
+    assert cursors == [(0, 1), (1, 0), (2, 1), (2, 2), (3, 0), (3, 0)]
 
 
 def test_train_checkpoint_schedule(tmp_path):
