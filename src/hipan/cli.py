@@ -207,6 +207,27 @@ def cmd_synth(ns: argparse.Namespace) -> int:
     return 0
 
 
+class _LazyLog:
+    """The --log file, opened (and truncated) at its first write, so a run
+    that train refuses before it logs an epoch leaves the path as it was."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.fh = None
+
+    def file(self):
+        if self.fh is None:
+            self.fh = open(self.path, "w", encoding="utf-8")
+        return self.fh
+
+    def write(self, text: str) -> int:
+        return self.file().write(text)
+
+    def close(self) -> None:
+        if self.fh is not None:
+            self.fh.close()
+
+
 def cmd_train(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns.config, _flags(ns))
     ds = _load_dataset(ns.dataset)
@@ -244,7 +265,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
         plan = default_plan(codec.K, **lr, **warmup_lr)
     else:
         plan = uniform_plan(codec.K, **lr)
-    log_fh = open(ns.log, "w", encoding="utf-8") if ns.log else sys.stdout
+    log = _LazyLog(ns.log) if ns.log else None
     t0 = time.monotonic()
     try:
         result = train(
@@ -255,20 +276,16 @@ def cmd_train(ns: argparse.Namespace) -> int:
             batch_size=cfg.batch_size,
             seed=cfg.seed,
             tree=tree,
-            log_stream=log_fh,
+            log_stream=log or sys.stdout,
             checkpoint_dir=ns.checkpoint_dir,
             run_config=config_dict,
             resume=resume_doc,
         )
-    except (ValueError, KeyError):
-        # bad input found before an epoch was logged: leave no log behind
-        if log_fh is not sys.stdout and log_fh.tell() == 0:
-            log_fh.close()
-            os.remove(ns.log)
-        raise
+        if log is not None:
+            log.file()  # a run that logs no epoch still leaves its empty log
     finally:
-        if log_fh is not sys.stdout:
-            log_fh.close()
+        if log is not None:
+            log.close()
     summary = {
         "event": "summary",
         "leaf_acc": result.history[-1]["leaf_acc"] if result.history else None,

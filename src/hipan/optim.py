@@ -26,9 +26,8 @@ rises from sweep to sweep.  A coordinate of a head row, or the row's
 anchor, changes only the loss of the pairs whose parent digit selects
 that row, so the sweep skips rows that no pair reaches and scores each
 live root row, deep row and anchor on its own pairs, in the arithmetic
-of the loss itself, through the routine gist_minimize uses
-(_lattice_sweep).  A dense row's squared distance separates by column,
-so one pass of its own moves every column (_sweep_dense_row).
+of the loss itself, with gist_minimize's routine (_lattice_sweep).  A
+dense row separates by column: one pass moves it (_sweep_dense_row).
 
 The Adam trainer does not descend this objective as a whole.  Its root,
 dense and table gradients are the analytic gradients of the objective,
@@ -288,17 +287,19 @@ _FIRST_CHUNK = 32
 
 def _lattice_sweep(x: np.ndarray, p: int, losses) -> int:
     """Sweep the entries of the 1-d array x in index order, in place, by
-    the lattice rule; returns the accepted moves.  losses(X) is the
-    objective of each candidate row of X.
+    the lattice rule; returns the accepted moves.
 
-    A pass scores a run of entries at once (the incumbent x, then each
-    entry's +1, then each one's -1, mod p) and moves the first entry whose
-    best candidate is not the incumbent; the next pass starts after it.  Every entry
-    before the first mover is scored against the same incumbent as in a
-    one-coordinate-at-a-time sweep, so the moves are that sweep's.  A
-    pass ends at the next entry an earlier pass saw move, or else after
-    _FIRST_CHUNK entries, twice as many (at most x.size) after each pass
-    without a move.  Steps add the integer 1: integer x stays exact."""
+    A pass takes entries cols, with cands their values, +1s and -1s (mod
+    p) as 3 rows; losses(cols, cands) scores x, then x with each entry at
+    its +1, then at its -1 (_candidate_rows), as one array.  The pass
+    moves the first entry whose best candidate is not the incumbent, and
+    the next starts after it.  Entries up to that one are scored against
+    the incumbent of a one-coordinate-at-a-time sweep, so the moves are
+    that sweep's; later scores only end later passes early, so losses may
+    give them the incumbent's score.  A pass ends at the next entry an
+    earlier pass saw move, or else after _FIRST_CHUNK entries, twice as
+    many (at most x.size) after each pass without a move.  Steps add the
+    integer 1: integer x stays exact."""
     n = x.size
     accepted, j, width = 0, 0, _FIRST_CHUNK
     ahead = np.empty(0, dtype=np.int64)
@@ -307,10 +308,8 @@ def _lattice_sweep(x: np.ndarray, p: int, losses) -> int:
         cols = np.arange(j, stop)
         m = cols.size
         cands = np.stack([x[cols], (x[cols] + 1) % p, (x[cols] - 1) % p])
-        X = np.repeat(x[None, :], 2 * m + 1, axis=0)
-        X[np.arange(1, 2 * m + 1), np.tile(cols, 2)] = cands[1:].ravel()
-        scores = losses(X)
-        moves = _lattice_move(scores[0], scores[1 : m + 1], scores[m + 1 :])
+        scores = losses(cols, cands)
+        moves = _lattice_move(scores[:1], scores[1 : m + 1], scores[m + 1 :])
         moved = np.flatnonzero(moves)
         later = ahead[ahead >= stop]
         if moved.size == 0:
@@ -323,6 +322,14 @@ def _lattice_sweep(x: np.ndarray, p: int, losses) -> int:
     return accepted
 
 
+def _candidate_rows(x: np.ndarray, cols: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """The 2 cols.size + 1 rows that losses(cols, cands) of _lattice_sweep scores."""
+    m = cols.size
+    X = np.repeat(x[None, :], 2 * m + 1, axis=0)
+    X[np.arange(1, 2 * m + 1), np.tile(cols, 2)] = cands[1:].ravel()
+    return X
+
+
 def gist_minimize(
     objective,
     digits0: Sequence[int],
@@ -333,20 +340,34 @@ def gist_minimize(
     """Generic coordinate descent on the digit lattice {0..p-1}^n, p < 2^63.
 
     Each sweep is the trainer's (_lattice_sweep) over the digits as
-    int64: coordinates in index order, each scoring itself, +1 and -1
-    (mod p) as a list of ints, values compared as objective returns
-    them.  A pass may score coordinates after its first mover and score
-    them again later.  Stops after `patience` consecutive sweeps with no
-    accepted move.
+    int64.  objective gets the digits as a list of ints, and its values
+    are compared as Python compares them.  A pass calls it on its
+    incumbent, then on each coordinate's +1 and -1 until one moves, so a
+    sweep makes at most 3 calls per coordinate, in O(n) memory.  Stops
+    after `patience` consecutive sweeps with no accepted move.
 
     Returns:
         (digits, accepted_per_sweep).
     """
     x = np.array([int(d) % p for d in digits0], dtype=np.int64)
+
+    def losses(cols: np.ndarray, cands: np.ndarray) -> np.ndarray:
+        r, m = x.tolist(), cols.size
+        scores = [objective(r)] * (2 * m + 1)
+        for k, (c, stay, up, down) in enumerate(zip(cols.tolist(), *cands.tolist())):
+            r[c] = up
+            scores[1 + k] = objective(r)
+            r[c] = down
+            scores[1 + m + k] = objective(r)
+            r[c] = stay
+            if _lattice_move(scores[0], scores[1 + k], scores[1 + m + k]):
+                break
+        return np.fromiter(scores, dtype=object, count=2 * m + 1)
+
     history: list[int] = []
     streak = 0
     for _ in range(max_sweeps):
-        accepted = _lattice_sweep(x, p, lambda X: np.array([objective(r) for r in X.tolist()]))
+        accepted = _lattice_sweep(x, p, losses)
         history.append(accepted)
         streak = _idle_streak(streak, accepted)
         if streak >= patience:
@@ -557,23 +578,24 @@ def _gist_sweep(
         if not served:
             continue
         for r, parts in _live_rows(model, ke, counts, served):
-            if ke == 0:
-                row = model.root.scores
-                accepted += _lattice_sweep(row, p, lambda X: _row_losses(model, 0, X, 0.0, parts))
-                coords += p
-            elif ke == 1:
+            coords += p
+            if ke == 1:
                 assert model.dense is not None
                 accepted += _sweep_dense_row(model.dense.table[r], parts)
-                coords += p
+                continue
+            if ke == 0:
+                row, v = model.root.scores, np.zeros(1)  # the root has no anchor
             else:
-                head = model.deep[ke - 2]
-                row, v = head.table[r], head.anchor[r : r + 1]
-                accepted += _lattice_sweep(row, p, lambda X: _row_losses(model, ke, X, v[0], parts))
-                # the anchor's candidates as a column, against the one row
+                row, v = model.deep[ke - 2].table[r], model.deep[ke - 2].anchor[r : r + 1]
+            accepted += _lattice_sweep(
+                row, p, lambda c, y: _row_losses(model, ke, _candidate_rows(row, c, y), v[0], parts)
+            )
+            if ke >= 2:
+                # an anchor's candidate rows are its candidates, as a column
                 accepted += _lattice_sweep(
-                    v, p, lambda V: _row_losses(model, ke, row[None], V, parts)
+                    v, p, lambda c, y: _row_losses(model, ke, row[None], y, parts)
                 )
-                coords += p + 1
+                coords += 1
     return accepted, 3 * coords
 
 

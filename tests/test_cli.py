@@ -1116,6 +1116,50 @@ def test_resume_with_a_model_of_another_codec_exit_2(
     )
 
 
+def _resume_with_log(capsys, tmp_path, toy_files, doc, log):
+    tree_path, ds_path = toy_files
+    ck = tmp_path / "resume.json"
+    ck.write_text(json.dumps(doc))
+    return run(
+        capsys,
+        [
+            "train", "--dataset", ds_path, "--tree", tree_path, "--resume", str(ck),
+            "--checkpoint-dir", str(tmp_path / "out"), "--log", str(log), "--optimizer", "adam",
+        ],
+    )
+
+
+@pytest.mark.parametrize("through_link", [False, True])
+def test_refused_resume_leaves_the_log_path_as_it_was(
+    capsys, tmp_path, toy_files, adam_checkpoint, through_link
+):
+    # the log is opened at its first write, so a refused run neither
+    # truncates nor removes what the --log path holds, a symlink included
+    held = tmp_path / "held.jsonl"
+    held.write_text('{"epoch": 0}\n')
+    log = tmp_path / "link.jsonl" if through_link else held
+    if through_link:
+        log.symlink_to(held)
+    doc = _set(adam_checkpoint, ("cursor",), {"phase": 99, "epoch": 0})
+    rc, stdout, err = _resume_with_log(capsys, tmp_path, toy_files, doc, log)
+    assert rc == 2 and err.startswith("error: resume cursor (phase 99, epoch 0) lies outside")
+    assert stdout == "" and "Traceback" not in err
+    assert log.is_symlink() == through_link
+    assert held.read_text() == '{"epoch": 0}\n'
+
+
+def test_resume_that_logs_no_epoch_leaves_an_empty_log(
+    capsys, tmp_path, toy_files, adam_checkpoint
+):
+    # the final cursor runs no epoch; the log is still written, empty
+    log = tmp_path / "log.jsonl"
+    log.write_text("older run\n")
+    rc, stdout, err = _resume_with_log(capsys, tmp_path, toy_files, adam_checkpoint, log)
+    assert rc == 0, err
+    assert json.loads(stdout)["checkpoints"][-1].endswith("ckpt-final.json")
+    assert log.read_text() == ""
+
+
 def test_ingest_ignores_a_byte_order_mark(capsys, tmp_path):
     text = "a\tr\nr\t-\nb\tr\n"
     outputs = []

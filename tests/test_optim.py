@@ -231,14 +231,78 @@ def _lookup_problems(draw):
     return objective, start, p, draw(st.integers(1, 8)), draw(st.integers(1, 3))
 
 
+def _counted(objective):
+    def counted(d):
+        counted.calls += 1
+        return objective(d)
+
+    counted.calls = 0
+    return counted
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(_lookup_problems())
 def test_gist_minimize_matches_one_coordinate_at_a_time(problem):
-    # n up to 100 runs passes wider than optim._FIRST_CHUNK and stops
-    # them at later movers
+    # n up to 100 runs passes wider than optim._FIRST_CHUNK
     objective, start, p, max_sweeps, patience = problem
-    want = _sequential_minimize(objective, start, p, max_sweeps, patience)
-    assert gist_minimize(objective, start, p, max_sweeps, patience) == want
+    want_calls, got_calls = _counted(objective), _counted(objective)
+    want = _sequential_minimize(want_calls, start, p, max_sweeps, patience)
+    assert gist_minimize(got_calls, start, p, max_sweeps, patience) == want
+    # a pass scores its incumbent once and nothing after its first mover
+    assert got_calls.calls <= want_calls.calls
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_lookup_problems())
+def test_lattice_sweep_scoring_every_candidate_matches_one_coordinate_at_a_time(problem):
+    # the trainer's way: every candidate row of a pass scored at once, so
+    # passes also end at the later movers an earlier pass saw
+    objective, start, p, max_sweeps, patience = problem
+    x = np.array([d % p for d in start], dtype=np.int64)
+
+    def losses(cols, cands):
+        return np.array([objective(r) for r in optim._candidate_rows(x, cols, cands).tolist()])
+
+    history, streak = [], 0
+    for _ in range(max_sweeps):
+        history.append(optim._lattice_sweep(x, p, losses))
+        streak = 0 if history[-1] else streak + 1
+        if streak >= patience:
+            break
+    assert (x.tolist(), history) == _sequential_minimize(objective, start, p, max_sweeps, patience)
+
+
+def test_gist_minimize_compares_values_as_python_does():
+    # 2^60 + 1 and float(2^60) are one float64, and tuples are not
+    # numbers; Python's comparison still tells them apart
+    big = {0: 2**60 + 1, 1: float(2**60), 2: 2**60 + 2}
+    assert gist_minimize(lambda d: big[d[0]], [0], 3) == ([1], [1, 0, 0])
+    lexicographic = lambda d: (abs(d[0] - 2), -d[1])  # noqa: E731
+    want = _sequential_minimize(lexicographic, [0, 0], 5, 200, 2)
+    assert gist_minimize(lexicographic, [0, 0], 5) == want == ([2, 4], [2, 1, 0, 0])
+
+
+def test_gist_minimize_holds_no_matrix_of_candidate_rows():
+    # idle sweeps widen their passes to the whole of n = 2000 digits
+    n = 2000
+    tracemalloc.start()
+    digits, history = gist_minimize(lambda d: 0, [0] * n, 13)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (digits, history) == ([0] * n, [0, 0])
+    assert peak < 1_000_000
+
+
+def test_gist_minimize_calls_at_most_3_per_coordinate_on_a_chain():
+    # digit 0 is pulled to 1 and each digit to the one before it, with
+    # falling weights, so each move makes the next digit improvable and
+    # each pass ends at its first coordinate
+    n = 300
+    objective = _counted(
+        lambda d: 2 * n * (d[0] - 1) ** 2 + sum((n - i) * abs(d[i] - d[i - 1]) for i in range(1, n))
+    )
+    assert gist_minimize(objective, [0] * n, 13) == ([1] * n, [n, 0, 0])
+    assert objective.calls <= 3 * n + 2 * (3 * n)
 
 
 def _toy_setup(seed=0):
