@@ -8,7 +8,7 @@ round-trip float text for scalars), so identical state always produces
 identical bytes.
 
 Format v3 stores only what training changed.  Its model state names
-the init scheme ("init": "uniform-v1", the draws of
+the init scheme ("init": "uniform-v2", the draws of
 `new_model(config, seed)`) and stores each latent array as the rows
 whose bits differ from that init; each Adam moment array is stored as
 its rows whose bits differ from zero (`model.pack_rows`).  A stored
@@ -20,9 +20,9 @@ Loading draws the init again and writes the stored rows over it
 (`model.unpack_rows`), so every array comes back bit for bit, whichever
 rows training reached.
 
-Format v2 files, which store every value of each array as one
-`pack_array` string, and format v1 files, which hold the arrays as lists
-of floats, still load.
+Only format v3 with init "uniform-v2" is read.  Files in formats v1 and
+v2, and v3 files stored against init "uniform-v1", hold an earlier head
+layout; loading one raises ValueError naming its format or init.
 
 `created_unix_ms` is the one intentionally nondeterministic field; the
 fingerprint zeroes it before hashing so two runs of the same seed yield
@@ -41,8 +41,6 @@ from .model import HiPaNModel, model_from_state, model_state
 from .tree import _typed
 
 FORMAT = "hipan-checkpoint-v3"
-FORMAT_V2 = "hipan-checkpoint-v2"
-FORMAT_V1 = "hipan-checkpoint-v1"
 
 
 def canonical_json(obj: Any) -> str:
@@ -109,19 +107,24 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read and validate a checkpoint document (format v3, v2 or v1); its
-    arrays stay packed until load_model.
+    """Read and validate a checkpoint document; its arrays stay packed
+    until load_model.
 
     Raises:
-        ValueError: not a checkpoint file or an unknown format tag.
+        ValueError: not a checkpoint file, or a format tag other than
+            FORMAT (named).
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("format") not in (FORMAT_V1, FORMAT_V2, FORMAT):
+    if not isinstance(doc, dict) or "format" not in doc:
         raise ValueError(f"{path}: not a checkpoint file")
+    if doc["format"] != FORMAT:
+        raise ValueError(
+            f"{path}: unknown checkpoint format {doc['format']!r}; this version reads {FORMAT!r}"
+        )
     return doc
 
 

@@ -2,11 +2,10 @@
 
 One head per learnable digit depth predicts that digit from the previous
 one: depth 0 holds a bare score vector (no conditioning context exists
-above the root), depth 1 a dense p x p table trained by squared distance
-to the one-hot target, and every deeper head a p x p score table plus a
-per-row scalar anchor that arbitrates between the row's top two columns
-through two quadratic logits.  Depths at or beyond K_heads reuse the last
-head's weights.
+above the root), and every deeper head a p x p score table, row = parent
+digit, plus a per-row scalar anchor that arbitrates between the row's top
+two columns through two quadratic logits.  Depths at or beyond K_heads
+reuse the last head's weights.
 
 One prediction path serves evaluation: per-record reconstruction
 (`reconstruct_matrix`).  The model's input is the record's own code, so
@@ -14,8 +13,8 @@ each head may read the input digit it is asked to reproduce.  Rows chain
 on the digits actually predicted; a digit is accepted when its score sits
 within RECONSTRUCT_MARGIN of the row maximum (trained rows tie their
 observed digits up to quantization), otherwise the head falls back to its
-generative rule: the row argmax for the root and dense heads, the anchor's
-arbitration between the row's top two columns for deeper heads.
+generative rule: the argmax for the root, the anchor's arbitration
+between the row's top two columns for deeper heads.
 `clamped_descent_matrix` walks the predicted digits to hierarchy leaves.
 Accuracy reports this path: how much of the hierarchy the factorized
 tables actually store.  Only calibration also asks how sure each head
@@ -46,11 +45,11 @@ from .tree import EncodedDataset, TreeSpec, _typed
 RECONSTRUCT_MARGIN = 2.0
 
 CHECKPOINT_FORMAT = "hipan-model-v3"
-CHECKPOINT_FORMAT_V2 = "hipan-model-v2"
-CHECKPOINT_FORMAT_V1 = "hipan-model-v1"
 # Names the init that format v3 tables are stored against: new_model's
-# i.i.d. uniform draws over {0, ..., p-1} from child_rng(seed, "init").
-INIT_SCHEME = "uniform-v1"
+# i.i.d. uniform draws over {0, ..., p-1} from child_rng(seed, "init"),
+# in the order of model_arrays.  "uniform-v1" drew the arrays of an
+# earlier head layout; its files are not read.
+INIT_SCHEME = "uniform-v2"
 
 
 @dataclass
@@ -87,15 +86,9 @@ class RootHead:
 
 
 @dataclass
-class DenseMSEHead:
-    """p x p table; row = parent digit, column = child digit."""
-
-    table: np.ndarray
-
-
-@dataclass
 class TwoLogitCEHead:
-    """p x p score table plus one scalar anchor per parent row."""
+    """p x p score table, row = parent digit, column = child digit, plus
+    one scalar anchor per row."""
 
     table: np.ndarray
     anchor: np.ndarray
@@ -105,15 +98,14 @@ class TwoLogitCEHead:
 class HiPaNModel:
     """Trainable digit heads.
 
-    heads by depth: 0 -> root, 1 -> dense (when K_heads >= 2),
-    2..K_heads-1 -> deep two-logit heads.  The model holds no data: the
-    rarity weights of the deep heads' loss come from a dataset's pair
-    counts each time a loss is computed.
+    heads by depth: 0 -> root, ke in 1..K_heads-1 -> deep[ke - 1], a
+    two-logit head.  The model holds no data: the rarity weights of the
+    deep heads' loss come from a dataset's pair counts each time a loss
+    is computed.
     """
 
     config: ModelConfig
     root: RootHead
-    dense: DenseMSEHead | None
     deep: list[TwoLogitCEHead]
     init_seed: int = 0
 
@@ -129,11 +121,11 @@ class HiPaNModel:
 def parameter_count(config: ModelConfig) -> int:
     """Reported latent count: p for K_heads = 1, else p + p^2 + (K_heads-1)(p^2+p).
 
-    This is the closed form the package commits to.  Note it counts one
-    more deep head than the structure instantiates (root + dense +
-    K_heads-2 deep heads); the two cannot be reconciled because the
-    source arithmetic and the head layout disagree, and the closed form
-    is the contractual value.
+    This is the closed form the package commits to.  The layout holds
+    p + (K_heads-1)(p^2+p) latents (root + K_heads-1 two-logit heads), so
+    for K_heads >= 2 the closed form exceeds it by p^2; the two cannot be
+    reconciled because the source arithmetic and the head layout
+    disagree, and the closed form is the contractual value.
     """
     p, kh = config.codec.p, config.K_heads
     if kh == 1:
@@ -169,36 +161,27 @@ def new_model(config: ModelConfig, seed: int = 0) -> HiPaNModel:
             f"a model with p={p} needs {need} bytes of float64 latents, "
             f"more than the {have} bytes of physical memory"
         )
-    model = _blank_model(config, seed)
+    model = HiPaNModel(
+        config,
+        RootHead(np.empty(p)),
+        [TwoLogitCEHead(np.empty((p, p)), np.empty(p)) for _ in range(config.K_heads - 1)],
+        init_seed=seed,
+    )
     for _, arr, draw in _init_draws(model, seed):
         arr[...] = draw
     return model
 
 
-def _blank_model(config: ModelConfig, seed: int) -> HiPaNModel:
-    """Model of the given shape whose arrays are left uninitialized."""
-    p = config.codec.p
-    return HiPaNModel(
-        config,
-        RootHead(np.empty(p)),
-        DenseMSEHead(np.empty((p, p))) if config.K_heads >= 2 else None,
-        [TwoLogitCEHead(np.empty((p, p)), np.empty(p)) for _ in range(config.K_heads - 2)],
-        init_seed=seed,
-    )
-
-
 def model_arrays(model: HiPaNModel) -> dict[str, np.ndarray]:
     """Every latent array of model, by name, in draw order: "root" (root
-    scores), "dense" (dense table), then "deep{i}.table" and
-    "deep{i}.anchor" for each deep head i.
+    scores), then "deep{i}.table" and "deep{i}.anchor" for each deep head
+    i, the head of depth i + 1.
 
     The arrays themselves, not copies.  `new_model` draws the init in
     this order, checkpoints name their tables by these names, and the
     trainers lay the arrays out in it.
     """
     out = {"root": model.root.scores}
-    if model.dense is not None:
-        out["dense"] = model.dense.table
     for i, head in enumerate(model.deep):
         out[f"deep{i}.table"] = head.table
         out[f"deep{i}.anchor"] = head.anchor
@@ -225,10 +208,7 @@ def _head_table(model: HiPaNModel, ke: int) -> np.ndarray:
     """Score table of the head at depth ke; the root's is its one row."""
     if ke == 0:
         return model.root.scores[None, :]
-    if ke == 1:
-        assert model.dense is not None
-        return model.dense.table
-    return model.deep[ke - 2].table
+    return model.deep[ke - 1].table
 
 
 def softmax_rows(rows: np.ndarray) -> np.ndarray:
@@ -253,7 +233,7 @@ def _anchored_choice_rows(
     """Deep-head generative rule for a batch of rows: the top two columns
     (ties to the lowest index), arbitrated by the row's anchor."""
     t_star, c = _top_two(rows)
-    v = model.deep[ke - 2].anchor[prev]
+    v = model.deep[ke - 1].anchor[prev]
     pick_top = (v - t_star) ** 2 <= (v - c) ** 2
     return np.where(pick_top, t_star, c)
 
@@ -265,7 +245,7 @@ def _row_summary(
     of the head at depth ke; a row's floor is its max less
     RECONSTRUCT_MARGIN."""
     table = _head_table(model, ke)
-    if ke <= 1:
+    if ke == 0:
         fallback = table.argmax(axis=1)
     else:
         fallback = _anchored_choice_rows(model, ke, np.arange(table.shape[0]), table)
@@ -437,35 +417,28 @@ def pack_array(name: str, arr: np.ndarray) -> str:
 _BLOB_DTYPES = {"int16": np.dtype("<i2"), "float64": np.dtype("<f8")}
 
 
-def _decode(name: str, value: str | list) -> np.ndarray:
-    """Finite float64 values of pack_array text, or of a v1 list of floats."""
-    if isinstance(value, list):
-        try:
-            arr = np.array(value, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"table {name} is not a list of numbers ({exc})") from None
-    elif not isinstance(value, str):
-        raise ValueError(f"table {name} is neither an array text nor a list")
-    else:
-        tag, _, text = value.partition(":")
-        dtype = _BLOB_DTYPES.get(tag)
-        if dtype is None:
-            raise ValueError(f"table {name} has unknown array type {tag!r}")
-        try:
-            raw = base64.b64decode(text, validate=True)
-        except binascii.Error as exc:
-            raise ValueError(f"table {name} is not valid base64 ({exc})") from None
-        if len(raw) % dtype.itemsize:
-            raise ValueError(f"table {name} holds {len(raw)} bytes, not whole {tag} values")
-        arr = np.frombuffer(raw, dtype=dtype).astype(np.float64)
+def _decode(name: str, value: str) -> np.ndarray:
+    """Finite float64 values of pack_array text."""
+    if not isinstance(value, str):
+        raise ValueError(f"table {name} is not an array text")
+    tag, _, text = value.partition(":")
+    dtype = _BLOB_DTYPES.get(tag)
+    if dtype is None:
+        raise ValueError(f"table {name} has unknown array type {tag!r}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"table {name} is not valid base64 ({exc})") from None
+    if len(raw) % dtype.itemsize:
+        raise ValueError(f"table {name} holds {len(raw)} bytes, not whole {tag} values")
+    arr = np.frombuffer(raw, dtype=dtype).astype(np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(f"table {name} holds a non-finite value; it cannot be loaded")
     return arr
 
 
-def unpack_array(name: str, value: str | list, shape: tuple[int, ...]) -> np.ndarray:
-    """float64 array of a given shape from pack_array text, or from the
-    list of floats that format v1 files hold.
+def unpack_array(name: str, value: str, shape: tuple[int, ...]) -> np.ndarray:
+    """float64 array of a given shape from pack_array text.
 
     Raises:
         ValueError: (naming the table) an unknown tag, invalid base64, a
@@ -545,30 +518,28 @@ def model_state(model: HiPaNModel) -> dict:
 
 def model_from_state(state: dict) -> HiPaNModel:
     """Inverse of model_state: the seeded init with the stored rows written
-    over it.  Also reads format v2 and v1 states, whose tables hold every
-    value (pack_array text, or lists of floats).  An "alpha" key, written
-    by earlier versions, is ignored.
+    over it.
 
     Raises:
-        ValueError: unknown format tag or init scheme, a header field or
-            the tables of the wrong JSON type (named), or malformed tables.
+        ValueError: a format tag or init scheme other than this version's
+            (named), a header field or the tables of the wrong JSON type
+            (named), or malformed tables.
     """
     fmt = state.get("format")
-    if fmt not in (CHECKPOINT_FORMAT_V1, CHECKPOINT_FORMAT_V2, CHECKPOINT_FORMAT):
-        raise ValueError(f"unknown model state format {fmt!r}")
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(
+            f"unknown model state format {fmt!r}; this version reads {CHECKPOINT_FORMAT!r}"
+        )
     what = "checkpoint model"
     codec = CodecParams(_typed(state, "p", int, what), _typed(state, "K", int, what))
     tau = float(_typed(state, "tau", (int, float), what))
     config = ModelConfig(codec, _typed(state, "K_heads", int, what), tau)
     seed = _typed(state, "seed", int, what, 0)
     tables = _typed(state, "tables", dict, what)
-    if fmt != CHECKPOINT_FORMAT:
-        model = _blank_model(config, seed)
-        for name, arr in model_arrays(model).items():
-            arr[...] = unpack_array(name, tables[name], arr.shape)
-        return model
     if state.get("init") != INIT_SCHEME:
-        raise ValueError(f"unknown init scheme {state.get('init')!r}")
+        raise ValueError(
+            f"unknown init scheme {state.get('init')!r}; this version reads {INIT_SCHEME!r}"
+        )
     model = new_model(config, seed)
     for name, arr in model_arrays(model).items():
         unpack_rows(name, tables[name], arr)
@@ -578,7 +549,6 @@ def model_from_state(state: dict) -> HiPaNModel:
 __all__ = [
     "BallSummary",
     "CHECKPOINT_FORMAT",
-    "DenseMSEHead",
     "HiPaNModel",
     "ModelConfig",
     "RECONSTRUCT_MARGIN",

@@ -5,12 +5,11 @@ objective summed over the digits a training phase enables:
 
 * digit 0: cross entropy of the root score softmax against the true
   root digit;
-* digit 1: squared distance between the dense head's row (selected by
-  the true digit 0) and the one-hot target, summed over columns;
-* digits >= 2: rarity-weighted cross entropy on the selected table row
-  plus a two-logit term that trains the row's scalar anchor to arbitrate
-  between the top two columns.  The rarity weight of a (parent, child)
-  digit pair is 1/sqrt(count), its count read from the dataset.
+* digits >= 1: rarity-weighted cross entropy on the table row that the
+  true previous digit selects, plus a two-logit term that trains the
+  row's scalar anchor to arbitrate between the top two columns.  The
+  rarity weight of a (parent, child) digit pair is 1/sqrt(count), its
+  count read from the dataset.
 
 A record's loss at digit k depends only on its (digit k-1, digit k)
 pair, so the objective reads the data only through the dataset's pair
@@ -26,11 +25,10 @@ rises from sweep to sweep.  A coordinate of a head row, or the row's
 anchor, changes only the loss of the pairs whose parent digit selects
 that row, so the sweep skips rows that no pair reaches and scores each
 live root row, deep row and anchor on its own pairs, in the arithmetic
-of the loss itself, with gist_minimize's routine (_lattice_sweep).  A
-dense row separates by column: one pass moves it (_sweep_dense_row).
+of the loss itself, with gist_minimize's routine (_lattice_sweep).
 
-The Adam trainer does not descend this objective as a whole.  Its root,
-dense and table gradients are the analytic gradients of the objective,
+The Adam trainer does not descend this objective as a whole.  Its root
+and table gradients are the analytic gradients of the objective,
 but its anchor gradient is not the gradient of the two-logit term: it is
 the closed form 2 tau (v - psi) (sigma((v - psi)^2 / tau) - I), with psi
 the true digit and I = 1 when the arbitration already picks it, whose
@@ -44,8 +42,8 @@ An Adam step is one pass over every digit the phase trains.  At an
 epoch's start the arrays of the heads serving the phase's digits are laid
 end to end in one flat buffer, with their first and second moments in two
 more, and the epoch's per-record data is laid out step by step: the
-targets, selected rows, one-hot cells, scales and rarity weights of a
-step's records, and its root target counts, sit in contiguous slices, in
+targets, selected rows, one-hot cells and rarity weights of a step's
+records, and its root target counts, sit in contiguous slices, in
 O(digits x N) memory.  A step finds the distinct deep rows it touches by
 marking their ids among the run's live rows (those some pair reaches),
 scores each once (softmax, top two columns, anchor arbitration) and
@@ -76,7 +74,6 @@ from .model import (
     model_arrays,
     pack_rows,
     softmax_rows,
-    unpack_array,
     unpack_rows,
 )
 from .rng import child_rng
@@ -161,16 +158,6 @@ def project_digit(theta: float, p: int) -> int:
 def huffman_weights(counts: np.ndarray) -> np.ndarray:
     """Rarity loss weight of each digit pair from its count: 1/sqrt(count)."""
     return 1.0 / np.sqrt(np.asarray(counts, dtype=np.float64))
-
-
-def _record_weights(D: np.ndarray, counts: Sequence[DigitPairs], p: int) -> np.ndarray:
-    """(N, K) rarity weight of each record's (digit k-1, digit k) pair."""
-    W = np.empty(D.shape)
-    for k, pairs in enumerate(counts):
-        prev = D[:, k - 1] if k else 0
-        pos = np.searchsorted(pairs.parent * p + pairs.child, prev * p + D[:, k])
-        W[:, k] = huffman_weights(pairs.count)[pos]
-    return W
 
 
 @dataclass(frozen=True)
@@ -307,11 +294,15 @@ def _lattice_sweep(x: np.ndarray, p: int, losses) -> int:
         stop = ahead[0] + 1 if ahead.size else min(n, j + width)
         cols = np.arange(j, stop)
         m = cols.size
-        cands = np.stack([x[cols], (x[cols] + 1) % p, (x[cols] - 1) % p])
+        cands = np.empty((3, m), dtype=x.dtype)
+        cands[0] = x[j:stop]
+        np.add(cands[0], 1, out=cands[1])
+        np.subtract(cands[0], 1, out=cands[2])
+        cands[1:] %= p
         scores = losses(cols, cands)
         moves = _lattice_move(scores[:1], scores[1 : m + 1], scores[m + 1 :])
         moved = np.flatnonzero(moves)
-        later = ahead[ahead >= stop]
+        later = ahead[1:]  # ahead ascends, and this pass ends at ahead[0]
         if moved.size == 0:
             j, ahead, width = stop, later, min(2 * width, n)
             continue
@@ -326,7 +317,7 @@ def _candidate_rows(x: np.ndarray, cols: np.ndarray, cands: np.ndarray) -> np.nd
     """The 2 cols.size + 1 rows that losses(cols, cands) of _lattice_sweep scores."""
     m = cols.size
     X = np.repeat(x[None, :], 2 * m + 1, axis=0)
-    X[np.arange(1, 2 * m + 1), np.tile(cols, 2)] = cands[1:].ravel()
+    X[np.arange(1, 2 * m + 1), np.concatenate((cols, cols))] = cands[1:].ravel()
     return X
 
 
@@ -380,7 +371,9 @@ def gist_minimize(
 
 def _lse_rows(rows: np.ndarray) -> np.ndarray:
     m = rows.max(axis=1)
-    return m + np.log(np.exp(rows - m[:, None]).sum(axis=1))
+    e = rows - m[:, None]
+    s = np.exp(e, out=e).sum(axis=1)
+    return m + np.log(s, out=s)
 
 
 def _softplus_vec(x: np.ndarray) -> np.ndarray:
@@ -409,9 +402,7 @@ def _served_arrays(model: HiPaNModel, phase_digits: tuple[int, ...]) -> dict[str
 def _head_of_array(name: str) -> int:
     if name == "root":
         return 0
-    if name == "dense":
-        return 1
-    return 2 + int(name.split(".")[0][len("deep"):])
+    return 1 + int(name.split(".")[0][len("deep"):])
 
 
 def _digit_losses(
@@ -433,13 +424,7 @@ def _digit_losses(
     if ke == 0:
         s = model.root.scores
         return np.full(n, _lse_rows(s[None, :])[0]) - s[t]
-    if ke == 1:
-        assert model.dense is not None
-        rows = model.dense.table[prev]
-        one_hot = np.zeros_like(rows)
-        one_hot[np.arange(n), t] = 1.0
-        return ((rows - one_hot) ** 2).sum(axis=1)
-    head = model.deep[ke - 2]
+    head = model.deep[ke - 1]
     starts = np.ones(n, dtype=bool)
     np.not_equal(prev[1:], prev[:-1], out=starts[1:])
     run = np.cumsum(starts) - 1
@@ -528,35 +513,17 @@ def _row_losses(
     digit, _digit_losses's terms of the row's pairs weighted by their
     counts and summed."""
     lse = _lse_rows(X)[:, None]
-    if ke >= 2:
+    if ke:
         top, second = (a[:, None] for a in _top_two(X))
     total = 0.0
     for t, count, w in parts:
         ce = lse - X[:, t]
-        if ke >= 2:
+        if ke:
             ce = _deep_terms(model.config.tau, ce, top, second, v, t, w)
         # sum(axis=1) adds each row of a C-ordered array pairwise, as the
         # 1-d sum does; X[:, t] and what is computed from it are F-ordered
         total = total + np.ascontiguousarray(count * ce).sum(axis=1)
     return total
-
-
-def _sweep_dense_row(x: np.ndarray, parts: _RowParts) -> int:
-    """Lattice step of every column of one live dense row, in place;
-    returns the accepted moves.  The squared distance separates by
-    column, so each column is scored alone: when h of the row's n records
-    have the column's digit, the column at value y costs
-    (n - h) y^2 + h (y - 1)^2, exactly so for integer latents, and one
-    pass moves every column; _lattice_sweep would end a pass at each
-    mover and score the rest of the row again."""
-    p = x.size
-    hits = sum(np.bincount(t, weights=count, minlength=p) for t, count, _ in parts)
-    n = sum(float(count.sum()) for _, count, _ in parts)
-    cands = np.stack([x, (x + 1.0) % p, (x - 1.0) % p])
-    losses = (n - hits) * cands**2 + hits * (cands - 1.0) ** 2
-    moves = _lattice_move(*losses)
-    x[:] = cands[moves, np.arange(p)]
-    return int(np.count_nonzero(moves))
 
 
 def _gist_sweep(
@@ -566,8 +533,8 @@ def _gist_sweep(
     digits, in place; returns (accepted moves, loss evaluations), three
     evaluations per coordinate of a live row.
 
-    Order: root scores, dense rows, each deep head's rows, each row's
-    table columns then its anchor.  A row's pairs read only that row and
+    Order: root scores, then each deep head's rows, each row's table
+    columns then its anchor.  A row's pairs read only that row and
     its anchor, so this gives the moves of sweeping a head's whole table
     before its anchors.  Rows that no pair reaches are skipped: no move
     there can change the loss."""
@@ -579,18 +546,14 @@ def _gist_sweep(
             continue
         for r, parts in _live_rows(model, ke, counts, served):
             coords += p
-            if ke == 1:
-                assert model.dense is not None
-                accepted += _sweep_dense_row(model.dense.table[r], parts)
-                continue
             if ke == 0:
                 row, v = model.root.scores, np.zeros(1)  # the root has no anchor
             else:
-                row, v = model.deep[ke - 2].table[r], model.deep[ke - 2].anchor[r : r + 1]
+                row, v = model.deep[ke - 1].table[r], model.deep[ke - 1].anchor[r : r + 1]
             accepted += _lattice_sweep(
                 row, p, lambda c, y: _row_losses(model, ke, _candidate_rows(row, c, y), v[0], parts)
             )
-            if ke >= 2:
+            if ke:
                 # an anchor's candidate rows are its candidates, as a column
                 accepted += _lattice_sweep(
                     v, p, lambda c, y: _row_losses(model, ke, row[None], y, parts)
@@ -658,29 +621,30 @@ class _Flat:
 def _record_tables(
     model: HiPaNModel, D: np.ndarray, counts: Sequence[DigitPairs]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(scale, ids, live): a run's per-record tables for the Adam layout.
+    """(W, ids, live): a run's per-record tables for the Adam layout.
 
-    scale[i, k] multiplies the row term of record i's digit k: 2.0 where
-    the dense head serves digit k, else the pair's rarity weight.  The
-    live rows are the dense and deep head rows that some pair of a digit
-    the head serves reaches, numbered head by head in row order; live row
-    j is row live[1, j] of the head at depth live[0, j], and ids[i, k] is
-    the live row that record i's digit k selects (-1 where the root
-    serves digit k)."""
-    scale = _record_weights(D, counts, model.p)
-    reached = np.zeros((model.config.K_heads, model.p), dtype=bool)
-    for k in range(1, model.K):
+    W[i, k] is the rarity weight of record i's (digit k-1, digit k) pair,
+    which scales the row term of its digit k.  The live rows are the deep
+    head rows that some pair of a digit the head serves reaches, numbered
+    head by head in row order; live row j is row live[1, j] of the head at
+    depth live[0, j], and ids[i, k] is the live row that record i's digit
+    k selects (-1 where the root serves digit k)."""
+    p = model.p
+    W = np.empty(D.shape)
+    reached = np.zeros((model.config.K_heads, p), dtype=bool)
+    for k, pairs in enumerate(counts):
+        prev = D[:, k - 1] if k else 0
+        pos = np.searchsorted(pairs.parent * p + pairs.child, prev * p + D[:, k])
+        W[:, k] = huffman_weights(pairs.count)[pos]
         ke = _effective_depth(model, k)
-        if ke == 1:
-            scale[:, k] = 2.0
-        if ke >= 1:
-            reached[ke, counts[k].parent] = True
+        if ke:
+            reached[ke, pairs.parent] = True
     number = np.full(reached.shape, -1, dtype=np.int64)
     number[reached] = np.arange(np.count_nonzero(reached))
     ids = np.full(D.shape, -1, dtype=np.int64)
     for k in range(1, model.K):
         ids[:, k] = number[_effective_depth(model, k), D[:, k - 1]]
-    return scale, ids, np.array(np.nonzero(reached), dtype=np.int64).reshape(2, -1)
+    return W, ids, np.array(np.nonzero(reached), dtype=np.int64).reshape(2, -1)
 
 
 class _Batches:
@@ -693,15 +657,14 @@ class _Batches:
 
     root_hits holds each step's one-hot target counts of the root digits
     over its record count, (steps, root digits, p); root is the root
-    scores' flat index.  The other digits, n_dense dense ones first, give
-    each record's target t, the flat index of its selected row's first
-    cell (row), the index of its target cell in the step's (p, records)
-    gradient block (onehot), its scale and the id of its row among the
-    run's live rows (live), both from the run's _record_tables, and its
-    scale times 2 tau (w2tau, read for deep records).  live_row and
-    live_anchor give each live row's index in x viewed as rows of p
-    (every trained array holds a multiple of p entries) and its anchor's
-    flat index.  cols is np.arange(p) as a column; cells, terms, mark and
+    scores' flat index.  The other digits give each record's target t,
+    the flat index of its selected row's first cell (row), the index of
+    its target cell in the step's (p, records) gradient block (onehot),
+    its rarity weight w and the id of its row among the run's live rows
+    (live), both from the run's _record_tables, and w times 2 tau
+    (w2tau).  live_row and live_anchor give each live row's index in x
+    viewed as rows of p (every trained array holds a multiple of p
+    entries) and its anchor's flat index.  cols is np.arange(p) as a column; cells, terms, mark and
     slot are one step's scratch, cells with the root's indices in place.
     Indices point into a _Flat's x."""
 
@@ -714,14 +677,13 @@ class _Batches:
         perms: dict[int, np.ndarray],
         size: int,
     ):
-        scale, ids, (live_heads, live_rows) = tables
+        W, ids, (live_heads, live_rows) = tables
         p, (n, K) = model.p, D.shape
         heads = {k: _effective_depth(model, k) for k in perms}
         roots = [k for k in perms if heads[k] == 0]
-        deep = [k for k in perms if heads[k] >= 2]
-        rows = [k for k in perms if heads[k] == 1] + deep
+        rows = [k for k in perms if heads[k]]
         self.p, self.n, self.size, self.tau = p, n, size, model.config.tau
-        self.n_rows, self.n_dense = len(rows), len(rows) - len(deep)
+        self.n_rows = len(rows)
         steps = self.steps
         tail = n - (steps - 1) * size
         cut = n - tail
@@ -749,13 +711,12 @@ class _Batches:
         self.onehot[: g * cut].reshape(steps - 1, g * size)[...] += np.arange(g * size)
         self.onehot[g * cut :] = self.t[g * cut :] * (g * tail) + np.arange(g * tail)
         self.live = np.take(ids, at)
-        self.scale = np.take(scale, at)
-        self.w2tau = self.scale * 2.0
+        self.w = np.take(W, at)
+        self.w2tau = self.w * 2.0
         self.w2tau *= self.tau
 
         def start(ke: int, part: str) -> int:
-            name = "dense" if ke == 1 else f"deep{ke - 2}.{part}"
-            return flat.start.get(name, 0) if ke else 0
+            return flat.start.get(f"deep{ke - 1}.{part}", 0) if ke else 0
 
         heads_at = range(model.config.K_heads)
         live_start = np.array([start(ke, "table") for ke in heads_at])[live_heads] + live_rows * p
@@ -779,15 +740,15 @@ def _accumulate_grads(x: np.ndarray, b: _Batches, s: int) -> np.ndarray:
     """Mean gradient over the records of step s of every phase digit,
     flat over the parameters x.
 
-    Root, dense and table entries are the analytic gradients of the
-    objective; an anchor's is the closed-form update of the module
-    docstring.  Each distinct deep row the step touches is scored once
-    (softmax, top two columns, anchor arbitration) and expanded to its
-    records, so the step costs O(U p + M p) for U distinct deep rows and
-    M records.  Every term goes into one bincount.  The gradient block
-    runs column by column, and a cell's terms keep their relative order,
-    digit by digit, then record by record: each entry sums its terms in
-    the order that one np.add.at per digit and array would."""
+    Root and table entries are the analytic gradients of the objective;
+    an anchor's is the closed-form update of the module docstring.  Each
+    distinct row the step touches is scored once (softmax, top two
+    columns, anchor arbitration) and expanded to its records, so the step
+    costs O(U p + M p) for U distinct rows and M records.  Every term
+    goes into one bincount.  The gradient block runs column by column,
+    and a cell's terms keep their relative order, digit by digit, then
+    record by record: each entry sums its terms in the order that one
+    np.add.at per digit and array would."""
     p, size = b.p, b.size
     n = min(size, b.n - s * size)
     cells, terms = b.cells, b.terms
@@ -799,41 +760,38 @@ def _accumulate_grads(x: np.ndarray, b: _Batches, s: int) -> np.ndarray:
         np.subtract(e / e.sum(), b.root_hits[s], out=terms[:i].reshape(-1, p))
     m = b.n_rows * n
     if m:
-        a, nd = b.n_rows * size * s, b.n_dense * n
-        at = cells[i : i + p * m].reshape(p, m)
-        np.add(b.cols, b.row[a : a + m], out=at)
+        a = b.n_rows * size * s
+        np.add(b.cols, b.row[a : a + m], out=cells[i : i + p * m].reshape(p, m))
         g = terms[i : i + p * m].reshape(p, m)
-        # every index is in range; mode "clip" spares take a buffered out
-        x.take(at[:, :nd], out=g[:, :nd], mode="clip")
-        if nd < m:
-            # each distinct deep row once
-            ids = b.live[a + nd : a + m]
-            b.mark[ids] = True
-            uniq = b.mark.nonzero()[0]
-            b.mark[uniq] = False
-            b.slot[uniq] = np.arange(uniq.size)
-            inv = b.slot[ids]
-            X = x.reshape(-1, p).take(b.live_row[uniq], axis=0)
-            softmax_rows(X).T.take(inv, axis=1, out=g[:, nd:], mode="clip")
-            # anchor: arbitration between the row's top two, trained toward
-            # or away from the true digit by the closed-form update; its
-            # terms follow the block's
-            span = slice(i + p * m, i + p * m + m - nd)
-            at = cells[span]
-            b.live_anchor.take(ids, out=at, mode="clip")
-            top, second = _top_two(X)
-            vu = x[b.live_anchor[uniq]]
-            choice = np.where((vu - top) ** 2 <= (vu - second) ** 2, top, second)[inv]
-            td = b.t[a + nd : a + m]
-            d = x[at] - td
-            ga = b.w2tau[a + nd : a + m] * d * (_sigmoid_vec(d * d / b.tau) - (choice == td))
-            np.divide(ga, n, out=terms[span])
-        # each row less its one-hot target, scaled: the dense heads'
-        # squared distance, the deep heads' weighted cross entropy
+        # each distinct row once; every index is in range, and mode "clip"
+        # spares take a buffered out
+        ids = b.live[a : a + m]
+        b.mark[ids] = True
+        uniq = b.mark.nonzero()[0]
+        b.mark[uniq] = False
+        b.slot[uniq] = np.arange(uniq.size)
+        inv = b.slot[ids]
+        X = x.reshape(-1, p).take(b.live_row[uniq], axis=0)
+        softmax_rows(X).T.take(inv, axis=1, out=g, mode="clip")
+        # anchor: arbitration between the row's top two, trained toward or
+        # away from the true digit by the closed-form update; its terms
+        # follow the block's
+        span = slice(i + p * m, i + p * m + m)
+        at = cells[span]
+        b.live_anchor.take(ids, out=at, mode="clip")
+        top, second = _top_two(X)
+        vu = x[b.live_anchor[uniq]]
+        choice = np.where((vu - top) ** 2 <= (vu - second) ** 2, top, second)[inv]
+        td = b.t[a : a + m]
+        d = x[at] - td
+        ga = b.w2tau[a : a + m] * d * (_sigmoid_vec(d * d / b.tau) - (choice == td))
+        np.divide(ga, n, out=terms[span])
+        # each row's softmax less its one-hot target, weighted: the
+        # gradient of the weighted cross entropy
         g.ravel()[b.onehot[a : a + m]] -= 1.0
-        g *= b.scale[a : a + m]
+        g *= b.w[a : a + m]
         g /= n
-        i += p * m + m - nd
+        i += p * m + m
     return np.bincount(cells[:i], terms[:i], minlength=x.size)
 
 
@@ -931,14 +889,14 @@ def optim_state_dict(kind: str, state: OptimState, streak: int = 0) -> dict:
 
 
 def restore_optim_state(doc: dict, model: HiPaNModel) -> OptimState:
-    """Rebuild an OptimState from its checkpoint form: nonzero rows
-    (format v3), whole packed arrays (v2) or float lists (v1); the
-    per-coordinate "last_improved" map of earlier lattice checkpoints is
-    ignored.
+    """Rebuild an OptimState from its checkpoint form, each moment array
+    as its nonzero rows; the per-coordinate "last_improved" map of
+    earlier lattice checkpoints is ignored.
 
     Raises:
         ValueError: a field of the wrong JSON type (named), a stored shape
-            that is not a list of sizes or not its model array's, or a
+            that is not a list of sizes or not its model array's, an m, u
+            or shapes entry that names no model array (named), or a
             malformed moment array.
     """
     what = "checkpoint optim"
@@ -946,19 +904,21 @@ def restore_optim_state(doc: dict, model: HiPaNModel) -> OptimState:
     if doc.get("kind") == "gist":
         return state
     shapes = {k: a.shape for k, a in model_arrays(model).items()}
+
+    def known(part: str, name: str) -> tuple[int, ...]:
+        if name not in shapes:
+            raise ValueError(f"malformed {what}: {part} {name!r} names no model array")
+        return shapes[name]
+
     for name, shape in _typed(doc, "shapes", dict, what, {}).items():
         sizes = isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
         want = list(shapes[name]) if name in shapes else "a list of sizes"
         if not sizes or (name in shapes and shape != want):
             raise ValueError(f"malformed {what}: shapes {name!r} must be {want}, got {shape!r}")
-        shapes[name] = tuple(shape)
+        known("shapes", name)
     for part, target in (("m", state.m), ("u", state.u)):
         for name, value in _typed(doc, part, dict, what).items():
-            label = f"{part}.{name}"
-            if isinstance(value, dict):
-                target[name] = unpack_rows(label, value, np.zeros(shapes[name]))
-            else:
-                target[name] = unpack_array(label, value, shapes[name])
+            target[name] = unpack_rows(f"{part}.{name}", value, np.zeros(known(part, name)))
     return state
 
 

@@ -29,7 +29,6 @@ from hipan.checkpoint import (
     load_model,
 )
 from hipan.model import (
-    DenseMSEHead,
     HiPaNModel,
     RootHead,
     TwoLogitCEHead,
@@ -150,7 +149,7 @@ def test_trained_floats_survive_round_trip(tmp_path, toy_dataset):
     train(model, toy_dataset, GistConfig(seed=5), plan, checkpoint_dir=str(tmp_path))
     back = load_model(load_checkpoint(str(tmp_path / "ckpt-final.json")))
     assert np.array_equal(back.root.scores, model.root.scores)
-    assert np.array_equal(back.dense.table, model.dense.table)
+    assert np.array_equal(back.deep[0].table, model.deep[0].table)
     assert model_state(back) == model_state(model)
 
 
@@ -221,16 +220,14 @@ def test_pack_array_forms():
     assert pack_array("t", np.array([32768.0])).startswith("float64:")
     assert pack_array("t", np.array([0.25])).startswith("float64:")
     assert unpack_array("t", pack_array("t", np.zeros((0,))), (0,)).shape == (0,)
-    # format v1 lists still decode, to the same bits
-    assert np.array_equal(unpack_array("t", lattice.ravel().tolist(), (2, 4)), lattice)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_save_refuses_non_finite_latents(tmp_path, bad):
     model = _model()
-    model.dense.table[1, 2] = bad
+    model.deep[0].table[1, 2] = bad
     path = tmp_path / "ckpt.json"
-    with pytest.raises(ValueError, match="table dense"):
+    with pytest.raises(ValueError, match="table deep0.table"):
         save_checkpoint(str(path), model)
     assert not path.exists()
 
@@ -249,36 +246,25 @@ def _float64_text(values):
 
 
 def _poisoned_state(form, bad):
-    """A model state in format v3, v2 or v1 whose deep0.table holds bad,
-    in the stored values or (v3) in the row indices."""
+    """A model state whose deep0.table holds bad, in the stored values or
+    in the row indices."""
     model = new_model(ModelConfig(CodecParams(3, 3)), seed=0)
     state = model_state(model)
     table = model.deep[0].table.copy()
     table[1, 2] = bad
     if form == "v3 values":
         packed = {"rows": pack_array("t", np.array([1])), "values": _float64_text(table[1])}
-    elif form == "v3 rows":
-        packed = {"rows": _float64_text([bad]), "values": _float64_text(table[1])}
     else:
-        state["format"] = "hipan-model-" + form
-        del state["init"]
-        arrays = model_arrays(model)
-        if form == "v2":
-            state["tables"] = {k: pack_array(k, a) for k, a in arrays.items()}
-            packed = _float64_text(table.ravel())
-        else:
-            state["tables"] = {k: a.ravel().tolist() for k, a in arrays.items()}
-            packed = table.ravel().tolist()
+        packed = {"rows": _float64_text([bad]), "values": _float64_text(table[1])}
     state["tables"]["deep0.table"] = packed
     return state
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("form", ["v3 values", "v3 rows", "v2", "v1"])
+@pytest.mark.parametrize("form", ["v3 values", "v3 rows"])
 def test_load_refuses_non_finite_latents(form, bad):
-    state = _poisoned_state(form, bad)
-    # through JSON text, as a file holds it (NaN and Infinity tokens in v1)
-    state = json.loads(json.dumps(state))
+    # through JSON text, as a file holds it
+    state = json.loads(json.dumps(_poisoned_state(form, bad)))
     with pytest.raises(ValueError, match="table deep0.table holds a non-finite value"):
         model_from_state(state)
     # the same state with 1.0 in place of the bad value loads
@@ -293,7 +279,7 @@ def test_lattice_checkpoint_is_compact(tmp_path):
     save_checkpoint(str(path), model)
     doc = load_checkpoint(str(path))
     assert doc["format"] == FORMAT
-    assert doc["model"]["init"] == "uniform-v1"
+    assert doc["model"]["init"] == "uniform-v2"
     empty = {"rows": "int16:", "values": "int16:"}
     assert doc["model"]["tables"].keys() == model_arrays(model).keys()
     assert all(v == empty for v in doc["model"]["tables"].values())
@@ -311,19 +297,22 @@ def test_lattice_checkpoint_is_compact(tmp_path):
 
 
 def test_hand_built_model_round_trips_every_bit():
-    # arrays that new_model never drew: all-zero root, a -0.0 dense table,
-    # the init's own deep table and a non-integer anchor
+    # arrays that new_model never drew: all-zero root, a -0.0 table and a
+    # non-integer anchor, beside the init's own anchor and table
     config = ModelConfig(CodecParams(5, 3))
     fresh = new_model(config, seed=4)
     built = HiPaNModel(
         config,
         RootHead(np.zeros(5)),
-        DenseMSEHead(np.full((5, 5), -0.0)),
-        [TwoLogitCEHead(fresh.deep[0].table.copy(), np.linspace(-1.5, 70000.25, 5))],
+        [
+            TwoLogitCEHead(np.full((5, 5), -0.0), fresh.deep[0].anchor.copy()),
+            TwoLogitCEHead(fresh.deep[1].table.copy(), np.linspace(-1.5, 70000.25, 5)),
+        ],
         init_seed=4,
     )
     state = json.loads(canonical_json(model_state(built)))
-    assert state["tables"]["deep0.table"] == {"rows": "int16:", "values": "int16:"}
+    for name in ("deep0.anchor", "deep1.table"):
+        assert state["tables"][name] == {"rows": "int16:", "values": "int16:"}
     back = model_from_state(state)
     for (name, a), b in zip(model_arrays(built).items(), model_arrays(back).values()):
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), name

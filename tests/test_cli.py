@@ -31,13 +31,11 @@ import hipan.tree
 from hipan.checkpoint import (
     FORMAT,
     canonical_json,
-    checkpoint_fingerprint,
     load_checkpoint,
     load_model,
     save_checkpoint,
 )
-from hipan.model import model_arrays, pack_array
-from hipan.optim import restore_optim_state
+from hipan.model import pack_array
 from hipan.cli import main, parse_config_file, resolve_config
 from conftest import TOY_TEXT
 
@@ -623,9 +621,14 @@ def test_resume_after_numeric_poison_exit_3(capsys, tmp_path, toy_files):
     mids = sorted(c for c in summary["checkpoints"] if "final" not in c)
     assert mids
     victim = mids[0]
-    doc = _as_v2(load_checkpoint(victim))
-    tables = doc["model"]["tables"]
-    tables["dense"] = [1e308] * doc["model"]["p"] ** 2
+    doc = load_checkpoint(victim)
+    # finite rows whose spread overflows the cross entropy: a target at
+    # -1e308 lies 2e308 below the row's log-sum-exp
+    p = doc["model"]["p"]
+    doc["model"]["tables"]["deep0.table"] = {
+        "rows": pack_array("deep0.table", np.arange(p)),
+        "values": pack_array("deep0.table", np.tile([1e308, -1e308, 0.0], (p, 1))),
+    }
     with open(victim, "w") as fh:
         fh.write(json.dumps(doc))
     rc, _, err = run(
@@ -792,100 +795,6 @@ def test_only_diagnose_computes_confidences(capsys, tmp_path, toy_files, monkeyp
         computed.clear()
 
 
-def _as_v2(doc):
-    """A format v3 checkpoint document rewritten in format v2, where every
-    array is stored whole as one pack_array text."""
-    model = load_model(doc)
-    old = json.loads(json.dumps(doc))
-    old["format"] = "hipan-checkpoint-v2"
-    old["model"]["format"] = "hipan-model-v2"
-    del old["model"]["init"]
-    old["model"]["tables"] = {k: pack_array(k, a) for k, a in model_arrays(model).items()}
-    if old["optim"].get("kind") == "adam":
-        state = restore_optim_state(doc["optim"], model)
-        for part in ("m", "u"):
-            moments = getattr(state, part).items()
-            old["optim"][part] = {k: pack_array(f"{part}.{k}", a) for k, a in moments}
-    return old
-
-
-def _as_v1(doc):
-    """A format v2 checkpoint document rewritten in format v1, where every
-    array is a list of floats."""
-    dtypes = {"int16": "<i2", "float64": "<f8"}
-
-    def floats(text):
-        tag, _, data = text.partition(":")
-        return np.frombuffer(base64.b64decode(data), dtype=dtypes[tag]).astype(float).tolist()
-
-    old = json.loads(json.dumps(doc))
-    old["format"] = "hipan-checkpoint-v1"
-    old["model"]["format"] = "hipan-model-v1"
-    old["model"]["tables"] = {k: floats(v) for k, v in old["model"]["tables"].items()}
-    for part in ("m", "u"):
-        if part in old["optim"]:
-            old["optim"][part] = {k: floats(v) for k, v in old["optim"][part].items()}
-    return old
-
-
-def _older_forms(tmp_path, v3_path):
-    """(v2 path, v1 path) of files holding a format v3 checkpoint's state."""
-    doc = load_checkpoint(v3_path)
-    assert doc["format"] == FORMAT
-    v2 = _as_v2(doc)
-    paths = []
-    for name, old in (("v2", v2), ("v1", _as_v1(v2))):
-        path = tmp_path / f"{name}.json"
-        path.write_text(canonical_json(old) + "\n", encoding="utf-8")
-        paths.append(str(path))
-    return paths
-
-
-@pytest.mark.parametrize("optimizer", ["gist", "adam"])
-def test_v1_checkpoint_reads_like_its_v2_form(capsys, tmp_path, toy_files, optimizer):
-    # and like its format v3 form, the one training writes
-    tree_path, ds_path = toy_files
-    _, ckdir = _train_toy(capsys, tmp_path, toy_files, "--optimizer", optimizer)
-    v3 = os.path.join(ckdir, "ckpt-final.json")
-    for command in ("eval", "diagnose"):
-        outputs = []
-        for ckpt in (v3, *_older_forms(tmp_path, v3)):
-            rc, out, err = run(
-                capsys,
-                [command, "--dataset", ds_path, "--tree", tree_path, "--checkpoint", ckpt],
-            )
-            assert rc == 0, err
-            outputs.append(out)
-        assert outputs[0] == outputs[1] == outputs[2]
-
-
-# a patience the toy tree never exhausts, so the lattice run passes an
-# interval checkpoint too
-@pytest.mark.parametrize("args", [["--optimizer", "gist", "--patience", "500"], ["--optimizer", "adam"]])
-def test_resume_from_v1_checkpoint_matches_v2(capsys, tmp_path, toy_files, args):
-    # and resuming from its format v3 form, the one training writes
-    tree_path, ds_path = toy_files
-    summary, _ = _train_toy(capsys, tmp_path, toy_files, *args)
-    mid = sorted(c for c in summary["checkpoints"] if "final" not in c)[0]
-    fingerprints = []
-    for name, ckpt in zip(("v3", "v2", "v1"), (mid, *_older_forms(tmp_path, mid))):
-        rc, _, err = run(
-            capsys,
-            [
-                "train", "--dataset", ds_path, "--tree", tree_path,
-                "--checkpoint-dir", str(tmp_path / name), "--resume", ckpt,
-                "--log", str(tmp_path / f"{name}.jsonl"), "--seed", "0", *args,
-            ],
-        )
-        assert rc == 0, err
-        final = load_checkpoint(str(tmp_path / name / "ckpt-final.json"))
-        fingerprints.append(checkpoint_fingerprint(final))
-    assert fingerprints[0] == fingerprints[1] == fingerprints[2]
-    assert fingerprints[0] == checkpoint_fingerprint(
-        load_checkpoint(os.path.join(str(tmp_path / "ck"), "ckpt-final.json"))
-    )
-
-
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -902,40 +811,55 @@ def test_resume_from_v1_checkpoint_matches_v2(capsys, tmp_path, toy_files, args)
 def test_corrupt_table_exit_2_naming_it(capsys, tmp_path, toy_files, corrupt):
     tree_path, ds_path = toy_files
     _, ckdir = _train_toy(capsys, tmp_path, toy_files)
-    doc = _as_v2(load_checkpoint(os.path.join(ckdir, "ckpt-final.json")))
-    doc["model"]["tables"]["dense"] = corrupt(doc["model"]["tables"]["dense"])
+    doc = load_checkpoint(os.path.join(ckdir, "ckpt-final.json"))
+    table = doc["model"]["tables"]["deep0.table"]
+    # training moved both rows that the toy's digit 0 selects
+    assert table["rows"] == pack_array("rows", np.arange(2))
+    table["values"] = corrupt(table["values"])
     bad = tmp_path / "bad.json"
     bad.write_text(canonical_json(doc))
     rc, _, err = run(
         capsys, ["eval", "--dataset", ds_path, "--tree", tree_path, "--checkpoint", str(bad)]
     )
     assert rc == 2
-    assert err.startswith("error: table dense")
+    assert err.startswith("error: table deep0.table")
     assert "Traceback" not in err
 
 
-def _dense_rows(rows, n_values):
-    """A format v3 dense table storing rows (any floats) and n_values zeros."""
+def _deep_rows(rows, n_values):
+    """A format v3 deep0.table storing rows (any floats) and n_values zeros."""
     return {
-        "rows": pack_array("dense", np.array(rows, dtype=float)),
-        "values": pack_array("dense", np.zeros(n_values)),
+        "rows": pack_array("deep0.table", np.array(rows, dtype=float)),
+        "values": pack_array("deep0.table", np.zeros(n_values)),
     }
 
 
-# the toy tree's alphabet is p = 3, so a dense row holds 3 values
+# the toy tree's alphabet is p = 3, so a table row holds 3 values
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("dense", _dense_rows([3], 3), "table dense names row 3, not one of its 3 rows"),
-        ("dense", _dense_rows([-1], 3), "table dense names row -1,"),
-        ("dense", _dense_rows([0.5], 3), "table dense names row 0.5,"),
-        ("dense", _dense_rows([1, 1], 6), "table dense row indices do not strictly ascend"),
-        ("dense", _dense_rows([2, 0], 6), "table dense row indices do not strictly ascend"),
-        ("dense", _dense_rows([0, 2], 5), "table dense has 5 values, wanted (2, 3)"),
-        ("dense", _dense_rows([0, 2], 9), "table dense has 9 values, wanted (2, 3)"),
-        ("dense", {"rows": "int16:", "values": "float64:!"}, "table dense is not valid base64"),
-        ("dense", {"rows": "int16:"}, "table dense is not a rows/values pair"),
-        ("dense", "int16:AAAAAAAAAAAAAAAAAAAA", "table dense is not a rows/values pair"),
+        ("deep0.table", _deep_rows([3], 3), "table deep0.table names row 3, not one of its 3 rows"),
+        ("deep0.table", _deep_rows([-1], 3), "table deep0.table names row -1,"),
+        ("deep0.table", _deep_rows([0.5], 3), "table deep0.table names row 0.5,"),
+        (
+            "deep0.table", _deep_rows([1, 1], 6),
+            "table deep0.table row indices do not strictly ascend",
+        ),
+        (
+            "deep0.table", _deep_rows([2, 0], 6),
+            "table deep0.table row indices do not strictly ascend",
+        ),
+        ("deep0.table", _deep_rows([0, 2], 5), "table deep0.table has 5 values, wanted (2, 3)"),
+        ("deep0.table", _deep_rows([0, 2], 9), "table deep0.table has 9 values, wanted (2, 3)"),
+        (
+            "deep0.table", {"rows": "int16:", "values": "float64:!"},
+            "table deep0.table is not valid base64",
+        ),
+        ("deep0.table", {"rows": "int16:"}, "table deep0.table is not a rows/values pair"),
+        (
+            "deep0.table", "int16:AAAAAAAAAAAAAAAAAAAA",
+            "table deep0.table is not a rows/values pair",
+        ),
         ("init", "gaussian-v1", "unknown init scheme 'gaussian-v1'"),
         ("init", None, "unknown init scheme None"),
     ],
@@ -962,14 +886,14 @@ def test_malformed_v3_table_exit_2_naming_it(capsys, tmp_path, toy_files, field,
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("command", ["eval", "diagnose", "resume"])
 def test_non_finite_latent_exit_2_naming_it(capsys, tmp_path, toy_files, command, bad):
-    # a stored dense row holding NaN or infinity: no NaN report, no
+    # a stored table row holding NaN or infinity: no NaN report, no
     # numeric failure mid-training, and nothing written
     tree_path, ds_path = toy_files
     _, ckdir = _train_toy(capsys, tmp_path, toy_files)
     doc = load_checkpoint(os.path.join(ckdir, "ckpt-final.json"))
     row = np.array([0.0, bad, 1.0], dtype="<f8")
-    doc["model"]["tables"]["dense"] = {
-        "rows": pack_array("dense", np.array([1])),
+    doc["model"]["tables"]["deep0.table"] = {
+        "rows": pack_array("deep0.table", np.array([1])),
         "values": "float64:" + base64.b64encode(row.tobytes()).decode("ascii"),
     }
     poisoned = tmp_path / "poisoned.json"
@@ -986,7 +910,7 @@ def test_non_finite_latent_exit_2_naming_it(capsys, tmp_path, toy_files, command
     }[command]
     rc, stdout, err = run(capsys, argv)
     assert rc == 2
-    assert err.startswith("error: table dense holds a non-finite value")
+    assert err.startswith("error: table deep0.table holds a non-finite value")
     assert stdout == ""
     assert not out.exists()
     assert not (tmp_path / "resume.jsonl").exists()
@@ -1026,6 +950,53 @@ def _refused(capsys, tmp_path, toy_files, command, doc):
     assert "Traceback" not in err
     assert not out.exists() and not log.exists()
     return err
+
+
+def _retired_form(doc, form):
+    """A copy of a format v3 checkpoint document labelled as a file of an
+    earlier head layout: format v1 or v2, or format v3 stored against
+    init "uniform-v1"."""
+    old = json.loads(json.dumps(doc))
+    if form == "uniform-v1":
+        old["model"]["init"] = form
+    else:
+        old["format"] = f"hipan-checkpoint-{form}"
+        old["model"]["format"] = f"hipan-model-{form}"
+        del old["model"]["init"]
+    return old
+
+
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        ("v1", "unknown checkpoint format 'hipan-checkpoint-v1'"),
+        ("v2", "unknown checkpoint format 'hipan-checkpoint-v2'"),
+        ("uniform-v1", "unknown init scheme 'uniform-v1'; this version reads 'uniform-v2'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_retired_checkpoint_exit_2_naming_its_format(
+    capsys, tmp_path, toy_files, adam_checkpoint, command, form, message
+):
+    err = _refused(capsys, tmp_path, toy_files, command, _retired_form(adam_checkpoint, form))
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("part, with_shape", [("m", False), ("u", False), ("m", True)])
+def test_resume_refuses_a_moment_array_the_model_lacks(
+    capsys, tmp_path, toy_files, adam_checkpoint, part, with_shape
+):
+    # a well-formed moment array under a name the model has no array for
+    doc = json.loads(json.dumps(adam_checkpoint))
+    optim = doc["optim"]
+    optim[part]["bogus"] = optim[part]["root"]
+    if with_shape:
+        optim["shapes"]["bogus"] = [3]
+    err = _refused(capsys, tmp_path, toy_files, "resume", doc)
+    named = "shapes" if with_shape else part
+    assert err.startswith(
+        f"error: malformed checkpoint optim: {named} 'bogus' names no model array"
+    )
 
 
 def _set(doc, path, value):

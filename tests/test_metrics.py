@@ -140,16 +140,15 @@ def _gather_diagnose(model, dataset, tree, max_pairs, triangle_limit, seed):
 
 
 def _decisive_zero_model(codec):
-    """Always answers digit 0, with scores far beyond the accept margin."""
+    """Always answers digit 0, with scores far beyond the accept margin and
+    every anchor at 0."""
     m = new_model(ModelConfig(codec), seed=0)
     m.root.scores = np.zeros(codec.p)
     m.root.scores[0] = 9.0
-    if m.dense is not None:
-        m.dense.table = np.zeros((codec.p, codec.p))
-        m.dense.table[:, 0] = 9.0
     for head in m.deep:
         head.table = np.zeros((codec.p, codec.p))
         head.table[:, 0] = 9.0
+        head.anchor[:] = 0.0
     return m
 
 

@@ -35,15 +35,15 @@ def _config(p, K, K_heads=None, **kw):
 
 
 def _constant_model(p=3, K=2, top=0):
-    """Decisive model that always answers `top`: scores 5 at `top`, 0 elsewhere."""
+    """Decisive model that always answers `top`: scores 5 at `top`, 0
+    elsewhere, and every anchor at `top`."""
     m = new_model(_config(p, K), seed=0)
     m.root.scores = np.zeros(p)
     m.root.scores[top] = 5.0
-    m.dense.table = np.zeros((p, p))
-    m.dense.table[:, top] = 5.0
     for head in m.deep:
         head.table = np.zeros((p, p))
         head.table[:, top] = 5.0
+        head.anchor[:] = top
     return m
 
 
@@ -62,11 +62,11 @@ def test_config_validation():
 def test_new_model_shapes_and_integer_init():
     m = new_model(_config(5, 6, K_heads=4), seed=3)
     assert m.root.scores.shape == (5,)
-    assert m.dense.table.shape == (5, 5)
-    assert len(m.deep) == 2
-    assert m.deep[0].table.shape == (5, 5)
-    assert m.deep[0].anchor.shape == (5,)
-    for arr in (m.root.scores, m.dense.table, m.deep[1].table, m.deep[1].anchor):
+    assert len(m.deep) == 3
+    for head in m.deep:
+        assert head.table.shape == (5, 5)
+        assert head.anchor.shape == (5,)
+    for arr in (m.root.scores, m.deep[0].table, m.deep[2].table, m.deep[2].anchor):
         assert arr.dtype == np.float64
         assert np.all(arr == np.floor(arr))
         assert arr.min() >= 0 and arr.max() <= 4
@@ -84,7 +84,6 @@ def test_new_model_seed_determinism():
 
 def test_k_heads_one_has_only_root():
     m = new_model(_config(3, 4, K_heads=1))
-    assert m.dense is None
     assert m.deep == []
 
 
@@ -98,36 +97,36 @@ def test_parameter_count():
 def test_weight_tying_past_last_head():
     m = new_model(_config(3, 6, K_heads=2), seed=1)
     # depths >= K_heads reuse the last head's table
-    for k in (2, 3, 5):
-        assert _head_table(m, _effective_depth(m, k)) is m.dense.table
+    for k in (1, 2, 3, 5):
+        assert _head_table(m, _effective_depth(m, k)) is m.deep[0].table
     deep = new_model(_config(3, 6, K_heads=3), seed=1)
-    for k in (3, 5):
-        assert _head_table(deep, _effective_depth(deep, k)) is deep.deep[0].table
+    for k in (2, 3, 5):
+        assert _head_table(deep, _effective_depth(deep, k)) is deep.deep[1].table
 
 
 def test_anchored_two_logit_choice():
     # anchor arbitrates between the top two columns of the row
     m = new_model(_config(5, 3), seed=0)
     m.root.scores[:] = 0.0
-    m.dense.table[0] = 0.0
-    m.deep[0].table[1] = np.array([0.0, 1.0, 3.0, 0.0, 4.0])
+    m.deep[0].table[0] = 0.0
+    m.deep[1].table[1] = np.array([0.0, 1.0, 3.0, 0.0, 4.0])
     # digits 0 and 1 are accepted; digit 2 scores 0, beyond the margin of
-    # row 1's maximum, so the deep head answers with its rule
+    # row 1's maximum, so the digit-2 head answers with its rule
     x = np.array([[0, 1, 0]])
-    m.deep[0].anchor[1] = 3.9
+    m.deep[1].anchor[1] = 3.9
     assert reconstruct_matrix(m, x)[0, 2] == 4  # (3.9-4)^2 < (3.9-2)^2
-    m.deep[0].anchor[1] = 2.5
+    m.deep[1].anchor[1] = 2.5
     assert reconstruct_matrix(m, x)[0, 2] == 2  # (2.5-2)^2 < (2.5-4)^2
 
 
 def test_reconstruct_accepts_within_margin():
     m = _constant_model()
     # own digit 1 scores exactly max - margin: accepted
-    m.dense.table[0] = np.array([5.0, 5.0 - RECONSTRUCT_MARGIN, 0.0])
+    m.deep[0].table[0] = np.array([5.0, 5.0 - RECONSTRUCT_MARGIN, 0.0])
     pred = reconstruct_matrix(m, np.array([[0, 1]]))
     assert pred[0].tolist() == [0, 1]
-    # a hair below the margin: falls back to the row argmax
-    m.dense.table[0, 1] -= 1e-9
+    # a hair below the margin: falls back to the anchor's choice, the top
+    m.deep[0].table[0, 1] -= 1e-9
     pred = reconstruct_matrix(m, np.array([[0, 1]]))
     assert pred[0].tolist() == [0, 0]
 
@@ -135,7 +134,7 @@ def test_reconstruct_accepts_within_margin():
 def test_reconstruct_matrix_free_runs_on_predictions():
     m = _constant_model()
     # root rejects digit 1, so row selection at depth 1 must use digit 0
-    m.dense.table[1] = np.array([0.0, 0.0, 5.0])
+    m.deep[0].table[1] = np.array([0.0, 0.0, 5.0])
     pred = reconstruct_matrix(m, np.array([[1, 0]]))
     assert pred[0].tolist() == [0, 0]
     assert reconstruction_confidence(m, pred).shape == (1, 2)
@@ -153,13 +152,11 @@ def _reconstruct_reference(model, D):
         prev = pred[:, k - 1] if k > 0 else None
         if ke == 0:
             rows = np.broadcast_to(model.root.scores, (n, model.p))
-        elif ke == 1:
-            rows = model.dense.table[prev]
         else:
-            rows = model.deep[ke - 2].table[prev]
+            rows = model.deep[ke - 1].table[prev]
         t = D[:, k]
         accept = rows[ar, t] >= rows.max(axis=1) - RECONSTRUCT_MARGIN
-        if ke <= 1:
+        if ke == 0:
             fallback = rows.argmax(axis=1)
         else:
             fallback = _anchored_choice_rows(model, ke, prev, rows)
@@ -184,8 +181,6 @@ def _model_and_digits(draw):
         def fill(shape):
             return rng.normal(0.0, 3.0, size=shape)
     model.root.scores = fill(p)
-    if model.dense is not None:
-        model.dense.table = fill((p, p))
     for head in model.deep:
         head.table = fill((p, p))
         head.anchor = fill(p)
@@ -213,19 +208,20 @@ def test_reconstruct_matrix_matches_full_row_reference(case):
 @pytest.mark.parametrize("k_heads", [1, 2, 5])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_reconstruct_matrix_matches_reference_on_tied_heads(k_heads, seed):
-    # K=5: one head serves every depth (K_heads=1), the dense head serves
-    # depths 1-4 (K_heads=2), or each depth has its own head; the rows
-    # are drawn in random order and repeat, so they neither ascend nor
-    # stay distinct, and small integer scores put many own digits
-    # exactly at the accept margin
+    # K=5: one head serves every depth (K_heads=1), the depth-1 head
+    # serves depths 1-4 (K_heads=2), or each depth has its own head; the
+    # rows are drawn in random order and repeat, so they neither ascend
+    # nor stay distinct, and small integer scores (root and depth-1 head)
+    # put many own digits exactly at the accept margin
     p, K, n = 7, 5, 400
     rng = np.random.default_rng(seed)
     model = new_model(_config(p, K, k_heads), seed=seed)
     model.root.scores = rng.integers(0, 4, size=p).astype(np.float64)
-    if model.dense is not None:
-        model.dense.table = rng.integers(0, 4, size=(p, p)).astype(np.float64)
-    for head in model.deep:
-        head.table = rng.normal(0.0, 2.0, size=(p, p))
+    for i, head in enumerate(model.deep):
+        if i == 0:
+            head.table = rng.integers(0, 4, size=(p, p)).astype(np.float64)
+        else:
+            head.table = rng.normal(0.0, 2.0, size=(p, p))
         head.anchor = rng.normal(3.0, 2.0, size=p)
     D = rng.integers(0, p, size=(n // 2, K))
     D = D[rng.integers(0, len(D), size=n)]
@@ -269,7 +265,7 @@ def test_confidence_is_softmax_of_row():
     pred = reconstruct_matrix(m, np.array([[0, 0]]))
     conf = reconstruction_confidence(m, pred)
     row0 = softmax_rows(m.root.scores[None, :])[0]
-    row1 = softmax_rows(m.dense.table[:1])[0]
+    row1 = softmax_rows(m.deep[0].table[:1])[0]
     assert conf[0, 0] == pytest.approx(float(row0[pred[0, 0]]))
     assert conf[0, 1] == pytest.approx(float(row1[pred[0, 1]]))
 
@@ -364,7 +360,7 @@ def test_model_state_round_trip():
     state = model_state(m)
     m2 = model_from_state(state)
     assert np.array_equal(m.root.scores, m2.root.scores)
-    assert np.array_equal(m.dense.table, m2.dense.table)
+    assert np.array_equal(m.deep[0].table, m2.deep[0].table)
     assert np.array_equal(m.deep[0].anchor, m2.deep[0].anchor)
     assert m2.config.codec == m.config.codec
     assert m2.config.K_heads == m.config.K_heads

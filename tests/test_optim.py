@@ -17,12 +17,14 @@ from hipan import (
     ModelConfig,
     NumericAbort,
     OptimState,
+    RECONSTRUCT_MARGIN,
     TrainPhase,
     TrainPlan,
     anchor_loss,
     dataset_loss,
     default_plan,
     encode_tree,
+    gen_synthetic,
     gist_minimize,
     huffman_weights,
     loads_tree,
@@ -59,7 +61,6 @@ from hipan.optim import (
     _gist_sweep,
     _live_rows,
     _record_tables,
-    _record_weights,
     _row_losses,
     _served_arrays,
     optim_state_dict,
@@ -324,12 +325,7 @@ def _digit_losses_reference(model, k, prev, t, w):
     if ke == 0:
         s = model.root.scores
         return np.full(n, optim._lse_rows(s[None, :])[0]) - s[t]
-    if ke == 1:
-        rows = model.dense.table[prev]
-        one_hot = np.zeros_like(rows)
-        one_hot[ar, t] = 1.0
-        return ((rows - one_hot) ** 2).sum(axis=1)
-    head = model.deep[ke - 2]
+    head = model.deep[ke - 1]
     rows = head.table[prev]
     top, second = _top_two(rows)
     ce = optim._lse_rows(rows) - rows[ar, t]
@@ -404,12 +400,10 @@ def _reference_sweep(model, counts, digits):
     coords = []
     if 0 in heads:
         coords += [(0, model.root.scores, (j,), 0) for j in range(p)]
-    if 1 in heads:
-        coords += [(1, model.dense.table, (r, j), r) for r in range(p) for j in range(p)]
     for i, head in enumerate(model.deep):
-        if 2 + i in heads:
-            coords += [(2 + i, head.table, (r, j), r) for r in range(p) for j in range(p)]
-            coords += [(2 + i, head.anchor, (r,), r) for r in range(p)]
+        if 1 + i in heads:
+            coords += [(1 + i, head.table, (r, j), r) for r in range(p) for j in range(p)]
+            coords += [(1 + i, head.anchor, (r,), r) for r in range(p)]
     accepted = 0
     for ke, arr, index, row in coords:
         cur = float(arr[index])
@@ -479,11 +473,11 @@ def test_row_losses_are_the_reference_row_losses_bit_for_bit(case):
     ds, model, digits = case
     counts = ds.pair_counts()
     p = model.p
-    for ke in {min(k, model.config.K_heads - 1) for k in digits} - {1}:
+    for ke in {min(k, model.config.K_heads - 1) for k in digits}:
         served = tuple(k for k in digits if min(k, model.config.K_heads - 1) == ke)
         for r, parts in _live_rows(model, ke, counts, served):
-            x = model.root.scores if ke == 0 else model.deep[ke - 2].table[r]
-            v = 0.0 if ke == 0 else model.deep[ke - 2].anchor[r]
+            x = model.root.scores if ke == 0 else model.deep[ke - 1].table[r]
+            v = 0.0 if ke == 0 else model.deep[ke - 1].anchor[r]
             X = np.repeat(x[None, :], 2 * p + 1, axis=0)
             X[np.arange(1, 2 * p + 1), np.tile(np.arange(p), 2)] = np.concatenate(
                 [(x + 1.0) % p, (x - 1.0) % p]
@@ -531,8 +525,8 @@ def test_gist_sweep_deterministic():
 
 def test_gist_sweep_pass_width_stays_within_the_row():
     # root -> w with 100 one-leaf children, o with 10 children of 1 to 6
-    # leaves: p = 101, K = 3.  From an all-zero deep table the first sweep
-    # of digit 2 leaves rows whose later passes run many times past
+    # leaves: p = 101, K = 3.  From an all-zero digit-2 table the first
+    # sweep of digit 2 leaves rows whose later passes run many times past
     # columns an earlier pass saw move, without a move; an uncapped pass
     # width doubled on each of them until it no longer fit an int64.
     lines = ["root\t-", "w\troot", "o\troot"]
@@ -544,7 +538,7 @@ def test_gist_sweep_pass_width_stays_within_the_row():
     ds = encode_tree(loads_tree("\n".join(lines) + "\n"))
     assert (ds.codec.p, ds.codec.K) == (101, 3)
     model = new_model(ModelConfig(ds.codec), seed=0)
-    model.deep[0].table[:] = 0.0
+    model.deep[1].table[:] = 0.0
     reference = model_from_state(model_state(model))
     counts = ds.pair_counts()
     for _ in range(2):
@@ -678,9 +672,9 @@ def test_dataset_loss_teacher_forcing_isolation():
     model.root.scores[0] += 3.0
     assert dataset_loss(model, counts, [1]) == per_digit[1]
     assert dataset_loss(model, counts, [2]) == per_digit[2]
-    model.dense.table -= 1.0
+    model.deep[0].table -= 1.0
     assert dataset_loss(model, counts, [2]) == per_digit[2]
-    model.deep[0].table += 2.0
+    model.deep[1].table += 2.0
     assert dataset_loss(model, counts, [0]) != per_digit[0]  # root did change above
 
 
@@ -704,11 +698,8 @@ def _reference_dataset_loss(model, ds, digits):
             if ke == 0:
                 s = model.root.scores.tolist()
                 total += lse(s) - s[t]
-            elif ke == 1:
-                dense = model.dense.table[row[k - 1]].tolist()
-                total += sum((x - (j == t)) ** 2 for j, x in enumerate(dense))
             else:
-                head = model.deep[ke - 2]
+                head = model.deep[ke - 1]
                 scores = head.table[row[k - 1]].tolist()
                 competitor = max((j for j in range(p) if j != t), key=lambda j: scores[j])
                 w = 1.0 / math.sqrt(pair_count[k, row[k - 1], t])
@@ -728,8 +719,7 @@ def test_dataset_loss_matches_per_record_reference(seed, real_valued):
         model = new_model(ModelConfig(ds.codec, k_heads), seed=seed)
         if real_valued:
             rng = np.random.default_rng(seed)
-            for arr in (model.root.scores, model.dense.table,
-                        *(a for h in model.deep for a in (h.table, h.anchor))):
+            for arr in (model.root.scores, *(a for h in model.deep for a in (h.table, h.anchor))):
                 arr += rng.normal(0.0, 1.5, size=arr.shape)
         digits = range(K)
         got = dataset_loss(model, ds, digits)
@@ -772,7 +762,7 @@ def test_train_gist_fits_toy():
     assert result.evals > 0
     # lattice moves keep every latent integral
     assert np.all(model.root.scores == np.floor(model.root.scores))
-    assert np.all(model.dense.table == np.floor(model.dense.table))
+    assert np.all(model.deep[0].table == np.floor(model.deep[0].table))
 
 
 def test_train_adam_fits_toy():
@@ -780,6 +770,27 @@ def test_train_adam_fits_toy():
     result = train(model, ds, AdamConfig(), tree=tree)
     assert result.history[-1]["leaf_acc"] == 1.0
     assert result.steps > 0
+
+
+@pytest.mark.parametrize("optimizer", [GistConfig(), AdamConfig()], ids=["gist", "adam"])
+def test_trained_head_one_rejects_every_unobserved_digit(optimizer):
+    # c07's desk tree (p = 5, three children per node): after the default
+    # plan, every cell of a live row of digit 1's head that no record
+    # holds scores below the row max less the margin, so reconstruction
+    # rejects that digit rather than accepting whatever the input says
+    tree = gen_synthetic("complete", 3, 5)
+    ds = encode_tree(tree)
+    model = new_model(ModelConfig(ds.codec), seed=0)
+    train(model, ds, optimizer, default_plan(ds.codec.K), tree=tree)
+    pairs = ds.pair_counts()[1]
+    live = np.unique(pairs.parent)
+    observed = np.zeros((model.p, model.p), dtype=bool)
+    observed[pairs.parent, pairs.child] = True
+    rows = model.deep[0].table[live]
+    floor = rows.max(axis=1, keepdims=True) - RECONSTRUCT_MARGIN
+    unobserved = ~observed[live]
+    assert unobserved.sum() == 6
+    assert (rows < floor)[unobserved].all(), rows
 
 
 def test_train_empty_dataset_rejected():
@@ -811,11 +822,11 @@ def test_train_numeric_abort_names_untrained_head():
     tree = irregular_tree(0, 40, 4, 5)
     ds = encode_tree(tree)
     model = new_model(ModelConfig(ds.codec), seed=0)
-    model.deep[0].anchor[2] = np.inf
+    model.deep[1].anchor[2] = np.inf
     plan = TrainPlan((TrainPhase("shallow", 2, 0.03, (0, 1)),), checkpoint_interval=0)
     with pytest.raises(NumericAbort) as err:
         train(model, ds, AdamConfig(), plan, tree=tree)
-    assert (err.value.head, err.value.index) == ("deep0.anchor", (2,))
+    assert (err.value.head, err.value.index) == ("deep1.anchor", (2,))
 
 
 def test_optim_state_dict_round_trip_gist():
@@ -832,14 +843,15 @@ def test_optim_state_dict_round_trip_gist():
 def test_optim_state_dict_round_trip_adam():
     cfg = AdamConfig()
     state = OptimState()
-    _adam_once(np.zeros((2, 3)), np.ones((2, 3)), state, cfg)
+    # the toy model (p = 3) holds a 3 x 3 table deep0.table
+    _adam_once(np.zeros((3, 3)), np.ones((3, 3)), state, cfg, name="deep0.table")
     doc = optim_state_dict("adam", state)
     _, ds, model = _toy_setup()
     back = restore_optim_state(doc, model)
     assert back.t == 1
-    assert back.m["latent"].shape == (2, 3)
-    assert np.array_equal(back.m["latent"], state.m["latent"])
-    assert np.array_equal(back.u["latent"], state.u["latent"])
+    assert back.m["deep0.table"].shape == (3, 3)
+    assert np.array_equal(back.m["deep0.table"], state.m["deep0.table"])
+    assert np.array_equal(back.u["deep0.table"], state.u["deep0.table"])
 
 
 def _fingerprint(path):
@@ -972,6 +984,37 @@ def test_train_checkpoint_schedule(tmp_path):
 # bit.
 
 
+def _rarity_weights(D):
+    """(N, K) rarity weight 1/sqrt(count) of each row's (digit k-1, digit
+    k) pair, counted over the rows of D; digit 0's parent reads as 0."""
+    W = np.empty(D.shape)
+    for k in range(D.shape[1]):
+        prev = D[:, k - 1] if k else np.zeros(len(D), dtype=np.int64)
+        _, inv, count = np.unique(
+            np.stack([prev, D[:, k]], axis=1), axis=0, return_inverse=True, return_counts=True
+        )
+        W[:, k] = huffman_weights(count)[inv.ravel()]
+    return W
+
+
+@pytest.mark.parametrize("k_heads", [None, 2, 1])
+def test_record_tables_weigh_each_record_by_its_pair_rarity(k_heads):
+    ds = encode_tree(irregular_tree(3, 60, 4, 6))
+    D = ds.digits_matrix()
+    model = new_model(ModelConfig(ds.codec, k_heads), seed=0)
+    W, ids, live = _record_tables(model, D, ds.pair_counts())
+    assert np.array_equal(W, _rarity_weights(D))
+    # each digit served by a head below the root selects the live row of
+    # its parent digit; the root's digits select none
+    heads = [_effective_depth(model, k) for k in range(ds.codec.K)]
+    for k, ke in enumerate(heads):
+        if ke == 0:
+            assert (ids[:, k] == -1).all()
+        else:
+            assert (live[0, ids[:, k]] == ke).all()
+            assert np.array_equal(live[1, ids[:, k]], D[:, k - 1])
+
+
 def _reference_grads(model, D, W, k, idx, grads):
     """Add digit k's mean gradient over the records idx into grads."""
     ke = _effective_depth(model, k)
@@ -984,13 +1027,7 @@ def _reference_grads(model, D, W, k, idx, grads):
         grads["root"] += sm - np.bincount(t, minlength=p) / n
         return
     prev = D[idx, k - 1]
-    if ke == 1:
-        rows = model.dense.table[prev]
-        one_hot = np.zeros_like(rows)
-        one_hot[ar, t] = 1.0
-        np.add.at(grads["dense"], prev, 2.0 * (rows - one_hot) / n)
-        return
-    i = ke - 2
+    i = ke - 1
     head = model.deep[i]
     rows = head.table[prev]
     sm = softmax_rows(rows)
@@ -1023,7 +1060,7 @@ def _reference_adam_train(model, ds, cfg, plan, batch_size, seed, tree, checkpoi
     D = ds.digits_matrix()
     n = D.shape[0]
     counts = ds.pair_counts()
-    W = _record_weights(D, counts, model.p)
+    W = _rarity_weights(D)
     leaf_ids = tree.ids_of(ds.leaves)
     history, global_epoch = [], 0
     state = OptimState()
@@ -1073,7 +1110,7 @@ _ORACLE_CASES = [
     (0, 70, 5, 6, None, 16, False, None, 0),  # one head per digit
     (1, 60, 4, 6, 3, 7, False, None, 0),  # the last head serves digits >= 2
     (2, 60, 4, 6, 1, 9, True, None, 0),  # the root serves every digit
-    (3, 60, 4, 6, 2, 64, False, None, 0),  # the dense head serves digits >= 1
+    (3, 60, 4, 6, 2, 64, False, None, 0),  # the depth-1 head serves digits >= 1
     (4, 80, 6, 5, None, 13, False, (0, 3), 0),  # trained arrays not adjacent
     (5, 90, 5, 6, 4, 11, True, (4, 1, 0), 0),  # digits out of order
     (6, 100, 4, 6, None, 64, False, None, 0),  # one partial step per epoch
@@ -1144,7 +1181,7 @@ def _anchor_records(model, D, W, digits, ke):
     for k in digits:
         if _effective_depth(model, k) == ke:
             prev, t = D[:, k - 1], D[:, k]
-            choice = _anchored_choice_rows(model, ke, prev, model.deep[ke - 2].table[prev])
+            choice = _anchored_choice_rows(model, ke, prev, model.deep[ke - 1].table[prev])
             parts.append((prev, t, W[:, k], choice == t))
     return [np.concatenate(a) for a in zip(*parts)]
 
@@ -1152,8 +1189,8 @@ def _anchor_records(model, D, W, digits, ke):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("k_heads", [None, 3, 2, 1])
 def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
-    # with one batch holding every record, the step gradient of the root,
-    # dense and table entries is the gradient of dataset_loss.  An anchor's
+    # with one batch holding every record, the step gradient of the root
+    # and table entries is the gradient of dataset_loss.  An anchor's
     # update is not the gradient of the logged loss (the module docstring's
     # defect (b)): it is the gradient of sum w anchor_loss(v, t, tau,
     # correct) / n over the records that read the anchor, with each
@@ -1166,7 +1203,7 @@ def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
         arr += rng.normal(0.0, 1.5, size=arr.shape)
     counts = ds.pair_counts()
     D = ds.digits_matrix()
-    W = _record_weights(D, counts, model.p)
+    W = _rarity_weights(D)
     n = D.shape[0]
     tau = model.config.tau
     for digits in (tuple(range(K)), (0, 3), tuple(range(2, K))):
@@ -1178,9 +1215,9 @@ def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
         h = 1e-6
         for name, arr in served.items():
             if name.endswith(".anchor"):
-                ke = int(name[len("deep") : name.index(".")]) + 2
+                ke = int(name[len("deep") : name.index(".")]) + 1
                 rows, t, w, correct = _anchor_records(model, D, W, digits, ke)
-                top, second = _top_two(model.deep[ke - 2].table)
+                top, second = _top_two(model.deep[ke - 1].table)
                 for r in np.unique(rows):
                     v = arr[r]
                     # away from switch points: the arbitration compares
