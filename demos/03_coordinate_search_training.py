@@ -56,4 +56,4 @@ print("per-digit accuracy:", rep.digit_accuracy)
 
 # The trained latents are still integers: the optimizer never leaves
 # the lattice, so there is nothing to round at inference time.
-print("root head latents:", model.root.scores)
+print("head 0 latents, row 0:", model.heads[0].table[0])

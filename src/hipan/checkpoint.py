@@ -8,21 +8,22 @@ round-trip float text for scalars), so identical state always produces
 identical bytes.
 
 Format v3 stores only what training changed.  Its model state names
-the init scheme ("init": "uniform-v2", the draws of
+the init scheme ("init": "uniform-v3", the draws of
 `new_model(config, seed)`) and stores each latent array as the rows
 whose bits differ from that init; each Adam moment array is stored as
 its rows whose bits differ from zero (`model.pack_rows`).  A stored
 array is {"rows": ascending row indices, "values": those rows}, both
 packed by `model.pack_array`: base64 of little-endian values, int16 when
 that is exact (lattice-trained latents, row indices) and float64
-otherwise.  Each entry of a 1-d array (root scores, an anchor) is a row.
+otherwise.  Each entry of a 1-d array (a head's anchors) is a row.
 Loading draws the init again and writes the stored rows over it
 (`model.unpack_rows`), so every array comes back bit for bit, whichever
 rows training reached.
 
-Only format v3 with init "uniform-v2" is read.  Files in formats v1 and
-v2, and v3 files stored against init "uniform-v1", hold an earlier head
-layout; loading one raises ValueError naming its format or init.
+Only format v3 with init "uniform-v3" is read.  Files in formats v1 and
+v2, and v3 files stored against init "uniform-v1" or "uniform-v2", hold
+an earlier head layout; loading one raises ValueError naming its format
+or init.
 
 `created_unix_ms` is the one intentionally nondeterministic field; the
 fingerprint zeroes it before hashing so two runs of the same seed yield

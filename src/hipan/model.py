@@ -1,11 +1,11 @@
 """Digit-head models over p-adic codes.
 
-One head per learnable digit depth predicts that digit from the previous
-one: depth 0 holds a bare score vector (no conditioning context exists
-above the root), and every deeper head a p x p score table, row = parent
-digit, plus a per-row scalar anchor that arbitrates between the row's top
-two columns through two quadratic logits.  Depths at or beyond K_heads
-reuse the last head's weights.
+One kind of head at every learnable digit depth predicts that digit from
+the previous one: a p x p score table, row = previous digit, plus a
+per-row scalar anchor that arbitrates between the row's top two columns
+through two quadratic logits.  Digit 0 reads row 0 of head 0 (the digit
+before it is read as 0, as `EncodedDataset.pair_counts` does).  Depths at
+or beyond K_heads reuse the last head's weights.
 
 One prediction path serves evaluation: per-record reconstruction
 (`reconstruct_matrix`).  The model's input is the record's own code, so
@@ -13,8 +13,8 @@ each head may read the input digit it is asked to reproduce.  Rows chain
 on the digits actually predicted; a digit is accepted when its score sits
 within RECONSTRUCT_MARGIN of the row maximum (trained rows tie their
 observed digits up to quantization), otherwise the head falls back to its
-generative rule: the argmax for the root, the anchor's arbitration
-between the row's top two columns for deeper heads.
+generative rule, the anchor's arbitration between the row's top two
+columns.
 `clamped_descent_matrix` walks the predicted digits to hierarchy leaves.
 Accuracy reports this path: how much of the hierarchy the factorized
 tables actually store.  Only calibration also asks how sure each head
@@ -47,9 +47,9 @@ RECONSTRUCT_MARGIN = 2.0
 CHECKPOINT_FORMAT = "hipan-model-v3"
 # Names the init that format v3 tables are stored against: new_model's
 # i.i.d. uniform draws over {0, ..., p-1} from child_rng(seed, "init"),
-# in the order of model_arrays.  "uniform-v1" drew the arrays of an
-# earlier head layout; its files are not read.
-INIT_SCHEME = "uniform-v2"
+# in the order _init_draws gives.  "uniform-v1" and "uniform-v2" drew the
+# arrays of earlier head layouts; their files are not read.
+INIT_SCHEME = "uniform-v3"
 
 
 @dataclass
@@ -59,7 +59,9 @@ class ModelConfig:
     Attributes:
         codec: alphabet p and code length K.
         K_heads: number of learnable digit depths, in [1, K]; deeper
-            digits reuse the last head (weight tying).
+            digits reuse the last head (weight tying).  With K_heads = 1
+            one head serves every digit, each through the row of the
+            digit before it.
         tau: sharpness of the two-logit quadratic comparison, > 0.
     """
 
@@ -79,16 +81,9 @@ class ModelConfig:
 
 
 @dataclass
-class RootHead:
-    """p scores, one per root digit; prediction is the argmax (ties: lowest)."""
-
-    scores: np.ndarray
-
-
-@dataclass
 class TwoLogitCEHead:
-    """p x p score table, row = parent digit, column = child digit, plus
-    one scalar anchor per row."""
+    """p x p score table, row = previous digit, column = digit, plus one
+    scalar anchor per row."""
 
     table: np.ndarray
     anchor: np.ndarray
@@ -96,17 +91,15 @@ class TwoLogitCEHead:
 
 @dataclass
 class HiPaNModel:
-    """Trainable digit heads.
+    """Trainable digit heads: heads[ke] serves digit ke, and the last head
+    every deeper digit too.
 
-    heads by depth: 0 -> root, ke in 1..K_heads-1 -> deep[ke - 1], a
-    two-logit head.  The model holds no data: the rarity weights of the
-    deep heads' loss come from a dataset's pair counts each time a loss
-    is computed.
+    The model holds no data: the rarity weights of the loss come from a
+    dataset's pair counts each time a loss is computed.
     """
 
     config: ModelConfig
-    root: RootHead
-    deep: list[TwoLogitCEHead]
+    heads: list[TwoLogitCEHead]
     init_seed: int = 0
 
     @property
@@ -119,18 +112,10 @@ class HiPaNModel:
 
 
 def parameter_count(config: ModelConfig) -> int:
-    """Reported latent count: p for K_heads = 1, else p + p^2 + (K_heads-1)(p^2+p).
-
-    This is the closed form the package commits to.  The layout holds
-    p + (K_heads-1)(p^2+p) latents (root + K_heads-1 two-logit heads), so
-    for K_heads >= 2 the closed form exceeds it by p^2; the two cannot be
-    reconciled because the source arithmetic and the head layout
-    disagree, and the closed form is the contractual value.
-    """
-    p, kh = config.codec.p, config.K_heads
-    if kh == 1:
-        return p
-    return p + p * p + (kh - 1) * (p * p + p)
+    """Latent count of the layout: K_heads (p^2 + p), a p x p table and p
+    anchors per head."""
+    p = config.codec.p
+    return config.K_heads * (p * p + p)
 
 
 def _physical_memory() -> float:
@@ -146,10 +131,9 @@ def new_model(config: ModelConfig, seed: int = 0) -> HiPaNModel:
     """Fresh model with latents drawn i.i.d. uniform over {0, ..., p-1}.
 
     Integer-valued floats keep the +-1 move lattice exact and make the
-    initial rounded digits uniform over the alphabet.  The arrays are
-    drawn one after another in the order of `model_arrays`, the one
-    place that fixes it; checkpoints (`model_state`) store each array as
-    its rows that differ from these draws.
+    initial rounded digits uniform over the alphabet.  `_init_draws`
+    fixes the draw order; checkpoints (`model_state`) store each array
+    as its rows that differ from these draws.
 
     Raises:
         ValueError: the latents would not fit in physical memory.
@@ -163,8 +147,7 @@ def new_model(config: ModelConfig, seed: int = 0) -> HiPaNModel:
         )
     model = HiPaNModel(
         config,
-        RootHead(np.empty(p)),
-        [TwoLogitCEHead(np.empty((p, p)), np.empty(p)) for _ in range(config.K_heads - 1)],
+        [TwoLogitCEHead(np.empty((p, p)), np.empty(p)) for _ in range(config.K_heads)],
         init_seed=seed,
     )
     for _, arr, draw in _init_draws(model, seed):
@@ -173,42 +156,44 @@ def new_model(config: ModelConfig, seed: int = 0) -> HiPaNModel:
 
 
 def model_arrays(model: HiPaNModel) -> dict[str, np.ndarray]:
-    """Every latent array of model, by name, in draw order: "root" (root
-    scores), then "deep{i}.table" and "deep{i}.anchor" for each deep head
-    i, the head of depth i + 1.
+    """Every latent array of model, by name: "head{ke}.table" and
+    "head{ke}.anchor" for the head of each depth ke, in depth order.
 
-    The arrays themselves, not copies.  `new_model` draws the init in
-    this order, checkpoints name their tables by these names, and the
-    trainers lay the arrays out in it.
+    The arrays themselves, not copies.  Checkpoints name their tables by
+    these names, and the trainers lay the arrays out in this order.
     """
-    out = {"root": model.root.scores}
-    for i, head in enumerate(model.deep):
-        out[f"deep{i}.table"] = head.table
-        out[f"deep{i}.anchor"] = head.anchor
+    out = {}
+    for ke, head in enumerate(model.heads):
+        out[f"head{ke}.table"] = head.table
+        out[f"head{ke}.anchor"] = head.anchor
     return out
 
 
 def _init_draws(
     model: HiPaNModel, seed: int
 ) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
-    """(name, array, init draw) for each array of model in draw order: the
-    integers new_model(model.config, seed) gives that array, drawn one
-    array at a time."""
+    """(name, array, init draw) for each array of model: the integers
+    new_model(model.config, seed) gives that array, drawn one array at a
+    time but for head 0's table.
+
+    The draws are uniform-v2's in their order, head 0's row 0 taking the
+    root scores' draw, and head 0's other rows and anchors are drawn after
+    everything else: every deeper head starts, and so trains, bit for bit
+    as under uniform-v2, when the root was a bare score vector."""
     rng = child_rng(seed, "init")
-    for name, arr in model_arrays(model).items():
-        yield name, arr, rng.integers(0, model.p, size=arr.shape)
+    p = model.p
+    arrays = list(model_arrays(model).items())
+    row0 = rng.integers(0, p, size=p)
+    for name, arr in arrays[2:]:
+        yield name, arr, rng.integers(0, p, size=arr.shape)
+    (table_name, table), (anchor_name, anchor) = arrays[:2]
+    yield table_name, table, np.vstack([row0, rng.integers(0, p, size=(p - 1, p))])
+    yield anchor_name, anchor, rng.integers(0, p, size=p)
 
 
 def _effective_depth(model: HiPaNModel, k: int) -> int:
     """Head depth serving digit k (weight tying past the last head)."""
     return min(k, model.config.K_heads - 1)
-
-
-def _head_table(model: HiPaNModel, ke: int) -> np.ndarray:
-    """Score table of the head at depth ke; the root's is its one row."""
-    if ke == 0:
-        return model.root.scores[None, :]
-    return model.deep[ke - 1].table
 
 
 def softmax_rows(rows: np.ndarray) -> np.ndarray:
@@ -230,10 +215,11 @@ def _top_two(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _anchored_choice_rows(
     model: HiPaNModel, ke: int, prev: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
-    """Deep-head generative rule for a batch of rows: the top two columns
-    (ties to the lowest index), arbitrated by the row's anchor."""
+    """Generative rule of the head at depth ke for a batch of its rows,
+    selected by the previous digits prev: the top two columns (ties to the
+    lowest index), arbitrated by the row's anchor."""
     t_star, c = _top_two(rows)
-    v = model.deep[ke - 1].anchor[prev]
+    v = model.heads[ke].anchor[prev]
     pick_top = (v - t_star) ** 2 <= (v - c) ** 2
     return np.where(pick_top, t_star, c)
 
@@ -244,19 +230,15 @@ def _row_summary(
     """(flat row-major table, acceptance floor, generative fallback column)
     of the head at depth ke; a row's floor is its max less
     RECONSTRUCT_MARGIN."""
-    table = _head_table(model, ke)
-    if ke == 0:
-        fallback = table.argmax(axis=1)
-    else:
-        fallback = _anchored_choice_rows(model, ke, np.arange(table.shape[0]), table)
+    table = model.heads[ke].table
+    fallback = _anchored_choice_rows(model, ke, np.arange(model.p), table)
     return table.ravel(), table.max(axis=1) - RECONSTRUCT_MARGIN, fallback
 
 
-def _serving_rows(model: HiPaNModel, pred: np.ndarray, k: int) -> np.ndarray:
+def _serving_rows(pred: np.ndarray, k: int) -> np.ndarray:
     """Row of digit k's head that each reconstruction selects: the digit
-    predicted before it, or row 0 when the root head serves digit k (the
-    root has one row, whatever depth it serves under weight tying)."""
-    if _effective_depth(model, k) == 0:
+    predicted before it, or row 0 for digit 0."""
+    if k == 0:
         return np.zeros(pred.shape[1], dtype=np.int64)
     return pred[k - 1]
 
@@ -294,7 +276,7 @@ def reconstruct_matrix(model: HiPaNModel, digits_mat: np.ndarray) -> np.ndarray:
         if ke not in summaries:
             summaries[ke] = _row_summary(model, ke)
         flat, floor, fallback = summaries[ke]
-        r = _serving_rows(model, pred, k)
+        r = _serving_rows(pred, k)
         t = cols[k]
         accept = flat.take(r * model.p + t) >= floor.take(r)
         pred[k] = np.where(accept, t, fallback.take(r))
@@ -312,8 +294,8 @@ def reconstruction_confidence(model: HiPaNModel, pred: np.ndarray) -> np.ndarray
     pred = np.ascontiguousarray(np.asarray(pred, dtype=np.int64).T)
     conf = np.zeros(pred.shape[::-1], dtype=np.float64)
     for k in range(model.K):
-        table = _head_table(model, _effective_depth(model, k))
-        r = _serving_rows(model, pred, k)
+        table = model.heads[_effective_depth(model, k)].table
+        r = _serving_rows(pred, k)
         used = np.flatnonzero(np.bincount(r, minlength=table.shape[0]))
         rows = table[used]
         top, denom = np.empty(table.shape[0]), np.empty(table.shape[0])
@@ -523,7 +505,8 @@ def model_from_state(state: dict) -> HiPaNModel:
     Raises:
         ValueError: a format tag or init scheme other than this version's
             (named), a header field or the tables of the wrong JSON type
-            (named), or malformed tables.
+            (named), a table missing or naming no model array (named), or
+            malformed tables.
     """
     fmt = state.get("format")
     if fmt != CHECKPOINT_FORMAT:
@@ -541,8 +524,12 @@ def model_from_state(state: dict) -> HiPaNModel:
             f"unknown init scheme {state.get('init')!r}; this version reads {INIT_SCHEME!r}"
         )
     model = new_model(config, seed)
-    for name, arr in model_arrays(model).items():
-        unpack_rows(name, tables[name], arr)
+    arrays = model_arrays(model)
+    stray = sorted(tables.keys() - arrays.keys())
+    if stray:
+        raise ValueError(f"malformed {what}: table {stray[0]!r} names no model array")
+    for name, arr in arrays.items():
+        unpack_rows(name, _typed(tables, name, object, what), arr)
     return model
 
 
@@ -552,7 +539,6 @@ __all__ = [
     "HiPaNModel",
     "ModelConfig",
     "RECONSTRUCT_MARGIN",
-    "RootHead",
     "TwoLogitCEHead",
     "clamped_descent_matrix",
     "describe_ball",

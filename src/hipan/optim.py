@@ -1,22 +1,19 @@
 """Trainers for digit-head models: lattice descent and Adam.
 
 The loss every epoch logs, and `hipan eval` reports, is a teacher-forced
-objective summed over the digits a training phase enables:
-
-* digit 0: cross entropy of the root score softmax against the true
-  root digit;
-* digits >= 1: rarity-weighted cross entropy on the table row that the
-  true previous digit selects, plus a two-logit term that trains the
-  row's scalar anchor to arbitrate between the top two columns.  The
-  rarity weight of a (parent, child) digit pair is 1/sqrt(count), its
-  count read from the dataset.
+objective summed over the digits a training phase enables.  Each digit
+adds the rarity-weighted cross entropy of the table row that the true
+previous digit selects (row 0 for digit 0), plus a two-logit term that
+trains the row's scalar anchor to arbitrate between the top two columns.
+The rarity weight of a (previous, digit) pair is 1/sqrt(count), its
+count read from the dataset.
 
 A record's loss at digit k depends only on its (digit k-1, digit k)
 pair, so the objective reads the data only through the dataset's pair
 counts (`EncodedDataset.pair_counts`): `dataset_loss` scores each
-distinct pair once and weighs it by its count, summarizing each deep
-head row the pairs reach once, and nothing about the data is stored on
-the model.
+distinct pair once and weighs it by its count, summarizing each head
+row the pairs reach once, and nothing about the data is stored on the
+model.
 
 The lattice trainer moves one latent at a time by +-1 (wrapping mod p),
 accepting only strict improvement of this objective on the full data, so
@@ -24,11 +21,11 @@ integer-valued latents stay integers forever and the logged loss never
 rises from sweep to sweep.  A coordinate of a head row, or the row's
 anchor, changes only the loss of the pairs whose parent digit selects
 that row, so the sweep skips rows that no pair reaches and scores each
-live root row, deep row and anchor on its own pairs, in the arithmetic
-of the loss itself, with gist_minimize's routine (_lattice_sweep).
+live row and anchor on its own pairs, in the arithmetic of the loss
+itself, with gist_minimize's routine (_lattice_sweep).
 
-The Adam trainer does not descend this objective as a whole.  Its root
-and table gradients are the analytic gradients of the objective,
+The Adam trainer does not descend this objective as a whole.  Its table
+gradients are the analytic gradients of the objective,
 but its anchor gradient is not the gradient of the two-logit term: it is
 the closed form 2 tau (v - psi) (sigma((v - psi)^2 / tau) - I), with psi
 the true digit and I = 1 when the arbitration already picks it, whose
@@ -43,13 +40,13 @@ epoch's start the arrays of the heads serving the phase's digits are laid
 end to end in one flat buffer, with their first and second moments in two
 more, and the epoch's per-record data is laid out step by step: the
 targets, selected rows, one-hot cells and rarity weights of a step's
-records, and its root target counts, sit in contiguous slices, in
-O(digits x N) memory.  A step finds the distinct deep rows it touches by
+records sit in contiguous slices, in O(digits x N) memory.  A step finds
+the distinct rows it touches by
 marking their ids among the run's live rows (those some pair reaches),
 scores each once (softmax, top two columns, anchor arbitration) and
 expands the results to its records; it adds every gradient term into one
 flat gradient with one bincount and applies the bias-corrected moment
-update of Kingma and Ba once, over the flat buffers.  For U distinct deep
+update of Kingma and Ba once, over the flat buffers.  For U distinct
 rows and M records a step costs O(U p + M p).  Each gradient entry sums
 its terms digit by digit, then record by record, the order of one
 np.add.at per digit and array, so the run is bit for bit that of updating
@@ -400,43 +397,33 @@ def _served_arrays(model: HiPaNModel, phase_digits: tuple[int, ...]) -> dict[str
 
 
 def _head_of_array(name: str) -> int:
-    if name == "root":
-        return 0
-    return 1 + int(name.split(".")[0][len("deep"):])
+    return int(name.split(".")[0][len("head"):])
 
 
 def _digit_losses(
-    model: HiPaNModel,
-    k: int,
-    prev: np.ndarray | None,
-    t: np.ndarray,
-    w: np.ndarray,
+    model: HiPaNModel, k: int, prev: np.ndarray, t: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
-    """Teacher-forced loss of digit k for each (parent digit prev, digit t)
-    pair, the deep heads' terms scaled by the pair's rarity weight w.
+    """Teacher-forced loss of digit k for each (previous digit prev, digit
+    t) pair, scaled by the pair's rarity weight w.
 
-    prev is not read for the root digit.  A deep head scores each run of
-    equal parents in prev once (its log-sum-exp and top two columns) and
-    gathers per pair; in DigitPairs order every parent is one run.
+    The head scores each run of equal previous digits in prev once (its
+    log-sum-exp and top two columns) and gathers per pair; in DigitPairs
+    order every previous digit is one run.
     """
-    ke = _effective_depth(model, k)
+    head = model.heads[_effective_depth(model, k)]
     n = t.size
-    if ke == 0:
-        s = model.root.scores
-        return np.full(n, _lse_rows(s[None, :])[0]) - s[t]
-    head = model.deep[ke - 1]
     starts = np.ones(n, dtype=bool)
     np.not_equal(prev[1:], prev[:-1], out=starts[1:])
     run = np.cumsum(starts) - 1
     rows = head.table[prev[starts]]
     top, second = _top_two(rows)
     ce = _lse_rows(rows)[run] - head.table.ravel()[prev * model.p + t]
-    return _deep_terms(
+    return _pair_terms(
         model.config.tau, ce, top[run], second[run], head.anchor[prev], t, w
     )
 
 
-def _deep_terms(
+def _pair_terms(
     tau: float,
     ce: np.ndarray,
     top: np.ndarray,
@@ -445,7 +432,7 @@ def _deep_terms(
     t: np.ndarray,
     w: np.ndarray,
 ) -> np.ndarray:
-    """Deep-head loss of target digits t: weight w times the cross entropy
+    """Loss of target digits t: weight w times the cross entropy
     ce plus the two-logit term of anchor v against the competitor, the
     best column other than t (from the row's top two columns)."""
     c = np.where(top == t, second, top)
@@ -483,17 +470,13 @@ def _live_rows(
     model: HiPaNModel, ke: int, counts: Sequence[DigitPairs], served: tuple[int, ...]
 ) -> Iterator[tuple[int, _RowParts]]:
     """(row, parts) for every row of head ke that some pair of the served
-    digits reaches, in row order.  The root has one row, read by every
-    pair whatever its parent digit."""
+    digits reaches, in row order."""
     cuts = []
     for k in served:
         pairs = counts[k]
-        if ke == 0:
-            bounds = np.array([0, pairs.count.size])
-        else:
-            bounds = np.searchsorted(pairs.parent, np.arange(model.p + 1))
+        bounds = np.searchsorted(pairs.parent, np.arange(model.p + 1))
         cuts.append((pairs, huffman_weights(pairs.count), bounds))
-    for r in range(1 if ke == 0 else model.p):
+    for r in range(model.p):
         parts = []
         for pairs, w, bounds in cuts:
             a, b = bounds[r], bounds[r + 1]
@@ -504,22 +487,19 @@ def _live_rows(
 
 
 def _row_losses(
-    model: HiPaNModel, ke: int, X: np.ndarray, v: np.ndarray | float, parts: _RowParts
+    model: HiPaNModel, X: np.ndarray, v: np.ndarray | float, parts: _RowParts
 ) -> np.ndarray:
-    """Loss of one root or deep-head row's pairs under each candidate row
-    X[i] and anchor v (broadcast against X's rows).
+    """Loss of one head row's pairs under each candidate row X[i] and
+    anchor v (broadcast against X's rows).
 
     Computed in the arithmetic of dataset_loss, bit for bit: per served
     digit, _digit_losses's terms of the row's pairs weighted by their
     counts and summed."""
     lse = _lse_rows(X)[:, None]
-    if ke:
-        top, second = (a[:, None] for a in _top_two(X))
+    top, second = (a[:, None] for a in _top_two(X))
     total = 0.0
     for t, count, w in parts:
-        ce = lse - X[:, t]
-        if ke:
-            ce = _deep_terms(model.config.tau, ce, top, second, v, t, w)
+        ce = _pair_terms(model.config.tau, lse - X[:, t], top, second, v, t, w)
         # sum(axis=1) adds each row of a C-ordered array pairwise, as the
         # 1-d sum does; X[:, t] and what is computed from it are F-ordered
         total = total + np.ascontiguousarray(count * ce).sum(axis=1)
@@ -533,8 +513,8 @@ def _gist_sweep(
     digits, in place; returns (accepted moves, loss evaluations), three
     evaluations per coordinate of a live row.
 
-    Order: root scores, then each deep head's rows, each row's table
-    columns then its anchor.  A row's pairs read only that row and
+    Order: each head's rows in depth order, each row's table columns
+    then its anchor.  A row's pairs read only that row and
     its anchor, so this gives the moves of sweeping a head's whole table
     before its anchors.  Rows that no pair reaches are skipped: no move
     there can change the loss."""
@@ -544,21 +524,15 @@ def _gist_sweep(
         served = _served_digits(model, ke, digits)
         if not served:
             continue
+        head = model.heads[ke]
         for r, parts in _live_rows(model, ke, counts, served):
-            coords += p
-            if ke == 0:
-                row, v = model.root.scores, np.zeros(1)  # the root has no anchor
-            else:
-                row, v = model.deep[ke - 1].table[r], model.deep[ke - 1].anchor[r : r + 1]
+            row, v = head.table[r], head.anchor[r : r + 1]
             accepted += _lattice_sweep(
-                row, p, lambda c, y: _row_losses(model, ke, _candidate_rows(row, c, y), v[0], parts)
+                row, p, lambda c, y: _row_losses(model, _candidate_rows(row, c, y), v[0], parts)
             )
-            if ke:
-                # an anchor's candidate rows are its candidates, as a column
-                accepted += _lattice_sweep(
-                    v, p, lambda c, y: _row_losses(model, ke, row[None], y, parts)
-                )
-                coords += 1
+            # an anchor's candidate rows are its candidates, as a column
+            accepted += _lattice_sweep(v, p, lambda c, y: _row_losses(model, row[None], y, parts))
+            coords += p + 1
     return accepted, 3 * coords
 
 
@@ -624,27 +598,25 @@ def _record_tables(
     """(W, ids, live): a run's per-record tables for the Adam layout.
 
     W[i, k] is the rarity weight of record i's (digit k-1, digit k) pair,
-    which scales the row term of its digit k.  The live rows are the deep
-    head rows that some pair of a digit the head serves reaches, numbered
-    head by head in row order; live row j is row live[1, j] of the head at
-    depth live[0, j], and ids[i, k] is the live row that record i's digit
-    k selects (-1 where the root serves digit k)."""
+    digit -1 read as 0, which scales the terms of its digit k.  The live
+    rows are the head rows that some pair of a digit the head serves
+    reaches, numbered head by head in row order; live row j is row
+    live[1, j] of the head at depth live[0, j], and ids[i, k] is the live
+    row that record i's digit k selects."""
     p = model.p
+    prev = np.zeros_like(D)
+    prev[:, 1:] = D[:, :-1]
+    heads = [_effective_depth(model, k) for k in range(model.K)]
     W = np.empty(D.shape)
     reached = np.zeros((model.config.K_heads, p), dtype=bool)
     for k, pairs in enumerate(counts):
-        prev = D[:, k - 1] if k else 0
-        pos = np.searchsorted(pairs.parent * p + pairs.child, prev * p + D[:, k])
+        pos = np.searchsorted(pairs.parent * p + pairs.child, prev[:, k] * p + D[:, k])
         W[:, k] = huffman_weights(pairs.count)[pos]
-        ke = _effective_depth(model, k)
-        if ke:
-            reached[ke, pairs.parent] = True
+        reached[heads[k], pairs.parent] = True
     number = np.full(reached.shape, -1, dtype=np.int64)
     number[reached] = np.arange(np.count_nonzero(reached))
-    ids = np.full(D.shape, -1, dtype=np.int64)
-    for k in range(1, model.K):
-        ids[:, k] = number[_effective_depth(model, k), D[:, k - 1]]
-    return W, ids, np.array(np.nonzero(reached), dtype=np.int64).reshape(2, -1)
+    live = np.array(np.nonzero(reached), dtype=np.int64).reshape(2, -1)
+    return W, number[heads, prev], live
 
 
 class _Batches:
@@ -655,18 +627,15 @@ class _Batches:
     contiguous slice, digit by digit in phase order, then record by
     record.
 
-    root_hits holds each step's one-hot target counts of the root digits
-    over its record count, (steps, root digits, p); root is the root
-    scores' flat index.  The other digits give each record's target t,
-    the flat index of its selected row's first cell (row), the index of
-    its target cell in the step's (p, records) gradient block (onehot),
-    its rarity weight w and the id of its row among the run's live rows
-    (live), both from the run's _record_tables, and w times 2 tau
-    (w2tau).  live_row and live_anchor give each live row's index in x
-    viewed as rows of p (every trained array holds a multiple of p
-    entries) and its anchor's flat index.  cols is np.arange(p) as a column; cells, terms, mark and
-    slot are one step's scratch, cells with the root's indices in place.
-    Indices point into a _Flat's x."""
+    Each record gives its target t, the flat index of its selected row's
+    first cell (row), the index of its target cell in the step's
+    (p, records) gradient block (onehot), its rarity weight w and the id
+    of its row among the run's live rows (live), both from the run's
+    _record_tables, and w times 2 tau (w2tau).  live_row and live_anchor
+    give each live row's index in x viewed as rows of p (every trained
+    array holds a multiple of p entries) and its anchor's flat index.
+    cols is np.arange(p) as a column; cells, terms, mark and slot are one
+    step's scratch.  Indices point into a _Flat's x."""
 
     def __init__(
         self,
@@ -679,32 +648,19 @@ class _Batches:
     ):
         W, ids, (live_heads, live_rows) = tables
         p, (n, K) = model.p, D.shape
-        heads = {k: _effective_depth(model, k) for k in perms}
-        roots = [k for k in perms if heads[k] == 0]
-        rows = [k for k in perms if heads[k]]
         self.p, self.n, self.size, self.tau = p, n, size, model.config.tau
-        self.n_rows = len(rows)
+        self.n_digits = g = len(perms)
         steps = self.steps
         tail = n - (steps - 1) * size
         cut = n - tail
 
-        # root: each step's target counts, over the step's record count
-        self.root = flat.start.get("root", 0)
-        offset = np.repeat(np.arange(steps) * len(roots) * p, size)[:n]
-        keys = [offset + j * p + D[perms[k], k] for j, k in enumerate(roots)]
-        hits = np.bincount(np.concatenate(keys), minlength=steps * len(roots) * p) if keys else []
-        per_step = np.full(steps, size)
-        per_step[-1] = tail
-        self.root_hits = np.reshape(hits, (steps, len(roots), p)) / per_step[:, None, None]
-
-        # the other digits: each position's flat index into the (N, K) tables
-        g = len(rows)
+        # each position's flat index into the (N, K) tables
         at = np.empty(g * n, dtype=np.int64)
         body = at[: g * cut].reshape(steps - 1, g, size)
         last = at[g * cut :].reshape(g, tail)
-        for j, k in enumerate(rows):
-            for out, perm in ((body[:, j], perms[k][:cut].reshape(-1, size)), (last[j], perms[k][cut:])):
-                np.multiply(perm, K, out=out)
+        for j, (k, perm) in enumerate(perms.items()):
+            for out, part in ((body[:, j], perm[:cut].reshape(-1, size)), (last[j], perm[cut:])):
+                np.multiply(part, K, out=out)
                 out += k
         self.t = np.take(D, at)
         self.onehot = self.t * (g * size)
@@ -715,18 +671,17 @@ class _Batches:
         self.w2tau = self.w * 2.0
         self.w2tau *= self.tau
 
-        def start(ke: int, part: str) -> int:
-            return flat.start.get(f"deep{ke - 1}.{part}", 0) if ke else 0
+        def start(part: str) -> np.ndarray:
+            heads_at = range(model.config.K_heads)
+            return np.array([flat.start.get(f"head{ke}.{part}", 0) for ke in heads_at])[live_heads]
 
-        heads_at = range(model.config.K_heads)
-        live_start = np.array([start(ke, "table") for ke in heads_at])[live_heads] + live_rows * p
+        live_start = start("table") + live_rows * p
         self.row = live_start[self.live]
         self.live_row = live_start // p
-        self.live_anchor = np.array([start(ke, "anchor") for ke in heads_at])[live_heads] + live_rows
+        self.live_anchor = start("anchor") + live_rows
         self.cols = np.arange(p)[:, None]
         m = g * min(size, n)
-        self.cells = np.empty(len(roots) * p + m * p + m, dtype=np.int64)
-        self.cells[: len(roots) * p] = np.tile(np.arange(p) + self.root, len(roots))
+        self.cells = np.empty(m * p + m, dtype=np.int64)
         self.terms = np.empty(self.cells.size)
         self.mark = np.zeros(live_rows.size, dtype=bool)
         self.slot = np.empty(live_rows.size, dtype=np.int64)
@@ -740,8 +695,8 @@ def _accumulate_grads(x: np.ndarray, b: _Batches, s: int) -> np.ndarray:
     """Mean gradient over the records of step s of every phase digit,
     flat over the parameters x.
 
-    Root and table entries are the analytic gradients of the objective;
-    an anchor's is the closed-form update of the module docstring.  Each
+    Table entries are the analytic gradients of the objective; an
+    anchor's is the closed-form update of the module docstring.  Each
     distinct row the step touches is scored once (softmax, top two
     columns, anchor arbitration) and expanded to its records, so the step
     costs O(U p + M p) for U distinct rows and M records.  Every term
@@ -752,46 +707,39 @@ def _accumulate_grads(x: np.ndarray, b: _Batches, s: int) -> np.ndarray:
     p, size = b.p, b.size
     n = min(size, b.n - s * size)
     cells, terms = b.cells, b.terms
-    i = b.root_hits.shape[1] * p
-    if i:
-        # softmax_rows's arithmetic on the one row
-        r = x[b.root : b.root + p]
-        e = np.exp(r - r.max())
-        np.subtract(e / e.sum(), b.root_hits[s], out=terms[:i].reshape(-1, p))
-    m = b.n_rows * n
-    if m:
-        a = b.n_rows * size * s
-        np.add(b.cols, b.row[a : a + m], out=cells[i : i + p * m].reshape(p, m))
-        g = terms[i : i + p * m].reshape(p, m)
-        # each distinct row once; every index is in range, and mode "clip"
-        # spares take a buffered out
-        ids = b.live[a : a + m]
-        b.mark[ids] = True
-        uniq = b.mark.nonzero()[0]
-        b.mark[uniq] = False
-        b.slot[uniq] = np.arange(uniq.size)
-        inv = b.slot[ids]
-        X = x.reshape(-1, p).take(b.live_row[uniq], axis=0)
-        softmax_rows(X).T.take(inv, axis=1, out=g, mode="clip")
-        # anchor: arbitration between the row's top two, trained toward or
-        # away from the true digit by the closed-form update; its terms
-        # follow the block's
-        span = slice(i + p * m, i + p * m + m)
-        at = cells[span]
-        b.live_anchor.take(ids, out=at, mode="clip")
-        top, second = _top_two(X)
-        vu = x[b.live_anchor[uniq]]
-        choice = np.where((vu - top) ** 2 <= (vu - second) ** 2, top, second)[inv]
-        td = b.t[a : a + m]
-        d = x[at] - td
-        ga = b.w2tau[a : a + m] * d * (_sigmoid_vec(d * d / b.tau) - (choice == td))
-        np.divide(ga, n, out=terms[span])
-        # each row's softmax less its one-hot target, weighted: the
-        # gradient of the weighted cross entropy
-        g.ravel()[b.onehot[a : a + m]] -= 1.0
-        g *= b.w[a : a + m]
-        g /= n
-        i += p * m + m
+    m = b.n_digits * n
+    a = b.n_digits * size * s
+    np.add(b.cols, b.row[a : a + m], out=cells[: p * m].reshape(p, m))
+    g = terms[: p * m].reshape(p, m)
+    # each distinct row once; every index is in range, and mode "clip"
+    # spares take a buffered out
+    ids = b.live[a : a + m]
+    b.mark[ids] = True
+    uniq = b.mark.nonzero()[0]
+    b.mark[uniq] = False
+    b.slot[uniq] = np.arange(uniq.size)
+    inv = b.slot[ids]
+    X = x.reshape(-1, p).take(b.live_row[uniq], axis=0)
+    softmax_rows(X).T.take(inv, axis=1, out=g, mode="clip")
+    # anchor: arbitration between the row's top two, trained toward or
+    # away from the true digit by the closed-form update; its terms
+    # follow the block's
+    span = slice(p * m, p * m + m)
+    at = cells[span]
+    b.live_anchor.take(ids, out=at, mode="clip")
+    top, second = _top_two(X)
+    vu = x[b.live_anchor[uniq]]
+    choice = np.where((vu - top) ** 2 <= (vu - second) ** 2, top, second)[inv]
+    td = b.t[a : a + m]
+    d = x[at] - td
+    ga = b.w2tau[a : a + m] * d * (_sigmoid_vec(d * d / b.tau) - (choice == td))
+    np.divide(ga, n, out=terms[span])
+    # each row's softmax less its one-hot target, weighted: the gradient
+    # of the weighted cross entropy
+    g.ravel()[b.onehot[a : a + m]] -= 1.0
+    g *= b.w[a : a + m]
+    g /= n
+    i = p * m + m
     return np.bincount(cells[:i], terms[:i], minlength=x.size)
 
 

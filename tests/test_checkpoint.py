@@ -30,7 +30,6 @@ from hipan.checkpoint import (
 )
 from hipan.model import (
     HiPaNModel,
-    RootHead,
     TwoLogitCEHead,
     model_arrays,
     model_from_state,
@@ -136,7 +135,7 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
 
     monkeypatch.setattr("hipan.checkpoint.os.fsync", fail)
     changed = _model()
-    changed.root.scores += 1.0
+    changed.heads[0].table += 1.0
     with pytest.raises(OSError, match="disk went away"):
         save_checkpoint(str(path), changed, created_unix_ms=2)
     assert path.read_bytes() == before
@@ -148,8 +147,8 @@ def test_trained_floats_survive_round_trip(tmp_path, toy_dataset):
     model = new_model(ModelConfig(toy_dataset.codec), seed=5)
     train(model, toy_dataset, GistConfig(seed=5), plan, checkpoint_dir=str(tmp_path))
     back = load_model(load_checkpoint(str(tmp_path / "ckpt-final.json")))
-    assert np.array_equal(back.root.scores, model.root.scores)
-    assert np.array_equal(back.deep[0].table, model.deep[0].table)
+    assert np.array_equal(back.heads[0].table, model.heads[0].table)
+    assert np.array_equal(back.heads[1].table, model.heads[1].table)
     assert model_state(back) == model_state(model)
 
 
@@ -225,17 +224,19 @@ def test_pack_array_forms():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_save_refuses_non_finite_latents(tmp_path, bad):
     model = _model()
-    model.deep[0].table[1, 2] = bad
+    model.heads[1].table[1, 2] = bad
     path = tmp_path / "ckpt.json"
-    with pytest.raises(ValueError, match="table deep0.table"):
+    with pytest.raises(ValueError, match="table head1.table"):
         save_checkpoint(str(path), model)
     assert not path.exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_save_refuses_non_finite_moments(bad):
-    state = OptimState(t=1, m={"root": np.zeros(3)}, u={"root": np.array([0.0, bad, 0.0])})
-    with pytest.raises(ValueError, match="table u.root"):
+    state = OptimState(
+        t=1, m={"head0.anchor": np.zeros(3)}, u={"head0.anchor": np.array([0.0, bad, 0.0])}
+    )
+    with pytest.raises(ValueError, match="table u.head0.anchor"):
         optim_state_dict("adam", state)
 
 
@@ -246,17 +247,17 @@ def _float64_text(values):
 
 
 def _poisoned_state(form, bad):
-    """A model state whose deep0.table holds bad, in the stored values or
+    """A model state whose head1.table holds bad, in the stored values or
     in the row indices."""
     model = new_model(ModelConfig(CodecParams(3, 3)), seed=0)
     state = model_state(model)
-    table = model.deep[0].table.copy()
+    table = model.heads[1].table.copy()
     table[1, 2] = bad
     if form == "v3 values":
         packed = {"rows": pack_array("t", np.array([1])), "values": _float64_text(table[1])}
     else:
         packed = {"rows": _float64_text([bad]), "values": _float64_text(table[1])}
-    state["tables"]["deep0.table"] = packed
+    state["tables"]["head1.table"] = packed
     return state
 
 
@@ -265,11 +266,11 @@ def _poisoned_state(form, bad):
 def test_load_refuses_non_finite_latents(form, bad):
     # through JSON text, as a file holds it
     state = json.loads(json.dumps(_poisoned_state(form, bad)))
-    with pytest.raises(ValueError, match="table deep0.table holds a non-finite value"):
+    with pytest.raises(ValueError, match="table head1.table holds a non-finite value"):
         model_from_state(state)
     # the same state with 1.0 in place of the bad value loads
     fine = json.loads(json.dumps(_poisoned_state(form, 1.0)))
-    assert model_from_state(fine).deep[0].table[1, 2] == 1.0
+    assert model_from_state(fine).heads[1].table[1, 2] == 1.0
 
 
 def test_lattice_checkpoint_is_compact(tmp_path):
@@ -279,39 +280,41 @@ def test_lattice_checkpoint_is_compact(tmp_path):
     save_checkpoint(str(path), model)
     doc = load_checkpoint(str(path))
     assert doc["format"] == FORMAT
-    assert doc["model"]["init"] == "uniform-v2"
+    assert doc["model"]["init"] == "uniform-v3"
     empty = {"rows": "int16:", "values": "int16:"}
     assert doc["model"]["tables"].keys() == model_arrays(model).keys()
     assert all(v == empty for v in doc["model"]["tables"].values())
-    assert path.stat().st_size < 600
-    model.deep[1].table[7, 3] += 1
+    # the header, and about 50 bytes per empty table
+    bound = 300 + 50 * len(model_arrays(model))
+    assert path.stat().st_size < bound
+    model.heads[2].table[7, 3] += 1
     save_checkpoint(str(path), model)
     tables = load_checkpoint(str(path))["model"]["tables"]
-    assert tables.pop("deep1.table") == {
+    assert tables.pop("head2.table") == {
         "rows": pack_array("t", np.array([7])),
-        "values": pack_array("t", model.deep[1].table[7]),
+        "values": pack_array("t", model.heads[2].table[7]),
     }
     assert all(v == empty for v in tables.values())
     # two bytes per stored value, a third more for base64, plus the header
-    assert path.stat().st_size < 600 + 3 * 31
+    assert path.stat().st_size < bound + 3 * 31
 
 
 def test_hand_built_model_round_trips_every_bit():
-    # arrays that new_model never drew: all-zero root, a -0.0 table and a
-    # non-integer anchor, beside the init's own anchor and table
+    # arrays that new_model never drew: an all-zero table, a -0.0 table
+    # and a non-integer anchor, beside the init's own anchors and table
     config = ModelConfig(CodecParams(5, 3))
     fresh = new_model(config, seed=4)
     built = HiPaNModel(
         config,
-        RootHead(np.zeros(5)),
         [
-            TwoLogitCEHead(np.full((5, 5), -0.0), fresh.deep[0].anchor.copy()),
-            TwoLogitCEHead(fresh.deep[1].table.copy(), np.linspace(-1.5, 70000.25, 5)),
+            TwoLogitCEHead(np.zeros((5, 5)), fresh.heads[0].anchor.copy()),
+            TwoLogitCEHead(np.full((5, 5), -0.0), fresh.heads[1].anchor.copy()),
+            TwoLogitCEHead(fresh.heads[2].table.copy(), np.linspace(-1.5, 70000.25, 5)),
         ],
         init_seed=4,
     )
     state = json.loads(canonical_json(model_state(built)))
-    for name in ("deep0.anchor", "deep1.table"):
+    for name in ("head0.anchor", "head1.anchor", "head2.table"):
         assert state["tables"][name] == {"rows": "int16:", "values": "int16:"}
     back = model_from_state(state)
     for (name, a), b in zip(model_arrays(built).items(), model_arrays(back).values()):

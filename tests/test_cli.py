@@ -580,7 +580,7 @@ def test_malformed_dataset_exit_2_without_traceback(capsys, tmp_path, toy_files,
 
 def test_eval_loss_is_the_logged_loss(capsys, tmp_path):
     # K=3 with repeated (digit 1, digit 2) pairs, so the rarity weights
-    # of the deep head differ from 1
+    # of the depth-2 head differ from 1
     tree = gen_synthetic("random", 3, 3, seed=2)
     tree_path = tmp_path / "tree.tsv"
     tree_path.write_text(dump_tree(tree))
@@ -625,9 +625,9 @@ def test_resume_after_numeric_poison_exit_3(capsys, tmp_path, toy_files):
     # finite rows whose spread overflows the cross entropy: a target at
     # -1e308 lies 2e308 below the row's log-sum-exp
     p = doc["model"]["p"]
-    doc["model"]["tables"]["deep0.table"] = {
-        "rows": pack_array("deep0.table", np.arange(p)),
-        "values": pack_array("deep0.table", np.tile([1e308, -1e308, 0.0], (p, 1))),
+    doc["model"]["tables"]["head1.table"] = {
+        "rows": pack_array("head1.table", np.arange(p)),
+        "values": pack_array("head1.table", np.tile([1e308, -1e308, 0.0], (p, 1))),
     }
     with open(victim, "w") as fh:
         fh.write(json.dumps(doc))
@@ -812,7 +812,7 @@ def test_corrupt_table_exit_2_naming_it(capsys, tmp_path, toy_files, corrupt):
     tree_path, ds_path = toy_files
     _, ckdir = _train_toy(capsys, tmp_path, toy_files)
     doc = load_checkpoint(os.path.join(ckdir, "ckpt-final.json"))
-    table = doc["model"]["tables"]["deep0.table"]
+    table = doc["model"]["tables"]["head1.table"]
     # training moved both rows that the toy's digit 0 selects
     assert table["rows"] == pack_array("rows", np.arange(2))
     table["values"] = corrupt(table["values"])
@@ -822,15 +822,15 @@ def test_corrupt_table_exit_2_naming_it(capsys, tmp_path, toy_files, corrupt):
         capsys, ["eval", "--dataset", ds_path, "--tree", tree_path, "--checkpoint", str(bad)]
     )
     assert rc == 2
-    assert err.startswith("error: table deep0.table")
+    assert err.startswith("error: table head1.table")
     assert "Traceback" not in err
 
 
-def _deep_rows(rows, n_values):
-    """A format v3 deep0.table storing rows (any floats) and n_values zeros."""
+def _head_rows(rows, n_values):
+    """A format v3 head1.table storing rows (any floats) and n_values zeros."""
     return {
-        "rows": pack_array("deep0.table", np.array(rows, dtype=float)),
-        "values": pack_array("deep0.table", np.zeros(n_values)),
+        "rows": pack_array("head1.table", np.array(rows, dtype=float)),
+        "values": pack_array("head1.table", np.zeros(n_values)),
     }
 
 
@@ -838,27 +838,27 @@ def _deep_rows(rows, n_values):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("deep0.table", _deep_rows([3], 3), "table deep0.table names row 3, not one of its 3 rows"),
-        ("deep0.table", _deep_rows([-1], 3), "table deep0.table names row -1,"),
-        ("deep0.table", _deep_rows([0.5], 3), "table deep0.table names row 0.5,"),
+        ("head1.table", _head_rows([3], 3), "table head1.table names row 3, not one of its 3 rows"),
+        ("head1.table", _head_rows([-1], 3), "table head1.table names row -1,"),
+        ("head1.table", _head_rows([0.5], 3), "table head1.table names row 0.5,"),
         (
-            "deep0.table", _deep_rows([1, 1], 6),
-            "table deep0.table row indices do not strictly ascend",
+            "head1.table", _head_rows([1, 1], 6),
+            "table head1.table row indices do not strictly ascend",
         ),
         (
-            "deep0.table", _deep_rows([2, 0], 6),
-            "table deep0.table row indices do not strictly ascend",
+            "head1.table", _head_rows([2, 0], 6),
+            "table head1.table row indices do not strictly ascend",
         ),
-        ("deep0.table", _deep_rows([0, 2], 5), "table deep0.table has 5 values, wanted (2, 3)"),
-        ("deep0.table", _deep_rows([0, 2], 9), "table deep0.table has 9 values, wanted (2, 3)"),
+        ("head1.table", _head_rows([0, 2], 5), "table head1.table has 5 values, wanted (2, 3)"),
+        ("head1.table", _head_rows([0, 2], 9), "table head1.table has 9 values, wanted (2, 3)"),
         (
-            "deep0.table", {"rows": "int16:", "values": "float64:!"},
-            "table deep0.table is not valid base64",
+            "head1.table", {"rows": "int16:", "values": "float64:!"},
+            "table head1.table is not valid base64",
         ),
-        ("deep0.table", {"rows": "int16:"}, "table deep0.table is not a rows/values pair"),
+        ("head1.table", {"rows": "int16:"}, "table head1.table is not a rows/values pair"),
         (
-            "deep0.table", "int16:AAAAAAAAAAAAAAAAAAAA",
-            "table deep0.table is not a rows/values pair",
+            "head1.table", "int16:AAAAAAAAAAAAAAAAAAAA",
+            "table head1.table is not a rows/values pair",
         ),
         ("init", "gaussian-v1", "unknown init scheme 'gaussian-v1'"),
         ("init", None, "unknown init scheme None"),
@@ -892,8 +892,8 @@ def test_non_finite_latent_exit_2_naming_it(capsys, tmp_path, toy_files, command
     _, ckdir = _train_toy(capsys, tmp_path, toy_files)
     doc = load_checkpoint(os.path.join(ckdir, "ckpt-final.json"))
     row = np.array([0.0, bad, 1.0], dtype="<f8")
-    doc["model"]["tables"]["deep0.table"] = {
-        "rows": pack_array("deep0.table", np.array([1])),
+    doc["model"]["tables"]["head1.table"] = {
+        "rows": pack_array("head1.table", np.array([1])),
         "values": "float64:" + base64.b64encode(row.tobytes()).decode("ascii"),
     }
     poisoned = tmp_path / "poisoned.json"
@@ -910,7 +910,7 @@ def test_non_finite_latent_exit_2_naming_it(capsys, tmp_path, toy_files, command
     }[command]
     rc, stdout, err = run(capsys, argv)
     assert rc == 2
-    assert err.startswith("error: table deep0.table holds a non-finite value")
+    assert err.startswith("error: table head1.table holds a non-finite value")
     assert stdout == ""
     assert not out.exists()
     assert not (tmp_path / "resume.jsonl").exists()
@@ -955,9 +955,9 @@ def _refused(capsys, tmp_path, toy_files, command, doc):
 def _retired_form(doc, form):
     """A copy of a format v3 checkpoint document labelled as a file of an
     earlier head layout: format v1 or v2, or format v3 stored against
-    init "uniform-v1"."""
+    init "uniform-v1" or "uniform-v2"."""
     old = json.loads(json.dumps(doc))
-    if form == "uniform-v1":
+    if form.startswith("uniform-"):
         old["model"]["init"] = form
     else:
         old["format"] = f"hipan-checkpoint-{form}"
@@ -971,7 +971,8 @@ def _retired_form(doc, form):
     [
         ("v1", "unknown checkpoint format 'hipan-checkpoint-v1'"),
         ("v2", "unknown checkpoint format 'hipan-checkpoint-v2'"),
-        ("uniform-v1", "unknown init scheme 'uniform-v1'; this version reads 'uniform-v2'"),
+        ("uniform-v1", "unknown init scheme 'uniform-v1'; this version reads 'uniform-v3'"),
+        ("uniform-v2", "unknown init scheme 'uniform-v2'; this version reads 'uniform-v3'"),
     ],
 )
 @pytest.mark.parametrize("command", ["eval", "resume"])
@@ -989,7 +990,7 @@ def test_resume_refuses_a_moment_array_the_model_lacks(
     # a well-formed moment array under a name the model has no array for
     doc = json.loads(json.dumps(adam_checkpoint))
     optim = doc["optim"]
-    optim[part]["bogus"] = optim[part]["root"]
+    optim[part]["bogus"] = optim[part]["head0.anchor"]
     if with_shape:
         optim["shapes"]["bogus"] = [3]
     err = _refused(capsys, tmp_path, toy_files, "resume", doc)
@@ -1020,6 +1021,11 @@ def _set(doc, path, value):
         ),
         (("model", "tau"), [1], "malformed checkpoint model: 'tau' must be int or float, got [1]"),
         (("model", "tables"), ["int16:"], "malformed checkpoint model: 'tables' must be dict"),
+        (("model", "tables"), {}, "malformed checkpoint model: 'head0.table' is missing"),
+        (
+            ("model", "tables", "bogus"), {"rows": "int16:", "values": "int16:"},
+            "malformed checkpoint model: table 'bogus' names no model array",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["eval", "diagnose", "resume"])
@@ -1043,8 +1049,8 @@ def test_malformed_model_state_exit_2_naming_the_field(
         (("optim", "shapes"), [], "malformed checkpoint optim: 'shapes' must be dict, got []"),
         *(
             (
-                ("optim", "shapes", "root"), bad,
-                f"malformed checkpoint optim: shapes 'root' must be [3], got {bad!r}",
+                ("optim", "shapes", "head0.anchor"), bad,
+                f"malformed checkpoint optim: shapes 'head0.anchor' must be [3], got {bad!r}",
             )
             for bad in ("3", [3.0], [2])
         ),

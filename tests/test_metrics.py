@@ -143,9 +143,7 @@ def _decisive_zero_model(codec):
     """Always answers digit 0, with scores far beyond the accept margin and
     every anchor at 0."""
     m = new_model(ModelConfig(codec), seed=0)
-    m.root.scores = np.zeros(codec.p)
-    m.root.scores[0] = 9.0
-    for head in m.deep:
+    for head in m.heads:
         head.table = np.zeros((codec.p, codec.p))
         head.table[:, 0] = 9.0
         head.anchor[:] = 0.0

@@ -22,11 +22,12 @@ from hipan import (
 from hipan.model import (
     _anchored_choice_rows,
     _effective_depth,
-    _head_table,
+    model_arrays,
     model_from_state,
     model_state,
     softmax_rows,
 )
+from hipan.rng import child_rng
 from conftest import irregular_tree
 
 
@@ -38,9 +39,7 @@ def _constant_model(p=3, K=2, top=0):
     """Decisive model that always answers `top`: scores 5 at `top`, 0
     elsewhere, and every anchor at `top`."""
     m = new_model(_config(p, K), seed=0)
-    m.root.scores = np.zeros(p)
-    m.root.scores[top] = 5.0
-    for head in m.deep:
+    for head in m.heads:
         head.table = np.zeros((p, p))
         head.table[:, top] = 5.0
         head.anchor[:] = top
@@ -61,12 +60,11 @@ def test_config_validation():
 
 def test_new_model_shapes_and_integer_init():
     m = new_model(_config(5, 6, K_heads=4), seed=3)
-    assert m.root.scores.shape == (5,)
-    assert len(m.deep) == 3
-    for head in m.deep:
+    assert len(m.heads) == 4
+    for head in m.heads:
         assert head.table.shape == (5, 5)
         assert head.anchor.shape == (5,)
-    for arr in (m.root.scores, m.deep[0].table, m.deep[2].table, m.deep[2].anchor):
+    for arr in (m.heads[0].table, m.heads[0].anchor, m.heads[1].table, m.heads[3].anchor):
         assert arr.dtype == np.float64
         assert np.all(arr == np.floor(arr))
         assert arr.min() >= 0 and arr.max() <= 4
@@ -76,65 +74,91 @@ def test_new_model_seed_determinism():
     a = new_model(_config(5, 4), seed=9)
     b = new_model(_config(5, 4), seed=9)
     c = new_model(_config(5, 4), seed=10)
-    assert np.array_equal(a.root.scores, b.root.scores)
-    assert np.array_equal(a.deep[0].table, b.deep[0].table)
+    assert np.array_equal(a.heads[0].table, b.heads[0].table)
+    assert np.array_equal(a.heads[1].table, b.heads[1].table)
     assert model_state(a) == model_state(b)
     assert model_state(a) != model_state(c)
 
 
 def test_k_heads_one_has_only_root():
     m = new_model(_config(3, 4, K_heads=1))
-    assert m.deep == []
+    assert len(m.heads) == 1
 
 
 def test_parameter_count():
     assert parameter_count(_config(3, 3)) == 36
-    assert parameter_count(_config(2, 1)) == 2
-    assert parameter_count(_config(3, 4, K_heads=1)) == 3
+    assert parameter_count(_config(2, 1)) == 6
+    assert parameter_count(_config(3, 4, K_heads=1)) == 12
     assert parameter_count(_config(409, 18)) == 3_018_420
+
+
+@pytest.mark.parametrize(
+    "p, K, K_heads", [(2, 1, 1), (3, 4, 1), (3, 4, 2), (5, 3, 3), (7, 6, 4), (11, 2, None)]
+)
+def test_parameter_count_is_the_layout(p, K, K_heads):
+    config = _config(p, K, K_heads)
+    arrays = model_arrays(new_model(config))
+    assert parameter_count(config) == sum(a.size for a in arrays.values())
+
+
+@pytest.mark.parametrize("K_heads", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_init_keeps_uniform_v2_draws_of_every_deeper_head(K_heads, seed):
+    # uniform-v2 drew the root scores, then each deeper head's table and
+    # anchors, from one stream; v3 gives the root draw to head 0's row 0
+    # and draws head 0's other rows and its anchors last
+    p = 5
+    m = new_model(_config(p, 4, K_heads), seed=seed)
+    rng = child_rng(seed, "init")
+    assert np.array_equal(m.heads[0].table[0], rng.integers(0, p, size=p))
+    for head in m.heads[1:]:
+        assert np.array_equal(head.table, rng.integers(0, p, size=(p, p)))
+        assert np.array_equal(head.anchor, rng.integers(0, p, size=p))
+    assert np.array_equal(m.heads[0].table[1:], rng.integers(0, p, size=(p - 1, p)))
+    assert np.array_equal(m.heads[0].anchor, rng.integers(0, p, size=p))
 
 
 def test_weight_tying_past_last_head():
     m = new_model(_config(3, 6, K_heads=2), seed=1)
-    # depths >= K_heads reuse the last head's table
-    for k in (1, 2, 3, 5):
-        assert _head_table(m, _effective_depth(m, k)) is m.deep[0].table
+    # depths >= K_heads reuse the last head
+    assert [_effective_depth(m, k) for k in range(6)] == [0, 1, 1, 1, 1, 1]
     deep = new_model(_config(3, 6, K_heads=3), seed=1)
-    for k in (2, 3, 5):
-        assert _head_table(deep, _effective_depth(deep, k)) is deep.deep[1].table
+    assert [_effective_depth(deep, k) for k in range(6)] == [0, 1, 2, 2, 2, 2]
+    one = new_model(_config(3, 6, K_heads=1), seed=1)
+    assert [_effective_depth(one, k) for k in range(6)] == [0] * 6
 
 
 def test_anchored_two_logit_choice():
     # anchor arbitrates between the top two columns of the row
     m = new_model(_config(5, 3), seed=0)
-    m.root.scores[:] = 0.0
-    m.deep[0].table[0] = 0.0
-    m.deep[1].table[1] = np.array([0.0, 1.0, 3.0, 0.0, 4.0])
+    m.heads[0].table[0] = 0.0
+    m.heads[1].table[0] = 0.0
+    m.heads[2].table[1] = np.array([0.0, 1.0, 3.0, 0.0, 4.0])
     # digits 0 and 1 are accepted; digit 2 scores 0, beyond the margin of
     # row 1's maximum, so the digit-2 head answers with its rule
     x = np.array([[0, 1, 0]])
-    m.deep[1].anchor[1] = 3.9
+    m.heads[2].anchor[1] = 3.9
     assert reconstruct_matrix(m, x)[0, 2] == 4  # (3.9-4)^2 < (3.9-2)^2
-    m.deep[1].anchor[1] = 2.5
+    m.heads[2].anchor[1] = 2.5
     assert reconstruct_matrix(m, x)[0, 2] == 2  # (2.5-2)^2 < (2.5-4)^2
 
 
 def test_reconstruct_accepts_within_margin():
     m = _constant_model()
     # own digit 1 scores exactly max - margin: accepted
-    m.deep[0].table[0] = np.array([5.0, 5.0 - RECONSTRUCT_MARGIN, 0.0])
+    m.heads[1].table[0] = np.array([5.0, 5.0 - RECONSTRUCT_MARGIN, 0.0])
     pred = reconstruct_matrix(m, np.array([[0, 1]]))
     assert pred[0].tolist() == [0, 1]
     # a hair below the margin: falls back to the anchor's choice, the top
-    m.deep[0].table[0, 1] -= 1e-9
+    m.heads[1].table[0, 1] -= 1e-9
     pred = reconstruct_matrix(m, np.array([[0, 1]]))
     assert pred[0].tolist() == [0, 0]
 
 
 def test_reconstruct_matrix_free_runs_on_predictions():
     m = _constant_model()
-    # root rejects digit 1, so row selection at depth 1 must use digit 0
-    m.deep[0].table[1] = np.array([0.0, 0.0, 5.0])
+    # head 0 rejects digit 1, so row selection at depth 1 must use digit 0
+    m.heads[1].table[1] = np.array([0.0, 0.0, 5.0])
     pred = reconstruct_matrix(m, np.array([[1, 0]]))
     assert pred[0].tolist() == [0, 0]
     assert reconstruction_confidence(m, pred).shape == (1, 2)
@@ -149,17 +173,11 @@ def _reconstruct_reference(model, D):
     ar = np.arange(n)
     for k in range(model.K):
         ke = _effective_depth(model, k)
-        prev = pred[:, k - 1] if k > 0 else None
-        if ke == 0:
-            rows = np.broadcast_to(model.root.scores, (n, model.p))
-        else:
-            rows = model.deep[ke - 1].table[prev]
+        prev = pred[:, k - 1] if k > 0 else np.zeros(n, dtype=np.int64)
+        rows = model.heads[ke].table[prev]
         t = D[:, k]
         accept = rows[ar, t] >= rows.max(axis=1) - RECONSTRUCT_MARGIN
-        if ke == 0:
-            fallback = rows.argmax(axis=1)
-        else:
-            fallback = _anchored_choice_rows(model, ke, prev, rows)
+        fallback = _anchored_choice_rows(model, ke, prev, rows)
         chosen = np.where(accept, t, fallback)
         pred[:, k] = chosen
         conf[:, k] = softmax_rows(rows)[ar, chosen]
@@ -180,8 +198,7 @@ def _model_and_digits(draw):
     else:
         def fill(shape):
             return rng.normal(0.0, 3.0, size=shape)
-    model.root.scores = fill(p)
-    for head in model.deep:
+    for head in model.heads:
         head.table = fill((p, p))
         head.anchor = fill(p)
     n = draw(st.integers(0, 30))
@@ -211,14 +228,13 @@ def test_reconstruct_matrix_matches_reference_on_tied_heads(k_heads, seed):
     # K=5: one head serves every depth (K_heads=1), the depth-1 head
     # serves depths 1-4 (K_heads=2), or each depth has its own head; the
     # rows are drawn in random order and repeat, so they neither ascend
-    # nor stay distinct, and small integer scores (root and depth-1 head)
-    # put many own digits exactly at the accept margin
+    # nor stay distinct, and small integer scores (heads 0 and 1) put
+    # many own digits exactly at the accept margin
     p, K, n = 7, 5, 400
     rng = np.random.default_rng(seed)
     model = new_model(_config(p, K, k_heads), seed=seed)
-    model.root.scores = rng.integers(0, 4, size=p).astype(np.float64)
-    for i, head in enumerate(model.deep):
-        if i == 0:
+    for i, head in enumerate(model.heads):
+        if i < 2:
             head.table = rng.integers(0, 4, size=(p, p)).astype(np.float64)
         else:
             head.table = rng.normal(0.0, 2.0, size=(p, p))
@@ -264,8 +280,8 @@ def test_confidence_is_softmax_of_row():
     m = _constant_model()
     pred = reconstruct_matrix(m, np.array([[0, 0]]))
     conf = reconstruction_confidence(m, pred)
-    row0 = softmax_rows(m.root.scores[None, :])[0]
-    row1 = softmax_rows(m.deep[0].table[:1])[0]
+    row0 = softmax_rows(m.heads[0].table[:1])[0]
+    row1 = softmax_rows(m.heads[1].table[:1])[0]
     assert conf[0, 0] == pytest.approx(float(row0[pred[0, 0]]))
     assert conf[0, 1] == pytest.approx(float(row1[pred[0, 1]]))
 
@@ -356,12 +372,11 @@ def test_describe_ball_padded(padded_tree):
 
 def test_model_state_round_trip():
     m = new_model(_config(3, 4, K_heads=3), seed=2)
-    m.deep[0].anchor[1] = 0.1234567890123456789
+    m.heads[1].anchor[1] = 0.1234567890123456789
     state = model_state(m)
     m2 = model_from_state(state)
-    assert np.array_equal(m.root.scores, m2.root.scores)
-    assert np.array_equal(m.deep[0].table, m2.deep[0].table)
-    assert np.array_equal(m.deep[0].anchor, m2.deep[0].anchor)
+    for a, b in zip(model_arrays(m).values(), model_arrays(m2).values()):
+        assert np.array_equal(a, b)
     assert m2.config.codec == m.config.codec
     assert m2.config.K_heads == m.config.K_heads
     assert m2.init_seed == 2
@@ -373,6 +388,6 @@ def test_model_state_errors():
     bad = dict(state, format="other")
     with pytest.raises(ValueError, match="format"):
         model_from_state(bad)
-    broken = dict(state, tables=dict(state["tables"], root=[1.0]))
-    with pytest.raises(ValueError, match="root"):
+    broken = dict(state, tables=dict(state["tables"], **{"head0.table": [1.0]}))
+    with pytest.raises(ValueError, match="head0.table"):
         model_from_state(broken)

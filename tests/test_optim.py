@@ -319,17 +319,11 @@ def _digit_losses_reference(model, k, prev, t, w):
     """Per-pair oracle of _digit_losses: every pair gathers its whole
     parent row, and the row's log-sum-exp and top two columns are taken
     over the (pairs, p) gather."""
-    ke = min(k, model.config.K_heads - 1)
-    n = t.size
-    ar = np.arange(n)
-    if ke == 0:
-        s = model.root.scores
-        return np.full(n, optim._lse_rows(s[None, :])[0]) - s[t]
-    head = model.deep[ke - 1]
+    head = model.heads[min(k, model.config.K_heads - 1)]
     rows = head.table[prev]
     top, second = _top_two(rows)
-    ce = optim._lse_rows(rows) - rows[ar, t]
-    return optim._deep_terms(model.config.tau, ce, top, second, head.anchor[prev], t, w)
+    ce = optim._lse_rows(rows) - rows[np.arange(t.size), t]
+    return optim._pair_terms(model.config.tau, ce, top, second, head.anchor[prev], t, w)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -373,15 +367,15 @@ def test_digit_losses_match_the_per_pair_gather_bit_for_bit(seed, source, intege
 
 def _reference_row_loss(model, counts, digits, ke, row):
     """Loss of the pairs whose parent digit selects row `row` of head ke
-    (every pair for the root) at the given digits: the per-pair gather
-    oracle weighted by the pairs' counts, as dataset_loss adds them."""
+    at the given digits: the per-pair gather oracle weighted by the
+    pairs' counts, as dataset_loss adds them."""
     last = model.config.K_heads - 1
     total = 0.0
     for k in digits:
         if min(k, last) != ke:
             continue
         pairs = counts[k]
-        sel = pairs.parent == row if ke else np.ones(pairs.count.size, dtype=bool)
+        sel = pairs.parent == row
         if not sel.any():
             continue
         w = huffman_weights(pairs.count)[sel]
@@ -398,12 +392,10 @@ def _reference_sweep(model, counts, digits):
     p = model.p
     heads = {min(k, model.config.K_heads - 1) for k in digits}
     coords = []
-    if 0 in heads:
-        coords += [(0, model.root.scores, (j,), 0) for j in range(p)]
-    for i, head in enumerate(model.deep):
-        if 1 + i in heads:
-            coords += [(1 + i, head.table, (r, j), r) for r in range(p) for j in range(p)]
-            coords += [(1 + i, head.anchor, (r,), r) for r in range(p)]
+    for ke, head in enumerate(model.heads):
+        if ke in heads:
+            coords += [(ke, head.table, (r, j), r) for r in range(p) for j in range(p)]
+            coords += [(ke, head.anchor, (r,), r) for r in range(p)]
     accepted = 0
     for ke, arr, index, row in coords:
         cur = float(arr[index])
@@ -469,20 +461,19 @@ def test_gist_sweep_matches_per_coordinate_reference(case):
 @settings(max_examples=100, deadline=None, database=None)
 @given(_sweep_cases())
 def test_row_losses_are_the_reference_row_losses_bit_for_bit(case):
-    # every +-1 candidate of every live root and deep row in one pass
+    # every +-1 candidate of every live row in one pass
     ds, model, digits = case
     counts = ds.pair_counts()
     p = model.p
     for ke in {min(k, model.config.K_heads - 1) for k in digits}:
         served = tuple(k for k in digits if min(k, model.config.K_heads - 1) == ke)
         for r, parts in _live_rows(model, ke, counts, served):
-            x = model.root.scores if ke == 0 else model.deep[ke - 1].table[r]
-            v = 0.0 if ke == 0 else model.deep[ke - 1].anchor[r]
+            x, v = model.heads[ke].table[r], model.heads[ke].anchor[r]
             X = np.repeat(x[None, :], 2 * p + 1, axis=0)
             X[np.arange(1, 2 * p + 1), np.tile(np.arange(p), 2)] = np.concatenate(
                 [(x + 1.0) % p, (x - 1.0) % p]
             )
-            got = _row_losses(model, ke, X, v, parts)
+            got = _row_losses(model, X, v, parts)
             incumbent = x.copy()
             want = []
             for cand in X:
@@ -538,7 +529,7 @@ def test_gist_sweep_pass_width_stays_within_the_row():
     ds = encode_tree(loads_tree("\n".join(lines) + "\n"))
     assert (ds.codec.p, ds.codec.K) == (101, 3)
     model = new_model(ModelConfig(ds.codec), seed=0)
-    model.deep[1].table[:] = 0.0
+    model.heads[2].table[:] = 0.0
     reference = model_from_state(model_state(model))
     counts = ds.pair_counts()
     for _ in range(2):
@@ -669,13 +660,13 @@ def test_dataset_loss_teacher_forcing_isolation():
     model = new_model(ModelConfig(ds.codec), seed=1)
     counts = ds.pair_counts()
     per_digit = [dataset_loss(model, counts, [k]) for k in range(3)]
-    model.root.scores[0] += 3.0
+    model.heads[0].table[0, 0] += 3.0
     assert dataset_loss(model, counts, [1]) == per_digit[1]
     assert dataset_loss(model, counts, [2]) == per_digit[2]
-    model.deep[0].table -= 1.0
+    model.heads[1].table -= 1.0
     assert dataset_loss(model, counts, [2]) == per_digit[2]
-    model.deep[1].table += 2.0
-    assert dataset_loss(model, counts, [0]) != per_digit[0]  # root did change above
+    model.heads[2].table += 2.0
+    assert dataset_loss(model, counts, [0]) != per_digit[0]  # head 0 did change above
 
 
 def _reference_dataset_loss(model, ds, digits):
@@ -693,19 +684,14 @@ def _reference_dataset_loss(model, ds, digits):
     total = 0.0
     for row in rows:
         for k in digits:
-            ke = min(k, model.config.K_heads - 1)
-            t = row[k]
-            if ke == 0:
-                s = model.root.scores.tolist()
-                total += lse(s) - s[t]
-            else:
-                head = model.deep[ke - 1]
-                scores = head.table[row[k - 1]].tolist()
-                competitor = max((j for j in range(p) if j != t), key=lambda j: scores[j])
-                w = 1.0 / math.sqrt(pair_count[k, row[k - 1], t])
-                ce = lse(scores) - scores[t]
-                v = float(head.anchor[row[k - 1]])
-                total += w * ce + two_logit_loss(v, t, competitor, tau, weight=w)
+            head = model.heads[min(k, model.config.K_heads - 1)]
+            prev, t = row[k - 1] if k else 0, row[k]
+            scores = head.table[prev].tolist()
+            competitor = max((j for j in range(p) if j != t), key=lambda j: scores[j])
+            w = 1.0 / math.sqrt(pair_count[k, prev, t])
+            ce = lse(scores) - scores[t]
+            v = float(head.anchor[prev])
+            total += w * ce + two_logit_loss(v, t, competitor, tau, weight=w)
     return total / len(rows)
 
 
@@ -719,7 +705,7 @@ def test_dataset_loss_matches_per_record_reference(seed, real_valued):
         model = new_model(ModelConfig(ds.codec, k_heads), seed=seed)
         if real_valued:
             rng = np.random.default_rng(seed)
-            for arr in (model.root.scores, *(a for h in model.deep for a in (h.table, h.anchor))):
+            for arr in model_arrays(model).values():
                 arr += rng.normal(0.0, 1.5, size=arr.shape)
         digits = range(K)
         got = dataset_loss(model, ds, digits)
@@ -761,8 +747,8 @@ def test_train_gist_fits_toy():
     assert result.history[-1]["leaf_acc"] == 1.0
     assert result.evals > 0
     # lattice moves keep every latent integral
-    assert np.all(model.root.scores == np.floor(model.root.scores))
-    assert np.all(model.deep[0].table == np.floor(model.deep[0].table))
+    for arr in model_arrays(model).values():
+        assert np.all(arr == np.floor(arr))
 
 
 def test_train_adam_fits_toy():
@@ -786,11 +772,31 @@ def test_trained_head_one_rejects_every_unobserved_digit(optimizer):
     live = np.unique(pairs.parent)
     observed = np.zeros((model.p, model.p), dtype=bool)
     observed[pairs.parent, pairs.child] = True
-    rows = model.deep[0].table[live]
+    rows = model.heads[1].table[live]
     floor = rows.max(axis=1, keepdims=True) - RECONSTRUCT_MARGIN
     unobserved = ~observed[live]
     assert unobserved.sum() == 6
     assert (rows < floor)[unobserved].all(), rows
+
+
+@pytest.mark.parametrize("optimizer", [GistConfig(), AdamConfig()], ids=["gist", "adam"])
+@pytest.mark.parametrize("k_heads", [None, 3])
+def test_heads_below_head_zero_train_independently_of_it(optimizer, k_heads):
+    # a digit's loss and gradient read only its own head, so two models
+    # that differ only in head 0 end with the same heads below it
+    tree = gen_synthetic("complete", 3, 5)
+    ds = encode_tree(tree)
+    config = ModelConfig(ds.codec, k_heads)
+    a, b = new_model(config, seed=0), new_model(config, seed=0)
+    rng = np.random.default_rng(1)
+    for arr in (b.heads[0].table, b.heads[0].anchor):
+        arr[...] = rng.integers(0, ds.codec.p, size=arr.shape)
+    assert not np.array_equal(a.heads[0].table, b.heads[0].table)
+    for model in (a, b):
+        train(model, ds, optimizer, default_plan(ds.codec.K), tree=tree)
+    for name, arr in model_arrays(a).items():
+        if not name.startswith("head0."):
+            assert np.array_equal(arr.view(np.int64), model_arrays(b)[name].view(np.int64)), name
 
 
 def test_train_empty_dataset_rejected():
@@ -809,11 +815,11 @@ def test_train_adam_rejects_batch_size_below_one(batch_size):
 
 def test_train_numeric_abort_names_head():
     tree, ds, model = _toy_setup()
-    model.root.scores[0] = np.nan
+    model.heads[0].table[0, 1] = np.nan
     with pytest.raises(NumericAbort) as err, np.errstate(invalid="ignore"):
         train(model, ds, AdamConfig(), tree=tree)
-    assert err.value.head == "root"
-    assert "root" in str(err.value)
+    assert (err.value.head, err.value.index) == ("head0.table", (0, 1))
+    assert "head0.table" in str(err.value)
 
 
 def test_train_numeric_abort_names_untrained_head():
@@ -822,11 +828,11 @@ def test_train_numeric_abort_names_untrained_head():
     tree = irregular_tree(0, 40, 4, 5)
     ds = encode_tree(tree)
     model = new_model(ModelConfig(ds.codec), seed=0)
-    model.deep[1].anchor[2] = np.inf
+    model.heads[2].anchor[2] = np.inf
     plan = TrainPlan((TrainPhase("shallow", 2, 0.03, (0, 1)),), checkpoint_interval=0)
     with pytest.raises(NumericAbort) as err:
         train(model, ds, AdamConfig(), plan, tree=tree)
-    assert (err.value.head, err.value.index) == ("deep1.anchor", (2,))
+    assert (err.value.head, err.value.index) == ("head2.anchor", (2,))
 
 
 def test_optim_state_dict_round_trip_gist():
@@ -843,15 +849,15 @@ def test_optim_state_dict_round_trip_gist():
 def test_optim_state_dict_round_trip_adam():
     cfg = AdamConfig()
     state = OptimState()
-    # the toy model (p = 3) holds a 3 x 3 table deep0.table
-    _adam_once(np.zeros((3, 3)), np.ones((3, 3)), state, cfg, name="deep0.table")
+    # the toy model (p = 3) holds a 3 x 3 table head0.table
+    _adam_once(np.zeros((3, 3)), np.ones((3, 3)), state, cfg, name="head0.table")
     doc = optim_state_dict("adam", state)
     _, ds, model = _toy_setup()
     back = restore_optim_state(doc, model)
     assert back.t == 1
-    assert back.m["deep0.table"].shape == (3, 3)
-    assert np.array_equal(back.m["deep0.table"], state.m["deep0.table"])
-    assert np.array_equal(back.u["deep0.table"], state.u["deep0.table"])
+    assert back.m["head0.table"].shape == (3, 3)
+    assert np.array_equal(back.m["head0.table"], state.m["head0.table"])
+    assert np.array_equal(back.u["head0.table"], state.u["head0.table"])
 
 
 def _fingerprint(path):
@@ -1004,15 +1010,11 @@ def test_record_tables_weigh_each_record_by_its_pair_rarity(k_heads):
     model = new_model(ModelConfig(ds.codec, k_heads), seed=0)
     W, ids, live = _record_tables(model, D, ds.pair_counts())
     assert np.array_equal(W, _rarity_weights(D))
-    # each digit served by a head below the root selects the live row of
-    # its parent digit; the root's digits select none
-    heads = [_effective_depth(model, k) for k in range(ds.codec.K)]
-    for k, ke in enumerate(heads):
-        if ke == 0:
-            assert (ids[:, k] == -1).all()
-        else:
-            assert (live[0, ids[:, k]] == ke).all()
-            assert np.array_equal(live[1, ids[:, k]], D[:, k - 1])
+    # each digit selects the live row of its head that its previous
+    # digit names, row 0 for digit 0
+    for k in range(ds.codec.K):
+        assert (live[0, ids[:, k]] == _effective_depth(model, k)).all()
+        assert np.array_equal(live[1, ids[:, k]], D[:, k - 1] if k else np.zeros(len(D)))
 
 
 def _reference_grads(model, D, W, k, idx, grads):
@@ -1021,26 +1023,20 @@ def _reference_grads(model, D, W, k, idx, grads):
     t = D[idx, k]
     n = idx.size
     ar = np.arange(n)
-    p = model.p
-    if ke == 0:
-        sm = softmax_rows(model.root.scores[None, :])[0]
-        grads["root"] += sm - np.bincount(t, minlength=p) / n
-        return
-    prev = D[idx, k - 1]
-    i = ke - 1
-    head = model.deep[i]
+    prev = D[idx, k - 1] if k else np.zeros(n, dtype=np.int64)
+    head = model.heads[ke]
     rows = head.table[prev]
     sm = softmax_rows(rows)
     one_hot = np.zeros_like(rows)
     one_hot[ar, t] = 1.0
     w = W[idx, k]
-    np.add.at(grads[f"deep{i}.table"], prev, w[:, None] * (sm - one_hot) / n)
+    np.add.at(grads[f"head{ke}.table"], prev, w[:, None] * (sm - one_hot) / n)
     v = head.anchor[prev]
     correct = (_anchored_choice_rows(model, ke, prev, rows) == t).astype(np.float64)
     tau = model.config.tau
     d = v - t
     ga = w * 2.0 * tau * d * (1.0 / (1.0 + np.exp(-(d * d / tau))) - correct)
-    np.add.at(grads[f"deep{i}.anchor"], prev, ga / n)
+    np.add.at(grads[f"head{ke}.anchor"], prev, ga / n)
 
 
 def _reference_update(arr, g, m, u, cfg, lr, t):
@@ -1109,7 +1105,7 @@ def _reference_adam_train(model, ds, cfg, plan, batch_size, seed, tree, checkpoi
 _ORACLE_CASES = [
     (0, 70, 5, 6, None, 16, False, None, 0),  # one head per digit
     (1, 60, 4, 6, 3, 7, False, None, 0),  # the last head serves digits >= 2
-    (2, 60, 4, 6, 1, 9, True, None, 0),  # the root serves every digit
+    (2, 60, 4, 6, 1, 9, True, None, 0),  # head 0 serves every digit
     (3, 60, 4, 6, 2, 64, False, None, 0),  # the depth-1 head serves digits >= 1
     (4, 80, 6, 5, None, 13, False, (0, 3), 0),  # trained arrays not adjacent
     (5, 90, 5, 6, 4, 11, True, (4, 1, 0), 0),  # digits out of order
@@ -1175,13 +1171,13 @@ def test_adam_trainer_matches_per_array_reference(tmp_path, case):
 
 def _anchor_records(model, D, W, digits, ke):
     """(row, target, rarity weight, arbitration correct) of every record
-    that a digit of digits reads through the anchors of deep head ke, the
+    that a digit of digits reads through the anchors of head ke, the
     arbitration read from the model as it stands."""
     parts = []
     for k in digits:
         if _effective_depth(model, k) == ke:
-            prev, t = D[:, k - 1], D[:, k]
-            choice = _anchored_choice_rows(model, ke, prev, model.deep[ke - 1].table[prev])
+            prev, t = D[:, k - 1] if k else np.zeros(len(D), dtype=np.int64), D[:, k]
+            choice = _anchored_choice_rows(model, ke, prev, model.heads[ke].table[prev])
             parts.append((prev, t, W[:, k], choice == t))
     return [np.concatenate(a) for a in zip(*parts)]
 
@@ -1189,8 +1185,8 @@ def _anchor_records(model, D, W, digits, ke):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("k_heads", [None, 3, 2, 1])
 def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
-    # with one batch holding every record, the step gradient of the root
-    # and table entries is the gradient of dataset_loss.  An anchor's
+    # with one batch holding every record, the step gradient of the table
+    # entries is the gradient of dataset_loss.  An anchor's
     # update is not the gradient of the logged loss (the module docstring's
     # defect (b)): it is the gradient of sum w anchor_loss(v, t, tau,
     # correct) / n over the records that read the anchor, with each
@@ -1215,9 +1211,9 @@ def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
         h = 1e-6
         for name, arr in served.items():
             if name.endswith(".anchor"):
-                ke = int(name[len("deep") : name.index(".")]) + 1
+                ke = int(name[len("head") : name.index(".")])
                 rows, t, w, correct = _anchor_records(model, D, W, digits, ke)
-                top, second = _top_two(model.deep[ke - 1].table)
+                top, second = _top_two(model.heads[ke].table)
                 for r in np.unique(rows):
                     v = arr[r]
                     # away from switch points: the arbitration compares
@@ -1238,10 +1234,9 @@ def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
                     )
                 assert not np.any(np.delete(flat.view(grad, name), rows))
                 continue
-            if name.startswith("deep"):
-                # away from ties: a step of h must not reorder a row's top three
-                top3 = -np.sort(-arr, axis=1)[:, :3]
-                assert np.all(np.diff(-top3, axis=1) > 1e3 * h)
+            # away from ties: a step of h must not reorder a row's top three
+            top3 = -np.sort(-arr, axis=1)[:, :3]
+            assert np.all(np.diff(-top3, axis=1) > 1e3 * h)
             for at in np.ndindex(arr.shape):
                 x0 = arr[at]
                 arr[at] = x0 + h
@@ -1275,8 +1270,9 @@ def test_adam_epoch_layout_is_linear_in_digits_times_records():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # a step's scratch holds p table cells and one anchor cell per record
         scratch = b.cells.nbytes + b.terms.nbytes
-        assert scratch < 2 * 8 * (K * size * p + p)
+        assert scratch <= 2 * 8 * K * size * (p + 1)
         assert peak <= 16 * 8 * K * N + scratch, (N, peak, scratch)
 
 
