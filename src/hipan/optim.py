@@ -467,10 +467,10 @@ _RowParts = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _live_rows(
-    model: HiPaNModel, ke: int, counts: Sequence[DigitPairs], served: tuple[int, ...]
+    model: HiPaNModel, counts: Sequence[DigitPairs], served: tuple[int, ...]
 ) -> Iterator[tuple[int, _RowParts]]:
-    """(row, parts) for every row of head ke that some pair of the served
-    digits reaches, in row order."""
+    """(row, parts) for every row of the head serving the served digits
+    that some pair of theirs reaches, in row order."""
     cuts = []
     for k in served:
         pairs = counts[k]
@@ -525,7 +525,7 @@ def _gist_sweep(
         if not served:
             continue
         head = model.heads[ke]
-        for r, parts in _live_rows(model, ke, counts, served):
+        for r, parts in _live_rows(model, counts, served):
             row, v = head.table[r], head.anchor[r : r + 1]
             accepted += _lattice_sweep(
                 row, p, lambda c, y: _row_losses(model, _candidate_rows(row, c, y), v[0], parts)

@@ -467,7 +467,7 @@ def test_row_losses_are_the_reference_row_losses_bit_for_bit(case):
     p = model.p
     for ke in {min(k, model.config.K_heads - 1) for k in digits}:
         served = tuple(k for k in digits if min(k, model.config.K_heads - 1) == ke)
-        for r, parts in _live_rows(model, ke, counts, served):
+        for r, parts in _live_rows(model, counts, served):
             x, v = model.heads[ke].table[r], model.heads[ke].anchor[r]
             X = np.repeat(x[None, :], 2 * p + 1, axis=0)
             X[np.arange(1, 2 * p + 1), np.tile(np.arange(p), 2)] = np.concatenate(
