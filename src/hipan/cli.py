@@ -135,6 +135,9 @@ def resolve_config(config_path: str | None, flag_values: dict) -> RunConfig:
         raise ValueError(f"optimizer must be gist or adam, got {cfg.optimizer!r}")
     if cfg.plan not in ("default", "uniform"):
         raise ValueError(f"plan must be default or uniform, got {cfg.plan!r}")
+    for name in ("tau", "lr", "warmup_lr"):
+        if not np.isfinite(getattr(cfg, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(cfg, name)}")
     return cfg
 
 

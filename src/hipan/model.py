@@ -62,7 +62,8 @@ class ModelConfig:
             digits reuse the last head (weight tying).  With K_heads = 1
             one head serves every digit, each through the row of the
             digit before it.
-        tau: sharpness of the two-logit quadratic comparison, > 0.
+        tau: sharpness of the two-logit quadratic comparison, finite and
+            > 0.
     """
 
     codec: CodecParams
@@ -76,8 +77,8 @@ class ModelConfig:
             raise ValueError(
                 f"K_heads={self.K_heads} outside [1, K={self.codec.K}]"
             )
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
 
 
 @dataclass

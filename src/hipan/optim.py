@@ -38,19 +38,20 @@ rather than on top of one.
 An Adam step is one pass over every digit the phase trains.  At an
 epoch's start the arrays of the heads serving the phase's digits are laid
 end to end in one flat buffer, with their first and second moments in two
-more, and the epoch's per-record data is laid out step by step: the
-targets, selected rows, one-hot cells and rarity weights of a step's
-records sit in contiguous slices, in O(digits x N) memory.  A step finds
-the distinct rows it touches by
-marking their ids among the run's live rows (those some pair reaches),
-scores each once (softmax, top two columns, anchor arbitration) and
-expands the results to its records; it adds every gradient term into one
-flat gradient with one bincount and applies the bias-corrected moment
-update of Kingma and Ba once, over the flat buffers.  For U distinct
-rows and M records a step costs O(U p + M p).  Each gradient entry sums
-its terms digit by digit, then record by record, the order of one
-np.add.at per digit and array, so the run is bit for bit that of updating
-each array on its own.  The epoch writes the buffer back into the heads'
+more.  A step's records reach its gradient only through its cells, the
+(head row, child digit) pairs they select and target, each weighted by
+its records' rarity weights summed: the epoch is laid out once, by one
+sort of a (step, pair) key per record and digit, as each step's distinct
+rows and cells with their weights, in O(digits x N) memory (_Batches).
+A step scores each of its U rows once (softmax, top two columns, anchor
+arbitration) and each of its C cells once, so it costs O(U p + C) with
+no term in its records; it assigns each row's gradient into one flat
+gradient and applies the bias-corrected moment update of Kingma and Ba
+once, over the flat buffers.  _accumulate_grads defines the arithmetic.
+Weighing a cell by counts regroups the per-record sums, so a step's
+gradient is the per-record gradient within rounding; runs are
+deterministic, and a run resumed from any checkpoint ends bit for bit on
+the uninterrupted run.  The epoch writes the buffer back into the heads'
 arrays.
 """
 
@@ -59,7 +60,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -195,8 +196,10 @@ class AdamConfig:
             b = getattr(self, name)
             if not (0.0 < b < 1.0):
                 raise ValueError(f"{name} must be in (0, 1), got {b}")
-        if self.lr <= 0 or self.eps <= 0 or self.warmup_lr <= 0:
-            raise ValueError("lr, eps and warmup_lr must be positive")
+        for name in ("lr", "eps", "warmup_lr"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -373,15 +376,6 @@ def _lse_rows(rows: np.ndarray) -> np.ndarray:
     return m + np.log(s, out=s)
 
 
-def _softplus_vec(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
-def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
-    # callers pass x >= 0 only, so exp(-x) cannot overflow
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _served_digits(model: HiPaNModel, ke: int, phase_digits: tuple[int, ...]) -> tuple[int, ...]:
     """Digits of the phase that head depth ke is responsible for."""
     last = model.config.K_heads - 1
@@ -393,11 +387,8 @@ def _served_digits(model: HiPaNModel, ke: int, phase_digits: tuple[int, ...]) ->
 def _served_arrays(model: HiPaNModel, phase_digits: tuple[int, ...]) -> dict[str, np.ndarray]:
     """The arrays of model_arrays whose head serves some digit of the phase."""
     heads = {_effective_depth(model, k) for k in phase_digits}
-    return {name: arr for name, arr in model_arrays(model).items() if _head_of_array(name) in heads}
-
-
-def _head_of_array(name: str) -> int:
-    return int(name.split(".")[0][len("head"):])
+    return {name: arr for name, arr in model_arrays(model).items()
+            if int(name.split(".")[0][len("head"):]) in heads}
 
 
 def _digit_losses(
@@ -437,7 +428,7 @@ def _pair_terms(
     best column other than t (from the row's top two columns)."""
     c = np.where(top == t, second, top)
     z = tau * ((v - c) ** 2 - (v - t) ** 2)
-    return w * (ce + _softplus_vec(-z))
+    return w * (ce + np.logaddexp(0.0, -z))
 
 
 def dataset_loss(
@@ -592,99 +583,109 @@ class _Flat:
             arr[...] = self.view(self.x, name)
 
 
-def _record_tables(
-    model: HiPaNModel, D: np.ndarray, counts: Sequence[DigitPairs]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, ids, live): a run's per-record tables for the Adam layout.
+class _PairTable(NamedTuple):
+    """A run's pairs for the Adam layout.  A pair is one digit's distinct
+    (previous digit, digit) pair; pairs are numbered in (live row, child,
+    digit) order, so the pairs of one row, and of one (row, child) cell,
+    are adjacent.  pair[i, k] is the pair of record i's digit k (digit -1
+    read as 0).  Pair j selects live row row[j], targets child[j] and has
+    the rarity weight weight[j].  The live rows are the head rows that
+    some pair of a digit the head serves reaches, in (head, row) order;
+    live row r is row live[1, r] of the head at depth live[0, r]."""
 
-    W[i, k] is the rarity weight of record i's (digit k-1, digit k) pair,
-    digit -1 read as 0, which scales the terms of its digit k.  The live
-    rows are the head rows that some pair of a digit the head serves
-    reaches, numbered head by head in row order; live row j is row
-    live[1, j] of the head at depth live[0, j], and ids[i, k] is the live
-    row that record i's digit k selects."""
-    p = model.p
-    prev = np.zeros_like(D)
-    prev[:, 1:] = D[:, :-1]
-    heads = [_effective_depth(model, k) for k in range(model.K)]
-    W = np.empty(D.shape)
-    reached = np.zeros((model.config.K_heads, p), dtype=bool)
+    pair: np.ndarray
+    row: np.ndarray
+    child: np.ndarray
+    weight: np.ndarray
+    live: np.ndarray
+
+
+def _record_tables(model: HiPaNModel, D: np.ndarray, counts: Sequence[DigitPairs]) -> _PairTable:
+    """The run's _PairTable, from the records D and their pair counts."""
+    p, K = model.p, model.K
+    prev = np.pad(D[:, :-1], ((0, 0), (1, 0)))
+    heads = np.array([_effective_depth(model, k) for k in range(K)])
+    live, row = np.unique(heads * p + prev, return_inverse=True)
+    key, pair = np.unique((row.reshape(D.shape) * p + D) * K + np.arange(K), return_inverse=True)
+    cell_key, digit = np.divmod(key, K)
+    # a digit's pairs, in pair order, are in DigitPairs order
+    weight = np.empty(key.size)
     for k, pairs in enumerate(counts):
-        pos = np.searchsorted(pairs.parent * p + pairs.child, prev[:, k] * p + D[:, k])
-        W[:, k] = huffman_weights(pairs.count)[pos]
-        reached[heads[k], pairs.parent] = True
-    number = np.full(reached.shape, -1, dtype=np.int64)
-    number[reached] = np.arange(np.count_nonzero(reached))
-    live = np.array(np.nonzero(reached), dtype=np.int64).reshape(2, -1)
-    return W, number[heads, prev], live
+        weight[digit == k] = huffman_weights(pairs.count)
+    row, child = np.divmod(cell_key, p)
+    return _PairTable(pair.reshape(D.shape), row, child, weight, np.array(np.divmod(live, p)))
+
+
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first entry of each run of equal entries of key, run of each entry)."""
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return np.flatnonzero(new), np.cumsum(new) - 1
 
 
 class _Batches:
-    """One epoch's records of every phase digit in shuffled order, laid
-    out step by step in O(digits x N) memory: step s reads columns
-    [s size, (s + 1) size) of each digit's permutation (perms, in phase
-    order), and each per-record array holds a step's records in one
-    contiguous slice, digit by digit in phase order, then record by
-    record.
+    """One epoch's records of every phase digit in shuffled order, as the
+    distinct rows and cells of each step, in O(digits x N) memory.
 
-    Each record gives its target t, the flat index of its selected row's
-    first cell (row), the index of its target cell in the step's
-    (p, records) gradient block (onehot), its rarity weight w and the id
-    of its row among the run's live rows (live), both from the run's
-    _record_tables, and w times 2 tau (w2tau).  live_row and live_anchor
-    give each live row's index in x viewed as rows of p (every trained
-    array holds a multiple of p entries) and its anchor's flat index.
-    cols is np.arange(p) as a column; cells, terms, mark and slot are one
-    step's scratch.  Indices point into a _Flat's x."""
+    Step s holds positions [s size, (s + 1) size) of each digit's
+    permutation (perms, in phase order).  A cell of the step is a (live
+    row, child) that some of its records select and target, at any digit:
+    digits whose heads are tied share a cell.  A cell's weight sums, over
+    its pairs in digit order, the pair's records in the step times its
+    rarity weight; a row's weight sums its cells' weights in child order;
+    both sums run left to right from 0.0.  A step's rows are the distinct
+    rows of its cells, in live-row order, and its cells are in (row,
+    child) order.
 
-    def __init__(
-        self,
-        model: HiPaNModel,
-        flat: _Flat,
-        D: np.ndarray,
-        tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-        perms: dict[int, np.ndarray],
-        size: int,
-    ):
-        W, ids, (live_heads, live_rows) = tables
-        p, (n, K) = model.p, D.shape
+    Step s's rows are [row_bounds[s], row_bounds[s + 1]): row_x gives
+    each one's index in x viewed as rows of p (every trained array holds
+    a multiple of p entries), row_anchor its anchor's flat index and row_w
+    its weight.  Step s's cells are [cell_bounds[s], cell_bounds[s + 1]):
+    cell_slot is the index of the cell's row among the step's rows,
+    cell_child its child, cell_at its entry in the step's (rows, p)
+    block, cell_w its weight and cell_w2tau its weight times 2, times
+    tau.  Indices point into a _Flat's x."""
+
+    def __init__(self, model: HiPaNModel, flat: _Flat, D: np.ndarray, tables: _PairTable,
+                 perms: dict[int, np.ndarray], size: int):
+        p, n = model.p, D.shape[0]
         self.p, self.n, self.size, self.tau = p, n, size, model.config.tau
-        self.n_digits = g = len(perms)
-        steps = self.steps
-        tail = n - (steps - 1) * size
-        cut = n - tail
-
-        # each position's flat index into the (N, K) tables
-        at = np.empty(g * n, dtype=np.int64)
-        body = at[: g * cut].reshape(steps - 1, g, size)
-        last = at[g * cut :].reshape(g, tail)
+        n_pairs = tables.child.size
+        # one key per record and phase digit: its step, then its pair
+        keys = np.empty(len(perms) * n, dtype=np.int64)
+        step_key = np.arange(n) // size * n_pairs
         for j, (k, perm) in enumerate(perms.items()):
-            for out, part in ((body[:, j], perm[:cut].reshape(-1, size)), (last[j], perm[cut:])):
-                np.multiply(part, K, out=out)
-                out += k
-        self.t = np.take(D, at)
-        self.onehot = self.t * (g * size)
-        self.onehot[: g * cut].reshape(steps - 1, g * size)[...] += np.arange(g * size)
-        self.onehot[g * cut :] = self.t[g * cut :] * (g * tail) + np.arange(g * tail)
-        self.live = np.take(ids, at)
-        self.w = np.take(W, at)
-        self.w2tau = self.w * 2.0
-        self.w2tau *= self.tau
-
-        def start(part: str) -> np.ndarray:
-            heads_at = range(model.config.K_heads)
-            return np.array([flat.start.get(f"head{ke}.{part}", 0) for ke in heads_at])[live_heads]
-
-        live_start = start("table") + live_rows * p
-        self.row = live_start[self.live]
-        self.live_row = live_start // p
-        self.live_anchor = start("anchor") + live_rows
-        self.cols = np.arange(p)[:, None]
-        m = g * min(size, n)
-        self.cells = np.empty(m * p + m, dtype=np.int64)
-        self.terms = np.empty(self.cells.size)
-        self.mark = np.zeros(live_rows.size, dtype=bool)
-        self.slot = np.empty(live_rows.size, dtype=np.int64)
+            np.add(tables.pair[perm, k], step_key, out=keys[j * n : (j + 1) * n])
+        keys.sort()
+        first = _runs(keys)[0]
+        count = np.diff(first, append=keys.size)
+        step, pair = np.divmod(keys[first], n_pairs)
+        del keys, first
+        # a step's cells, and each cell's pairs, are adjacent in key order
+        n_live = tables.live.shape[1]
+        row = step * n_live + tables.row[pair]
+        first, cell = _runs(row * p + tables.child[pair])
+        self.cell_w = np.bincount(cell, count * tables.weight[pair])
+        del cell, count
+        pair, step, row = pair[first], step[first], row[first]
+        first, slot = _runs(row)
+        self.row_w = np.bincount(slot, self.cell_w)
+        steps = np.arange(self.steps + 1)
+        row_bounds = np.searchsorted(step[first], steps)
+        self.row_bounds = row_bounds.tolist()
+        self.cell_bounds = np.searchsorted(step, steps).tolist()
+        slot -= row_bounds[step]
+        heads, rows = tables.live[:, row[first] % n_live]
+        self.cell_child = tables.child[pair]
+        del step, row, first, pair
+        at = np.array([[flat.start.get(f"head{ke}.{part}", 0) for part in ("table", "anchor")]
+                       for ke in range(model.config.K_heads)])[heads]
+        self.row_x = at[:, 0] // p + rows
+        self.row_anchor = at[:, 1] + rows
+        self.cell_slot = slot
+        self.cell_at = slot * p + self.cell_child
+        self.cell_w2tau = self.cell_w * 2.0 * self.tau
 
     @property
     def steps(self) -> int:
@@ -696,51 +697,41 @@ def _accumulate_grads(x: np.ndarray, b: _Batches, s: int) -> np.ndarray:
     flat over the parameters x.
 
     Table entries are the analytic gradients of the objective; an
-    anchor's is the closed-form update of the module docstring.  Each
-    distinct row the step touches is scored once (softmax, top two
-    columns, anchor arbitration) and expanded to its records, so the step
-    costs O(U p + M p) for U distinct rows and M records.  Every term
-    goes into one bincount.  The gradient block runs column by column,
-    and a cell's terms keep their relative order, digit by digit, then
-    record by record: each entry sums its terms in the order that one
-    np.add.at per digit and array would."""
-    p, size = b.p, b.size
-    n = min(size, b.n - s * size)
-    cells, terms = b.cells, b.terms
-    m = b.n_digits * n
-    a = b.n_digits * size * s
-    np.add(b.cols, b.row[a : a + m], out=cells[: p * m].reshape(p, m))
-    g = terms[: p * m].reshape(p, m)
-    # each distinct row once; every index is in range, and mode "clip"
-    # spares take a buffered out
-    ids = b.live[a : a + m]
-    b.mark[ids] = True
-    uniq = b.mark.nonzero()[0]
-    b.mark[uniq] = False
-    b.slot[uniq] = np.arange(uniq.size)
-    inv = b.slot[ids]
-    X = x.reshape(-1, p).take(b.live_row[uniq], axis=0)
-    softmax_rows(X).T.take(inv, axis=1, out=g, mode="clip")
+    anchor's is the closed-form update of the module docstring.  The
+    step's n records per digit enter only through its rows and cells
+    (_Batches), each scored once.  A row's table gradient is
+    softmax_rows of the row, times the row weight, less each cell's
+    weight at the cell's child, then divided by n.  Its anchor gradient
+    sums, in cell order from 0.0, each cell's (weight 2 tau) (v - t)
+    (sigma((v - t)^2 / tau) - I), multiplied left to right, with t the
+    cell's child and I = 1 when the row's arbitration picks t; the sum
+    is then divided by n.  A step costs O(U p + C) for U rows and C
+    cells, and its rows are distinct, so each is assigned into the zero
+    gradient once."""
+    p = b.p
+    n = min(b.size, b.n - s * b.size)
+    rows = slice(b.row_bounds[s], b.row_bounds[s + 1])
+    cells = slice(b.cell_bounds[s], b.cell_bounds[s + 1])
+    at = b.row_x[rows]
+    X = x.reshape(-1, p).take(at, axis=0)
+    G = softmax_rows(X)
+    G *= b.row_w[rows, None]
+    G.ravel()[b.cell_at[cells]] -= b.cell_w[cells]
+    G /= n
     # anchor: arbitration between the row's top two, trained toward or
-    # away from the true digit by the closed-form update; its terms
-    # follow the block's
-    span = slice(p * m, p * m + m)
-    at = cells[span]
-    b.live_anchor.take(ids, out=at, mode="clip")
+    # away from each cell's child by the closed-form update
+    anchors = b.row_anchor[rows]
+    v = x[anchors]
     top, second = _top_two(X)
-    vu = x[b.live_anchor[uniq]]
-    choice = np.where((vu - top) ** 2 <= (vu - second) ** 2, top, second)[inv]
-    td = b.t[a : a + m]
-    d = x[at] - td
-    ga = b.w2tau[a : a + m] * d * (_sigmoid_vec(d * d / b.tau) - (choice == td))
-    np.divide(ga, n, out=terms[span])
-    # each row's softmax less its one-hot target, weighted: the gradient
-    # of the weighted cross entropy
-    g.ravel()[b.onehot[a : a + m]] -= 1.0
-    g *= b.w[a : a + m]
-    g /= n
-    i = p * m + m
-    return np.bincount(cells[:i], terms[:i], minlength=x.size)
+    choice = np.where((v - top) ** 2 <= (v - second) ** 2, top, second)
+    slot, t = b.cell_slot[cells], b.cell_child[cells]
+    d = v[slot] - t
+    # d^2 / tau >= 0, so exp(-d^2 / tau) cannot overflow
+    terms = b.cell_w2tau[cells] * d * (1.0 / (1.0 + np.exp(-(d * d / b.tau))) - (choice[slot] == t))
+    grad = np.zeros(x.size)
+    grad.reshape(-1, p)[at] = G
+    grad[anchors] = np.bincount(slot, terms, minlength=at.size) / n
+    return grad
 
 
 def _effective_lr(cfg: AdamConfig, base_lr: float, t: int) -> float:

@@ -466,6 +466,52 @@ def test_adam_batch_size_below_one_exit_2(capsys, tmp_path, toy_files, batch_siz
     assert err.startswith("error: batch_size must be >= 1")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--tau", "nan"),
+        ("--optimizer", "adam", "--tau", "nan"),
+        ("--optimizer", "adam", "--lr", "nan"),
+        ("--optimizer", "adam", "--warmup-lr", "nan"),
+        ("--optimizer", "adam", "--lr", "inf"),
+        ("--lr", "nan"),
+    ],
+)
+def test_non_finite_hyperparameter_exit_2_naming_it(capsys, tmp_path, toy_files, flags):
+    _, ds_path = toy_files
+    log = tmp_path / "l.jsonl"
+    rc, out, err = run(capsys, ["train", "--dataset", ds_path, *flags, "--log", str(log)])
+    assert rc == 2, err
+    assert err.startswith(f"error: {flags[-2][2:].replace('-', '_')} must be finite"), err
+    # refused before the first epoch: nothing logged, no numpy warning
+    assert out == "" and not log.exists() and "Warning" not in err
+
+
+def test_non_finite_rate_in_config_file_exit_2(capsys, tmp_path, toy_files):
+    _, ds_path = toy_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lr=nan\n")
+    argv = ["--config", str(cfg), "train", "--dataset", ds_path, "--optimizer", "adam"]
+    rc, out, err = run(capsys, [*argv, "--log", str(tmp_path / "l.jsonl")])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: lr must be finite"), err
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -1.0])
+def test_eval_checkpoint_with_bad_tau_exit_2(capsys, tmp_path, toy_files, tau):
+    # json writes NaN and Infinity, which json reads back; eval must not
+    # print them as its loss
+    _, ds_path = toy_files
+    summary, _ = _train_toy(capsys, tmp_path, toy_files)
+    doc = json.loads(open(summary["checkpoints"][-1]).read())
+    doc["model"]["tau"] = tau
+    bad = tmp_path / "bad-tau.json"
+    bad.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["eval", "--dataset", ds_path, "--checkpoint", str(bad)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: tau must be finite and > 0"), err
+
+
 def test_usage_errors_exit_1(capsys, toy_files):
     _, ds_path = toy_files
     rc, _, err = run(capsys, [])

@@ -56,6 +56,9 @@ def test_config_validation():
         _config(3, 4, K_heads=5)
     with pytest.raises(ValueError):
         _config(3, 4, tau=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            _config(3, 4, tau=bad)
 
 
 def test_new_model_shapes_and_integer_init():

@@ -618,6 +618,10 @@ def test_config_validation():
         AdamConfig(warmup_lr=-0.1)
     with pytest.raises(ValueError):
         AdamConfig(eps=0.0)
+    for name in ("lr", "eps", "warmup_lr"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+                AdamConfig(**{name: bad})
 
 
 def test_default_plan_shape():
@@ -984,10 +988,12 @@ def test_train_checkpoint_schedule(tmp_path):
 
 
 # --- reference Adam trainer ---------------------------------------------------
-# The trainer as it was before its step was stacked: per step, a fresh
-# zero gradient per trained array, one np.add.at per digit and array, and
-# one moment update per array.  The stacked trainer must follow it bit for
-# bit.
+# The trainer as a plain per-array loop: per step, a fresh zero gradient
+# per trained array, each row set from the step's cells one at a time in
+# the arithmetic _accumulate_grads defines, and one moment update per
+# array.  The flat, cell-wise trainer must follow it bit for bit; the
+# per-record gradient (_reference_grads) checks the cell-wise one within
+# rounding.
 
 
 def _rarity_weights(D):
@@ -1007,14 +1013,28 @@ def _rarity_weights(D):
 def test_record_tables_weigh_each_record_by_its_pair_rarity(k_heads):
     ds = encode_tree(irregular_tree(3, 60, 4, 6))
     D = ds.digits_matrix()
+    p, K = ds.codec.p, ds.codec.K
     model = new_model(ModelConfig(ds.codec, k_heads), seed=0)
-    W, ids, live = _record_tables(model, D, ds.pair_counts())
-    assert np.array_equal(W, _rarity_weights(D))
+    counts = ds.pair_counts()
+    tables = _record_tables(model, D, counts)
+    pair, live = tables.pair, tables.live
+    assert np.array_equal(tables.weight[pair], _rarity_weights(D))
     # each digit selects the live row of its head that its previous
-    # digit names, row 0 for digit 0
-    for k in range(ds.codec.K):
-        assert (live[0, ids[:, k]] == _effective_depth(model, k)).all()
-        assert np.array_equal(live[1, ids[:, k]], D[:, k - 1] if k else np.zeros(len(D)))
+    # digit names, row 0 for digit 0, and targets its own digit
+    for k in range(K):
+        rows = tables.row[pair[:, k]]
+        assert (live[0, rows] == _effective_depth(model, k)).all()
+        assert np.array_equal(live[1, rows], D[:, k - 1] if k else np.zeros(len(D)))
+        assert np.array_equal(tables.child[pair[:, k]], D[:, k])
+    # one pair per digit's distinct pair, each of one digit, numbered in
+    # (live row, child, digit) order
+    assert tables.child.size == sum(c.child.size for c in counts)
+    digit = np.full(tables.child.size, -1)
+    for k in range(K):
+        ids = np.unique(pair[:, k])
+        assert (digit[ids] == -1).all() and ids.size == counts[k].child.size
+        digit[ids] = k
+    assert (np.diff((tables.row * p + tables.child) * K + digit) > 0).all()
 
 
 def _reference_grads(model, D, W, k, idx, grads):
@@ -1037,6 +1057,45 @@ def _reference_grads(model, D, W, k, idx, grads):
     d = v - t
     ga = w * 2.0 * tau * d * (1.0 / (1.0 + np.exp(-(d * d / tau))) - correct)
     np.add.at(grads[f"head{ke}.anchor"], prev, ga / n)
+
+
+def _reference_cell_grads(model, D, W, step, grads):
+    """Set the mean gradient of one step's records in grads, one cell at a
+    time; step maps each phase digit to its records.
+
+    A cell is a (head, row, child) that some record of some digit selects
+    and targets.  Its weight sums each of its digits' records times their
+    rarity weight, in digit order; a row's weight sums its cells' weights
+    in child order."""
+    tau = model.config.tau
+    cells = {}  # (head, row, child) -> {digit: [records, rarity weight]}
+    for k, idx in step.items():
+        for i in idx.tolist():
+            key = (_effective_depth(model, k), int(D[i, k - 1]) if k else 0, int(D[i, k]))
+            cells.setdefault(key, {}).setdefault(k, [0, W[i, k]])[0] += 1
+    rows = {}
+    for (ke, r, t), pairs in sorted(cells.items()):
+        w = 0.0
+        for k in sorted(pairs):
+            records, weight = pairs[k]
+            w += records * weight
+        rows.setdefault((ke, r), []).append((t, w))
+    n = len(next(iter(step.values())))
+    for (ke, r), row_cells in rows.items():
+        head = model.heads[ke]
+        table = head.table[r : r + 1]
+        choice = _anchored_choice_rows(model, ke, np.array([r]), table)[0]
+        row_w = 0.0
+        for _, w in row_cells:
+            row_w += w
+        g = softmax_rows(table)[0] * row_w
+        ga = 0.0
+        for t, w in row_cells:
+            g[t] -= w
+            d = head.anchor[r] - t
+            ga += w * 2.0 * tau * d * (1.0 / (1.0 + np.exp(-(d * d / tau))) - float(choice == t))
+        grads[f"head{ke}.table"][r] = g / n
+        grads[f"head{ke}.anchor"][r] = ga / n
 
 
 def _reference_update(arr, g, m, u, cfg, lr, t):
@@ -1076,9 +1135,8 @@ def _reference_adam_train(model, ds, cfg, plan, batch_size, seed, tree, checkpoi
                     name: np.zeros_like(arr)
                     for name, arr in _served_arrays(model, phase.digits).items()
                 }
-                for k in phase.digits:
-                    idx = perms[k][s * batch_size : (s + 1) * batch_size]
-                    _reference_grads(model, D, W, k, idx, grads)
+                step = {k: perms[k][s * batch_size : (s + 1) * batch_size] for k in phase.digits}
+                _reference_cell_grads(model, D, W, step, grads)
                 state.t += 1
                 lr = _effective_lr(cfg, phase.lr, state.t)
                 for name, g in grads.items():
@@ -1169,6 +1227,41 @@ def test_adam_trainer_matches_per_array_reference(tmp_path, case):
         assert _fingerprint(str(out / "ckpt-final.json")) == final, name
 
 
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_adam_step_gradient_is_the_per_record_gradient(case, perturbed):
+    # every step of one epoch of each phase: the cell-wise gradient is the
+    # per-record one, which sums each record's terms, within rounding
+    seed, size, branching, depth, k_heads, batch_size, _, digits, wide = case
+    tree = irregular_tree(seed, size, branching, depth)
+    if wide:
+        tree = _with_wide_node(tree, wide)
+    ds = encode_tree(tree)
+    K = ds.codec.K
+    model = new_model(ModelConfig(ds.codec, k_heads), seed=seed)
+    rng = np.random.default_rng(seed)
+    if perturbed:
+        for arr in model_arrays(model).values():
+            arr += rng.normal(0.0, 1.5, size=arr.shape)
+    D = ds.digits_matrix()
+    n = D.shape[0]
+    W = _rarity_weights(D)
+    tables = _record_tables(model, D, ds.pair_counts())
+    phases = uniform_plan(K).phases if digits is None else (TrainPhase("a", 1, 0.03, digits),)
+    for phase_digits in [ph.digits for ph in phases] + [tuple(range(K))]:
+        served = _served_arrays(model, phase_digits)
+        flat = _Flat(served)
+        perms = {k: rng.permutation(n) for k in phase_digits}
+        b = _Batches(model, flat, D, tables, perms, batch_size)
+        for s in range(b.steps):
+            got = _accumulate_grads(flat.x, b, s)
+            grads = {name: np.zeros_like(arr) for name, arr in served.items()}
+            for k in phase_digits:
+                _reference_grads(model, D, W, k, perms[k][s * batch_size : (s + 1) * batch_size], grads)
+            want = np.concatenate([g.ravel() for g in grads.values()])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (phase_digits, s)
+
+
 def _anchor_records(model, D, W, digits, ke):
     """(row, target, rarity weight, arbitration correct) of every record
     that a digit of digits reads through the anchors of head ke, the
@@ -1253,7 +1346,7 @@ def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
 def test_adam_epoch_layout_is_linear_in_digits_times_records():
     # at p = 409 a (records, p) block of the whole epoch would take
     # digits * N * p * 8 bytes (157 MB at N = 3,000); the layout holds a
-    # few arrays of digits * N entries and one step's scratch
+    # few arrays of at most digits * N entries
     p, K, size = 409, 16, 64
     rng = np.random.default_rng(0)
     for N in (1500, 3000):
@@ -1270,9 +1363,9 @@ def test_adam_epoch_layout_is_linear_in_digits_times_records():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a step's scratch holds p table cells and one anchor cell per record
-        scratch = b.cells.nbytes + b.terms.nbytes
-        assert scratch <= 2 * 8 * K * size * (p + 1)
+        # each step allocates its own (rows, p) block: the layout holds no
+        # per-step buffer
+        scratch = 0
         assert peak <= 16 * 8 * K * N + scratch, (N, peak, scratch)
 
 
