@@ -616,12 +616,13 @@ def _record_tables(model: HiPaNModel, D: np.ndarray, counts: Sequence[DigitPairs
     return _PairTable(pair.reshape(D.shape), row, child, weight, np.array(np.divmod(live, p)))
 
 
-def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first entry of each run of equal entries of key, run of each entry)."""
+def _run_starts(key: np.ndarray) -> np.ndarray:
+    """Whether each entry of key, whose equal entries are adjacent, opens
+    a run of them."""
     new = np.empty(key.size, dtype=bool)
     new[:1] = True
     np.not_equal(key[1:], key[:-1], out=new[1:])
-    return np.flatnonzero(new), np.cumsum(new) - 1
+    return new
 
 
 class _Batches:
@@ -629,14 +630,15 @@ class _Batches:
     distinct rows and cells of each step, in O(digits x N) memory.
 
     Step s holds positions [s size, (s + 1) size) of each digit's
-    permutation (perms, in phase order).  A cell of the step is a (live
-    row, child) that some of its records select and target, at any digit:
-    digits whose heads are tied share a cell.  A cell's weight sums, over
-    its pairs in digit order, the pair's records in the step times its
-    rarity weight; a row's weight sums its cells' weights in child order;
-    both sums run left to right from 0.0.  A step's rows are the distinct
-    rows of its cells, in live-row order, and its cells are in (row,
-    child) order.
+    permutation (perms, in phase order): n = min(size, N - s size)
+    records per digit.  A cell of the step is a (live row, child) that
+    some of its records select and target, at any digit: digits whose
+    heads are tied share a cell.  A cell's weight sums, over its pairs in
+    digit order, the pair's records in the step times its rarity weight,
+    then is divided by n; a row's
+    weight sums its cells' weights in child order.  Both sums run left to
+    right from 0.0.  A step's rows are the distinct rows of its cells, in
+    live-row order, and its cells are in (row, child) order.
 
     Step s's rows are [row_bounds[s], row_bounds[s + 1]): row_x gives
     each one's index in x viewed as rows of p (every trained array holds
@@ -658,18 +660,21 @@ class _Batches:
         for j, (k, perm) in enumerate(perms.items()):
             np.add(tables.pair[perm, k], step_key, out=keys[j * n : (j + 1) * n])
         keys.sort()
-        first = _runs(keys)[0]
+        first = np.flatnonzero(_run_starts(keys))
         count = np.diff(first, append=keys.size)
         step, pair = np.divmod(keys[first], n_pairs)
         del keys, first
         # a step's cells, and each cell's pairs, are adjacent in key order
         n_live = tables.live.shape[1]
         row = step * n_live + tables.row[pair]
-        first, cell = _runs(row * p + tables.child[pair])
-        self.cell_w = np.bincount(cell, count * tables.weight[pair])
-        del cell, count
+        new = _run_starts(row * p + tables.child[pair])
+        self.cell_w = np.bincount(np.cumsum(new) - 1, count * tables.weight[pair])
+        first = np.flatnonzero(new)
+        del new, count
         pair, step, row = pair[first], step[first], row[first]
-        first, slot = _runs(row)
+        self.cell_w /= np.minimum(size, n - np.arange(self.steps) * size)[step]
+        new = _run_starts(row)
+        first, slot = np.flatnonzero(new), np.cumsum(new) - 1
         self.row_w = np.bincount(slot, self.cell_w)
         steps = np.arange(self.steps + 1)
         row_bounds = np.searchsorted(step[first], steps)
@@ -698,18 +703,16 @@ def _accumulate_grads(x: np.ndarray, b: _Batches, s: int) -> np.ndarray:
 
     Table entries are the analytic gradients of the objective; an
     anchor's is the closed-form update of the module docstring.  The
-    step's n records per digit enter only through its rows and cells
-    (_Batches), each scored once.  A row's table gradient is
-    softmax_rows of the row, times the row weight, less each cell's
-    weight at the cell's child, then divided by n.  Its anchor gradient
-    sums, in cell order from 0.0, each cell's (weight 2 tau) (v - t)
-    (sigma((v - t)^2 / tau) - I), multiplied left to right, with t the
-    cell's child and I = 1 when the row's arbitration picks t; the sum
-    is then divided by n.  A step costs O(U p + C) for U rows and C
-    cells, and its rows are distinct, so each is assigned into the zero
-    gradient once."""
+    step's records enter only through its rows and cells (_Batches), each
+    scored once; their weights already divide by the step's records per
+    digit.  A row's table gradient is softmax_rows of the row times the row
+    weight, less each cell's weight at the cell's child.  Its anchor
+    gradient sums, in cell order from 0.0, each cell's (weight 2 tau)
+    (v - t) (sigma((v - t)^2 / tau) - I), multiplied left to right, with
+    t the cell's child and I = 1 when the row's arbitration picks t.  A
+    step costs O(U p + C) for U rows and C cells, and its rows are
+    distinct, so each is assigned into the zero gradient once."""
     p = b.p
-    n = min(b.size, b.n - s * b.size)
     rows = slice(b.row_bounds[s], b.row_bounds[s + 1])
     cells = slice(b.cell_bounds[s], b.cell_bounds[s + 1])
     at = b.row_x[rows]
@@ -717,7 +720,6 @@ def _accumulate_grads(x: np.ndarray, b: _Batches, s: int) -> np.ndarray:
     G = softmax_rows(X)
     G *= b.row_w[rows, None]
     G.ravel()[b.cell_at[cells]] -= b.cell_w[cells]
-    G /= n
     # anchor: arbitration between the row's top two, trained toward or
     # away from each cell's child by the closed-form update
     anchors = b.row_anchor[rows]
@@ -730,7 +732,7 @@ def _accumulate_grads(x: np.ndarray, b: _Batches, s: int) -> np.ndarray:
     terms = b.cell_w2tau[cells] * d * (1.0 / (1.0 + np.exp(-(d * d / b.tau))) - (choice[slot] == t))
     grad = np.zeros(x.size)
     grad.reshape(-1, p)[at] = G
-    grad[anchors] = np.bincount(slot, terms, minlength=at.size) / n
+    grad[anchors] = np.bincount(slot, terms, minlength=at.size)
     return grad
 
 

@@ -1065,22 +1065,22 @@ def _reference_cell_grads(model, D, W, step, grads):
 
     A cell is a (head, row, child) that some record of some digit selects
     and targets.  Its weight sums each of its digits' records times their
-    rarity weight, in digit order; a row's weight sums its cells' weights
-    in child order."""
+    rarity weight, in digit order, divided by the records per digit; a
+    row's weight sums its cells' weights in child order."""
     tau = model.config.tau
     cells = {}  # (head, row, child) -> {digit: [records, rarity weight]}
     for k, idx in step.items():
         for i in idx.tolist():
             key = (_effective_depth(model, k), int(D[i, k - 1]) if k else 0, int(D[i, k]))
             cells.setdefault(key, {}).setdefault(k, [0, W[i, k]])[0] += 1
+    n = len(next(iter(step.values())))
     rows = {}
     for (ke, r, t), pairs in sorted(cells.items()):
         w = 0.0
         for k in sorted(pairs):
             records, weight = pairs[k]
             w += records * weight
-        rows.setdefault((ke, r), []).append((t, w))
-    n = len(next(iter(step.values())))
+        rows.setdefault((ke, r), []).append((t, w / n))
     for (ke, r), row_cells in rows.items():
         head = model.heads[ke]
         table = head.table[r : r + 1]
@@ -1094,8 +1094,8 @@ def _reference_cell_grads(model, D, W, step, grads):
             g[t] -= w
             d = head.anchor[r] - t
             ga += w * 2.0 * tau * d * (1.0 / (1.0 + np.exp(-(d * d / tau))) - float(choice == t))
-        grads[f"head{ke}.table"][r] = g / n
-        grads[f"head{ke}.anchor"][r] = ga / n
+        grads[f"head{ke}.table"][r] = g
+        grads[f"head{ke}.anchor"][r] = ga
 
 
 def _reference_update(arr, g, m, u, cfg, lr, t):
