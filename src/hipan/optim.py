@@ -635,10 +635,10 @@ class _Batches:
     some of its records select and target, at any digit: digits whose
     heads are tied share a cell.  A cell's weight sums, over its pairs in
     digit order, the pair's records in the step times its rarity weight,
-    then is divided by n; a row's
-    weight sums its cells' weights in child order.  Both sums run left to
-    right from 0.0.  A step's rows are the distinct rows of its cells, in
-    live-row order, and its cells are in (row, child) order.
+    then is divided by n; a row's weight sums its cells' weights in child
+    order.  Both sums run left to right from 0.0.  A step's rows are the
+    distinct rows of its cells, in live-row order, and its cells are in
+    (row, child) order.
 
     Step s's rows are [row_bounds[s], row_bounds[s + 1]): row_x gives
     each one's index in x viewed as rows of p (every trained array holds
@@ -684,10 +684,10 @@ class _Batches:
         heads, rows = tables.live[:, row[first] % n_live]
         self.cell_child = tables.child[pair]
         del step, row, first, pair
-        at = np.array([[flat.start.get(f"head{ke}.{part}", 0) for part in ("table", "anchor")]
-                       for ke in range(model.config.K_heads)])[heads]
-        self.row_x = at[:, 0] // p + rows
-        self.row_anchor = at[:, 1] + rows
+        start = np.array([[flat.start.get(f"head{ke}.{part}", 0) for part in ("table", "anchor")]
+                          for ke in range(model.config.K_heads)])[heads]
+        self.row_x = start[:, 0] // p + rows
+        self.row_anchor = start[:, 1] + rows
         self.cell_slot = slot
         self.cell_at = slot * p + self.cell_child
         self.cell_w2tau = self.cell_w * 2.0 * self.tau
@@ -705,8 +705,8 @@ def _accumulate_grads(x: np.ndarray, b: _Batches, s: int) -> np.ndarray:
     anchor's is the closed-form update of the module docstring.  The
     step's records enter only through its rows and cells (_Batches), each
     scored once; their weights already divide by the step's records per
-    digit.  A row's table gradient is softmax_rows of the row times the row
-    weight, less each cell's weight at the cell's child.  Its anchor
+    digit.  A row's table gradient is softmax_rows of the row times the
+    row weight, less each cell's weight at the cell's child.  Its anchor
     gradient sums, in cell order from 0.0, each cell's (weight 2 tau)
     (v - t) (sigma((v - t)^2 / tau) - I), multiplied left to right, with
     t the cell's child and I = 1 when the row's arbitration picks t.  A

@@ -1247,8 +1247,11 @@ def test_adam_step_gradient_is_the_per_record_gradient(case, perturbed):
     n = D.shape[0]
     W = _rarity_weights(D)
     tables = _record_tables(model, D, ds.pair_counts())
-    phases = uniform_plan(K).phases if digits is None else (TrainPhase("a", 1, 0.03, digits),)
-    for phase_digits in [ph.digits for ph in phases] + [tuple(range(K))]:
+    if digits is None:
+        phase_sets = [ph.digits for ph in uniform_plan(K).phases]
+    else:
+        phase_sets = [digits, tuple(range(K))]
+    for phase_digits in phase_sets:
         served = _served_arrays(model, phase_digits)
         flat = _Flat(served)
         perms = {k: rng.permutation(n) for k in phase_digits}
@@ -1257,7 +1260,8 @@ def test_adam_step_gradient_is_the_per_record_gradient(case, perturbed):
             got = _accumulate_grads(flat.x, b, s)
             grads = {name: np.zeros_like(arr) for name, arr in served.items()}
             for k in phase_digits:
-                _reference_grads(model, D, W, k, perms[k][s * batch_size : (s + 1) * batch_size], grads)
+                idx = perms[k][s * batch_size : (s + 1) * batch_size]
+                _reference_grads(model, D, W, k, idx, grads)
             want = np.concatenate([g.ravel() for g in grads.values()])
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (phase_digits, s)
 
