@@ -603,17 +603,20 @@ class _PairTable(NamedTuple):
 def _record_tables(model: HiPaNModel, D: np.ndarray, counts: Sequence[DigitPairs]) -> _PairTable:
     """The run's _PairTable, from the records D and their pair counts."""
     p, K = model.p, model.K
-    prev = np.pad(D[:, :-1], ((0, 0), (1, 0)))
-    heads = np.array([_effective_depth(model, k) for k in range(K)])
-    live, row = np.unique(heads * p + prev, return_inverse=True)
-    key, pair = np.unique((row.reshape(D.shape) * p + D) * K + np.arange(K), return_inverse=True)
-    cell_key, digit = np.divmod(key, K)
-    # a digit's pairs, in pair order, are in DigitPairs order
-    weight = np.empty(key.size)
-    for k, pairs in enumerate(counts):
-        weight[digit == k] = huffman_weights(pairs.count)
-    row, child = np.divmod(cell_key, p)
-    return _PairTable(pair.reshape(D.shape), row, child, weight, np.array(np.divmod(live, p)))
+    heads = [_effective_depth(model, k) for k in range(K)]
+    sizes = [c.child.size for c in counts]
+    # every digit's pairs end to end, then ranked by (live row, child, digit)
+    live, row = np.unique(np.concatenate([heads[k] * p + c.parent for k, c in enumerate(counts)]),
+                          return_inverse=True)
+    child = np.concatenate([c.child for c in counts])
+    order = np.lexsort((np.repeat(np.arange(K), sizes), child, row))
+    rank, at = np.argsort(order), np.cumsum([0] + sizes)
+    pair = np.empty(D.shape, dtype=np.int64)
+    for k, c in enumerate(counts):
+        pos = np.searchsorted(c.parent * p + c.child, (D[:, k - 1] if k else 0) * p + D[:, k])
+        pair[:, k] = rank[at[k] + pos]
+    weight = np.concatenate([huffman_weights(c.count) for c in counts])[order]
+    return _PairTable(pair, row[order], child[order], weight, np.array(np.divmod(live, p)))
 
 
 def _run_starts(key: np.ndarray) -> np.ndarray:
