@@ -20,6 +20,11 @@ Accuracy reports this path: how much of the hierarchy the factorized
 tables actually store.  Only calibration also asks how sure each head
 was, through `reconstruction_confidence`, which reads the predicted
 digits back.
+
+A model is its latents, one (K_heads, p + 1, p) array: block ke holds
+head ke's table (rows 0..p-1) and anchors (row p), so the heads of a
+range of depths are one contiguous slice.  The heads and `model_arrays`
+are views of it, which the trainers step in place.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ import base64
 import binascii
 import math
 import os
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,27 +86,37 @@ class ModelConfig:
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwoLogitCEHead:
     """p x p score table, row = previous digit, column = digit, plus one
-    scalar anchor per row."""
+    scalar anchor per row: views of one block of a model's latents."""
 
     table: np.ndarray
     anchor: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class HiPaNModel:
     """Trainable digit heads: heads[ke] serves digit ke, and the last head
     every deeper digit too.
 
-    The model holds no data: the rarity weights of the loss come from a
-    dataset's pair counts each time a loss is computed.
+    latents is the C-ordered (K_heads, p + 1, p) float64 array of every
+    weight (module docstring); heads are views of it.  Neither can be
+    rebound.  The model holds no data: the rarity weights of the loss
+    come from a dataset's pair counts each time a loss is computed.
     """
 
     config: ModelConfig
-    heads: list[TwoLogitCEHead]
+    latents: np.ndarray
     init_seed: int = 0
+    heads: tuple[TwoLogitCEHead, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        p, arr = self.p, self.latents
+        shape = (self.config.K_heads, p + 1, p)
+        if arr.shape != shape or arr.dtype != np.float64 or not arr.flags.c_contiguous:
+            raise ValueError(f"latents must be a C-ordered float64 array of shape {shape}")
+        object.__setattr__(self, "heads", tuple(TwoLogitCEHead(b[:p], b[p]) for b in arr))
 
     @property
     def p(self) -> int:
@@ -146,11 +161,7 @@ def new_model(config: ModelConfig, seed: int = 0) -> HiPaNModel:
             f"a model with p={p} needs {need} bytes of float64 latents, "
             f"more than the {have} bytes of physical memory"
         )
-    model = HiPaNModel(
-        config,
-        [TwoLogitCEHead(np.empty((p, p)), np.empty(p)) for _ in range(config.K_heads)],
-        init_seed=seed,
-    )
+    model = HiPaNModel(config, np.empty((config.K_heads, p + 1, p)), init_seed=seed)
     for _, arr, draw in _init_draws(model, seed):
         arr[...] = draw
     return model
@@ -160,13 +171,20 @@ def model_arrays(model: HiPaNModel) -> dict[str, np.ndarray]:
     """Every latent array of model, by name: "head{ke}.table" and
     "head{ke}.anchor" for the head of each depth ke, in depth order.
 
-    The arrays themselves, not copies.  Checkpoints name their tables by
-    these names, and the trainers lay the arrays out in this order.
+    Views of model.latents, not copies, in its memory order.  Checkpoints
+    name their tables by these names.
     """
+    return _array_views(model.latents)
+
+
+def _array_views(latents: np.ndarray, heads: Iterable[int] | None = None) -> dict[str, np.ndarray]:
+    """model_arrays' named views of any array shaped like a model's
+    latents (Adam's moments too), for the given heads (default: all)."""
+    p = latents.shape[2]
     out = {}
-    for ke, head in enumerate(model.heads):
-        out[f"head{ke}.table"] = head.table
-        out[f"head{ke}.anchor"] = head.anchor
+    for ke in range(len(latents)) if heads is None else heads:
+        out[f"head{ke}.table"] = latents[ke, :p]
+        out[f"head{ke}.anchor"] = latents[ke, p]
     return out
 
 

@@ -35,31 +35,33 @@ structure: the anchor is pushed toward psi when the arbitration is wrong
 and away when right, so the anchor settles between competing row maxima
 rather than on top of one.
 
-An Adam step is one pass over every digit the phase trains.  At an
-epoch's start the arrays of the heads serving the phase's digits are laid
-end to end in one flat buffer, with their first and second moments in two
-more.  A step's records reach its gradient only through its cells, the
-(head row, child digit) pairs they select and target, each weighted by
-its records' rarity weights summed: the epoch is laid out once, by one
-sort of a (step, pair) key per record and digit, as each step's distinct
-rows and cells with their weights, in O(digits x N) memory (_Batches).
+An Adam step is one pass over every digit the phase trains.  The heads
+serving the phase's digits, and every head between them, are one
+contiguous slice of the model's latents, and the epoch steps that slice,
+viewed as 1-d, in place; the first and second moments are arrays shaped
+like the latents, sliced the same way.  A head of the slice that serves
+no phase digit has a zero gradient, so its step is exactly 0.  A step's
+records reach its gradient only through its cells, the (head row, child
+digit) pairs they select and target, each weighted by its records'
+rarity weights summed: the epoch is laid out once, by one sort of a
+(step, pair) key per record and digit, as each step's distinct rows and
+cells with their weights, in O(digits x N) memory (_Batches).
 A step scores each of its U rows once (softmax, top two columns, anchor
 arbitration) and each of its C cells once, so it costs O(U p + C) with
 no term in its records; it assigns each row's gradient into one flat
 gradient and applies the bias-corrected moment update of Kingma and Ba
-once, over the flat buffers.  _accumulate_grads defines the arithmetic.
+once, over the slice.  _accumulate_grads defines the arithmetic.
 Weighing a cell by counts regroups the per-record sums, so a step's
 gradient is the per-record gradient within rounding; runs are
 deterministic, and a run resumed from any checkpoint ends bit for bit on
-the uninterrupted run.  The epoch writes the buffer back into the heads'
-arrays.
+the uninterrupted run.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -67,6 +69,7 @@ import numpy as np
 from .metrics import evaluate_digits
 from .model import (
     HiPaNModel,
+    _array_views,
     _effective_depth,
     _top_two,
     model_arrays,
@@ -180,8 +183,7 @@ class AdamConfig:
     """First-order trainer settings.
 
     lr is the fine-tune rate and warmup_lr the warm-up stage rate; a
-    phase plan built from this config carries them per stage.  With
-    sqrt_decay the effective rate at step t is lr_t = lr_1 / sqrt(t).
+    phase plan built from this config carries them per stage.
     """
 
     beta1: float = 0.9
@@ -189,7 +191,6 @@ class AdamConfig:
     lr: float = 0.015
     eps: float = 1e-8
     warmup_lr: float = 0.03
-    sqrt_decay: bool = False
 
     def __post_init__(self) -> None:
         for name in ("beta1", "beta2"):
@@ -384,13 +385,6 @@ def _served_digits(model: HiPaNModel, ke: int, phase_digits: tuple[int, ...]) ->
     return tuple(k for k in phase_digits if k >= last)
 
 
-def _served_arrays(model: HiPaNModel, phase_digits: tuple[int, ...]) -> dict[str, np.ndarray]:
-    """The arrays of model_arrays whose head serves some digit of the phase."""
-    heads = {_effective_depth(model, k) for k in phase_digits}
-    return {name: arr for name, arr in model_arrays(model).items()
-            if int(name.split(".")[0][len("head"):]) in heads}
-
-
 def _digit_losses(
     model: HiPaNModel, k: int, prev: np.ndarray, t: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
@@ -531,56 +525,14 @@ def _gist_sweep(
 class OptimState:
     """Mutable optimizer memory, serialized into checkpoints.
 
-    t counts Adam steps or lattice sweeps; m/u hold the per-latent first
-    and second moments (Adam only), one array per trained array name.
+    t counts Adam steps or lattice sweeps; m and u are Adam's per-latent
+    first and second moments, arrays shaped like the model's latents, or
+    None before Adam's first step (and for the lattice).
     """
 
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    u: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-class _Flat:
-    """Arrays laid end to end in one float buffer x, in the dict's order.
-
-    Built with a state, it also holds the arrays' first and second Adam
-    moments in buffers m and u of the same layout (zero where the state
-    has none), and two scratch rows for the update; state.m and state.u
-    then map each name to a view of m and u, so a checkpoint sees every
-    step.  write_back copies x into the arrays in place, so they keep
-    their identity."""
-
-    def __init__(self, arrays: dict[str, np.ndarray], state: OptimState | None = None):
-        self.arrays = arrays
-        self.start: dict[str, int] = {}
-        size = 0
-        for name, arr in arrays.items():
-            self.start[name] = size
-            size += arr.size
-        self.x = np.concatenate([arr.ravel() for arr in arrays.values()])
-        if state is None:
-            return
-        self.m, self.u = (self._moments(part) for part in (state.m, state.u))
-        self.scratch = np.empty((2, size))
-
-    def _moments(self, part: dict[str, np.ndarray]) -> np.ndarray:
-        buf = np.concatenate([
-            part[name].ravel() if name in part else np.zeros(arr.size)
-            for name, arr in self.arrays.items()
-        ])
-        for name, arr in self.arrays.items():
-            part[name] = self.view(buf, name)
-        return buf
-
-    def view(self, buf: np.ndarray, name: str) -> np.ndarray:
-        """The part of a buffer of this layout that holds array name."""
-        arr = self.arrays[name]
-        a = self.start[name]
-        return buf[a : a + arr.size].reshape(arr.shape)
-
-    def write_back(self) -> None:
-        for name, arr in self.arrays.items():
-            arr[...] = self.view(self.x, name)
+    m: np.ndarray | None = None
+    u: np.ndarray | None = None
 
 
 class _PairTable(NamedTuple):
@@ -644,15 +596,16 @@ class _Batches:
     (row, child) order.
 
     Step s's rows are [row_bounds[s], row_bounds[s + 1]): row_x gives
-    each one's index in x viewed as rows of p (every trained array holds
-    a multiple of p entries), row_anchor its anchor's flat index and row_w
-    its weight.  Step s's cells are [cell_bounds[s], cell_bounds[s + 1]):
-    cell_slot is the index of the cell's row among the step's rows,
-    cell_child its child, cell_at its entry in the step's (rows, p)
-    block, cell_w its weight and cell_w2tau its weight times 2, times
-    tau.  Indices point into a _Flat's x."""
+    each one's index in x viewed as rows of p, row_anchor its anchor's
+    index in x and row_w its weight.  Step s's cells are [cell_bounds[s],
+    cell_bounds[s + 1]): cell_slot is the index of the cell's row among
+    the step's rows, cell_child its child, cell_at its entry in the
+    step's (rows, p) block, cell_w its weight and cell_w2tau its weight
+    times 2, times tau.  x is model.latents from head head0 on, viewed
+    as 1-d: row r of head ke is its row (ke - head0)(p + 1) + r, and that
+    row's anchor its entry ((ke - head0)(p + 1) + p) p + r."""
 
-    def __init__(self, model: HiPaNModel, flat: _Flat, D: np.ndarray, tables: _PairTable,
+    def __init__(self, model: HiPaNModel, head0: int, D: np.ndarray, tables: _PairTable,
                  perms: dict[int, np.ndarray], size: int):
         p, n = model.p, D.shape[0]
         self.p, self.n, self.size, self.tau = p, n, size, model.config.tau
@@ -687,10 +640,9 @@ class _Batches:
         heads, rows = tables.live[:, row[first] % n_live]
         self.cell_child = tables.child[pair]
         del step, row, first, pair
-        start = np.array([[flat.start.get(f"head{ke}.{part}", 0) for part in ("table", "anchor")]
-                          for ke in range(model.config.K_heads)])[heads]
-        self.row_x = start[:, 0] // p + rows
-        self.row_anchor = start[:, 1] + rows
+        block = (heads - head0) * (p + 1)
+        self.row_x = block + rows
+        self.row_anchor = (block + p) * p + rows
         self.cell_slot = slot
         self.cell_at = slot * p + self.cell_child
         self.cell_w2tau = self.cell_w * 2.0 * self.tau
@@ -702,7 +654,7 @@ class _Batches:
 
 def _accumulate_grads(x: np.ndarray, b: _Batches, s: int) -> np.ndarray:
     """Mean gradient over the records of step s of every phase digit,
-    flat over the parameters x.
+    flat over the latents x of _Batches.
 
     Table entries are the analytic gradients of the objective; an
     anchor's is the closed-form update of the module docstring.  The
@@ -739,22 +691,14 @@ def _accumulate_grads(x: np.ndarray, b: _Batches, s: int) -> np.ndarray:
     return grad
 
 
-def _effective_lr(cfg: AdamConfig, base_lr: float, t: int) -> float:
-    if cfg.sqrt_decay:
-        return base_lr / math.sqrt(t)
-    return base_lr
-
-
-def _adam_step(
-    flat: _Flat, g: np.ndarray, state: OptimState, cfg: AdamConfig, base_lr: float
-) -> None:
-    """One bias-corrected moment update of every parameter of flat with
-    the flat gradient g, in place; advances state.t, the shared step
-    count (cfg.sqrt_decay divides base_lr by its square root)."""
+def _adam_step(x: np.ndarray, m: np.ndarray, u: np.ndarray, g: np.ndarray, state: OptimState,
+               cfg: AdamConfig, lr: float, scratch: np.ndarray) -> None:
+    """One bias-corrected moment update of the 1-d latents x with the
+    gradient g, in place, as are x's moments m and u; advances state.t,
+    the shared step count.  scratch is (2, x.size) of any values."""
     state.t += 1
     t = state.t
-    lr = _effective_lr(cfg, base_lr, t)
-    m, u, (a, b) = flat.m, flat.u, flat.scratch
+    a, b = scratch
     # in place, in the arithmetic of
     #   m = beta1 m + (1 - beta1) g,  u = beta2 u + ((1 - beta2) g) g,
     #   x -= (lr m_hat) / (sqrt(u_hat) + eps)
@@ -771,19 +715,15 @@ def _adam_step(
     np.divide(m, 1.0 - cfg.beta1**t, out=b)
     b *= lr
     b /= a
-    flat.x -= b
+    x -= b
 
 
-def _check_finite(flat: _Flat) -> None:
-    """Raise NumericAbort naming the first non-finite parameter of flat."""
-    ok = np.isfinite(flat.x)
-    if ok.all():
-        return
-    i = int(ok.argmin())
-    for name, arr in flat.arrays.items():
-        if i < flat.start[name] + arr.size:
-            at = np.unravel_index(i - flat.start[name], arr.shape)
-            raise NumericAbort(name, tuple(int(j) for j in at))
+def _check_finite(model: HiPaNModel) -> None:
+    """Raise NumericAbort naming the first non-finite latent of model."""
+    for name, arr in model_arrays(model).items():
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            raise NumericAbort(name, tuple(map(int, np.unravel_index(bad.argmax(), arr.shape))))
 
 
 def _epoch_metrics(
@@ -815,27 +755,33 @@ _GIST_SWEEP = "full-batch"
 
 
 def optim_state_dict(kind: str, state: OptimState, streak: int = 0) -> dict:
-    """Serializable optimizer state for checkpoints; each of Adam's moment
-    arrays is stored as its nonzero rows (pack_rows against zeros).
+    """Serializable optimizer state for checkpoints.  Adam's moments are
+    stored for each head with a set bit in them (the heads the phase
+    trains), by model_arrays' names, as nonzero rows (pack_rows).
 
     Raises:
         ValueError: a moment array holds NaN or infinity.
     """
     if kind == "gist":
         return {"kind": "gist", "sweep": _GIST_SWEEP, "t": state.t, "streak": int(streak)}
+    m = u = {}
+    if state.m is not None:
+        held = (state.m.view(np.int64) | state.u.view(np.int64)).any(axis=(1, 2))
+        m, u = (_array_views(a, np.flatnonzero(held).tolist()) for a in (state.m, state.u))
     return {
         "kind": "adam",
         "t": state.t,
-        "shapes": {k: list(a.shape) for k, a in state.m.items()},
-        "m": {k: pack_rows(f"m.{k}", a) for k, a in state.m.items()},
-        "u": {k: pack_rows(f"u.{k}", a) for k, a in state.u.items()},
+        "shapes": {k: list(a.shape) for k, a in m.items()},
+        "m": {k: pack_rows(f"m.{k}", a) for k, a in m.items()},
+        "u": {k: pack_rows(f"u.{k}", a) for k, a in u.items()},
     }
 
 
 def restore_optim_state(doc: dict, model: HiPaNModel) -> OptimState:
-    """Rebuild an OptimState from its checkpoint form, each moment array
-    as its nonzero rows; the per-coordinate "last_improved" map of
-    earlier lattice checkpoints is ignored.
+    """Rebuild an OptimState from its checkpoint form: Adam's moments are
+    zeros shaped like model's latents with each stored array's nonzero
+    rows written into its named view; the per-coordinate "last_improved"
+    map of earlier lattice checkpoints is ignored.
 
     Raises:
         ValueError: a field of the wrong JSON type (named), a stored shape
@@ -847,12 +793,14 @@ def restore_optim_state(doc: dict, model: HiPaNModel) -> OptimState:
     state = OptimState(t=_typed(doc, "t", int, what, 0))
     if doc.get("kind") == "gist":
         return state
-    shapes = {k: a.shape for k, a in model_arrays(model).items()}
+    state.m, state.u = np.zeros(model.latents.shape), np.zeros(model.latents.shape)
+    views = {"m": _array_views(state.m), "u": _array_views(state.u)}
+    shapes = {k: a.shape for k, a in views["m"].items()}
 
-    def known(part: str, name: str) -> tuple[int, ...]:
+    def known(part: str, name: str) -> str:
         if name not in shapes:
             raise ValueError(f"malformed {what}: {part} {name!r} names no model array")
-        return shapes[name]
+        return name
 
     for name, shape in _typed(doc, "shapes", dict, what, {}).items():
         sizes = isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
@@ -860,9 +808,9 @@ def restore_optim_state(doc: dict, model: HiPaNModel) -> OptimState:
         if not sizes or (name in shapes and shape != want):
             raise ValueError(f"malformed {what}: shapes {name!r} must be {want}, got {shape!r}")
         known("shapes", name)
-    for part, target in (("m", state.m), ("u", state.u)):
+    for part, target in views.items():
         for name, value in _typed(doc, part, dict, what).items():
-            target[name] = unpack_rows(f"{part}.{name}", value, np.zeros(known(part, name)))
+            unpack_rows(f"{part}.{name}", value, target[known(part, name)])
     return state
 
 
@@ -927,8 +875,7 @@ def train(
     counts = dataset.pair_counts()
     tables = _record_tables(model, D, counts) if kind == "adam" else None
     if kind == "adam":
-        # a phase checks only the arrays it trains, after its epochs
-        _check_finite(_Flat(model_arrays(model)))
+        _check_finite(model)
 
     start_phase, start_epoch = 0, 0
     streak = 0
@@ -948,6 +895,10 @@ def train(
                 f"plan, whose {n_phases} phases run {[ph.epochs for ph in plan.phases]} epochs"
             )
         saved = _typed(resume, "optim", dict, "checkpoint", {})
+        for key in ("t", "streak"):
+            if _typed(saved, key, int, "checkpoint optim", 0) < 0:
+                bad = f"{key!r} must be >= 0, got {saved[key]}"
+                raise ValueError(f"malformed checkpoint optim: {bad}")
         saved_kind = saved.get("kind")
         if saved_kind not in (None, kind):
             raise ValueError(
@@ -962,7 +913,7 @@ def train(
         if saved_kind == kind:
             state = restore_optim_state(saved, model)
             if kind == "gist":
-                streak = _typed(saved, "streak", int, "checkpoint optim", 0)
+                streak = saved.get("streak", 0)
 
     global_epoch = (
         sum(ph.epochs for ph in plan.phases[:start_phase] if ph.digits) + start_epoch
@@ -1011,18 +962,22 @@ def train(
                     k: child_rng(seed, "shuffle", pi, e, k).permutation(n)
                     for k in phase.digits
                 }
-                flat = _Flat(_served_arrays(model, phase.digits), state)
-                batches = _Batches(model, flat, D, tables, perms, batch_size)
+                heads = [_effective_depth(model, k) for k in phase.digits]
+                a, b = min(heads), max(heads) + 1
+                if state.m is None:
+                    state.m, state.u = np.zeros(model.latents.shape), np.zeros(model.latents.shape)
+                x, m, u = (arr[a:b].reshape(-1) for arr in (model.latents, state.m, state.u))
+                scratch = np.empty((2, x.size))
+                batches = _Batches(model, a, D, tables, perms, batch_size)
                 for s in range(batches.steps):
-                    g = _accumulate_grads(flat.x, batches, s)
-                    _adam_step(flat, g, state, optimizer, phase.lr)
+                    g = _accumulate_grads(x, batches, s)
+                    _adam_step(x, m, u, g, state, optimizer, phase.lr, scratch)
                 moves = batches.steps
                 # the layout is O(digits x N): free it before the next
                 # epoch lays out its own
                 del batches
                 steps += moves
-                flat.write_back()
-                _check_finite(flat)
+                _check_finite(model)
             loss, per_digit, leaf_acc = _epoch_metrics(
                 model, D, counts, tree, leaf_ids, phase.digits
             )

@@ -30,7 +30,7 @@ from hipan.checkpoint import (
 )
 from hipan.model import (
     HiPaNModel,
-    TwoLogitCEHead,
+    _array_views,
     model_arrays,
     model_from_state,
     model_state,
@@ -135,7 +135,7 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
 
     monkeypatch.setattr("hipan.checkpoint.os.fsync", fail)
     changed = _model()
-    changed.heads[0].table += 1.0
+    changed.heads[0].table[...] += 1.0
     with pytest.raises(OSError, match="disk went away"):
         save_checkpoint(str(path), changed, created_unix_ms=2)
     assert path.read_bytes() == before
@@ -233,9 +233,9 @@ def test_save_refuses_non_finite_latents(tmp_path, bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_save_refuses_non_finite_moments(bad):
-    state = OptimState(
-        t=1, m={"head0.anchor": np.zeros(3)}, u={"head0.anchor": np.array([0.0, bad, 0.0])}
-    )
+    shape = _model().latents.shape
+    state = OptimState(t=1, m=np.zeros(shape), u=np.zeros(shape))
+    _array_views(state.u)["head0.anchor"][1] = bad
     with pytest.raises(ValueError, match="table u.head0.anchor"):
         optim_state_dict("adam", state)
 
@@ -303,16 +303,11 @@ def test_hand_built_model_round_trips_every_bit():
     # arrays that new_model never drew: an all-zero table, a -0.0 table
     # and a non-integer anchor, beside the init's own anchors and table
     config = ModelConfig(CodecParams(5, 3))
-    fresh = new_model(config, seed=4)
-    built = HiPaNModel(
-        config,
-        [
-            TwoLogitCEHead(np.zeros((5, 5)), fresh.heads[0].anchor.copy()),
-            TwoLogitCEHead(np.full((5, 5), -0.0), fresh.heads[1].anchor.copy()),
-            TwoLogitCEHead(fresh.heads[2].table.copy(), np.linspace(-1.5, 70000.25, 5)),
-        ],
-        init_seed=4,
-    )
+    latents = new_model(config, seed=4).latents.copy()
+    latents[0, :5] = 0.0  # head 0's table
+    latents[1, :5] = -0.0  # head 1's table
+    latents[2, 5] = np.linspace(-1.5, 70000.25, 5)  # head 2's anchors
+    built = HiPaNModel(config, latents, init_seed=4)
     state = json.loads(canonical_json(model_state(built)))
     for name in ("head0.anchor", "head1.anchor", "head2.table"):
         assert state["tables"][name] == {"rows": "int16:", "values": "int16:"}
@@ -343,9 +338,9 @@ def test_v3_round_trips_every_bit(p, K, seed, edits, moment_edits):
     for which, row, col, value in edits:
         arr = arrays[which % len(arrays)]
         arr[(row % p, col % p)[: arr.ndim]] = value
-    moments = tuple({name: np.zeros(a.shape) for name, a in model_arrays(model).items()} for _ in "mu")
+    moments = tuple(np.zeros(model.latents.shape) for _ in "mu")
     for part, which, row, value in moment_edits:
-        m = list(moments[part].values())[which % len(arrays)]
+        m = list(_array_views(moments[part]).values())[which % len(arrays)]
         m[row % p] = value
     state = OptimState(t=3, m=moments[0], u=moments[1])
 
@@ -364,7 +359,6 @@ def test_v3_round_trips_every_bit(p, K, seed, edits, moment_edits):
     optim_text = canonical_json(optim_state_dict("adam", state))
     restored = restore_optim_state(json.loads(optim_text), model)
     for part in ("m", "u"):
-        for name, a in getattr(state, part).items():
-            b = getattr(restored, part)[name]
-            assert np.array_equal(a.view(np.int64), b.view(np.int64)), (part, name)
+        a, b = getattr(state, part), getattr(restored, part)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), part
     assert canonical_json(optim_state_dict("adam", restored)) == optim_text

@@ -1113,6 +1113,14 @@ def test_malformed_model_state_exit_2_naming_the_field(
         (("cursor",), {"phase": 1, "epoch": 100}, "resume cursor (phase 1, epoch 100) lies"),
         (("cursor",), {"phase": 2, "epoch": 1}, "resume cursor (phase 2, epoch 1) lies outside"),
         (("cursor",), {"epoch": 0}, "malformed checkpoint cursor: 'phase' is missing"),
+        # a negative step count would zero Adam's first bias correction; a
+        # negative streak would delay the lattice's patience stop.  Both
+        # are refused before the optimizer kind is compared
+        (("optim", "t"), -1, "malformed checkpoint optim: 't' must be >= 0, got -1"),
+        (
+            ("optim",), {"kind": "gist", "sweep": "full-batch", "t": 3, "streak": -1},
+            "malformed checkpoint optim: 'streak' must be >= 0, got -1",
+        ),
     ],
 )
 def test_malformed_resume_state_exit_2_naming_the_field(

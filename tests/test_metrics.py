@@ -144,7 +144,7 @@ def _decisive_zero_model(codec):
     every anchor at 0."""
     m = new_model(ModelConfig(codec), seed=0)
     for head in m.heads:
-        head.table = np.zeros((codec.p, codec.p))
+        head.table[...] = 0.0
         head.table[:, 0] = 9.0
         head.anchor[:] = 0.0
     return m

@@ -40,7 +40,7 @@ def _constant_model(p=3, K=2, top=0):
     elsewhere, and every anchor at `top`."""
     m = new_model(_config(p, K), seed=0)
     for head in m.heads:
-        head.table = np.zeros((p, p))
+        head.table[...] = 0.0
         head.table[:, top] = 5.0
         head.anchor[:] = top
     return m
@@ -202,8 +202,8 @@ def _model_and_digits(draw):
         def fill(shape):
             return rng.normal(0.0, 3.0, size=shape)
     for head in model.heads:
-        head.table = fill((p, p))
-        head.anchor = fill(p)
+        head.table[...] = fill((p, p))
+        head.anchor[...] = fill(p)
     n = draw(st.integers(0, 30))
     return model, rng.integers(0, p, size=(n, K))
 
@@ -238,10 +238,10 @@ def test_reconstruct_matrix_matches_reference_on_tied_heads(k_heads, seed):
     model = new_model(_config(p, K, k_heads), seed=seed)
     for i, head in enumerate(model.heads):
         if i < 2:
-            head.table = rng.integers(0, 4, size=(p, p)).astype(np.float64)
+            head.table[...] = rng.integers(0, 4, size=(p, p))
         else:
-            head.table = rng.normal(0.0, 2.0, size=(p, p))
-        head.anchor = rng.normal(3.0, 2.0, size=p)
+            head.table[...] = rng.normal(0.0, 2.0, size=(p, p))
+        head.anchor[...] = rng.normal(3.0, 2.0, size=p)
     D = rng.integers(0, p, size=(n // 2, K))
     D = D[rng.integers(0, len(D), size=n)]
     assert not (np.diff(D[:, 0]) >= 0).all()

@@ -1,5 +1,6 @@
 """Losses, both trainers, plans, and checkpointed resume."""
 
+import dataclasses
 import json
 import math
 import io
@@ -43,6 +44,7 @@ from hipan.checkpoint import checkpoint_fingerprint, load_checkpoint, load_model
 from hipan import optim
 from hipan.model import (
     _anchored_choice_rows,
+    _array_views,
     _effective_depth,
     _top_two,
     model_arrays,
@@ -52,17 +54,14 @@ from hipan.model import (
 )
 from hipan.optim import (
     _Batches,
-    _Flat,
     _accumulate_grads,
     _adam_step,
     _digit_losses,
-    _effective_lr,
     _epoch_metrics,
     _gist_sweep,
     _live_rows,
     _record_tables,
     _row_losses,
-    _served_arrays,
     optim_state_dict,
 )
 from hipan.rng import child_rng
@@ -539,13 +538,15 @@ def test_gist_sweep_pass_width_stays_within_the_row():
             assert np.array_equal(a, b)
 
 
-def _adam_once(latent, grad, state, cfg, lr=None, name="latent"):
-    """One trainer update (_adam_step) of a single array; returns it."""
+def _adam_once(latent, grad, state, cfg, lr=None):
+    """One trainer update (_adam_step) of a single array, with state's
+    moments shaped like it; returns it."""
     arr = np.array(latent, dtype=np.float64, ndmin=1)
-    flat = _Flat({name: arr}, state)
+    if state.m is None:
+        state.m, state.u = np.zeros(arr.shape), np.zeros(arr.shape)
+    x, m, u = (a.reshape(-1) for a in (arr, state.m, state.u))
     g = np.asarray(grad, dtype=np.float64).ravel()
-    _adam_step(flat, g, state, cfg, cfg.lr if lr is None else lr)
-    flat.write_back()
+    _adam_step(x, m, u, g, state, cfg, cfg.lr if lr is None else lr, np.empty((2, x.size)))
     return arr
 
 
@@ -572,37 +573,24 @@ def test_adam_step_array_and_state_accumulation():
     state = OptimState()
     latent = np.array([[1.0, 2.0], [3.0, 4.0]])
     g = np.array([[1.0, -1.0], [0.0, 2.0]])
-    out = _adam_once(latent, g, state, cfg, name="table")
+    out = _adam_once(latent, g, state, cfg)
     assert out.shape == (2, 2)
     assert out[1, 0] == 3.0
-    assert state.m["table"].shape == (2, 2)
-    out2 = _adam_once(out, g, state, cfg, name="table")
+    assert state.m.shape == (2, 2)
+    out2 = _adam_once(out, g, state, cfg)
     assert state.t == 2
     assert np.all(np.abs(out2 - out) <= cfg.lr + 1e-9)
 
 
-def test_adam_step_sqrt_decay_shrinks_steps():
-    cfg = AdamConfig(sqrt_decay=True)
-    state = OptimState()
-    v = 5.0
-    v1 = _adam_once(v, 1.0, state, cfg)[0]
-    v2 = _adam_once(v1, 1.0, state, cfg)[0]
-    step1, step2 = v - v1, v1 - v2
-    assert step1 == pytest.approx(cfg.lr, abs=1e-9)
-    assert step2 < step1
-    assert step2 == pytest.approx(cfg.lr / math.sqrt(2), rel=1e-3)
-
-
 def test_adam_step_explicit_t_and_lr():
-    cfg = AdamConfig(sqrt_decay=True)
+    cfg = AdamConfig()
     state = OptimState(t=3)
     out = _adam_once(0.0, 1.0, state, cfg, lr=0.4)
     assert state.t == 4
-    # the step count t drives both the decay (lr / sqrt(4)) and the bias
-    # correction
+    # the step count t drives the bias correction
     m_hat = (1 - cfg.beta1) / (1 - cfg.beta1**4)
     u_hat = (1 - cfg.beta2) / (1 - cfg.beta2**4)
-    assert out[0] == pytest.approx(-(0.4 / 2.0) * m_hat / (math.sqrt(u_hat) + cfg.eps), abs=1e-12)
+    assert out[0] == pytest.approx(-0.4 * m_hat / (math.sqrt(u_hat) + cfg.eps), abs=1e-12)
 
 
 def test_config_validation():
@@ -667,9 +655,9 @@ def test_dataset_loss_teacher_forcing_isolation():
     model.heads[0].table[0, 0] += 3.0
     assert dataset_loss(model, counts, [1]) == per_digit[1]
     assert dataset_loss(model, counts, [2]) == per_digit[2]
-    model.heads[1].table -= 1.0
+    model.heads[1].table[...] -= 1.0
     assert dataset_loss(model, counts, [2]) == per_digit[2]
-    model.heads[2].table += 2.0
+    model.heads[2].table[...] += 2.0
     assert dataset_loss(model, counts, [0]) != per_digit[0]  # head 0 did change above
 
 
@@ -850,18 +838,33 @@ def test_optim_state_dict_round_trip_gist():
     assert restore_optim_state(old, model) == OptimState(t=5)
 
 
+@pytest.mark.parametrize("kind, key", [("gist", "streak"), ("gist", "t"), ("adam", "t")])
+def test_resume_refuses_a_negative_count(tmp_path, kind, key):
+    tree, ds, model = _toy_setup()
+    opt = GistConfig() if kind == "gist" else AdamConfig()
+    plan = TrainPlan((TrainPhase("a", 4, 0.03, (0, 1)),), checkpoint_interval=2)
+    train(model, ds, opt, plan, tree=tree, checkpoint_dir=str(tmp_path))
+    doc = load_checkpoint(str(tmp_path / "ckpt-00002.json"))
+    doc["optim"][key] = -1
+    with pytest.raises(ValueError, match=f"'{key}' must be >= 0, got -1"):
+        train(load_model(doc), ds, opt, plan, tree=tree, resume=doc)
+
+
 def test_optim_state_dict_round_trip_adam():
-    cfg = AdamConfig()
     state = OptimState()
-    # the toy model (p = 3) holds a 3 x 3 table head0.table
-    _adam_once(np.zeros((3, 3)), np.ones((3, 3)), state, cfg, name="head0.table")
-    doc = optim_state_dict("adam", state)
     _, ds, model = _toy_setup()
+    # one step on head 0's table alone sets bits of head 0's moments only
+    g = np.zeros(model.latents.shape)
+    _array_views(g)["head0.table"][...] = 1.0
+    _adam_once(model.latents, g, state, AdamConfig())
+    doc = optim_state_dict("adam", state)
+    assert doc["m"].keys() == doc["u"].keys() == {"head0.table", "head0.anchor"}
+    assert doc["shapes"] == {"head0.table": [model.p, model.p], "head0.anchor": [model.p]}
     back = restore_optim_state(doc, model)
     assert back.t == 1
-    assert back.m["head0.table"].shape == (3, 3)
-    assert np.array_equal(back.m["head0.table"], state.m["head0.table"])
-    assert np.array_equal(back.u["head0.table"], state.u["head0.table"])
+    assert back.m.shape == model.latents.shape
+    assert np.array_equal(back.m, state.m)
+    assert np.array_equal(back.u, state.u)
 
 
 def _fingerprint(path):
@@ -1128,22 +1131,23 @@ def _reference_adam_train(model, ds, cfg, plan, batch_size, seed, tree, checkpoi
 
     for pi, phase in enumerate(plan.phases):
         state = OptimState()
+        served = sorted({_effective_depth(model, k) for k in phase.digits})
         for e in range(phase.epochs):
             perms = {k: child_rng(seed, "shuffle", pi, e, k).permutation(n) for k in phase.digits}
             for s in range(math.ceil(n / batch_size)):
                 grads = {
                     name: np.zeros_like(arr)
-                    for name, arr in _served_arrays(model, phase.digits).items()
+                    for name, arr in _array_views(model.latents, served).items()
                 }
                 step = {k: perms[k][s * batch_size : (s + 1) * batch_size] for k in phase.digits}
                 _reference_cell_grads(model, D, W, step, grads)
                 state.t += 1
-                lr = _effective_lr(cfg, phase.lr, state.t)
+                if state.m is None:
+                    state.m, state.u = np.zeros_like(model.latents), np.zeros_like(model.latents)
+                m, u = _array_views(state.m), _array_views(state.u)
                 for name, g in grads.items():
-                    if name not in state.m:
-                        state.m[name], state.u[name] = np.zeros(g.shape), np.zeros(g.shape)
                     arr = model_arrays(model)[name]
-                    _reference_update(arr, g, state.m[name], state.u[name], cfg, lr, state.t)
+                    _reference_update(arr, g, m[name], u[name], cfg, phase.lr, state.t)
             loss, per_digit, leaf_acc = _epoch_metrics(model, D, counts, tree, leaf_ids, phase.digits)
             history.append({
                 "phase": phase.name, "epoch": e, "loss": loss, "per_digit_acc": per_digit,
@@ -1158,18 +1162,18 @@ def _reference_adam_train(model, ds, cfg, plan, batch_size, seed, tree, checkpoi
 
 
 # (tree seed, extra nodes, max children, max depth, K_heads, batch size,
-# sqrt decay, digits of the first phase or None for the staged plan, leaf
-# children added to one node at the tree's deepest level)
+# digits of the first phase or None for the staged plan, leaf children
+# added to one node at the tree's deepest level)
 _ORACLE_CASES = [
-    (0, 70, 5, 6, None, 16, False, None, 0),  # one head per digit
-    (1, 60, 4, 6, 3, 7, False, None, 0),  # the last head serves digits >= 2
-    (2, 60, 4, 6, 1, 9, True, None, 0),  # head 0 serves every digit
-    (3, 60, 4, 6, 2, 64, False, None, 0),  # the depth-1 head serves digits >= 1
-    (4, 80, 6, 5, None, 13, False, (0, 3), 0),  # trained arrays not adjacent
-    (5, 90, 5, 6, 4, 11, True, (4, 1, 0), 0),  # digits out of order
-    (6, 100, 4, 6, None, 64, False, None, 0),  # one partial step per epoch
-    (7, 100, 4, 6, 3, 13, True, None, 0),  # a last step of one record
-    (8, 40, 4, 6, 3, 16, False, None, 40),  # few distinct rows per step
+    (0, 70, 5, 6, None, 16, None, 0),  # one head per digit
+    (1, 60, 4, 6, 3, 7, None, 0),  # the last head serves digits >= 2
+    (2, 60, 4, 6, 1, 9, None, 0),  # head 0 serves every digit
+    (3, 60, 4, 6, 2, 64, None, 0),  # the depth-1 head serves digits >= 1
+    (4, 80, 6, 5, None, 13, (0, 3), 0),  # trained heads not adjacent
+    (5, 90, 5, 6, 4, 11, (4, 1, 0), 0),  # digits out of order
+    (6, 100, 4, 6, None, 64, None, 0),  # one partial step per epoch
+    (7, 100, 4, 6, 3, 13, None, 0),  # a last step of one record
+    (8, 40, 4, 6, 3, 16, None, 40),  # few distinct rows per step
 ]
 
 
@@ -1185,14 +1189,14 @@ def _with_wide_node(tree, width):
 
 @pytest.mark.parametrize("case", _ORACLE_CASES)
 def test_adam_trainer_matches_per_array_reference(tmp_path, case):
-    seed, size, branching, depth, k_heads, batch_size, sqrt_decay, digits, wide = case
+    seed, size, branching, depth, k_heads, batch_size, digits, wide = case
     tree = irregular_tree(seed, size, branching, depth)
     if wide:
         tree = _with_wide_node(tree, wide)
     ds = encode_tree(tree)
     K = ds.codec.K
     assert K >= 5 and len(ds.leaves) % batch_size != 0
-    cfg = AdamConfig(sqrt_decay=sqrt_decay)
+    cfg = AdamConfig()
     if digits is None:
         plan = TrainPlan(uniform_plan(K, epochs=3, lr=0.03).phases, checkpoint_interval=2)
     else:
@@ -1227,12 +1231,19 @@ def test_adam_trainer_matches_per_array_reference(tmp_path, case):
         assert _fingerprint(str(out / "ckpt-final.json")) == final, name
 
 
+def _trained_heads(model, digits):
+    """The heads an Adam epoch over digits steps: from the first to the
+    last that serves one of them."""
+    heads = [_effective_depth(model, k) for k in digits]
+    return slice(min(heads), max(heads) + 1)
+
+
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("case", _ORACLE_CASES)
 def test_adam_step_gradient_is_the_per_record_gradient(case, perturbed):
     # every step of one epoch of each phase: the cell-wise gradient is the
     # per-record one, which sums each record's terms, within rounding
-    seed, size, branching, depth, k_heads, batch_size, _, digits, wide = case
+    seed, size, branching, depth, k_heads, batch_size, digits, wide = case
     tree = irregular_tree(seed, size, branching, depth)
     if wide:
         tree = _with_wide_node(tree, wide)
@@ -1252,17 +1263,16 @@ def test_adam_step_gradient_is_the_per_record_gradient(case, perturbed):
     else:
         phase_sets = [digits, tuple(range(K))]
     for phase_digits in phase_sets:
-        served = _served_arrays(model, phase_digits)
-        flat = _Flat(served)
+        heads = _trained_heads(model, phase_digits)
         perms = {k: rng.permutation(n) for k in phase_digits}
-        b = _Batches(model, flat, D, tables, perms, batch_size)
+        b = _Batches(model, heads.start, D, tables, perms, batch_size)
         for s in range(b.steps):
-            got = _accumulate_grads(flat.x, b, s)
-            grads = {name: np.zeros_like(arr) for name, arr in served.items()}
+            got = _accumulate_grads(model.latents[heads].reshape(-1), b, s)
+            grads = np.zeros_like(model.latents)
             for k in phase_digits:
                 idx = perms[k][s * batch_size : (s + 1) * batch_size]
-                _reference_grads(model, D, W, k, idx, grads)
-            want = np.concatenate([g.ravel() for g in grads.values()])
+                _reference_grads(model, D, W, k, idx, _array_views(grads))
+            want = grads[heads].ravel()
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (phase_digits, s)
 
 
@@ -1300,13 +1310,16 @@ def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
     n = D.shape[0]
     tau = model.config.tau
     for digits in (tuple(range(K)), (0, 3), tuple(range(2, K))):
-        served = _served_arrays(model, digits)
-        flat = _Flat(served)
+        heads = _trained_heads(model, digits)
+        served = {_effective_depth(model, k) for k in digits}
         perms = {k: rng.permutation(n) for k in digits}
-        batches = _Batches(model, flat, D, _record_tables(model, D, counts), perms, n)
-        grad = _accumulate_grads(flat.x, batches, 0)
+        batches = _Batches(model, heads.start, D, _record_tables(model, D, counts), perms, n)
+        grad = np.zeros_like(model.latents)
+        x = model.latents[heads].reshape(-1)
+        grad[heads] = _accumulate_grads(x, batches, 0).reshape(grad[heads].shape)
+        grads = _array_views(grad)
         h = 1e-6
-        for name, arr in served.items():
+        for name, arr in _array_views(model.latents, sorted(served)).items():
             if name.endswith(".anchor"):
                 ke = int(name[len("head") : name.index(".")])
                 rows, t, w, correct = _anchor_records(model, D, W, digits, ke)
@@ -1326,10 +1339,10 @@ def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
                         ) / n
 
                     fd = (potential(v + h) - potential(v - h)) / (2 * h)
-                    assert flat.view(grad, name)[r] == pytest.approx(fd, rel=1e-5, abs=1e-8), (
+                    assert grads[name][r] == pytest.approx(fd, rel=1e-5, abs=1e-8), (
                         name, r, digits,
                     )
-                assert not np.any(np.delete(flat.view(grad, name), rows))
+                assert not np.any(np.delete(grads[name], rows))
                 continue
             # away from ties: a step of h must not reorder a row's top three
             top3 = -np.sort(-arr, axis=1)[:, :3]
@@ -1342,7 +1355,7 @@ def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
                 down = dataset_loss(model, counts, digits)
                 arr[at] = x0
                 fd = (up - down) / (2 * h)
-                assert flat.view(grad, name)[at] == pytest.approx(fd, rel=1e-5, abs=1e-8), (
+                assert grads[name][at] == pytest.approx(fd, rel=1e-5, abs=1e-8), (
                     name, at, digits,
                 )
 
@@ -1359,11 +1372,10 @@ def test_adam_epoch_layout_is_linear_in_digits_times_records():
         D = ds.digits_matrix()
         counts = ds.pair_counts()
         tables = _record_tables(model, D, counts)
-        flat = _Flat(_served_arrays(model, tuple(range(K))))
         perms = {k: rng.permutation(N) for k in range(K)}
         tracemalloc.start()
         try:
-            b = _Batches(model, flat, D, tables, perms, size)
+            b = _Batches(model, 0, D, tables, perms, size)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1371,6 +1383,38 @@ def test_adam_epoch_layout_is_linear_in_digits_times_records():
         # per-step buffer
         scratch = 0
         assert peak <= 16 * 8 * K * N + scratch, (N, peak, scratch)
+
+
+@pytest.mark.parametrize("k_heads", [None, 2])
+def test_heads_are_views_of_one_latent_array(tmp_path, k_heads):
+    # the trainers write the served arrays in place: the heads, and every
+    # array checkpoints name, stay views of the one array new_model made
+    tree = irregular_tree(0, 40, 4, 5)
+    ds = encode_tree(tree)
+    K = ds.codec.K
+
+    def assert_views(model, latents):
+        assert model.latents is latents
+        for name, arr in model_arrays(model).items():
+            assert np.shares_memory(arr, latents), name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.heads[0].table = np.zeros_like(model.heads[0].table)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.latents = latents.copy()
+
+    model = new_model(ModelConfig(ds.codec, k_heads), seed=0)
+    latents = model.latents
+    assert_views(model, latents)
+    for opt in (GistConfig(), AdamConfig()):
+        before = latents.copy()
+        plan = TrainPlan((TrainPhase("all", 1, 0.03, tuple(range(K))),), checkpoint_interval=0)
+        result = train(model, ds, opt, plan, tree=tree, checkpoint_dir=str(tmp_path))
+        assert result.history[0]["accepted_moves"] > 0
+        assert not np.array_equal(before, latents)
+        assert_views(model, latents)
+    loaded = load_model(load_checkpoint(str(tmp_path / "ckpt-final.json")))
+    assert np.array_equal(loaded.latents.view(np.int64), latents.view(np.int64))
+    assert_views(loaded, loaded.latents)
 
 
 def test_adam_train_calls_the_traced_names_once_per_step(monkeypatch):
