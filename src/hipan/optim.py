@@ -17,12 +17,25 @@ model.
 
 The lattice trainer moves one latent at a time by +-1 (wrapping mod p),
 accepting only strict improvement of this objective on the full data, so
-integer-valued latents stay integers forever and the logged loss never
-rises from sweep to sweep.  A coordinate of a head row, or the row's
-anchor, changes only the loss of the pairs whose parent digit selects
-that row, so the sweep skips rows that no pair reaches and scores each
-live row and anchor on its own pairs, in the arithmetic of the loss
-itself, with gist_minimize's routine (_lattice_sweep).
+integer-valued latents stay integers forever.  A coordinate of a head
+row, or the row's anchor, changes only the loss of the pairs whose parent
+digit selects that row, so rows are independent blocks: the sweep skips
+rows that no pair reaches, and every live row of every served head
+advances in the same passes of gist_minimize's routine (_lattice_sweep).
+A pass scores the +-1 candidates of a window of columns of each row, and
+each row takes the moves that a one-coordinate-at-a-time sweep of its
+columns in index order makes; then one pass moves every anchor.  A
+candidate is scored from its row's running sums (_RowSweep): the
+log-sum-exp from the row's max and its sum of exponentials with one term
+swapped, the top two from the kept top three, and pair terms only for
+the pairs the move changes, so it costs O(1), plus O(pairs) where it
+touches a target column or the top two.  That is not the arithmetic of
+the loss, so after the passes each row's loss is recomputed in the loss's
+arithmetic, and a row whose loss rose is put back as it was and counted
+as a revert: the logged loss never rises from sweep to sweep.  Moves can
+differ from those of candidates scored in the loss's own arithmetic only
+where two candidates tie within rounding, that is where a move's gain is
+below the rounding of one arithmetic or the other.
 
 The Adam trainer does not descend this objective as a whole.  Its table
 gradients are the analytic gradients of the objective,
@@ -62,7 +75,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import IO, Iterator, NamedTuple, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -269,57 +282,34 @@ def _idle_streak(streak: int, accepted: int) -> int:
     return 0 if accepted else streak + 1
 
 
-# The width of a _lattice_sweep pass that no earlier move bounds.
-_FIRST_CHUNK = 32
+def _lattice_sweep(x: np.ndarray, p: int, decide, width: int) -> np.ndarray:
+    """Sweep the columns of every row of the 2-d array x in index order,
+    in place, by the lattice rule; returns each row's accepted moves.
 
-
-def _lattice_sweep(x: np.ndarray, p: int, losses) -> int:
-    """Sweep the entries of the 1-d array x in index order, in place, by
-    the lattice rule; returns the accepted moves.
-
-    A pass takes entries cols, with cands their values, +1s and -1s (mod
-    p) as 3 rows; losses(cols, cands) scores x, then x with each entry at
-    its +1, then at its -1 (_candidate_rows), as one array.  The pass
-    moves the first entry whose best candidate is not the incumbent, and
-    the next starts after it.  Entries up to that one are scored against
-    the incumbent of a one-coordinate-at-a-time sweep, so the moves are
-    that sweep's; later scores only end later passes early, so losses may
-    give them the incumbent's score.  A pass ends at the next entry an
-    earlier pass saw move, or else after _FIRST_CHUNK entries, twice as
-    many (at most x.size) after each pass without a move.  Steps add the
-    integer 1: integer x stays exact."""
-    n = x.size
-    accepted, j, width = 0, 0, _FIRST_CHUNK
-    ahead = np.empty(0, dtype=np.int64)
-    while j < n:
-        stop = ahead[0] + 1 if ahead.size else min(n, j + width)
-        cols = np.arange(j, stop)
-        m = cols.size
-        cands = np.empty((3, m), dtype=x.dtype)
-        cands[0] = x[j:stop]
-        np.add(cands[0], 1, out=cands[1])
-        np.subtract(cands[0], 1, out=cands[2])
-        cands[1:] %= p
-        scores = losses(cols, cands)
-        moves = _lattice_move(scores[:1], scores[1 : m + 1], scores[m + 1 :])
-        moved = np.flatnonzero(moves)
-        later = ahead[1:]  # ahead ascends, and this pass ends at ahead[0]
-        if moved.size == 0:
-            j, ahead, width = stop, later, min(2 * width, n)
-            continue
-        i = moved[0]
-        x[cols[i]] = cands[moves[i], i]
-        accepted += 1
-        j, ahead, width = cols[i] + 1, np.concatenate([cols[moved[1:]], later]), _FIRST_CHUNK
+    The rows advance side by side, one pass at a time.  A pass hands
+    decide(act, cols) the rows act that have columns left and, for each,
+    its window cols: the next `width` columns from the row's cursor
+    (entries >= x.shape[1] lie past the row's end).  decide returns
+    (moves, done): a move per window column (1 for +1, -1 for -1 mod p,
+    0 to stay), of which the first done[i] >= 1 of row i are the moves a
+    one-coordinate-at-a-time sweep makes there.  The pass applies those
+    and moves the row's cursor past them.  Steps add the integer 1:
+    integer x stays exact."""
+    rows, n = x.shape
+    cursor = np.zeros(rows, dtype=np.int64)
+    accepted = np.zeros(rows, dtype=np.int64)
+    span = np.arange(width)
+    act = np.arange(rows if n else 0)
+    while act.size:
+        cols = cursor[act, None] + span
+        moves, done = decide(act, cols)
+        i, w = np.nonzero((span < done[:, None]) & (moves != 0))
+        r, c = act[i], cols[i, w]
+        x[r, c] = (x[r, c] + moves[i, w]) % p
+        accepted += np.bincount(r, minlength=rows)
+        cursor[act] += done
+        act = act[cursor[act] < n]
     return accepted
-
-
-def _candidate_rows(x: np.ndarray, cols: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """The 2 cols.size + 1 rows that losses(cols, cands) of _lattice_sweep scores."""
-    m = cols.size
-    X = np.repeat(x[None, :], 2 * m + 1, axis=0)
-    X[np.arange(1, 2 * m + 1), np.concatenate((cols, cols))] = cands[1:].ravel()
-    return X
 
 
 def gist_minimize(
@@ -331,40 +321,44 @@ def gist_minimize(
 ) -> tuple[list[int], list[int]]:
     """Generic coordinate descent on the digit lattice {0..p-1}^n, p < 2^63.
 
-    Each sweep is the trainer's (_lattice_sweep) over the digits as
-    int64.  objective gets the digits as a list of ints, and its values
-    are compared as Python compares them.  A pass calls it on its
-    incumbent, then on each coordinate's +1 and -1 until one moves, so a
-    sweep makes at most 3 calls per coordinate, in O(n) memory.  Stops
-    after `patience` consecutive sweeps with no accepted move.
+    Each sweep is the trainer's (_lattice_sweep), over the digits as one
+    int64 row whose window is the rest of the row.  objective gets the
+    digits as a list of ints, and its values are compared as Python
+    compares them.  A pass calls it on its incumbent, then on each
+    coordinate's +1 and -1 until one moves, and ends there, so a sweep
+    makes at most 3 calls per coordinate, in O(n) memory.  Stops after
+    `patience` consecutive sweeps with no accepted move.
 
     Returns:
         (digits, accepted_per_sweep).
     """
-    x = np.array([int(d) % p for d in digits0], dtype=np.int64)
+    x = np.array([[int(d) % p for d in digits0]], dtype=np.int64)
 
-    def losses(cols: np.ndarray, cands: np.ndarray) -> np.ndarray:
-        r, m = x.tolist(), cols.size
-        scores = [objective(r)] * (2 * m + 1)
-        for k, (c, stay, up, down) in enumerate(zip(cols.tolist(), *cands.tolist())):
-            r[c] = up
-            scores[1 + k] = objective(r)
-            r[c] = down
-            scores[1 + m + k] = objective(r)
-            r[c] = stay
-            if _lattice_move(scores[0], scores[1 + k], scores[1 + m + k]):
+    def decide(act: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = x[0].tolist()
+        moves = np.zeros(cols.shape, dtype=np.int64)
+        stay = objective(r)
+        for k, c in enumerate(range(int(cols[0, 0]), len(r))):
+            here = r[c]
+            r[c] = (here + 1) % p
+            up = objective(r)
+            r[c] = (here - 1) % p
+            down = objective(r)
+            r[c] = here
+            moves[0, k] = _lattice_move(stay, up, down)
+            if moves[0, k]:
                 break
-        return np.fromiter(scores, dtype=object, count=2 * m + 1)
+        return moves, np.array([k + 1])
 
     history: list[int] = []
     streak = 0
     for _ in range(max_sweeps):
-        accepted = _lattice_sweep(x, p, losses)
+        accepted = int(_lattice_sweep(x, p, decide, max(x.size, 1))[0])
         history.append(accepted)
         streak = _idle_streak(streak, accepted)
         if streak >= patience:
             break
-    return x.tolist(), history
+    return x[0].tolist(), history
 
 
 # --- model-coupled training -------------------------------------------------
@@ -445,80 +439,344 @@ def dataset_loss(
     return total / max(1, int(counts[0].count.sum()))
 
 
-# A row's pairs at each digit its head serves: (child digits, counts,
-# rarity weights), the slice of that digit's DigitPairs with the row's
-# parent digit.
-_RowParts = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+class _PairTable(NamedTuple):
+    """A run's pairs, built once per run for both trainers.  A pair is one
+    digit's distinct (previous digit, digit) pair; pairs are numbered in
+    (live row, child, digit) order, so the pairs of one row, and of one
+    (row, child) cell, are adjacent.  Pair j of digit digit[j] selects
+    live row row[j], targets child[j], is held by count[j] records and
+    has the rarity weight weight[j].  The live rows are the head rows
+    that some pair of a digit the head serves reaches, in (head, row)
+    order; live row r is row live[1, r] of the head at depth live[0, r].
+    pair[i, k] is the pair of record i's digit k (digit -1 read as 0), or
+    pair is None when the table was built without the records."""
+
+    row: np.ndarray
+    child: np.ndarray
+    digit: np.ndarray
+    count: np.ndarray
+    weight: np.ndarray
+    live: np.ndarray
+    pair: np.ndarray | None = None
 
 
-def _live_rows(
-    model: HiPaNModel, counts: Sequence[DigitPairs], served: tuple[int, ...]
-) -> Iterator[tuple[int, _RowParts]]:
-    """(row, parts) for every row of the head serving the served digits
-    that some pair of theirs reaches, in row order."""
-    cuts = []
-    for k in served:
-        pairs = counts[k]
-        bounds = np.searchsorted(pairs.parent, np.arange(model.p + 1))
-        cuts.append((pairs, huffman_weights(pairs.count), bounds))
-    for r in range(model.p):
-        parts = []
-        for pairs, w, bounds in cuts:
-            a, b = bounds[r], bounds[r + 1]
-            if b > a:
-                parts.append((pairs.child[a:b], pairs.count[a:b], w[a:b]))
-        if parts:
-            yield r, parts
+def _pair_table(
+    model: HiPaNModel, counts: Sequence[DigitPairs], D: np.ndarray | None = None
+) -> _PairTable:
+    """The run's _PairTable from its pair counts, with each record's pairs
+    when the records D are given."""
+    p, K = model.p, len(counts)
+    heads = [_effective_depth(model, k) for k in range(K)]
+    # every digit's pairs end to end, then ranked by (live row, child, digit)
+    keys, row = np.unique(np.concatenate([heads[k] * p + c.parent for k, c in enumerate(counts)]),
+                          return_inverse=True)
+    child = np.concatenate([c.child for c in counts])
+    digit = np.repeat(np.arange(K), [c.child.size for c in counts])
+    order = np.lexsort((digit, child, row))
+    row, child, digit = row[order], child[order], digit[order]
+    weight = np.concatenate([huffman_weights(c.count) for c in counts])[order]
+    count = np.concatenate([c.count for c in counts])[order]
+    pair = None
+    if D is not None:
+        rank = (row * p + child) * K + digit  # ascends
+        pair = np.empty(D.shape, dtype=np.int64)
+        for k in range(K):
+            r = np.searchsorted(keys, heads[k] * p + (D[:, k - 1] if k else 0))
+            pair[:, k] = np.searchsorted(rank, (r * p + D[:, k]) * K + k)
+    return _PairTable(row, child, digit, count, weight, np.array(np.divmod(keys, p)), pair)
 
 
-def _row_losses(
-    model: HiPaNModel, X: np.ndarray, v: np.ndarray | float, parts: _RowParts
-) -> np.ndarray:
-    """Loss of one head row's pairs under each candidate row X[i] and
-    anchor v (broadcast against X's rows).
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, index): every index of the ranges [lo[i], hi[i]) in order,
+    with the i of its range."""
+    n = hi - lo
+    owner = np.repeat(np.arange(lo.size), n)
+    return owner, np.arange(owner.size) + np.repeat(lo - (np.cumsum(n) - n), n)
 
-    Computed in the arithmetic of dataset_loss, bit for bit: per served
-    digit, _digit_losses's terms of the row's pairs weighted by their
-    counts and summed."""
-    lse = _lse_rows(X)[:, None]
-    top, second = (a[:, None] for a in _top_two(X))
-    total = 0.0
-    for t, count, w in parts:
-        ce = _pair_terms(model.config.tau, lse - X[:, t], top, second, v, t, w)
-        # sum(axis=1) adds each row of a C-ordered array pairwise, as the
-        # 1-d sum does; X[:, t] and what is computed from it are F-ordered
-        total = total + np.ascontiguousarray(count * ce).sum(axis=1)
-    return total
+
+class _RowState(NamedTuple):
+    """Running sums of table rows under the lattice sweep's scoring.
+
+    Per row: its max M and sum of exponentials S at that shift, in
+    _lse_rows' arithmetic; its three largest columns a1, a2, a3 (ties to
+    the lowest index) and the values b2, b3 of the last two (a3 = p and
+    b3 = -inf when p = 2); and Q, the sum over the row's pairs, in pair
+    order from 0.0, of cw ((M - x_t) + softplus(-z)), with cw the pair's
+    count times its rarity weight, x_t its target column's score and z
+    its two-logit margin against the row's top two (_pair_terms).  Those
+    terms are kept too: row i's are H[h0[i]:], one per pair in pair
+    order."""
+
+    M: np.ndarray
+    S: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
+    b2: np.ndarray
+    b3: np.ndarray
+    Q: np.ndarray
+    H: np.ndarray
+    h0: np.ndarray
+
+
+# Columns of a row that one pass of the model's lattice sweep scores, and
+# the most window entries (rows x columns x p) a block of rows sweeping
+# side by side may hold, which bounds the candidate rows of a pass.
+_WINDOW = 64
+_BLOCK = 2**21
+
+
+class _RowSweep:
+    """One lattice sweep of the live rows of the heads serving some digits:
+    every row's table columns, the rows advancing side by side in the same
+    passes (_lattice_sweep, decide), then every anchor in one pass.
+
+    The rows are worked on in copies: X holds each live row's table row,
+    v its anchor.  A candidate, column j of a row moved from x to y, is
+    scored as the row's loss A L' + Q' from the row's running state
+    (_RowState), with A the sum of the row's cw:
+    - L' is the candidate row's log-sum-exp less the incumbent's max M,
+      from S with one term swapped:
+          log((S - e^(x - M)) + e^(y - M))              if y <= M,
+          (y - M) + log((S - e^(x - M)) e^(M - y) + 1)  if y > M;
+      a candidate that lowers a column at the max has its max M' and sum
+      S' recomputed from the whole row instead, without subtraction, and
+      L' = (M' - M) + log S';
+    - its top two come from the kept top three;
+    - Q' is Q plus the sum, in pair order from 0.0, of each changed pair's
+      new term less its kept one.  A pair changes when it targets column
+      j or its competitor changes, which can happen only where the top
+      two do.
+    So a candidate costs O(1), plus O(pairs of column j) where it touches
+    a target and O(pairs of the row) where it changes the top two.  The
+    incumbent scores A log S + Q.  A column whose exponential vanishes
+    beside S leaves S as it is, so its candidates tie with the incumbent.
+    After each move the row's state is recomputed from the row."""
+
+    def __init__(self, model: HiPaNModel, table: _PairTable, digits: Sequence[int]):
+        p = self.p = model.p
+        self.tau = model.config.tau
+        sel = np.isin(table.digit, digits)
+        live, self.prow = np.unique(table.row[sel], return_inverse=True)
+        self.heads, self.rows = table.live[:, live]
+        self.t, self.count, self.w = table.child[sel], table.count[sel], table.weight[sel]
+        self.cw = self.count * self.w
+        n = live.size
+        self.start = np.searchsorted(self.prow, np.arange(n + 1))
+        self.A = np.bincount(self.prow, self.cw, minlength=n)
+        self.key = self.prow * p + self.t  # ascends
+        self.target = np.zeros((n, p), dtype=bool)
+        self.target[self.prow, self.t] = True
+        self.X = model.latents[self.heads, self.rows]
+        self.v = model.latents[self.heads, p, self.rows]
+        self.cur = self.states(self.X, np.arange(n))
+        self.stale = np.zeros(n, dtype=bool)
+
+    def _pairs_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_ranges of the pairs of each of the given live rows."""
+        return _ranges(self.start[rows], self.start[rows + 1])
+
+    def states(self, Xs: np.ndarray, rows: np.ndarray) -> _RowState:
+        """_RowState of the rows Xs, each one a version of the live row at
+        the same place in rows."""
+        at = np.arange(rows.size)
+        a1 = Xs.argmax(axis=1)
+        M = Xs[at, a1]
+        S = np.exp(Xs - M[:, None]).sum(axis=1)
+        rest = Xs.copy()
+        rest[at, a1] = -np.inf
+        a2 = rest.argmax(axis=1)
+        b2 = rest[at, a2]
+        rest[at, a2] = -np.inf
+        a3 = rest.argmax(axis=1)
+        b3 = rest[at, a3]
+        a3[b3 == -np.inf] = self.p
+        o, q = self._pairs_of(rows)
+        t = self.t[q]
+        H = _pair_terms(self.tau, M[o] - Xs[o, t], a1[o], a2[o], self.v[rows][o], t, self.cw[q])
+        Q = np.bincount(o, H, minlength=rows.size)
+        h0 = np.searchsorted(o, at)
+        return _RowState(M, S, a1, a2, a3, b2, b3, Q, H, h0)
+
+    def scores(self, st: _RowState, Xs: np.ndarray, s, r, j, y) -> np.ndarray:
+        """Scores of moving column j of state s, a version Xs[s] of live row
+        r, to y (the class docstring)."""
+        M, S, a1, a2 = st.M[s], st.S[s], st.a1[s], st.a2[s]
+        x = self.X[r, j]
+        rest = S - np.exp(x - M)
+        L = np.where(y > M, (y - M) + np.log(rest * np.exp(np.minimum(M - y, 0.0)) + 1.0),
+                     np.log(rest + np.exp(np.minimum(y - M, 0.0))))
+        low = np.flatnonzero((x == M) & (y < x))
+        if low.size:
+            rows = Xs[s[low]]
+            rows[np.arange(low.size), j[low]] = y[low]
+            top = rows.max(axis=1)
+            L[low] = (top - M[low]) + np.log(np.exp(rows - top[:, None]).sum(axis=1))
+        # the top two of the other columns, then y's place among them
+        hit = j == a1
+        o1, v1 = np.where(hit, a2, a1), np.where(hit, st.b2[s], M)
+        hit |= j == a2
+        o2, v2 = np.where(hit, st.a3[s], a2), np.where(hit, st.b3[s], st.b2[s])
+        first = (y > v1) | ((y == v1) & (j < o1))
+        top1 = np.where(first, j, o1)
+        top2 = np.where(first, o1, np.where((y > v2) | ((y == v2) & (j < o2)), j, o2))
+        Q = st.Q[s]
+        whole = (top1 != a1) | (top2 != a2)
+        f = np.flatnonzero(self.target[r, j] | whole)
+        if f.size:
+            # the pairs that may change: the column's, or every pair of the
+            # row when the top two change; those whose target or competitor
+            # does change add their new term less their old one to Q
+            rf, key = r[f], r[f] * self.p + j[f]
+            lo = np.where(whole[f], self.start[rf], np.searchsorted(self.key, key))
+            hi = np.where(whole[f], self.start[rf + 1], np.searchsorted(self.key, key, "right"))
+            o, q = _ranges(lo, hi)
+            g, t = f[o], self.t[q]
+            c = np.where(top1[g] == t, top2[g], top1[g])
+            new = np.flatnonzero((t == j[g]) | (c != np.where(a1[g] == t, a2[g], a1[g])))
+            o, q, g, t = o[new], q[new], g[new], t[new]
+            xt = np.where(t == j[g], y[g], Xs[s[g], t])
+            delta = _pair_terms(self.tau, M[g] - xt, top1[g], top2[g], self.v[r[g]], t, self.cw[q])
+            delta -= st.H[st.h0[s[g]] + (q - self.start[r[g]])]
+            Q[f] += np.bincount(o, delta, minlength=f.size)
+        return self.A[r] * L + Q
+
+    def moves(self, st: _RowState, Xs: np.ndarray, s, r, j) -> np.ndarray:
+        """The lattice move (_lattice_move) of column j of state s, a
+        version Xs[s] of live row r."""
+        x = self.X[r, j]
+        y = np.concatenate([(x + 1) % self.p, (x - 1) % self.p])
+        up, down = np.split(self.scores(st, Xs, np.tile(s, 2), np.tile(r, 2), np.tile(j, 2), y), 2)
+        return _lattice_move(self.A[r] * np.log(st.S[s]) + st.Q[s], up, down)
+
+    def refresh(self, rows: np.ndarray) -> None:
+        """Recompute the state of those of the rows that moved."""
+        rows = rows[self.stale[rows]]
+        if rows.size:
+            new = self.states(self.X[rows], rows)
+            # the per-row fields; the current states' terms H lie in pair
+            # order, so their h0 stays self.start
+            for cur, fresh in zip(self.cur[:-2], new[:-2]):
+                cur[rows] = fresh
+            self.cur.H[self._pairs_of(rows)[1]] = new.H
+            self.stale[rows] = False
+
+    def decide(self, act: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_lattice_sweep's decide over the live rows act.
+
+        Every window column is scored against its row's state; the first
+        one to move is the one-coordinate-at-a-time sweep's.  The columns
+        after it are scored again, each against its row with the moves
+        of the window's earlier columns applied (states built from the
+        whole row, as after a move), and the row's moves are final up to
+        the first column whose move changed, that one included."""
+        p = self.p
+        self.refresh(act)
+        n, width = cols.shape
+        valid = cols < p
+        rows = np.repeat(act, width)
+        moves = self.moves(self.cur, self.X, rows, rows, np.minimum(cols, p - 1).ravel())
+        moves = np.where(valid, moves.reshape(n, width), 0)
+        moved = moves != 0
+        before = np.cumsum(moved, axis=1) - moved  # moves earlier in the window
+        last = valid.sum(axis=1) - 1
+        states = before[np.arange(n), last]
+        done = last + 1
+        if states.any():
+            # state k of row i: the row with the window's first k moves
+            first = np.cumsum(states) - states
+            i = np.repeat(np.arange(n), states)
+            k = np.arange(i.size) - first[i] + 1
+            Xs = self.X[act[i]]
+            si, w = np.nonzero(moved[i] & (before[i] < k[:, None]))
+            c = cols[i[si], w]
+            Xs[si, c] = (Xs[si, c] + moves[i[si], w]) % p
+            ci, cj = np.nonzero(valid & (before > 0))
+            again = self.moves(self.states(Xs, act[i]), Xs, first[ci] + before[ci, cj] - 1,
+                               act[ci], cols[ci, cj])
+            changed = np.zeros((n, width), dtype=bool)
+            changed[ci, cj] = again != moves[ci, cj]
+            moves[ci, cj] = again
+            done = np.where(changed.any(axis=1), changed.argmax(axis=1) + 1, done)
+        self.stale[act[((np.arange(width) < done[:, None]) & (moves != 0)).any(axis=1)]] = True
+        return moves, done
+
+    def columns(self) -> np.ndarray:
+        """Sweep the table columns of every live row, the rows in blocks
+        of at most _BLOCK window entries; returns each row's moves."""
+        p, n = self.p, self.A.size
+        width = min(_WINDOW, p)
+        rows = max(1, _BLOCK // (width * p))
+        moved = np.zeros(n, dtype=np.int64)
+        for a in range(0, n, rows):
+            block = slice(a, a + rows)
+            decide = lambda act, cols, a=a: self.decide(act + a, cols)  # noqa: E731
+            moved[block] = _lattice_sweep(self.X[block], p, decide, width)
+        return moved
+
+    def anchors(self) -> np.ndarray:
+        """Move every row's anchor by the lattice rule, scored as A L + Q
+        with Q at each candidate anchor; returns the moves (0 or 1)."""
+        p, prow = self.p, self.prow
+        self.refresh(np.arange(self.A.size))
+        st = self.cur
+        d = st.M[prow] - self.X[prow, self.t]
+        base = self.A * np.log(st.S)
+
+        def score(v):
+            terms = _pair_terms(self.tau, d, st.a1[prow], st.a2[prow], v[prow], self.t, self.cw)
+            return base + np.bincount(prow, terms, minlength=base.size)
+
+        up, down = (self.v + 1) % p, (self.v - 1) % p
+        move = _lattice_move(base + st.Q, score(up), score(down))
+        self.v = np.choose(move + 1, [down, self.v, up])
+        return move != 0
+
+    def logged(self) -> np.ndarray:
+        """Each row's loss in the arithmetic of dataset_loss: its pairs'
+        _digit_losses terms times their counts, summed in pair order."""
+        X, prow = self.X, self.prow
+        top, second = _top_two(X)
+        ce = _lse_rows(X)[prow] - X[prow, self.t]
+        terms = _pair_terms(self.tau, ce, top[prow], second[prow], self.v[prow], self.t, self.w)
+        return np.bincount(prow, self.count * terms, minlength=X.shape[0])
 
 
 def _gist_sweep(
-    model: HiPaNModel, counts: Sequence[DigitPairs], digits: tuple[int, ...]
+    model: HiPaNModel,
+    counts: Sequence[DigitPairs],
+    digits: tuple[int, ...],
+    table: _PairTable | None = None,
+    report: dict | None = None,
 ) -> tuple[int, int]:
-    """One exact full-batch lattice sweep of the heads serving the given
-    digits, in place; returns (accepted moves, loss evaluations), three
+    """One full-batch lattice sweep of the heads serving the given digits,
+    in place; returns (accepted moves, loss evaluations), three
     evaluations per coordinate of a live row.
 
-    Order: each head's rows in depth order, each row's table columns
-    then its anchor.  A row's pairs read only that row and
-    its anchor, so this gives the moves of sweeping a head's whole table
-    before its anchors.  Rows that no pair reaches are skipped: no move
-    there can change the loss."""
-    p = model.p
-    accepted = coords = 0
-    for ke in range(model.config.K_heads):
-        served = _served_digits(model, ke, digits)
-        if not served:
-            continue
-        head = model.heads[ke]
-        for r, parts in _live_rows(model, counts, served):
-            row, v = head.table[r], head.anchor[r : r + 1]
-            accepted += _lattice_sweep(
-                row, p, lambda c, y: _row_losses(model, _candidate_rows(row, c, y), v[0], parts)
-            )
-            # an anchor's candidate rows are its candidates, as a column
-            accepted += _lattice_sweep(v, p, lambda c, y: _row_losses(model, row[None], y, parts))
-            coords += p + 1
-    return accepted, 3 * coords
+    table is the run's _PairTable of counts (built here when None).
+    Rows that no pair of the digits reaches are skipped: no move there
+    can change the loss.  A row's pairs read only that row and its
+    anchor, so every live row of every head advances in the same passes
+    (_lattice_sweep, _RowSweep): each pass scores a window of columns
+    from each row's cursor from running sums, and each row takes the
+    moves a one-coordinate-at-a-time sweep of its table columns in index
+    order would.  One pass then moves every anchor.  Last, each row's
+    loss is recomputed in dataset_loss's arithmetic (_RowSweep.logged);
+    a row whose loss rose is put back as it was before the sweep, and its
+    moves are not counted.  report, when given, gets the number of those
+    rows under "reverts"."""
+    if table is None:
+        table = _pair_table(model, counts)
+    sweep = _RowSweep(model, table, digits)
+    before = sweep.logged()
+    moved = sweep.columns() + sweep.anchors()
+    keep = sweep.logged() <= before
+    h, r = sweep.heads[keep], sweep.rows[keep]
+    model.latents[h, r] = sweep.X[keep]
+    model.latents[h, model.p, r] = sweep.v[keep]
+    if report is not None:
+        report["reverts"] = int(keep.size - keep.sum())
+    return int(moved[keep].sum()), 3 * (model.p + 1) * sweep.A.size
 
 
 @dataclass
@@ -533,42 +791,6 @@ class OptimState:
     t: int = 0
     m: np.ndarray | None = None
     u: np.ndarray | None = None
-
-
-class _PairTable(NamedTuple):
-    """A run's pairs for the Adam layout.  A pair is one digit's distinct
-    (previous digit, digit) pair; pairs are numbered in (live row, child,
-    digit) order, so the pairs of one row, and of one (row, child) cell,
-    are adjacent.  pair[i, k] is the pair of record i's digit k (digit -1
-    read as 0).  Pair j selects live row row[j], targets child[j] and has
-    the rarity weight weight[j].  The live rows are the head rows that
-    some pair of a digit the head serves reaches, in (head, row) order;
-    live row r is row live[1, r] of the head at depth live[0, r]."""
-
-    pair: np.ndarray
-    row: np.ndarray
-    child: np.ndarray
-    weight: np.ndarray
-    live: np.ndarray
-
-
-def _record_tables(model: HiPaNModel, D: np.ndarray, counts: Sequence[DigitPairs]) -> _PairTable:
-    """The run's _PairTable, from the records D and their pair counts."""
-    p, K = model.p, model.K
-    heads = [_effective_depth(model, k) for k in range(K)]
-    sizes = [c.child.size for c in counts]
-    # every digit's pairs end to end, then ranked by (live row, child, digit)
-    live, row = np.unique(np.concatenate([heads[k] * p + c.parent for k, c in enumerate(counts)]),
-                          return_inverse=True)
-    child = np.concatenate([c.child for c in counts])
-    order = np.lexsort((np.repeat(np.arange(K), sizes), child, row))
-    rank, at = np.argsort(order), np.cumsum([0] + sizes)
-    pair = np.empty(D.shape, dtype=np.int64)
-    for k, c in enumerate(counts):
-        pos = np.searchsorted(c.parent * p + c.child, (D[:, k - 1] if k else 0) * p + D[:, k])
-        pair[:, k] = rank[at[k] + pos]
-    weight = np.concatenate([huffman_weights(c.count) for c in counts])[order]
-    return _PairTable(pair, row[order], child[order], weight, np.array(np.divmod(live, p)))
 
 
 def _run_starts(key: np.ndarray) -> np.ndarray:
@@ -833,7 +1055,9 @@ def train(
     Epoch log fields: phase, epoch (phase-local), loss (mean per-record
     over the phase's digits), per_digit_acc (reconstruction accuracy per
     digit, all K), leaf_acc, accepted_moves (lattice moves, or optimizer
-    steps for Adam), wall_ms.
+    steps for Adam), reverts (lattice only: the live rows that the sweep
+    put back because their loss, recomputed in the loss's arithmetic,
+    rose; their moves are not in accepted_moves), wall_ms.
 
     batch_size is Adam's records per step; the lattice sweep scores the
     whole dataset.  Checkpoints go to checkpoint_dir every
@@ -873,7 +1097,7 @@ def train(
     if tree is not None:
         leaf_ids = tree.ids_of(dataset.leaves)
     counts = dataset.pair_counts()
-    tables = _record_tables(model, D, counts) if kind == "adam" else None
+    tables = _pair_table(model, counts, D if kind == "adam" else None)
     if kind == "adam":
         _check_finite(model)
 
@@ -953,8 +1177,9 @@ def train(
             continue
         for e in range(first_epoch, phase.epochs):
             t0 = time.monotonic()
+            sweep: dict = {}
             if kind == "gist":
-                moves, ev = _gist_sweep(model, counts, phase.digits)
+                moves, ev = _gist_sweep(model, counts, phase.digits, tables, sweep)
                 state.t += 1
                 evals += ev
             else:
@@ -990,6 +1215,7 @@ def train(
                 "per_digit_acc": per_digit,
                 "leaf_acc": leaf_acc,
                 "accepted_moves": moves,
+                **sweep,
                 "wall_ms": int((time.monotonic() - t0) * 1000),
             }
             history.append(entry)

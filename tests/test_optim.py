@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import io
+import tempfile
 import tracemalloc
 import weakref
 from collections import Counter
@@ -59,9 +60,7 @@ from hipan.optim import (
     _digit_losses,
     _epoch_metrics,
     _gist_sweep,
-    _live_rows,
-    _record_tables,
-    _row_losses,
+    _pair_table,
     optim_state_dict,
 )
 from hipan.rng import child_rng
@@ -253,23 +252,41 @@ def test_gist_minimize_matches_one_coordinate_at_a_time(problem):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(_lookup_problems())
-def test_lattice_sweep_scoring_every_candidate_matches_one_coordinate_at_a_time(problem):
-    # the trainer's way: every candidate row of a pass scored at once, so
-    # passes also end at the later movers an earlier pass saw
-    objective, start, p, max_sweeps, patience = problem
-    x = np.array([d % p for d in start], dtype=np.int64)
+@given(_lookup_problems(), st.lists(st.integers(-30, 30), min_size=1, max_size=3), st.integers(1, 9))
+def test_lattice_sweep_scoring_every_candidate_matches_one_coordinate_at_a_time(problem, shifts,
+                                                                                 width):
+    # the trainer's way: rows, here one problem from several starts, sweep
+    # side by side, every candidate of a pass's window is scored at once
+    # against the pass's incumbent, and each row keeps the moves up to its
+    # first mover
+    objective, start, p, max_sweeps, _ = problem
+    starts = [[d + shift for d in start] for shift in shifts]
+    x = np.array([[d % p for d in row] for row in starts], dtype=np.int64).reshape(len(starts), -1)
 
-    def losses(cols, cands):
-        return np.array([objective(r) for r in optim._candidate_rows(x, cols, cands).tolist()])
+    def decide(act, cols):
+        moves = np.zeros(cols.shape, dtype=np.int64)
+        done = np.empty(act.size, dtype=np.int64)
+        for i, r in enumerate(act.tolist()):
+            digits = x[r].tolist()
+            stay = objective(digits)
+            valid = [c for c in cols[i].tolist() if c < len(digits)]
+            for k, c in enumerate(valid):
+                here = digits[c]
+                digits[c] = (here + 1) % p
+                up = objective(digits)
+                digits[c] = (here - 1) % p
+                down = objective(digits)
+                digits[c] = here
+                moves[i, k] = optim._lattice_move(stay, up, down)
+            first = np.flatnonzero(moves[i])
+            done[i] = first[0] + 1 if first.size else len(valid)
+        return moves, done
 
-    history, streak = [], 0
-    for _ in range(max_sweeps):
-        history.append(optim._lattice_sweep(x, p, losses))
-        streak = 0 if history[-1] else streak + 1
-        if streak >= patience:
-            break
-    assert (x.tolist(), history) == _sequential_minimize(objective, start, p, max_sweeps, patience)
+    history = [optim._lattice_sweep(x, p, decide, width).tolist() for _ in range(max_sweeps)]
+    for i, row in enumerate(starts):
+        # patience past max_sweeps: every sweep runs
+        want = _sequential_minimize(objective, row, p, max_sweeps, max_sweeps + 1)
+        assert (x[i].tolist(), [h[i] for h in history]) == want
 
 
 def test_gist_minimize_compares_values_as_python_does():
@@ -383,29 +400,119 @@ def _reference_row_loss(model, counts, digits, ke, row):
     return total
 
 
+def _row_pairs(model, counts, digits, ke, row):
+    """(child, count, rarity weight) of each pair of the given digits whose
+    parent digit selects row `row` of head ke, in (child, digit) order."""
+    last = model.config.K_heads - 1
+    pairs = [
+        (int(t), int(n), k)
+        for k in digits if min(k, last) == ke
+        for prev, t, n in zip(*counts[k]) if prev == row
+    ]
+    pairs.sort(key=lambda pair: (pair[0], pair[2]))
+    return [(t, n, 1.0 / np.sqrt(np.float64(n))) for t, n, _ in pairs]
+
+
+def _reference_top_two(x):
+    """The row's largest and second-largest columns, ties to the lowest
+    index."""
+    order = sorted(range(len(x)), key=lambda c: (-x[c], c))
+    return order[0], order[1]
+
+
+def _reference_term(tau, cw, d, v, t, c):
+    """cw ((M - x_t) + softplus(-z)) of one pair, d = M - x_t."""
+    z = tau * ((v - c) ** 2 - (v - t) ** 2)
+    return cw * (d + np.logaddexp(0.0, -z))
+
+
 def _reference_sweep(model, counts, digits):
-    """One coordinate at a time, in the trainer's order: score the
-    incumbent, +1 and -1 (mod p) of each coordinate with
-    _reference_row_loss and keep the strictly best; ties go to the
-    incumbent, then to +1.  Returns the accepted moves."""
-    p = model.p
-    heads = {min(k, model.config.K_heads - 1) for k in digits}
-    coords = []
-    for ke, head in enumerate(model.heads):
-        if ke in heads:
-            coords += [(ke, head.table, (r, j), r) for r in range(p) for j in range(p)]
-            coords += [(ke, head.anchor, (r,), r) for r in range(p)]
+    """One coordinate at a time, in scalars: each live row's table columns
+    in index order, then its anchor, each scoring the incumbent, +1 and
+    -1 (mod p) by the sweep's running sums (_RowSweep) and keeping the
+    strictly best, ties to the incumbent, then to +1; the row's running
+    state is recomputed from the row after each move.  Last, a row whose
+    loss, its pairs' terms times counts summed in order, rose is put
+    back.  Returns the accepted moves."""
+    p, tau = model.p, model.config.tau
     accepted = 0
-    for ke, arr, index, row in coords:
-        cur = float(arr[index])
-        best_val, best = _reference_row_loss(model, counts, digits, ke, row), cur
-        for delta in (1.0, -1.0):
-            arr[index] = (cur + delta) % p
-            val = _reference_row_loss(model, counts, digits, ke, row)
-            if val < best_val:
-                best_val, best = val, float(arr[index])
-        arr[index] = best
-        accepted += best != cur
+    for ke, head in enumerate(model.heads):
+        for r in range(p):
+            pairs = _row_pairs(model, counts, digits, ke, r)
+            if not pairs:
+                continue
+            row, v = head.table[r], float(head.anchor[r])
+            row0, v0 = row.copy(), v
+            A = 0.0
+            for _, n, w in pairs:
+                A += n * w
+
+            def state(v):
+                M = row.max()
+                top = _reference_top_two(row)
+                terms = []
+                for t, n, w in pairs:
+                    c = top[1] if top[0] == t else top[0]
+                    terms.append(_reference_term(tau, n * w, M - row[t], v, t, c))
+                Q = 0.0
+                for h in terms:
+                    Q += h
+                return M, np.exp(row - M).sum(), top, terms, Q
+
+            def score(M, S, top, terms, Q, j, y):
+                x = row[j]
+                cand = row.copy()
+                cand[j] = y
+                if x == M and y < x:
+                    top_c = cand.max()
+                    L = (top_c - M) + np.log(np.exp(cand - top_c).sum())
+                elif y > M:
+                    L = (y - M) + np.log((S - np.exp(x - M)) * np.exp(M - y) + 1.0)
+                else:
+                    L = np.log((S - np.exp(x - M)) + np.exp(y - M))
+                new_top = _reference_top_two(cand)
+                delta = 0.0
+                for (t, n, w), h in zip(pairs, terms):
+                    c = new_top[1] if new_top[0] == t else new_top[0]
+                    if t == j or c != (top[1] if top[0] == t else top[0]):
+                        delta += _reference_term(tau, n * w, M - cand[t], v, t, c) - h
+                return A * L + (Q + delta)
+
+            def lattice_move(stay, up, down):
+                return 1 if up < stay and up <= down else -1 if down < stay and down < up else 0
+
+            moves = 0
+            M, S, top, terms, Q = state(v)
+            for j in range(p):
+                x = row[j]
+                cands = [(x + 1) % p, (x - 1) % p]
+                up, down = (score(M, S, top, terms, Q, j, y) for y in cands)
+                move = lattice_move(A * np.log(S) + Q, up, down)
+                if move:
+                    row[j] = cands[0] if move == 1 else cands[1]
+                    moves += 1
+                    M, S, top, terms, Q = state(v)
+            cands = [(v + 1) % p, (v - 1) % p]
+            up, down = (A * np.log(S) + state(y)[4] for y in cands)
+            move = lattice_move(A * np.log(S) + Q, up, down)
+            if move:
+                v = cands[0] if move == 1 else cands[1]
+                moves += 1
+
+            def logged(row, v):
+                lse = optim._lse_rows(row[None])[0]
+                top = _reference_top_two(row)
+                total = 0.0
+                for t, n, w in pairs:
+                    c = top[1] if top[0] == t else top[0]
+                    z = tau * ((v - c) ** 2 - (v - t) ** 2)
+                    total += n * (w * ((lse - row[t]) + np.logaddexp(0.0, -z)))
+                return total
+
+            if logged(row, v) > logged(row0, v0):
+                row[:], v, moves = row0, v0, 0
+            head.anchor[r] = v
+            accepted += moves
     return accepted
 
 
@@ -457,29 +564,46 @@ def test_gist_sweep_matches_per_coordinate_reference(case):
             assert np.array_equal(a, b)
 
 
-@settings(max_examples=100, deadline=None, database=None)
+# The sweep scores a candidate row as its loss from running sums, in
+# another order of operations than the per-pair gather: each term is within
+# a few units of rounding of the loss's size, and so is their difference.
+# With the size of a pair's terms read as at most cw (p + 1 + softplus(tau
+# p^2)), which bounds |lse - M| + |M - x_t| + softplus, the differences
+# seen stay near one unit (2^-52) of the rows' size; this allows 64.
+_SCORE_ROUNDING = 2.0**-46
+
+
+@settings(max_examples=60, deadline=None, database=None)
 @given(_sweep_cases())
-def test_row_losses_are_the_reference_row_losses_bit_for_bit(case):
-    # every +-1 candidate of every live row in one pass
+def test_sweep_scores_are_the_reference_row_losses_within_rounding(case):
+    # every +-1 candidate of every column of every live row, scored from
+    # the row's running state, and every row's logged loss
     ds, model, digits = case
     counts = ds.pair_counts()
-    p = model.p
-    for ke in {min(k, model.config.K_heads - 1) for k in digits}:
-        served = tuple(k for k in digits if min(k, model.config.K_heads - 1) == ke)
-        for r, parts in _live_rows(model, counts, served):
-            x, v = model.heads[ke].table[r], model.heads[ke].anchor[r]
-            X = np.repeat(x[None, :], 2 * p + 1, axis=0)
-            X[np.arange(1, 2 * p + 1), np.tile(np.arange(p), 2)] = np.concatenate(
-                [(x + 1.0) % p, (x - 1.0) % p]
-            )
-            got = _row_losses(model, X, v, parts)
-            incumbent = x.copy()
-            want = []
-            for cand in X:
-                x[:] = cand
-                want.append(_reference_row_loss(model, counts, digits, ke, r))
-            x[:] = incumbent
-            assert got.tolist() == want
+    p, tau = model.p, model.config.tau
+    sweep = optim._RowSweep(model, _pair_table(model, counts), digits)
+    n = sweep.A.size
+    rows, cols = np.repeat(np.arange(n), p), np.tile(np.arange(p), n)
+    x = sweep.X[rows, cols]
+    stay = sweep.A * np.log(sweep.cur.S) + sweep.cur.Q
+    logged = sweep.logged()
+    for i in range(n):
+        ke, r = sweep.heads[i], sweep.rows[i]
+        want = _reference_row_loss(model, counts, digits, ke, r)
+        pairs = _row_pairs(model, counts, digits, ke, r)
+        size = sum(n_ * w * (p + 1 + np.logaddexp(0.0, tau * p * p)) for _, n_, w in pairs)
+        assert abs(stay[i] - want) <= _SCORE_ROUNDING * size
+        assert abs(logged[i] - want) <= _SCORE_ROUNDING * size
+    for y in ((x + 1) % p, (x - 1) % p):
+        got = sweep.scores(sweep.cur, sweep.X, rows, rows, cols, y)
+        for i, (r, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            table = model.heads[sweep.heads[r]].table[sweep.rows[r]]
+            table[j] = y[i]
+            want = _reference_row_loss(model, counts, digits, sweep.heads[r], sweep.rows[r])
+            table[j] = x[i]
+            pairs = _row_pairs(model, counts, digits, sweep.heads[r], sweep.rows[r])
+            size = sum(n_ * w * (p + 1 + np.logaddexp(0.0, tau * p * p)) for _, n_, w in pairs)
+            assert abs(got[i] - want) <= _SCORE_ROUNDING * size, (got[i], want)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -536,6 +660,110 @@ def test_gist_sweep_pass_width_stays_within_the_row():
         assert got == _reference_sweep(reference, counts, (2,))
         for a, b in zip(model_arrays(model).values(), model_arrays(reference).values()):
             assert np.array_equal(a, b)
+
+
+@st.composite
+def _wide_sweep_cases(draw):
+    """Sweep cases past numpy's pairwise block: at p = 131 or 257 a row's
+    sum of exponentials adds more than 128 entries.  Records hold digits
+    0 and p - 1, so rows have targets at both ends; under the uniform
+    init, latents at 0 and p - 1 make candidates wrap.  Head 0's row 0
+    holds a single maximum, p - 1, at a column no record's digit 0
+    targets, 2 above the rest, so its -1 lowers the row's maximum.  Digit
+    0 is always swept."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    p = draw(st.sampled_from([131, 257]))
+    K = draw(st.integers(1, 2))
+    rows = rng.integers(0, p, size=(draw(st.integers(2, 6)), K))
+    rows[0], rows[1] = 0, p - 1
+    ds = digits_dataset(rows, p)
+    config = ModelConfig(ds.codec, draw(st.integers(1, K)), draw(st.sampled_from([0.25, 1.0])))
+    model = new_model(config, seed=seed)
+    top = draw(st.sampled_from([None, 2]))
+    if top is not None:
+        for arr in model_arrays(model).values():
+            arr[...] = rng.integers(0, top + 1, size=arr.shape)
+    row = model.heads[0].table[0]
+    np.minimum(row, p - 3, out=row)
+    free = np.setdiff1d(np.arange(p), rows[:, 0])
+    row[free[int(rng.integers(free.size))]] = p - 1
+    digits = {0} | draw(st.sets(st.integers(0, K - 1)))
+    return ds, model, tuple(sorted(digits))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(_wide_sweep_cases())
+def test_gist_sweep_past_the_pairwise_block(case):
+    ds, model, digits = case
+    counts = ds.pair_counts()
+    start = model_from_state(model_state(model))
+    # the one-coordinate-at-a-time oracle, bit for bit
+    reference = model_from_state(model_state(model))
+    peak = int(model.heads[0].table[0].argmax())
+    losses = [dataset_loss(model, counts, digits)]
+    for sweep in range(2):
+        want = _reference_sweep(reference, counts, digits)
+        got, _ = _gist_sweep(model, counts, digits)
+        assert got == want
+        for a, b in zip(model_arrays(model).values(), model_arrays(reference).values()):
+            assert np.array_equal(a, b)
+        if sweep == 0:
+            # the single maximum came down, through the whole-row rescoring
+            assert model.heads[0].table[0, peak] < start.heads[0].table[0, peak]
+        # the logged loss never rises
+        losses.append(dataset_loss(model, counts, digits))
+        assert losses[-1] <= losses[-2] + 1e-12 * abs(losses[-2])
+    # a run resumed mid-phase ends bit for bit on the uninterrupted run
+    plan = TrainPlan((TrainPhase("only", 4, 0.0, digits),), checkpoint_interval=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        train(model_from_state(model_state(start)), ds, GistConfig(patience=9), plan,
+              checkpoint_dir=f"{tmp}/one")
+        doc = load_checkpoint(f"{tmp}/one/ckpt-00002.json")
+        train(load_model(doc), ds, GistConfig(patience=9), plan, checkpoint_dir=f"{tmp}/two",
+              resume=doc)
+        finals = [checkpoint_fingerprint(load_checkpoint(f"{tmp}/{run}/ckpt-final.json"))
+                  for run in ("one", "two")]
+    assert finals[0] == finals[1]
+
+
+def test_gist_sweep_puts_back_the_rows_whose_loss_rose(monkeypatch):
+    # scores that favour every +1: each row moves all its table columns,
+    # and the check against the logged loss decides which rows keep that
+    tree = gen_synthetic("complete", 4, 3)
+    ds = encode_tree(tree)
+    counts = ds.pair_counts()
+    model = new_model(ModelConfig(ds.codec), seed=1)
+    start = model_from_state(model_state(model))
+    digits = (0, 1, 2)
+    sweep = optim._RowSweep(model, _pair_table(model, counts), digits)
+    before = [_reference_row_loss(model, counts, digits, ke, r)
+              for ke, r in zip(sweep.heads, sweep.rows)]
+    monkeypatch.setattr(optim._RowSweep, "scores",
+                        lambda self, st, Xs, s, r, j, y: np.where(y == (self.X[r, j] + 1) % self.p,
+                                                                  -np.inf, np.inf))
+    report = {}
+    accepted, _ = _gist_sweep(model, counts, digits, report=report)
+    kept = moves = 0
+    for ke, r, was in zip(sweep.heads, sweep.rows, before):
+        now = _reference_row_loss(model, counts, digits, ke, r)
+        head, old = model.heads[ke], start.heads[ke]
+        if np.array_equal(head.table[r], old.table[r]):
+            assert head.anchor[r] == old.anchor[r] and now == was
+        else:
+            assert np.array_equal(head.table[r], (old.table[r] + 1) % model.p)
+            assert now <= was + 1e-12 * was
+            kept += 1
+            moves += model.p + (head.anchor[r] != old.anchor[r])
+    assert 0 < kept < sweep.A.size
+    assert report == {"reverts": sweep.A.size - kept}
+    assert accepted == moves
+    # the epoch line reports them
+    buf = io.StringIO()
+    plan = TrainPlan((TrainPhase("only", 1, 0.0, digits),), checkpoint_interval=0)
+    train(model_from_state(model_state(start)), ds, GistConfig(), plan, log_stream=buf)
+    line = json.loads(buf.getvalue())
+    assert (line["reverts"], line["accepted_moves"]) == (report["reverts"], accepted)
 
 
 def _adam_once(latent, grad, state, cfg, lr=None):
@@ -727,8 +955,9 @@ def test_train_log_stream_fields():
     for entry in lines:
         assert set(entry) == {
             "phase", "epoch", "loss", "per_digit_acc", "leaf_acc",
-            "accepted_moves", "wall_ms",
+            "accepted_moves", "reverts", "wall_ms",
         }
+        assert entry["reverts"] == 0
         assert entry["phase"] == "only"
         assert len(entry["per_digit_acc"]) == 2
 
@@ -1019,7 +1248,7 @@ def test_record_tables_weigh_each_record_by_its_pair_rarity(k_heads):
     p, K = ds.codec.p, ds.codec.K
     model = new_model(ModelConfig(ds.codec, k_heads), seed=0)
     counts = ds.pair_counts()
-    tables = _record_tables(model, D, counts)
+    tables = _pair_table(model, counts, D)
     pair, live = tables.pair, tables.live
     assert np.array_equal(tables.weight[pair], _rarity_weights(D))
     # each digit selects the live row of its head that its previous
@@ -1037,7 +1266,10 @@ def test_record_tables_weigh_each_record_by_its_pair_rarity(k_heads):
         ids = np.unique(pair[:, k])
         assert (digit[ids] == -1).all() and ids.size == counts[k].child.size
         digit[ids] = k
+        assert np.array_equal(np.sort(tables.count[ids]), np.sort(counts[k].count))
+    assert np.array_equal(tables.digit, digit)
     assert (np.diff((tables.row * p + tables.child) * K + digit) > 0).all()
+    assert _pair_table(model, counts).pair is None
 
 
 def _reference_grads(model, D, W, k, idx, grads):
@@ -1257,7 +1489,7 @@ def test_adam_step_gradient_is_the_per_record_gradient(case, perturbed):
     D = ds.digits_matrix()
     n = D.shape[0]
     W = _rarity_weights(D)
-    tables = _record_tables(model, D, ds.pair_counts())
+    tables = _pair_table(model, ds.pair_counts(), D)
     if digits is None:
         phase_sets = [ph.digits for ph in uniform_plan(K).phases]
     else:
@@ -1313,7 +1545,7 @@ def test_adam_full_batch_gradient_is_the_objective_gradient(seed, k_heads):
         heads = _trained_heads(model, digits)
         served = {_effective_depth(model, k) for k in digits}
         perms = {k: rng.permutation(n) for k in digits}
-        batches = _Batches(model, heads.start, D, _record_tables(model, D, counts), perms, n)
+        batches = _Batches(model, heads.start, D, _pair_table(model, counts, D), perms, n)
         grad = np.zeros_like(model.latents)
         x = model.latents[heads].reshape(-1)
         grad[heads] = _accumulate_grads(x, batches, 0).reshape(grad[heads].shape)
@@ -1371,7 +1603,7 @@ def test_adam_epoch_layout_is_linear_in_digits_times_records():
         model = new_model(ModelConfig(ds.codec), seed=0)
         D = ds.digits_matrix()
         counts = ds.pair_counts()
-        tables = _record_tables(model, D, counts)
+        tables = _pair_table(model, counts, D)
         perms = {k: rng.permutation(N) for k in range(K)}
         tracemalloc.start()
         try:
