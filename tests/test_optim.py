@@ -242,7 +242,8 @@ def _counted(objective):
 @settings(max_examples=150, deadline=None, database=None)
 @given(_lookup_problems())
 def test_gist_minimize_matches_one_coordinate_at_a_time(problem):
-    # n up to 100 runs passes wider than optim._FIRST_CHUNK
+    # n up to 100: a pass runs from its cursor to its first move, far past
+    # the trainer's window of optim._WINDOW columns
     objective, start, p, max_sweeps, patience = problem
     want_calls, got_calls = _counted(objective), _counted(objective)
     want = _sequential_minimize(want_calls, start, p, max_sweeps, patience)
@@ -573,7 +574,7 @@ def test_gist_sweep_matches_per_coordinate_reference(case):
 _SCORE_ROUNDING = 2.0**-46
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=100, deadline=None, database=None)
 @given(_sweep_cases())
 def test_sweep_scores_are_the_reference_row_losses_within_rounding(case):
     # every +-1 candidate of every column of every live row, scored from
