@@ -586,15 +586,17 @@ def test_sweep_scores_are_the_reference_row_losses_within_rounding(case):
     n = sweep.A.size
     rows, cols = np.repeat(np.arange(n), p), np.tile(np.arange(p), n)
     x = sweep.X[rows, cols]
+    size = [
+        _SCORE_ROUNDING * sum(c * w * (p + 1 + np.logaddexp(0.0, tau * p * p))
+                              for _, c, w in _row_pairs(model, counts, digits, ke, r))
+        for ke, r in zip(sweep.heads, sweep.rows)
+    ]
     stay = sweep.A * np.log(sweep.cur.S) + sweep.cur.Q
     logged = sweep.logged()
     for i in range(n):
-        ke, r = sweep.heads[i], sweep.rows[i]
-        want = _reference_row_loss(model, counts, digits, ke, r)
-        pairs = _row_pairs(model, counts, digits, ke, r)
-        size = sum(n_ * w * (p + 1 + np.logaddexp(0.0, tau * p * p)) for _, n_, w in pairs)
-        assert abs(stay[i] - want) <= _SCORE_ROUNDING * size
-        assert abs(logged[i] - want) <= _SCORE_ROUNDING * size
+        want = _reference_row_loss(model, counts, digits, sweep.heads[i], sweep.rows[i])
+        assert abs(stay[i] - want) <= size[i]
+        assert abs(logged[i] - want) <= size[i]
     for y in ((x + 1) % p, (x - 1) % p):
         got = sweep.scores(sweep.cur, sweep.X, rows, rows, cols, y)
         for i, (r, j) in enumerate(zip(rows.tolist(), cols.tolist())):
@@ -602,9 +604,7 @@ def test_sweep_scores_are_the_reference_row_losses_within_rounding(case):
             table[j] = y[i]
             want = _reference_row_loss(model, counts, digits, sweep.heads[r], sweep.rows[r])
             table[j] = x[i]
-            pairs = _row_pairs(model, counts, digits, sweep.heads[r], sweep.rows[r])
-            size = sum(n_ * w * (p + 1 + np.logaddexp(0.0, tau * p * p)) for _, n_, w in pairs)
-            assert abs(got[i] - want) <= _SCORE_ROUNDING * size, (got[i], want)
+            assert abs(got[i] - want) <= size[r], (got[i], want)
 
 
 @settings(max_examples=60, deadline=None, database=None)
