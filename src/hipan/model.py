@@ -33,6 +33,7 @@ import base64
 import binascii
 import math
 import os
+import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -49,8 +50,8 @@ from .tree import EncodedDataset, TreeSpec, _typed
 # fall back to the generative rule and may miss.
 RECONSTRUCT_MARGIN = 2.0
 
-CHECKPOINT_FORMAT = "hipan-model-v3"
-# Names the init that format v3 tables are stored against: new_model's
+CHECKPOINT_FORMAT = "hipan-model-v4"
+# Names the init that format v4 tables are stored against: new_model's
 # i.i.d. uniform draws over {0, ..., p-1} from child_rng(seed, "init"),
 # in the order _init_draws gives.  "uniform-v1" and "uniform-v2" drew the
 # arrays of earlier head layouts; their files are not read.
@@ -397,10 +398,11 @@ def describe_ball(
 
 
 def pack_array(name: str, arr: np.ndarray) -> str:
-    """Checkpoint text of one latent array: its flat row-major values as
-    base64 little-endian bytes, tagged "int16:" when int16 holds every
-    value exactly (integers, no -0.0: the lattice case) and "float64:"
-    otherwise.  unpack_array gives the array back bit for bit.
+    """Checkpoint text of an array, such as the row indices of a stored
+    table: its flat row-major values as base64 little-endian bytes,
+    tagged "int16:" when int16 holds every value exactly (integers, no
+    -0.0) and "float64:" otherwise.  unpack_array gives the values back
+    bit for bit.
 
     Raises:
         ValueError: the array holds NaN or infinity (named by name).
@@ -418,18 +420,29 @@ def pack_array(name: str, arr: np.ndarray) -> str:
 _BLOB_DTYPES = {"int16": np.dtype("<i2"), "float64": np.dtype("<f8")}
 
 
-def _decode(name: str, value: str) -> np.ndarray:
-    """Finite float64 values of pack_array text."""
+def _unbase64(name: str, text: str) -> bytes:
+    """The bytes of base64 text."""
+    try:
+        return base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"table {name} is not valid base64 ({exc})") from None
+
+
+def unpack_array(name: str, value: str) -> np.ndarray:
+    """Flat float64 values of pack_array text, bit for bit.
+
+    Raises:
+        ValueError: (naming the table) an unknown tag, invalid base64, a
+            byte count that is not whole values, or a NaN or infinite
+            value.
+    """
     if not isinstance(value, str):
         raise ValueError(f"table {name} is not an array text")
     tag, _, text = value.partition(":")
     dtype = _BLOB_DTYPES.get(tag)
     if dtype is None:
         raise ValueError(f"table {name} has unknown array type {tag!r}")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except binascii.Error as exc:
-        raise ValueError(f"table {name} is not valid base64 ({exc})") from None
+    raw = _unbase64(name, text)
     if len(raw) % dtype.itemsize:
         raise ValueError(f"table {name} holds {len(raw)} bytes, not whole {tag} values")
     arr = np.frombuffer(raw, dtype=dtype).astype(np.float64)
@@ -438,26 +451,16 @@ def _decode(name: str, value: str) -> np.ndarray:
     return arr
 
 
-def unpack_array(name: str, value: str, shape: tuple[int, ...]) -> np.ndarray:
-    """float64 array of a given shape from pack_array text.
-
-    Raises:
-        ValueError: (naming the table) an unknown tag, invalid base64, a
-            byte count that is not whole values, a NaN or infinite value,
-            or a wrong value count.
-    """
-    arr = _decode(name, value)
-    if arr.size != math.prod(shape):
-        raise ValueError(f"table {name} has {arr.size} values, wanted {shape}")
-    return arr.reshape(shape)
-
-
 def pack_rows(name: str, arr: np.ndarray, base: np.ndarray | None = None) -> dict:
     """Checkpoint form of the rows of arr whose float64 bits differ from
-    base's: {"rows": their ascending indices, "values": the rows}, each
-    packed by pack_array.  Each entry of a 1-d array is a row.  base
-    holds nonnegative integers, such as the seeded init (all zeros when
-    None); unpack_rows writes the rows back over it.
+    base's: {"rows": their ascending indices, packed by pack_array,
+    "values": base64 of the zlib-deflated little-endian XOR of their bits
+    against base's}.  Each entry of a 1-d array is a row.  base holds
+    nonnegative integers, such as the seeded init (all zeros when None);
+    unpack_rows writes the rows back over it.  Entries equal to base's
+    XOR to zero bytes, so a lattice-trained row costs little more than
+    its moved entries, and any float, -0.0 included, comes back bit for
+    bit.
 
     Raises:
         ValueError: a stored row holds NaN or infinity (named by name).
@@ -466,21 +469,56 @@ def pack_rows(name: str, arr: np.ndarray, base: np.ndarray | None = None) -> dic
     # values differ (NaN included) or the sign bit is set (-0.0 included)
     differs = (arr != (0 if base is None else base)) | np.signbit(arr)
     rows = np.flatnonzero(differs.any(axis=tuple(range(1, differs.ndim))))
-    return {"rows": pack_array(name, rows), "values": pack_array(name, arr[rows])}
+    kept = arr[rows]
+    if not np.isfinite(kept).all():
+        raise ValueError(f"table {name} holds a non-finite value; it cannot be saved")
+    bits = kept.view(np.uint64)
+    if base is not None:
+        bits ^= np.asarray(base[rows], dtype=np.float64).view(np.uint64)
+    # run-length matching only: on XOR rows, mostly zero bytes, it deflates
+    # smaller than the default strategy's level 6 and faster than level 1
+    deflate = zlib.compressobj(strategy=zlib.Z_RLE)
+    blob = deflate.compress(bits.astype("<u8").tobytes()) + deflate.flush()
+    return {"rows": pack_array(name, rows), "values": base64.b64encode(blob).decode("ascii")}
+
+
+def _inflate(name: str, text: str, size: int) -> bytes:
+    """The bytes of base64 zlib text, inflated to at most size bytes.
+
+    Raises:
+        ValueError: (naming the table) invalid base64, a stream that does
+            not inflate whole, or one that inflates past size bytes.
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"table {name} is not an array text")
+    stream = zlib.decompressobj()
+    try:
+        # one byte past size tells an overlong stream from a whole one
+        out = stream.decompress(_unbase64(name, text), size + 1)
+    except zlib.error as exc:
+        raise ValueError(f"table {name} does not inflate ({exc})") from None
+    if len(out) > size:
+        raise ValueError(f"table {name} inflates past the {size} bytes of its rows")
+    if not stream.eof or stream.unused_data:
+        raise ValueError(f"table {name} does not inflate (not one whole zlib stream)")
+    return out
 
 
 def unpack_rows(name: str, value: dict, out: np.ndarray) -> np.ndarray:
-    """Write the rows that pack_rows stored over out, in place; returns out.
+    """Write the rows that pack_rows stored over out, XORing their bits
+    against out's, in place; returns out.
 
     Raises:
         ValueError: (naming the table) value is not a rows/values pair, a
             row index is not one of out's rows, the indices do not
-            strictly ascend, the values are not len(rows) whole rows, or
-            either text is malformed as unpack_array says.
+            strictly ascend, the XOR is malformed (_inflate) or not
+            len(rows) whole rows of values, a row comes out NaN or
+            infinite, or the indices' text is malformed as unpack_array
+            says.
     """
     if not isinstance(value, dict) or value.keys() != {"rows", "values"}:
         raise ValueError(f"table {name} is not a rows/values pair")
-    at = _decode(name, value["rows"]).ravel()
+    at = unpack_array(name, value["rows"])
     outside = (at < 0) | (at >= len(out)) | (at != np.floor(at))
     if outside.any():
         raise ValueError(
@@ -489,14 +527,26 @@ def unpack_rows(name: str, value: dict, out: np.ndarray) -> np.ndarray:
     rows = at.astype(np.int64)
     if (np.diff(rows) <= 0).any():
         raise ValueError(f"table {name} row indices do not strictly ascend")
-    out[rows] = unpack_array(name, value["values"], (len(rows), *out.shape[1:]))
+    shape = (len(rows), *out.shape[1:])
+    size = math.prod(shape) * 8
+    raw = _inflate(name, value["values"], size)
+    if len(raw) % 8:
+        raise ValueError(f"table {name} inflates to {len(raw)} bytes, not whole float64 values")
+    if len(raw) != size:
+        raise ValueError(f"table {name} has {len(raw) // 8} values, wanted {shape}")
+    bits = out[rows].view(np.uint64) ^ np.frombuffer(raw, dtype="<u8").reshape(shape)
+    values = bits.view(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"table {name} holds a non-finite value; it cannot be loaded")
+    out[rows] = values
     return out
 
 
 def model_state(model: HiPaNModel) -> dict:
-    """JSON-ready model snapshot in format v3: header scalars, the init
+    """JSON-ready model snapshot in format v4: header scalars, the init
     scheme, and each table as the rows that differ from the model's
-    seeded init (pack_rows), keyed by name.
+    seeded init, deflated as their XOR against it (pack_rows), keyed by
+    name.
 
     The init is drawn again one array at a time, so a save never holds a
     second whole model.

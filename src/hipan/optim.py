@@ -970,24 +970,23 @@ class TrainResult:
     checkpoints: list[str]
 
 
-# Marks lattice state written by the full-batch sweep; lattice state
-# without it comes from the earlier minibatch sweep, whose runs this one
-# cannot continue bit-identically.
-_GIST_SWEEP = "full-batch"
-
-
-def optim_state_dict(kind: str, state: OptimState, streak: int = 0) -> dict:
+def optim_state_dict(
+    kind: str, state: OptimState, streak: int = 0, phase_entry: bool = False
+) -> dict:
     """Serializable optimizer state for checkpoints.  Adam's moments are
     stored for each head with a set bit in them (the heads the phase
-    trains), by model_arrays' names, as nonzero rows (pack_rows).
+    trains), by model_arrays' names, as nonzero rows (pack_rows), unless
+    phase_entry: a checkpoint whose cursor enters a phase (epoch 0, the
+    final checkpoint too) holds none, because train starts every phase
+    from fresh moments and a resume there never reads them.
 
     Raises:
         ValueError: a moment array holds NaN or infinity.
     """
     if kind == "gist":
-        return {"kind": "gist", "sweep": _GIST_SWEEP, "t": state.t, "streak": int(streak)}
+        return {"kind": "gist", "t": state.t, "streak": int(streak)}
     m = u = {}
-    if state.m is not None:
+    if state.m is not None and not phase_entry:
         held = (state.m.view(np.int64) | state.u.view(np.int64)).any(axis=(1, 2))
         m, u = (_array_views(a, np.flatnonzero(held).tolist()) for a in (state.m, state.u))
     return {
@@ -1002,8 +1001,7 @@ def optim_state_dict(kind: str, state: OptimState, streak: int = 0) -> dict:
 def restore_optim_state(doc: dict, model: HiPaNModel) -> OptimState:
     """Rebuild an OptimState from its checkpoint form: Adam's moments are
     zeros shaped like model's latents with each stored array's nonzero
-    rows written into its named view; the per-coordinate "last_improved"
-    map of earlier lattice checkpoints is ignored.
+    rows written into its named view.
 
     Raises:
         ValueError: a field of the wrong JSON type (named), a stored shape
@@ -1070,8 +1068,7 @@ def train(
         ValueError: the dataset is empty or not of the model's codec,
             Adam's batch_size is below 1, or the resume checkpoint holds
             a field of the wrong JSON type (named), a cursor that train
-            does not write, or the state of the other optimizer or of the
-            minibatch lattice sweep.
+            does not write, or the state of the other optimizer.
     """
     import json as _json
 
@@ -1129,11 +1126,6 @@ def train(
                 f"resume checkpoint holds {saved_kind} optimizer state; "
                 f"this run uses {kind}"
             )
-        if saved_kind == "gist" and saved.get("sweep") != _GIST_SWEEP:
-            raise ValueError(
-                "resume checkpoint was written by the minibatch lattice sweep, "
-                "which the full-batch sweep cannot continue; train from scratch"
-            )
         if saved_kind == kind:
             state = restore_optim_state(saved, model)
             if kind == "gist":
@@ -1153,7 +1145,7 @@ def train(
         path = _ckpt.save_checkpoint(
             f"{checkpoint_dir}/{name}",
             model,
-            optim_state=optim_state_dict(kind, state, streak),
+            optim_state=optim_state_dict(kind, state, streak, phase_entry=cursor[1] == 0),
             cursor={"phase": cursor[0], "epoch": cursor[1]},
             seed=seed,
             run_config=run_config,

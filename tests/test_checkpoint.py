@@ -3,6 +3,7 @@
 import base64
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hipan import (
+    AdamConfig,
     CodecParams,
     GistConfig,
     ModelConfig,
@@ -19,6 +21,7 @@ from hipan import (
     new_model,
     save_checkpoint,
     train,
+    uniform_plan,
 )
 from hipan.checkpoint import (
     FORMAT,
@@ -201,7 +204,7 @@ _SPECIAL = [
 def test_pack_array_round_trips_every_bit(values):
     arr = np.array(values, dtype=np.float64)
     text = pack_array("t", arr)
-    back = unpack_array("t", text, arr.shape)
+    back = unpack_array("t", text).reshape(arr.shape)
     assert back.dtype == np.float64 and back.flags.writeable
     assert np.array_equal(back.view(np.int64), arr.view(np.int64))
     # int16 exactly when it holds every value: integers in range, no -0.0
@@ -218,7 +221,7 @@ def test_pack_array_forms():
     assert pack_array("t", np.array([0.0, -0.0])).startswith("float64:")
     assert pack_array("t", np.array([32768.0])).startswith("float64:")
     assert pack_array("t", np.array([0.25])).startswith("float64:")
-    assert unpack_array("t", pack_array("t", np.zeros((0,))), (0,)).shape == (0,)
+    assert unpack_array("t", pack_array("t", np.zeros((0,)))).shape == (0,)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -246,17 +249,36 @@ def _float64_text(values):
     return "float64:" + base64.b64encode(raw).decode("ascii")
 
 
+def _xor_text(rows, base):
+    """pack_rows' XOR form of rows stored over base: any zlib stream of
+    their bits XORed with base's, non-finite values included."""
+    bits = np.asarray(rows, dtype=np.float64).view(np.uint64) ^ base.view(np.uint64)
+    return base64.b64encode(zlib.compress(bits.astype("<u8").tobytes())).decode("ascii")
+
+
+def _inflated(text):
+    """The XOR bits of pack_rows text."""
+    return np.frombuffer(zlib.decompress(base64.b64decode(text)), dtype="<u8")
+
+
+# pack_rows' form of an array stored as its base: no rows, and the
+# deflate stream of nothing
+_EMPTY = {"rows": "int16:", "values": "eAEDAAAAAAE="}
+
+
 def _poisoned_state(form, bad):
-    """A model state whose head1.table holds bad, in the stored values or
-    in the row indices."""
+    """A model state whose head1.table holds bad, in the stored row or in
+    the row indices (the forms name the fields as format v3 did, when
+    "values" held the rows themselves)."""
     model = new_model(ModelConfig(CodecParams(3, 3)), seed=0)
     state = model_state(model)
     table = model.heads[1].table.copy()
     table[1, 2] = bad
+    xor = _xor_text(table[1], model.heads[1].table[1])
     if form == "v3 values":
-        packed = {"rows": pack_array("t", np.array([1])), "values": _float64_text(table[1])}
+        packed = {"rows": pack_array("t", np.array([1])), "values": xor}
     else:
-        packed = {"rows": _float64_text([bad]), "values": _float64_text(table[1])}
+        packed = {"rows": _float64_text([bad]), "values": xor}
     state["tables"]["head1.table"] = packed
     return state
 
@@ -274,29 +296,31 @@ def test_load_refuses_non_finite_latents(form, bad):
 
 
 def test_lattice_checkpoint_is_compact(tmp_path):
-    # a fresh model stores no rows; one edited row stores exactly that row
+    # a fresh model stores no rows; one edited entry stores its row as an
+    # XOR against the init that is zero but for that entry
     path = tmp_path / "ckpt.json"
     model = new_model(ModelConfig(CodecParams(31, 4)), seed=0)
     save_checkpoint(str(path), model)
     doc = load_checkpoint(str(path))
     assert doc["format"] == FORMAT
     assert doc["model"]["init"] == "uniform-v3"
-    empty = {"rows": "int16:", "values": "int16:"}
     assert doc["model"]["tables"].keys() == model_arrays(model).keys()
-    assert all(v == empty for v in doc["model"]["tables"].values())
+    assert all(v == _EMPTY for v in doc["model"]["tables"].values())
     # the header, and about 50 bytes per empty table
     bound = 300 + 50 * len(model_arrays(model))
     assert path.stat().st_size < bound
+    init = model.heads[2].table[7].copy()
     model.heads[2].table[7, 3] += 1
     save_checkpoint(str(path), model)
     tables = load_checkpoint(str(path))["model"]["tables"]
-    assert tables.pop("head2.table") == {
-        "rows": pack_array("t", np.array([7])),
-        "values": pack_array("t", model.heads[2].table[7]),
-    }
-    assert all(v == empty for v in tables.values())
-    # two bytes per stored value, a third more for base64, plus the header
-    assert path.stat().st_size < bound + 3 * 31
+    stored = tables.pop("head2.table")
+    assert stored["rows"] == pack_array("t", np.array([7]))
+    want = model.heads[2].table[7].view(np.uint64) ^ init.view(np.uint64)
+    assert np.array_equal(_inflated(stored["values"]), want)
+    assert np.flatnonzero(want).tolist() == [3]
+    assert all(v == _EMPTY for v in tables.values())
+    # far less than the row's 31 values of 8 bytes each
+    assert path.stat().st_size < bound + 40
 
 
 def test_hand_built_model_round_trips_every_bit():
@@ -310,7 +334,7 @@ def test_hand_built_model_round_trips_every_bit():
     built = HiPaNModel(config, latents, init_seed=4)
     state = json.loads(canonical_json(model_state(built)))
     for name in ("head0.anchor", "head1.anchor", "head2.table"):
-        assert state["tables"][name] == {"rows": "int16:", "values": "int16:"}
+        assert state["tables"][name] == _EMPTY
     back = model_from_state(state)
     for (name, a), b in zip(model_arrays(built).items(), model_arrays(back).values()):
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
@@ -332,7 +356,7 @@ def _edit_values():
     st.lists(st.tuples(*[st.integers(0, 99)] * 3, _edit_values()), max_size=12),
     st.lists(st.tuples(st.integers(0, 1), *[st.integers(0, 99)] * 2, _edit_values()), max_size=8),
 )
-def test_v3_round_trips_every_bit(p, K, seed, edits, moment_edits):
+def test_v4_round_trips_every_bit(p, K, seed, edits, moment_edits):
     model = new_model(ModelConfig(CodecParams(p, K + 1), K_heads=K), seed=seed)
     arrays = list(model_arrays(model).values())
     for which, row, col, value in edits:
@@ -349,12 +373,16 @@ def test_v3_round_trips_every_bit(p, K, seed, edits, moment_edits):
     for (name, a), b in zip(model_arrays(model).items(), model_arrays(back).values()):
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
     assert canonical_json(model_state(back)) == text
-    # only the rows whose bits differ from the seeded init are stored
+    # only the rows whose bits differ from the seeded init are stored, as
+    # their XOR against it
     fresh = model_arrays(new_model(model.config, seed=seed))
     for name, a in model_arrays(model).items():
         differs = a.view(np.int64) != fresh[name].view(np.int64)
         changed = np.flatnonzero(differs.reshape(len(a), -1).any(axis=1))
-        assert json.loads(text)["tables"][name]["rows"] == pack_array(name, changed)
+        stored = json.loads(text)["tables"][name]
+        assert stored["rows"] == pack_array(name, changed)
+        xor = a[changed].view(np.uint64) ^ fresh[name][changed].view(np.uint64)
+        assert np.array_equal(_inflated(stored["values"]), xor.ravel())
 
     optim_text = canonical_json(optim_state_dict("adam", state))
     restored = restore_optim_state(json.loads(optim_text), model)
@@ -362,3 +390,31 @@ def test_v3_round_trips_every_bit(p, K, seed, edits, moment_edits):
         a, b = getattr(state, part), getattr(restored, part)
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), part
     assert canonical_json(optim_state_dict("adam", restored)) == optim_text
+
+
+def test_phase_entry_checkpoint_holds_no_moments(tmp_path, toy_dataset):
+    # train starts every phase from fresh moments, so a checkpoint whose
+    # cursor enters a phase, the final one too, stores none; a mid-phase
+    # checkpoint stores those of the heads the phase trains
+    phases = uniform_plan(2, epochs=2, lr=0.03).phases
+    plan = TrainPlan(phases, checkpoint_interval=1)
+    model = new_model(ModelConfig(toy_dataset.codec), seed=0)
+    got = train(model, toy_dataset, AdamConfig(), plan, checkpoint_dir=str(tmp_path))
+    entries = mids = 0
+    for path in got.checkpoints:
+        doc = load_checkpoint(path)
+        optim = doc["optim"]
+        if doc["cursor"]["epoch"] == 0:
+            entries += 1
+            assert optim["shapes"] == optim["m"] == optim["u"] == {}, path
+        else:
+            mids += 1
+            assert optim["m"].keys() == optim["u"].keys() == optim["shapes"].keys() != set()
+    assert got.checkpoints[-1].endswith("ckpt-final.json")
+    assert (entries, mids) == (3, 2)
+    # the rule is optim_state_dict's
+    shape = model.latents.shape
+    state = OptimState(t=4, m=np.ones(shape), u=np.ones(shape))
+    entry = optim_state_dict("adam", state, phase_entry=True)
+    assert entry == {"kind": "adam", "t": 4, "shapes": {}, "m": {}, "u": {}}
+    assert optim_state_dict("adam", state)["m"].keys() == model_arrays(model).keys()

@@ -4,6 +4,7 @@ import base64
 import json
 import os
 import time
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -35,7 +36,7 @@ from hipan.checkpoint import (
     load_model,
     save_checkpoint,
 )
-from hipan.model import pack_array
+from hipan.model import model_arrays, pack_array
 from hipan.cli import main, parse_config_file, resolve_config
 from conftest import TOY_TEXT
 
@@ -565,29 +566,6 @@ def test_resume_with_other_optimizer_exit_2(capsys, tmp_path, toy_files):
     assert "Traceback" not in err
 
 
-def test_resume_minibatch_gist_checkpoint_exit_2(capsys, tmp_path, toy_files):
-    tree_path, ds_path = toy_files
-    summary, _ = _train_toy(capsys, tmp_path, toy_files)
-    doc = json.loads(open(summary["checkpoints"][-1]).read())
-    doc["optim"] = {"kind": "gist", "t": 3, "streak": 0, "last_improved": {"root[0]": 1}}
-    old = tmp_path / "minibatch.json"
-    old.write_text(json.dumps(doc))
-    rc, _, err = run(
-        capsys,
-        [
-            "train",
-            "--dataset", ds_path,
-            "--tree", tree_path,
-            "--resume", str(old),
-            "--log", str(tmp_path / "r.jsonl"),
-            "--seed", "0",
-        ],
-    )
-    assert rc == 2
-    assert err.startswith("error:") and "minibatch lattice sweep" in err
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize(
     "payload",
     [
@@ -659,6 +637,22 @@ def test_eval_loss_is_the_logged_loss(capsys, tmp_path):
         assert doc["leaf_accuracy"] == last["leaf_acc"]
 
 
+def _deflated(raw):
+    """pack_rows' text of XOR bytes: base64 of their zlib stream."""
+    return base64.b64encode(zlib.compress(raw)).decode("ascii")
+
+
+def _stored_rows(doc, name, rows, values):
+    """Table name of checkpoint doc storing values (any floats) at rows,
+    as pack_rows stores them: XORed against the model's seeded init."""
+    m = doc["model"]
+    config = ModelConfig(CodecParams(m["p"], m["K"]), m["K_heads"], m["tau"])
+    rows = np.asarray(list(rows))
+    init = model_arrays(new_model(config, seed=m["seed"]))[name][rows]
+    bits = np.asarray(values, dtype=np.float64).view(np.uint64) ^ init.view(np.uint64)
+    return {"rows": pack_array(name, rows), "values": _deflated(bits.astype("<u8").tobytes())}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_resume_after_numeric_poison_exit_3(capsys, tmp_path, toy_files):
     tree_path, ds_path = toy_files
@@ -671,10 +665,8 @@ def test_resume_after_numeric_poison_exit_3(capsys, tmp_path, toy_files):
     # finite rows whose spread overflows the cross entropy: a target at
     # -1e308 lies 2e308 below the row's log-sum-exp
     p = doc["model"]["p"]
-    doc["model"]["tables"]["head1.table"] = {
-        "rows": pack_array("head1.table", np.arange(p)),
-        "values": pack_array("head1.table", np.tile([1e308, -1e308, 0.0], (p, 1))),
-    }
+    rows = np.tile([1e308, -1e308, 0.0], (p, 1))
+    doc["model"]["tables"]["head1.table"] = _stored_rows(doc, "head1.table", range(p), rows)
     with open(victim, "w") as fh:
         fh.write(json.dumps(doc))
     rc, _, err = run(
@@ -841,42 +833,87 @@ def test_only_diagnose_computes_confidences(capsys, tmp_path, toy_files, monkeyp
         computed.clear()
 
 
+def _with(table, field, value, message):
+    """table with field set to value, and the error that loading it must
+    raise, after the table's name."""
+    return {**table, field: value}, message
+
+
+def _restream(table, raw, message):
+    """table with its XOR replaced by a zlib stream of the bytes raw."""
+    return _with(table, "values", _deflated(raw), message)
+
+
+def _inflated(table):
+    return zlib.decompress(base64.b64decode(table["values"]))
+
+
+# each takes head1.table, which stores two rows of p = 3 values, and the
+# init's bits of those rows
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda text: text[:-4],  # truncated by whole base64 quanta
-        lambda text: text[:-1],  # truncated mid-quantum
-        lambda text: text[:10] + "!" + text[11:],  # not base64
-        lambda text: "float64:" + text.partition(":")[2],  # int16 bytes read as float64
-        lambda text: "complex:" + text.partition(":")[2],
-        lambda text: text + "AAAA",  # three bytes more: half a value
-        lambda text: text + "AAAAAAAA",  # three values too many
-        lambda text: 7,
+        # truncated by whole base64 quanta: the stream stops short
+        lambda t, init: _with(t, "values", t["values"][:-4], "does not inflate"),
+        lambda t, init: _with(t, "values", t["values"][:-1], "is not valid base64"),
+        lambda t, init: _with(
+            t, "values", t["values"][:10] + "!" + t["values"][11:], "is not valid base64"
+        ),
+        lambda t, init: _with(  # int16 row indices read as float64
+            t, "rows", "float64:" + t["rows"].partition(":")[2], "holds 4 bytes, not whole"
+        ),
+        lambda t, init: _with(
+            t, "rows", "complex:" + t["rows"].partition(":")[2], "has unknown array type"
+        ),
+        lambda t, init: _restream(  # half a value short
+            t, _inflated(t)[:-4], "inflates to 44 bytes, not whole float64 values"
+        ),
+        lambda t, init: _restream(  # three values too many
+            t, _inflated(t) + bytes(24), "inflates past the 48 bytes of its rows"
+        ),
+        lambda t, init: _with(t, "values", 7, "is not an array text"),
+        lambda t, init: _with(
+            t, "values", base64.b64encode(b"not a zlib stream").decode(),
+            "does not inflate (Error -3",
+        ),
+        lambda t, init: _restream(  # whole values, but not whole rows
+            t, _inflated(t)[:-8], "has 5 values, wanted (2, 3)"
+        ),
+        lambda t, init: _restream(  # rows that come out NaN, +inf and -inf
+            t, (init ^ np.array([np.nan, np.inf, -np.inf, 0, 1, 2]).view("<u8")).tobytes(),
+            "holds a non-finite value",
+        ),
+        lambda t, init: _restream(  # 16 MiB of zeros, which inflating stops past 48 bytes
+            t, bytes(1 << 24), "inflates past the 48 bytes of its rows"
+        ),
     ],
 )
 def test_corrupt_table_exit_2_naming_it(capsys, tmp_path, toy_files, corrupt):
     tree_path, ds_path = toy_files
     _, ckdir = _train_toy(capsys, tmp_path, toy_files)
     doc = load_checkpoint(os.path.join(ckdir, "ckpt-final.json"))
-    table = doc["model"]["tables"]["head1.table"]
+    tables = doc["model"]["tables"]
     # training moved both rows that the toy's digit 0 selects
-    assert table["rows"] == pack_array("rows", np.arange(2))
-    table["values"] = corrupt(table["values"])
+    assert tables["head1.table"]["rows"] == pack_array("rows", np.arange(2))
+    init = new_model(ModelConfig(CodecParams(3, 2)), seed=doc["model"]["seed"]).heads[1].table
+    init_bits = init[:2].ravel().view(np.uint64)
+    tables["head1.table"], message = corrupt(tables["head1.table"], init_bits)
     bad = tmp_path / "bad.json"
     bad.write_text(canonical_json(doc))
     rc, _, err = run(
         capsys, ["eval", "--dataset", ds_path, "--tree", tree_path, "--checkpoint", str(bad)]
     )
     assert rc == 2
-    assert err.startswith("error: table head1.table")
+    assert err.startswith(f"error: table head1.table {message}"), err
     assert "Traceback" not in err
 
 
 def _head_rows(rows, n_values):
-    """A format v3 head1.table storing rows (any floats) and n_values zeros."""
+    """A head1.table storing rows (any floats) and an XOR of n_values
+    zeros."""
     return {
         "rows": pack_array("head1.table", np.array(rows, dtype=float)),
-        "values": pack_array("head1.table", np.zeros(n_values)),
+        "values": _deflated(bytes(8 * n_values)),
     }
 
 
@@ -896,9 +933,12 @@ def _head_rows(rows, n_values):
             "table head1.table row indices do not strictly ascend",
         ),
         ("head1.table", _head_rows([0, 2], 5), "table head1.table has 5 values, wanted (2, 3)"),
-        ("head1.table", _head_rows([0, 2], 9), "table head1.table has 9 values, wanted (2, 3)"),
         (
-            "head1.table", {"rows": "int16:", "values": "float64:!"},
+            "head1.table", _head_rows([0, 2], 9),
+            "table head1.table inflates past the 48 bytes of its rows",
+        ),
+        (
+            "head1.table", {"rows": "int16:", "values": "!"},
             "table head1.table is not valid base64",
         ),
         ("head1.table", {"rows": "int16:"}, "table head1.table is not a rows/values pair"),
@@ -937,11 +977,7 @@ def test_non_finite_latent_exit_2_naming_it(capsys, tmp_path, toy_files, command
     tree_path, ds_path = toy_files
     _, ckdir = _train_toy(capsys, tmp_path, toy_files)
     doc = load_checkpoint(os.path.join(ckdir, "ckpt-final.json"))
-    row = np.array([0.0, bad, 1.0], dtype="<f8")
-    doc["model"]["tables"]["head1.table"] = {
-        "rows": pack_array("head1.table", np.array([1])),
-        "values": "float64:" + base64.b64encode(row.tobytes()).decode("ascii"),
-    }
+    doc["model"]["tables"]["head1.table"] = _stored_rows(doc, "head1.table", [1], [0.0, bad, 1.0])
     poisoned = tmp_path / "poisoned.json"
     poisoned.write_text(canonical_json(doc))
     out = tmp_path / "out"
@@ -963,14 +999,30 @@ def test_non_finite_latent_exit_2_naming_it(capsys, tmp_path, toy_files, command
 
 
 @pytest.fixture(scope="module")
-def adam_checkpoint(tmp_path_factory):
-    """The final checkpoint of a short Adam run on the toy tree, written
-    without a run configuration, so any resume configuration matches it."""
+def adam_run(tmp_path_factory):
+    """The checkpoint directory of a short Adam run on the toy tree: one
+    checkpoint per epoch, written without a run configuration, so any
+    resume configuration matches them."""
     ds = encode_tree(loads_tree(TOY_TEXT))
     ck = tmp_path_factory.mktemp("adam")
-    plan = uniform_plan(ds.codec.K, epochs=2)
+    plan = TrainPlan(uniform_plan(ds.codec.K, epochs=2).phases, checkpoint_interval=1)
     train(new_model(ModelConfig(ds.codec), seed=0), ds, AdamConfig(), plan, checkpoint_dir=str(ck))
-    return load_checkpoint(str(ck / "ckpt-final.json"))
+    return ck
+
+
+@pytest.fixture(scope="module")
+def adam_checkpoint(adam_run):
+    """The final checkpoint of adam_run, which holds no moments."""
+    return load_checkpoint(str(adam_run / "ckpt-final.json"))
+
+
+@pytest.fixture(scope="module")
+def adam_mid_checkpoint(adam_run):
+    """adam_run's checkpoint after the first epoch of its first phase,
+    which holds that phase's moments."""
+    doc = load_checkpoint(str(adam_run / "ckpt-00001.json"))
+    assert doc["cursor"] == {"phase": 0, "epoch": 1} and doc["optim"]["m"]
+    return doc
 
 
 def _refused(capsys, tmp_path, toy_files, command, doc):
@@ -999,16 +1051,18 @@ def _refused(capsys, tmp_path, toy_files, command, doc):
 
 
 def _retired_form(doc, form):
-    """A copy of a format v3 checkpoint document labelled as a file of an
-    earlier head layout: format v1 or v2, or format v3 stored against
-    init "uniform-v1" or "uniform-v2"."""
+    """A copy of a format v4 checkpoint document labelled as a file of an
+    earlier format: v1 or v2 (an earlier head layout, no init scheme),
+    v3 (whole rows over init "uniform-v3"), or v4 stored against init
+    "uniform-v1" or "uniform-v2"."""
     old = json.loads(json.dumps(doc))
     if form.startswith("uniform-"):
         old["model"]["init"] = form
     else:
         old["format"] = f"hipan-checkpoint-{form}"
         old["model"]["format"] = f"hipan-model-{form}"
-        del old["model"]["init"]
+        if form != "v3":
+            del old["model"]["init"]
     return old
 
 
@@ -1017,11 +1071,13 @@ def _retired_form(doc, form):
     [
         ("v1", "unknown checkpoint format 'hipan-checkpoint-v1'"),
         ("v2", "unknown checkpoint format 'hipan-checkpoint-v2'"),
+        ("v3", "unknown checkpoint format 'hipan-checkpoint-v3'; this version reads "
+               "'hipan-checkpoint-v4'"),
         ("uniform-v1", "unknown init scheme 'uniform-v1'; this version reads 'uniform-v3'"),
         ("uniform-v2", "unknown init scheme 'uniform-v2'; this version reads 'uniform-v3'"),
     ],
 )
-@pytest.mark.parametrize("command", ["eval", "resume"])
+@pytest.mark.parametrize("command", ["eval", "diagnose", "resume"])
 def test_retired_checkpoint_exit_2_naming_its_format(
     capsys, tmp_path, toy_files, adam_checkpoint, command, form, message
 ):
@@ -1031,10 +1087,10 @@ def test_retired_checkpoint_exit_2_naming_its_format(
 
 @pytest.mark.parametrize("part, with_shape", [("m", False), ("u", False), ("m", True)])
 def test_resume_refuses_a_moment_array_the_model_lacks(
-    capsys, tmp_path, toy_files, adam_checkpoint, part, with_shape
+    capsys, tmp_path, toy_files, adam_mid_checkpoint, part, with_shape
 ):
     # a well-formed moment array under a name the model has no array for
-    doc = json.loads(json.dumps(adam_checkpoint))
+    doc = json.loads(json.dumps(adam_mid_checkpoint))
     optim = doc["optim"]
     optim[part]["bogus"] = optim[part]["head0.anchor"]
     if with_shape:
@@ -1069,7 +1125,7 @@ def _set(doc, path, value):
         (("model", "tables"), ["int16:"], "malformed checkpoint model: 'tables' must be dict"),
         (("model", "tables"), {}, "malformed checkpoint model: 'head0.table' is missing"),
         (
-            ("model", "tables", "bogus"), {"rows": "int16:", "values": "int16:"},
+            ("model", "tables", "bogus"), {"rows": "int16:", "values": "eAEDAAAAAAE="},
             "malformed checkpoint model: table 'bogus' names no model array",
         ),
     ],
@@ -1118,7 +1174,7 @@ def test_malformed_model_state_exit_2_naming_the_field(
         # are refused before the optimizer kind is compared
         (("optim", "t"), -1, "malformed checkpoint optim: 't' must be >= 0, got -1"),
         (
-            ("optim",), {"kind": "gist", "sweep": "full-batch", "t": 3, "streak": -1},
+            ("optim",), {"kind": "gist", "t": 3, "streak": -1},
             "malformed checkpoint optim: 'streak' must be >= 0, got -1",
         ),
     ],

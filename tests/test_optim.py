@@ -669,9 +669,16 @@ def _wide_sweep_cases(draw):
     sum of exponentials adds more than 128 entries.  Records hold digits
     0 and p - 1, so rows have targets at both ends; under the uniform
     init, latents at 0 and p - 1 make candidates wrap.  Head 0's row 0
-    holds a single maximum, p - 1, at a column no record's digit 0
-    targets, 2 above the rest, so its -1 lowers the row's maximum.  Digit
-    0 is always swept."""
+    holds a single maximum, p - 1, at a column no record's digit
+    targets, and the rest lie in [1, p - 4].  Digit 0 is always swept.
+
+    A sweep moves each column of a row at most once, by +-1, and no
+    column in [1, p - 4] can wrap: when the sweep reaches the maximum,
+    it is still the row's only entry above p - 3.  Its -1 keeps it the
+    only maximum, so every pair keeps its competitor and its target's
+    score while the log-sum-exp falls: the first sweep lowers the
+    maximum (by the -1, or by the +1 that wraps it to 0 when that is
+    better), through the max-lowering rescoring."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     p = draw(st.sampled_from([131, 257]))
@@ -686,8 +693,8 @@ def _wide_sweep_cases(draw):
         for arr in model_arrays(model).values():
             arr[...] = rng.integers(0, top + 1, size=arr.shape)
     row = model.heads[0].table[0]
-    np.minimum(row, p - 3, out=row)
-    free = np.setdiff1d(np.arange(p), rows[:, 0])
+    np.clip(row, 1, p - 4, out=row)
+    free = np.setdiff1d(np.arange(p), rows)
     row[free[int(rng.integers(free.size))]] = p - 1
     digits = {0} | draw(st.sets(st.integers(0, K - 1)))
     return ds, model, tuple(sorted(digits))
@@ -1059,13 +1066,10 @@ def test_train_numeric_abort_names_untrained_head():
 
 def test_optim_state_dict_round_trip_gist():
     doc = optim_state_dict("gist", OptimState(t=5), streak=1)
-    assert doc == {"kind": "gist", "sweep": "full-batch", "t": 5, "streak": 1}
+    assert doc == {"kind": "gist", "t": 5, "streak": 1}
     _, ds, model = _toy_setup()
     back = restore_optim_state(doc, model)
     assert back.t == 5
-    # the per-coordinate map of minibatch-sweep checkpoints is ignored
-    old = {"kind": "gist", "t": 5, "streak": 1, "last_improved": {"root[0]": 2}}
-    assert restore_optim_state(old, model) == OptimState(t=5)
 
 
 @pytest.mark.parametrize("kind, key", [("gist", "streak"), ("gist", "t"), ("adam", "t")])
@@ -1146,18 +1150,6 @@ def test_train_split_resume_is_bit_identical(tmp_path, kind):
         assert _fingerprint(str(out / "ckpt-final.json")) == _fingerprint(
             str(tmp_path / "full" / "ckpt-final.json")
         ), mid
-
-
-def test_train_refuses_minibatch_gist_checkpoint(tmp_path):
-    tree, ds, model = _toy_setup(seed=3)
-    plan = TrainPlan((TrainPhase("a", 4, 0.03, (0, 1)),), checkpoint_interval=2)
-    train(model, ds, GistConfig(), plan, tree=tree, checkpoint_dir=str(tmp_path))
-    doc = load_checkpoint(str(tmp_path / "ckpt-00002.json"))
-    # lattice state as the minibatch sweep wrote it: no sweep tag, a
-    # per-coordinate map of last accepted moves
-    doc["optim"] = {"kind": "gist", "t": 2, "streak": 0, "last_improved": {"root[0]": 1}}
-    with pytest.raises(ValueError, match="minibatch"):
-        train(load_model(doc), ds, GistConfig(), plan, tree=tree, resume=doc)
 
 
 @pytest.mark.parametrize("p, K", [(2, 3), (5, 3), (3, 4)])
@@ -1357,8 +1349,11 @@ def _reference_adam_train(model, ds, cfg, plan, batch_size, seed, tree, checkpoi
     state = OptimState()
 
     def save(name, cursor):
+        # a phase entry's moments are reset before any step reads them:
+        # its checkpoint holds none
+        held = state if cursor[1] else OptimState(t=state.t)
         save_checkpoint(
-            f"{checkpoint_dir}/{name}", model, optim_state=optim_state_dict("adam", state),
+            f"{checkpoint_dir}/{name}", model, optim_state=optim_state_dict("adam", held),
             cursor={"phase": cursor[0], "epoch": cursor[1]}, seed=seed,
         )
 
