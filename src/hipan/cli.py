@@ -254,6 +254,10 @@ def cmd_train(ns: argparse.Namespace) -> int:
     # only the rates the user set; the others are the library's defaults
     lr = {"lr": cfg.lr} if cfg.lr else {}
     warmup_lr = {"warmup_lr": cfg.warmup_lr} if cfg.warmup_lr else {}
+    if cfg.plan == "default":
+        plan = default_plan(codec.K, **lr, **warmup_lr)
+    else:
+        plan = uniform_plan(codec.K, **lr)
     if cfg.optimizer == "gist":
         optimizer: GistConfig | AdamConfig = GistConfig(patience=cfg.patience, seed=cfg.seed)
         hyper: dict = {"patience": cfg.patience}
@@ -262,12 +266,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
         hyper = {
             "beta1": optimizer.beta1,
             "beta2": optimizer.beta2,
-            "lr": optimizer.lr,
+            "lr": plan.phases[-1].lr,
         }
-    if cfg.plan == "default":
-        plan = default_plan(codec.K, **lr, **warmup_lr)
-    else:
-        plan = uniform_plan(codec.K, **lr)
     log = _LazyLog(ns.log) if ns.log else None
     t0 = time.monotonic()
     try:

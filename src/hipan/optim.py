@@ -10,10 +10,11 @@ count read from the dataset.
 
 A record's loss at digit k depends only on its (digit k-1, digit k)
 pair, so the objective reads the data only through the dataset's pair
-counts (`EncodedDataset.pair_counts`): `dataset_loss` scores each
-distinct pair once and weighs it by its count, summarizing each head
-row the pairs reach once, and nothing about the data is stored on the
-model.
+counts (`EncodedDataset.pair_counts`), laid out once per run as one
+table (_PairTable).  The loss, the epoch log and the lattice sweep's
+check read the same per-pair terms from it (_pair_losses), each distinct
+pair scored once and weighed by its count; nothing about the data is
+stored on the model.
 
 The lattice trainer moves one latent at a time by +-1 (wrapping mod p),
 accepting only strict improvement of this objective on the full data, so
@@ -371,37 +372,6 @@ def _lse_rows(rows: np.ndarray) -> np.ndarray:
     return m + np.log(s, out=s)
 
 
-def _served_digits(model: HiPaNModel, ke: int, phase_digits: tuple[int, ...]) -> tuple[int, ...]:
-    """Digits of the phase that head depth ke is responsible for."""
-    last = model.config.K_heads - 1
-    if ke < last:
-        return tuple(k for k in phase_digits if k == ke)
-    return tuple(k for k in phase_digits if k >= last)
-
-
-def _digit_losses(
-    model: HiPaNModel, k: int, prev: np.ndarray, t: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """Teacher-forced loss of digit k for each (previous digit prev, digit
-    t) pair, scaled by the pair's rarity weight w.
-
-    The head scores each run of equal previous digits in prev once (its
-    log-sum-exp and top two columns) and gathers per pair; in DigitPairs
-    order every previous digit is one run.
-    """
-    head = model.heads[_effective_depth(model, k)]
-    n = t.size
-    starts = np.ones(n, dtype=bool)
-    np.not_equal(prev[1:], prev[:-1], out=starts[1:])
-    run = np.cumsum(starts) - 1
-    rows = head.table[prev[starts]]
-    top, second = _top_two(rows)
-    ce = _lse_rows(rows)[run] - head.table.ravel()[prev * model.p + t]
-    return _pair_terms(
-        model.config.tau, ce, top[run], second[run], head.anchor[prev], t, w
-    )
-
-
 def _pair_terms(
     tau: float,
     ce: np.ndarray,
@@ -417,26 +387,6 @@ def _pair_terms(
     c = np.where(top == t, second, top)
     z = tau * ((v - c) ** 2 - (v - t) ** 2)
     return w * (ce + np.logaddexp(0.0, -z))
-
-
-def dataset_loss(
-    model: HiPaNModel,
-    data: EncodedDataset | Sequence[DigitPairs],
-    digits: Sequence[int],
-) -> float:
-    """Mean per-record loss over the given digit depths.
-
-    data is a dataset or its pair_counts(); each distinct pair's loss is
-    computed once and counted as often as records hold the pair.
-    """
-    counts = data.pair_counts() if isinstance(data, EncodedDataset) else data
-    total = 0.0
-    for k in digits:
-        pairs = counts[k]
-        w = huffman_weights(pairs.count)
-        losses = _digit_losses(model, k, pairs.parent, pairs.child, w)
-        total += float((pairs.count * losses).sum())
-    return total / max(1, int(counts[0].count.sum()))
 
 
 class _PairTable(NamedTuple):
@@ -484,6 +434,61 @@ def _pair_table(
             r = np.searchsorted(keys, heads[k] * p + (D[:, k - 1] if k else 0))
             pair[:, k] = np.searchsorted(rank, (r * p + D[:, k]) * K + k)
     return _PairTable(row, child, digit, count, weight, np.array(np.divmod(keys, p)), pair)
+
+
+def _select(table: _PairTable, digits: Sequence[int]) -> _PairTable:
+    """The pairs of the given digits, in table order, as a table of their
+    own: its live rows are the rows those pairs reach, renumbered from 0
+    in the table's order.  It holds no records' pairs."""
+    sel = np.isin(table.digit, digits)
+    live, row = np.unique(table.row[sel], return_inverse=True)
+    return _PairTable(row, table.child[sel], table.digit[sel], table.count[sel],
+                      table.weight[sel], table.live[:, live])
+
+
+def _pair_losses(tau: float, pairs: _PairTable, X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each pair's count times its loss (_pair_terms) under the table rows
+    X and anchors v of the live rows of pairs: each row's log-sum-exp and
+    top two columns are taken once."""
+    r, t = pairs.row, pairs.child
+    top, second = _top_two(X)
+    ce = _lse_rows(X)[r] - X[r, t]
+    return pairs.count * _pair_terms(tau, ce, top[r], second[r], v[r], t, pairs.weight)
+
+
+def _check_digits(digits: Sequence[int], K: int, where: str = "") -> None:
+    """Raise ValueError naming the first of digits outside [0, K)."""
+    for k in digits:
+        if not 0 <= k < K:
+            raise ValueError(f"{where}digit {k} lies outside [0, {K})")
+
+
+def _table_loss(model: HiPaNModel, table: _PairTable, digits: Sequence[int]) -> float:
+    """dataset_loss over the run's table: each digit's pair losses
+    (_pair_losses) summed in DigitPairs order, then the digits in order."""
+    pairs = _select(table, digits)
+    h, r = pairs.live
+    terms = _pair_losses(model.config.tau, pairs, model.latents[h, r], model.latents[h, model.p, r])
+    total = 0.0
+    for k in digits:
+        total += float(terms[pairs.digit == k].sum())
+    return total / max(1, int(table.count[table.digit == 0].sum()))
+
+
+def dataset_loss(model: HiPaNModel, data: EncodedDataset | Sequence[DigitPairs],
+                 digits: Sequence[int]) -> float:
+    """Mean per-record loss over the given digit depths.
+
+    data is a dataset or its pair_counts(); each distinct pair's loss is
+    computed once, from a _PairTable of the counts, and counted as often
+    as records hold the pair.
+
+    Raises:
+        ValueError: a digit lies outside [0, K) (named).
+    """
+    counts = data.pair_counts() if isinstance(data, EncodedDataset) else data
+    _check_digits(digits, len(counts))
+    return _table_loss(model, _pair_table(model, counts), digits)
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -556,12 +561,11 @@ class _RowSweep:
     def __init__(self, model: HiPaNModel, table: _PairTable, digits: Sequence[int]):
         p = self.p = model.p
         self.tau = model.config.tau
-        sel = np.isin(table.digit, digits)
-        live, self.prow = np.unique(table.row[sel], return_inverse=True)
-        self.heads, self.rows = table.live[:, live]
-        self.t, self.count, self.w = table.child[sel], table.count[sel], table.weight[sel]
-        self.cw = self.count * self.w
-        n = live.size
+        pairs = self.pairs = _select(table, digits)
+        self.heads, self.rows = pairs.live
+        self.prow, self.t = pairs.row, pairs.child
+        self.cw = pairs.count * pairs.weight
+        n = self.heads.size
         self.start = np.searchsorted(self.prow, np.arange(n + 1))
         self.A = np.bincount(self.prow, self.cw, minlength=n)
         self.key = self.prow * p + self.t  # ascends
@@ -733,27 +737,19 @@ class _RowSweep:
         return move != 0
 
     def logged(self) -> np.ndarray:
-        """Each row's loss in the arithmetic of dataset_loss: its pairs'
-        _digit_losses terms times their counts, summed in pair order."""
-        X, prow = self.X, self.prow
-        top, second = _top_two(X)
-        ce = _lse_rows(X)[prow] - X[prow, self.t]
-        terms = _pair_terms(self.tau, ce, top[prow], second[prow], self.v[prow], self.t, self.w)
-        return np.bincount(prow, self.count * terms, minlength=X.shape[0])
+        """Each row's loss in the arithmetic of dataset_loss: the terms of
+        its pairs (_pair_losses), summed in pair order."""
+        return np.bincount(self.prow, _pair_losses(self.tau, self.pairs, self.X, self.v),
+                           minlength=self.A.size)
 
 
 def _gist_sweep(
-    model: HiPaNModel,
-    counts: Sequence[DigitPairs],
-    digits: tuple[int, ...],
-    table: _PairTable | None = None,
-    report: dict | None = None,
+    model: HiPaNModel, table: _PairTable, digits: tuple[int, ...], report: dict | None = None
 ) -> tuple[int, int]:
     """One full-batch lattice sweep of the heads serving the given digits,
-    in place; returns (accepted moves, loss evaluations), three
-    evaluations per coordinate of a live row.
+    in place, over the run's _PairTable; returns (accepted moves, loss
+    evaluations), three evaluations per coordinate of a live row.
 
-    table is the run's _PairTable of counts (built here when None).
     Rows that no pair of the digits reaches are skipped: no move there
     can change the loss.  A row's pairs read only that row and its
     anchor, so every live row of every head advances in the same passes
@@ -761,12 +757,10 @@ def _gist_sweep(
     from each row's cursor from running sums, and each row takes the
     moves a one-coordinate-at-a-time sweep of its table columns in index
     order would.  One pass then moves every anchor.  Last, each row's
-    loss is recomputed in dataset_loss's arithmetic (_RowSweep.logged);
-    a row whose loss rose is put back as it was before the sweep, and its
-    moves are not counted.  report, when given, gets the number of those
-    rows under "reverts"."""
-    if table is None:
-        table = _pair_table(model, counts)
+    loss is recomputed from the loss's own per-pair terms
+    (_RowSweep.logged); a row whose loss rose is put back as it was
+    before the sweep, and its moves are not counted.  report, when given,
+    gets the number of those rows under "reverts"."""
     sweep = _RowSweep(model, table, digits)
     before = sweep.logged()
     moved = sweep.columns() + sweep.anchors()
@@ -951,14 +945,15 @@ def _check_finite(model: HiPaNModel) -> None:
 def _epoch_metrics(
     model: HiPaNModel,
     D: np.ndarray,
-    counts: Sequence[DigitPairs],
+    table: _PairTable,
     tree: TreeSpec | None,
     leaf_ids: np.ndarray | None,
     phase_digits: tuple[int, ...],
 ) -> tuple[float, list[float], float]:
-    """(loss over the phase's digits, per-digit accuracy, leaf accuracy)."""
+    """(loss over the phase's digits, per-digit accuracy, leaf accuracy),
+    the loss read from the run's table."""
     acc = evaluate_digits(model, D, tree, leaf_ids).accuracy()
-    loss = dataset_loss(model, counts, phase_digits)
+    loss = _table_loss(model, table, phase_digits)
     return loss, list(acc.digit_accuracy), acc.leaf_accuracy
 
 
@@ -1065,7 +1060,8 @@ def train(
 
     Raises:
         NumericAbort: a latent became non-finite.
-        ValueError: the dataset is empty or not of the model's codec,
+        ValueError: the dataset is empty or not of the model's codec, a
+            phase's digit lies outside [0, K) (named, with its phase),
             Adam's batch_size is below 1, or the resume checkpoint holds
             a field of the wrong JSON type (named), a cursor that train
             does not write, or the state of the other optimizer.
@@ -1084,6 +1080,8 @@ def train(
             plan = default_plan(model.K)
     if model.config.codec != dataset.codec:
         raise ValueError(f"dataset codec {dataset.codec} does not match model {model.config.codec}")
+    for phase in plan.phases:
+        _check_digits(phase.digits, model.K, f"phase {phase.name!r}: ")
     D = dataset.digits_matrix()
     n = D.shape[0]
     if n == 0:
@@ -1093,8 +1091,7 @@ def train(
     leaf_ids = None
     if tree is not None:
         leaf_ids = tree.ids_of(dataset.leaves)
-    counts = dataset.pair_counts()
-    tables = _pair_table(model, counts, D if kind == "adam" else None)
+    table = _pair_table(model, dataset.pair_counts(), D if kind == "adam" else None)
     if kind == "adam":
         _check_finite(model)
 
@@ -1171,7 +1168,7 @@ def train(
             t0 = time.monotonic()
             sweep: dict = {}
             if kind == "gist":
-                moves, ev = _gist_sweep(model, counts, phase.digits, tables, sweep)
+                moves, ev = _gist_sweep(model, table, phase.digits, sweep)
                 state.t += 1
                 evals += ev
             else:
@@ -1185,7 +1182,7 @@ def train(
                     state.m, state.u = np.zeros(model.latents.shape), np.zeros(model.latents.shape)
                 x, m, u = (arr[a:b].reshape(-1) for arr in (model.latents, state.m, state.u))
                 scratch = np.empty((2, x.size))
-                batches = _Batches(model, a, D, tables, perms, batch_size)
+                batches = _Batches(model, a, D, table, perms, batch_size)
                 for s in range(batches.steps):
                     g = _accumulate_grads(x, batches, s)
                     _adam_step(x, m, u, g, state, optimizer, phase.lr, scratch)
@@ -1196,7 +1193,7 @@ def train(
                 steps += moves
                 _check_finite(model)
             loss, per_digit, leaf_acc = _epoch_metrics(
-                model, D, counts, tree, leaf_ids, phase.digits
+                model, D, table, tree, leaf_ids, phase.digits
             )
             if not math.isfinite(loss):
                 raise NumericAbort("loss", (pi, e), f"phase {phase.name}")

@@ -178,6 +178,7 @@ def test_train_adam_uniform_plan(capsys, tmp_path, toy_files):
     )
     assert summary["event"] == "summary"
     assert summary["leaf_acc"] is not None
+    assert summary["hyperparameters"]["lr"] == 1e-3  # the uniform plan's one rate
 
 
 # the rates that train ran with before the command line left unset
@@ -206,8 +207,10 @@ def test_train_rates_left_unset_are_the_library_defaults(
     rc, out, err = run(capsys, ["train", "--dataset", ds_path, "--optimizer", "adam", *flags])
     assert rc == 0, err
     assert seen == {"optimizer": optimizer, "plan": plan}
+    # the summary reports the rate of the plan's last phase, the one Adam
+    # ended on: 1e-3 for the uniform plan, whatever AdamConfig's lr says
     hyper = json.loads(out)["hyperparameters"]
-    assert hyper == {"beta1": 0.9, "beta2": 0.999, "lr": optimizer.lr}
+    assert hyper == {"beta1": 0.9, "beta2": 0.999, "lr": plan.phases[-1].lr}
 
 
 def test_eval_trained_checkpoint(capsys, tmp_path, toy_files):

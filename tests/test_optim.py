@@ -57,7 +57,6 @@ from hipan.optim import (
     _Batches,
     _accumulate_grads,
     _adam_step,
-    _digit_losses,
     _epoch_metrics,
     _gist_sweep,
     _pair_table,
@@ -333,14 +332,22 @@ def _toy_setup(seed=0):
 
 
 def _digit_losses_reference(model, k, prev, t, w):
-    """Per-pair oracle of _digit_losses: every pair gathers its whole
-    parent row, and the row's log-sum-exp and top two columns are taken
-    over the (pairs, p) gather."""
+    """Per-pair oracle of _pair_losses, less the counts: every pair
+    gathers its whole parent row, and the row's log-sum-exp and top two
+    columns are taken over the (pairs, p) gather."""
     head = model.heads[min(k, model.config.K_heads - 1)]
     rows = head.table[prev]
     top, second = _top_two(rows)
     ce = optim._lse_rows(rows) - rows[np.arange(t.size), t]
     return optim._pair_terms(model.config.tau, ce, top, second, head.anchor[prev], t, w)
+
+
+def _selection_losses(model, table, digits):
+    """(_select of the digits, their _pair_losses) under model."""
+    pairs = optim._select(table, digits)
+    h, r = pairs.live
+    X, v = model.latents[h, r], model.latents[h, model.p, r]
+    return pairs, optim._pair_losses(model.config.tau, pairs, X, v)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -363,16 +370,21 @@ def test_digit_losses_match_the_per_pair_gather_bit_for_bit(seed, source, intege
                 arr[...] = rng.integers(0, 2, size=arr.shape)
             else:
                 arr[...] = rng.normal(0.0, 3.0, size=arr.shape)
+        table = _pair_table(model, counts)
+        every, terms = _selection_losses(model, table, range(K))
         for k in range(K):
             pairs = counts[k]
             assert k < 2 or (np.diff(pairs.parent) == 0).sum() >= pairs.parent.size // 4
-            w = huffman_weights(pairs.count)
-            # DigitPairs order, then a shuffled order with parents out of order
-            for order in (np.arange(pairs.count.size), rng.permutation(pairs.count.size)):
-                args = (model, k, pairs.parent[order], pairs.child[order], w[order])
-                got = _digit_losses(*args)
-                want = _digit_losses_reference(*args)
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            want = pairs.count * _digit_losses_reference(
+                model, k, pairs.parent, pairs.child, huffman_weights(pairs.count)
+            )
+            # one digit's selection, and the digit's pairs among every
+            # digit's, hold the digit's pairs in DigitPairs order
+            sel, got = _selection_losses(model, table, [k])
+            assert np.array_equal(sel.child, pairs.child) and np.array_equal(sel.count, pairs.count)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            mine = terms[every.digit == k]
+            assert np.array_equal(mine.view(np.int64), want.view(np.int64))
         want_total = sum(
             float((counts[k].count * _digit_losses_reference(
                 model, k, counts[k].parent, counts[k].child, huffman_weights(counts[k].count)
@@ -557,9 +569,10 @@ def test_gist_sweep_matches_per_coordinate_reference(case):
     ds, model, digits = case
     reference = model_from_state(model_state(model))
     counts = ds.pair_counts()
+    table = _pair_table(model, counts)
     for _ in range(3):
         want = _reference_sweep(reference, counts, digits)
-        got, _ = _gist_sweep(model, counts, digits)
+        got, _ = _gist_sweep(model, table, digits)
         assert got == want
         for a, b in zip(model_arrays(model).values(), model_arrays(reference).values()):
             assert np.array_equal(a, b)
@@ -612,9 +625,10 @@ def test_sweep_scores_are_the_reference_row_losses_within_rounding(case):
 def test_gist_sweep_full_loss_never_rises(case):
     ds, model, digits = case
     counts = ds.pair_counts()
+    table = _pair_table(model, counts)
     losses = [dataset_loss(model, counts, digits)]
     for _ in range(6):
-        accepted, _ = _gist_sweep(model, counts, digits)
+        accepted, _ = _gist_sweep(model, table, digits)
         loss = dataset_loss(model, counts, digits)
         # a move lowers its row's loss strictly; dataset_loss adds the
         # rows' terms in another order, so a move between two candidates
@@ -630,7 +644,7 @@ def test_gist_sweep_deterministic():
         _, ds, model = _toy_setup(seed=4)
         counts = ds.pair_counts()
         for _ in range(3):
-            _gist_sweep(model, counts, (0, 1))
+            _gist_sweep(model, _pair_table(model, counts), (0, 1))
         return dataset_loss(model, counts, (0, 1)), model_state(model)
 
     a = run()
@@ -656,8 +670,9 @@ def test_gist_sweep_pass_width_stays_within_the_row():
     model.heads[2].table[:] = 0.0
     reference = model_from_state(model_state(model))
     counts = ds.pair_counts()
+    table = _pair_table(model, counts)
     for _ in range(2):
-        got, _ = _gist_sweep(model, counts, (2,))
+        got, _ = _gist_sweep(model, table, (2,))
         assert got == _reference_sweep(reference, counts, (2,))
         for a, b in zip(model_arrays(model).values(), model_arrays(reference).values()):
             assert np.array_equal(a, b)
@@ -709,10 +724,11 @@ def test_gist_sweep_past_the_pairwise_block(case):
     # the one-coordinate-at-a-time oracle, bit for bit
     reference = model_from_state(model_state(model))
     peak = int(model.heads[0].table[0].argmax())
+    table = _pair_table(model, counts)
     losses = [dataset_loss(model, counts, digits)]
     for sweep in range(2):
         want = _reference_sweep(reference, counts, digits)
-        got, _ = _gist_sweep(model, counts, digits)
+        got, _ = _gist_sweep(model, table, digits)
         assert got == want
         for a, b in zip(model_arrays(model).values(), model_arrays(reference).values()):
             assert np.array_equal(a, b)
@@ -744,14 +760,15 @@ def test_gist_sweep_puts_back_the_rows_whose_loss_rose(monkeypatch):
     model = new_model(ModelConfig(ds.codec), seed=1)
     start = model_from_state(model_state(model))
     digits = (0, 1, 2)
-    sweep = optim._RowSweep(model, _pair_table(model, counts), digits)
+    table = _pair_table(model, counts)
+    sweep = optim._RowSweep(model, table, digits)
     before = [_reference_row_loss(model, counts, digits, ke, r)
               for ke, r in zip(sweep.heads, sweep.rows)]
     monkeypatch.setattr(optim._RowSweep, "scores",
                         lambda self, st, Xs, s, r, j, y: np.where(y == (self.X[r, j] + 1) % self.p,
                                                                   -np.inf, np.inf))
     report = {}
-    accepted, _ = _gist_sweep(model, counts, digits, report=report)
+    accepted, _ = _gist_sweep(model, table, digits, report=report)
     kept = moves = 0
     for ke, r, was in zip(sweep.heads, sweep.rows, before):
         now = _reference_row_loss(model, counts, digits, ke, r)
@@ -942,6 +959,46 @@ def test_dataset_loss_matches_per_record_reference(seed, real_valued):
         assert dataset_loss(model, ds.pair_counts(), [K - 1]) == pytest.approx(
             _reference_dataset_loss(model, ds, [K - 1]), rel=1e-12, abs=0.0
         )
+
+
+@pytest.mark.parametrize("digit", [-1, 2, 5])
+def test_dataset_loss_refuses_a_digit_outside_the_code(digit):
+    _, ds, model = _toy_setup()
+    assert ds.codec.K == 2
+    for data in (ds, ds.pair_counts()):
+        with pytest.raises(ValueError, match=f"digit {digit} lies outside \\[0, 2\\)"):
+            dataset_loss(model, data, [0, digit])
+
+
+@pytest.mark.parametrize("optimizer", [GistConfig(), AdamConfig()])
+@pytest.mark.parametrize("digit", [-1, 5])
+def test_train_refuses_a_phase_digit_outside_the_code_before_any_move(optimizer, digit):
+    # the first phase is valid and would move the model; the refusal comes
+    # before it
+    _, ds, model = _toy_setup()
+    before = model_state(model)
+    plan = TrainPlan((TrainPhase("first", 2, 0.03, (0, 1)), TrainPhase("bad", 1, 0.03, (1, digit))))
+    with pytest.raises(ValueError, match=f"phase 'bad': digit {digit} lies outside \\[0, 2\\)"):
+        train(model, ds, optimizer, plan)
+    assert model_state(model) == before
+
+
+@pytest.mark.parametrize("optimizer", [GistConfig(), AdamConfig()])
+def test_train_weighs_the_pairs_once_per_run(monkeypatch, optimizer):
+    # the run's pair table holds the rarity weights: one huffman_weights
+    # call per digit, however many epochs log a loss
+    calls = []
+
+    def counted(counts):
+        calls.append(1)
+        return huffman_weights(counts)
+
+    monkeypatch.setattr(optim, "huffman_weights", counted)
+    tree = gen_synthetic("complete", 3, 5)
+    ds = encode_tree(tree)
+    result = train(new_model(ModelConfig(ds.codec), seed=0), ds, optimizer, tree=tree)
+    assert len(result.history) > 1
+    assert len(calls) == ds.codec.K
 
 
 def test_train_single_leaf_first_sweep_is_exact():
@@ -1342,7 +1399,7 @@ def _reference_adam_train(model, ds, cfg, plan, batch_size, seed, tree, checkpoi
     checkpoints as train."""
     D = ds.digits_matrix()
     n = D.shape[0]
-    counts = ds.pair_counts()
+    table = _pair_table(model, ds.pair_counts())
     W = _rarity_weights(D)
     leaf_ids = tree.ids_of(ds.leaves)
     history, global_epoch = [], 0
@@ -1376,7 +1433,7 @@ def _reference_adam_train(model, ds, cfg, plan, batch_size, seed, tree, checkpoi
                 for name, g in grads.items():
                     arr = model_arrays(model)[name]
                     _reference_update(arr, g, m[name], u[name], cfg, phase.lr, state.t)
-            loss, per_digit, leaf_acc = _epoch_metrics(model, D, counts, tree, leaf_ids, phase.digits)
+            loss, per_digit, leaf_acc = _epoch_metrics(model, D, table, tree, leaf_ids, phase.digits)
             history.append({
                 "phase": phase.name, "epoch": e, "loss": loss, "per_digit_acc": per_digit,
                 "leaf_acc": leaf_acc, "accepted_moves": math.ceil(n / batch_size),

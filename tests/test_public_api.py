@@ -1,10 +1,12 @@
-"""Guard on the public surface: every name a module exports is used.
+"""Guard on the package's names: every name a module exports is used,
+and so is every private one.
 
 A name in a module's `__all__` must be referenced (as a name, an
 attribute or an imported name) somewhere other than its own definition,
-in the package, the demos or the acceptance tests.  Unit tests do not
-count: a name only its own unit tests call is code nothing trains or
-reads.
+in the package, the demos or the acceptance tests.  A module-level
+private name (one leading underscore) must be referenced by the package
+itself outside its definition.  Unit tests do not count: a name only its
+own unit tests call is code nothing trains or reads.
 """
 
 import ast
@@ -72,3 +74,22 @@ def test_every_exported_name_is_referenced():
                 unused.append(f"{path.stem}.{name}")
     assert unused == []
     assert set(UNREFERENCED_OK) <= every
+
+
+def test_every_private_name_is_referenced_by_the_package():
+    paths = sorted(PACKAGE.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    refs = {path: _references(tree) for path, tree in trees.items()}
+    unused = []
+    for path, tree in trees.items():
+        for name, (lo, hi) in _definitions(tree).items():
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            used = any(
+                ref == name and not (where == path and lo <= line <= hi)
+                for where, found in refs.items()
+                for ref, line in found
+            )
+            if not used:
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []
