@@ -390,7 +390,8 @@ def _pair_terms(
 
 
 class _PairTable(NamedTuple):
-    """A run's pairs, built once per run for both trainers.  A pair is one
+    """A run's pairs, built once per run for the loss and both trainers
+    (or a digit set's share of them, _select).  A pair is one
     digit's distinct (previous digit, digit) pair; pairs are numbered in
     (live row, child, digit) order, so the pairs of one row, and of one
     (row, child) cell, are adjacent.  Pair j of digit digit[j] selects
