@@ -7,27 +7,32 @@ written in canonical form (sorted keys, minimal separators, shortest
 round-trip float text for scalars), so identical state always produces
 identical bytes.
 
-Format v4 stores only what training changed.  Its model state names
+Format v5 stores only what training changed.  Its model state names
 the init scheme ("init": "uniform-v3", the draws of
 `new_model(config, seed)`) and stores each latent array as the rows
 whose bits differ from that init; each Adam moment array is stored as
-its rows whose bits differ from zero (`model.pack_rows`).  A stored
+its rows whose bits differ from zero (`model.pack_rows`).  An array
+with no such row is not stored at all, and loads as its base.  A stored
 array is {"rows": ascending row indices, packed by `model.pack_array`
 (base64 of little-endian int16 when that is exact, float64 otherwise),
-"values": base64 of the zlib-deflated little-endian XOR of those rows'
-float64 bits against the base they are stored against}.  Each entry of
-a 1-d array (a head's anchors) is a row.  A lattice move changes one
-entry by 1, so a trained row XORs to mostly zero bytes and deflates to
-little more than its moved entries.  Loading draws the init again and
-XORs the stored rows over it (`model.unpack_rows`), so every array comes
-back bit for bit, whichever rows training reached.  A checkpoint whose
+and one codec's base64 zlib stream}: "deltas", each entry minus its
+base as little-endian int16, whenever the base plus those deltas gives
+back every stored bit, as it does on the integer lattice; otherwise
+"values", the little-endian XOR of the rows' float64 bits against the
+base's, as format v4 stored every array.  Each entry of a 1-d array (a
+head's anchors) is a row.  A lattice move changes one entry by 1, so a
+trained row's deltas are mostly zero bytes and deflate to little more
+than its moved entries.  Loading draws the init again and writes the
+stored rows over it (`model.unpack_rows`), so every array comes back
+bit for bit, whichever rows training reached.  A checkpoint whose
 cursor is a phase entry holds no Adam moments, since training resets
 them there (`optim.optim_state_dict`).
 
-Only format v4 with init "uniform-v3" is read.  Formats v1 and v2, and
+Only format v5 with init "uniform-v3" is read.  Formats v1 and v2, and
 files stored against init "uniform-v1" or "uniform-v2", hold an earlier
-head layout, and format v3 stores whole rows; loading any of them raises
-ValueError naming its format or init.
+head layout, format v3 stores whole rows, and format v4 stores every
+array, each as a bit XOR; loading any of them raises ValueError naming
+its format or init.
 
 `created_unix_ms` is the one intentionally nondeterministic field; the
 fingerprint zeroes it before hashing so two runs of the same seed yield
@@ -45,7 +50,7 @@ from typing import Any
 from .model import HiPaNModel, model_from_state, model_state
 from .tree import _typed
 
-FORMAT = "hipan-checkpoint-v4"
+FORMAT = "hipan-checkpoint-v5"
 
 
 def canonical_json(obj: Any) -> str:

@@ -50,8 +50,8 @@ from .tree import EncodedDataset, TreeSpec, _typed
 # fall back to the generative rule and may miss.
 RECONSTRUCT_MARGIN = 2.0
 
-CHECKPOINT_FORMAT = "hipan-model-v4"
-# Names the init that format v4 tables are stored against: new_model's
+CHECKPOINT_FORMAT = "hipan-model-v5"
+# Names the init that format v5 tables are stored against: new_model's
 # i.i.d. uniform draws over {0, ..., p-1} from child_rng(seed, "init"),
 # in the order _init_draws gives.  "uniform-v1" and "uniform-v2" drew the
 # arrays of earlier head layouts; their files are not read.
@@ -451,16 +451,28 @@ def unpack_array(name: str, value: str) -> np.ndarray:
     return arr
 
 
-def pack_rows(name: str, arr: np.ndarray, base: np.ndarray | None = None) -> dict:
+def _deflate(data: np.ndarray) -> str:
+    """base64 of the zlib stream of data's bytes."""
+    # run-length matching only: on XOR and delta rows, mostly zero bytes,
+    # it deflates smaller than the default strategy's level 6 and faster
+    # than level 1
+    deflate = zlib.compressobj(strategy=zlib.Z_RLE)
+    return base64.b64encode(deflate.compress(data.tobytes()) + deflate.flush()).decode("ascii")
+
+
+def pack_rows(name: str, arr: np.ndarray, base: np.ndarray | None = None) -> dict | None:
     """Checkpoint form of the rows of arr whose float64 bits differ from
-    base's: {"rows": their ascending indices, packed by pack_array,
-    "values": base64 of the zlib-deflated little-endian XOR of their bits
-    against base's}.  Each entry of a 1-d array is a row.  base holds
-    nonnegative integers, such as the seeded init (all zeros when None);
-    unpack_rows writes the rows back over it.  Entries equal to base's
-    XOR to zero bytes, so a lattice-trained row costs little more than
-    its moved entries, and any float, -0.0 included, comes back bit for
-    bit.
+    base's, or None when no row does.  Each entry of a 1-d array is a
+    row.  base holds nonnegative integers, such as the seeded init (all
+    zeros when None); unpack_rows writes the rows back over it.
+
+    The form is {"rows": their ascending indices, packed by pack_array,
+    codec: base64 of a zlib stream}, and the key names the codec:
+    "deltas" holds each entry minus base's as little-endian int16, taken
+    whenever base plus those deltas gives back every stored bit, as it
+    does for lattice rows; "values" holds the little-endian XOR of the
+    rows' float64 bits against base's, so any other float, -0.0
+    included, comes back bit for bit.
 
     Raises:
         ValueError: a stored row holds NaN or infinity (named by name).
@@ -469,17 +481,19 @@ def pack_rows(name: str, arr: np.ndarray, base: np.ndarray | None = None) -> dic
     # values differ (NaN included) or the sign bit is set (-0.0 included)
     differs = (arr != (0 if base is None else base)) | np.signbit(arr)
     rows = np.flatnonzero(differs.any(axis=tuple(range(1, differs.ndim))))
+    if not len(rows):
+        return None
     kept = arr[rows]
     if not np.isfinite(kept).all():
         raise ValueError(f"table {name} holds a non-finite value; it cannot be saved")
-    bits = kept.view(np.uint64)
-    if base is not None:
-        bits ^= np.asarray(base[rows], dtype=np.float64).view(np.uint64)
-    # run-length matching only: on XOR rows, mostly zero bytes, it deflates
-    # smaller than the default strategy's level 6 and faster than level 1
-    deflate = zlib.compressobj(strategy=zlib.Z_RLE)
-    blob = deflate.compress(bits.astype("<u8").tobytes()) + deflate.flush()
-    return {"rows": pack_array(name, rows), "values": base64.b64encode(blob).decode("ascii")}
+    under = np.zeros(kept.shape) if base is None else np.asarray(base[rows], dtype=np.float64)
+    step = kept - under
+    if ((step >= -32768) & (step <= 32767)).all():
+        deltas = step.astype("<i2")
+        if np.array_equal((under + deltas).view(np.int64), kept.view(np.int64)):
+            return {"rows": pack_array(name, rows), "deltas": _deflate(deltas)}
+    xor = kept.view(np.uint64) ^ under.view(np.uint64)
+    return {"rows": pack_array(name, rows), "values": _deflate(xor.astype("<u8"))}
 
 
 def _inflate(name: str, text: str, size: int) -> bytes:
@@ -504,20 +518,27 @@ def _inflate(name: str, text: str, size: int) -> bytes:
     return out
 
 
+# pack_rows' codecs: the stored dtype of each entry, and its name
+_ROW_CODECS = {"values": (np.dtype("<u8"), "float64"), "deltas": (np.dtype("<i2"), "int16")}
+
+
 def unpack_rows(name: str, value: dict, out: np.ndarray) -> np.ndarray:
-    """Write the rows that pack_rows stored over out, XORing their bits
-    against out's, in place; returns out.
+    """Write the rows that pack_rows stored over out, in place: out's
+    entries plus the deltas, or out's bits XORed with the values; returns
+    out.
 
     Raises:
-        ValueError: (naming the table) value is not a rows/values pair, a
-            row index is not one of out's rows, the indices do not
-            strictly ascend, the XOR is malformed (_inflate) or not
-            len(rows) whole rows of values, a row comes out NaN or
-            infinite, or the indices' text is malformed as unpack_array
-            says.
+        ValueError: (naming the table) value is not the rows and one
+            codec's text, a row index is not one of out's rows, the
+            indices do not strictly ascend, the codec's text is malformed
+            (_inflate) or not len(rows) whole rows of entries, a row
+            comes out NaN or infinite, or the indices' text is malformed
+            as unpack_array says.
     """
-    if not isinstance(value, dict) or value.keys() != {"rows", "values"}:
-        raise ValueError(f"table {name} is not a rows/values pair")
+    if not isinstance(value, dict) or value.keys() not in ({"rows", "values"}, {"rows", "deltas"}):
+        raise ValueError(f"table {name} is not a rows/values pair or a rows/deltas pair")
+    codec = "deltas" if "deltas" in value else "values"
+    dtype, kind = _ROW_CODECS[codec]
     at = unpack_array(name, value["rows"])
     outside = (at < 0) | (at >= len(out)) | (at != np.floor(at))
     if outside.any():
@@ -528,25 +549,38 @@ def unpack_rows(name: str, value: dict, out: np.ndarray) -> np.ndarray:
     if (np.diff(rows) <= 0).any():
         raise ValueError(f"table {name} row indices do not strictly ascend")
     shape = (len(rows), *out.shape[1:])
-    size = math.prod(shape) * 8
-    raw = _inflate(name, value["values"], size)
-    if len(raw) % 8:
-        raise ValueError(f"table {name} inflates to {len(raw)} bytes, not whole float64 values")
+    size = math.prod(shape) * dtype.itemsize
+    raw = _inflate(name, value[codec], size)
+    if len(raw) % dtype.itemsize:
+        raise ValueError(f"table {name} inflates to {len(raw)} bytes, not whole {kind} values")
     if len(raw) != size:
-        raise ValueError(f"table {name} has {len(raw) // 8} values, wanted {shape}")
-    bits = out[rows].view(np.uint64) ^ np.frombuffer(raw, dtype="<u8").reshape(shape)
-    values = bits.view(np.float64)
+        raise ValueError(f"table {name} has {len(raw) // dtype.itemsize} values, wanted {shape}")
+    stored = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    if codec == "deltas":
+        values = out[rows] + stored
+    else:
+        values = (out[rows].view(np.uint64) ^ stored).view(np.float64)
     if not np.isfinite(values).all():
         raise ValueError(f"table {name} holds a non-finite value; it cannot be loaded")
     out[rows] = values
     return out
 
 
+def _pack_tables(
+    named: Iterable[tuple[str, np.ndarray, np.ndarray | None]], prefix: str = ""
+) -> dict:
+    """{name: pack_rows(prefix + name, arr, base)} for each (name, arr,
+    base), leaving out every table that stores no row."""
+    packed = ((name, pack_rows(prefix + name, arr, base)) for name, arr, base in named)
+    return {name: rows for name, rows in packed if rows is not None}
+
+
 def model_state(model: HiPaNModel) -> dict:
-    """JSON-ready model snapshot in format v4: header scalars, the init
-    scheme, and each table as the rows that differ from the model's
-    seeded init, deflated as their XOR against it (pack_rows), keyed by
-    name.
+    """JSON-ready model snapshot in format v5: header scalars, the init
+    scheme, and, keyed by name, each table whose rows differ from the
+    model's seeded init, as those rows (pack_rows: int16 deltas against
+    the init for lattice rows, their deflated bit XOR otherwise).  A
+    table that training left at its init is not stored.
 
     The init is drawn again one array at a time, so a save never holds a
     second whole model.
@@ -560,22 +594,19 @@ def model_state(model: HiPaNModel) -> dict:
         "K_heads": cfg.K_heads,
         "tau": cfg.tau,
         "seed": model.init_seed,
-        "tables": {
-            name: pack_rows(name, arr, draw)
-            for name, arr, draw in _init_draws(model, model.init_seed)
-        },
+        "tables": _pack_tables(_init_draws(model, model.init_seed)),
     }
 
 
 def model_from_state(state: dict) -> HiPaNModel:
-    """Inverse of model_state: the seeded init with the stored rows written
-    over it.
+    """Inverse of model_state: the seeded init with each stored table's
+    rows written over it.  A table not stored loads as its init.
 
     Raises:
         ValueError: a format tag or init scheme other than this version's
             (named), a header field or the tables of the wrong JSON type
-            (named), a table missing or naming no model array (named), or
-            malformed tables.
+            (named), a table naming no model array (named), or malformed
+            tables.
     """
     fmt = state.get("format")
     if fmt != CHECKPOINT_FORMAT:
@@ -597,8 +628,8 @@ def model_from_state(state: dict) -> HiPaNModel:
     stray = sorted(tables.keys() - arrays.keys())
     if stray:
         raise ValueError(f"malformed {what}: table {stray[0]!r} names no model array")
-    for name, arr in arrays.items():
-        unpack_rows(name, _typed(tables, name, object, what), arr)
+    for name, value in tables.items():
+        unpack_rows(name, value, arrays[name])
     return model
 
 

@@ -85,9 +85,9 @@ from .model import (
     HiPaNModel,
     _array_views,
     _effective_depth,
+    _pack_tables,
     _top_two,
     model_arrays,
-    pack_rows,
     softmax_rows,
     unpack_rows,
 )
@@ -971,10 +971,12 @@ def optim_state_dict(
 ) -> dict:
     """Serializable optimizer state for checkpoints.  Adam's moments are
     stored for each head with a set bit in them (the heads the phase
-    trains), by model_arrays' names, as nonzero rows (pack_rows), unless
-    phase_entry: a checkpoint whose cursor enters a phase (epoch 0, the
-    final checkpoint too) holds none, because train starts every phase
-    from fresh moments and a resume there never reads them.
+    trains), by model_arrays' names, as their rows whose bits differ
+    from zero (pack_rows); "shapes" lists every array of those heads,
+    and an array with no such row is left out of "m" or "u".  No moment
+    is stored when phase_entry: a checkpoint whose cursor enters a phase
+    (epoch 0, the final checkpoint too) holds none, because train starts
+    every phase from fresh moments and a resume there never reads them.
 
     Raises:
         ValueError: a moment array holds NaN or infinity.
@@ -989,15 +991,15 @@ def optim_state_dict(
         "kind": "adam",
         "t": state.t,
         "shapes": {k: list(a.shape) for k, a in m.items()},
-        "m": {k: pack_rows(f"m.{k}", a) for k, a in m.items()},
-        "u": {k: pack_rows(f"u.{k}", a) for k, a in u.items()},
+        "m": _pack_tables(((k, a, None) for k, a in m.items()), "m."),
+        "u": _pack_tables(((k, a, None) for k, a in u.items()), "u."),
     }
 
 
 def restore_optim_state(doc: dict, model: HiPaNModel) -> OptimState:
     """Rebuild an OptimState from its checkpoint form: Adam's moments are
-    zeros shaped like model's latents with each stored array's nonzero
-    rows written into its named view.
+    zeros shaped like model's latents with each stored array's rows
+    written into its named view; an array not stored stays zero.
 
     Raises:
         ValueError: a field of the wrong JSON type (named), a stored shape

@@ -38,7 +38,9 @@ from hipan.model import (
     model_from_state,
     model_state,
     pack_array,
+    pack_rows,
     unpack_array,
+    unpack_rows,
 )
 from hipan.optim import OptimState, optim_state_dict, restore_optim_state
 
@@ -256,14 +258,19 @@ def _xor_text(rows, base):
     return base64.b64encode(zlib.compress(bits.astype("<u8").tobytes())).decode("ascii")
 
 
-def _inflated(text):
-    """The XOR bits of pack_rows text."""
-    return np.frombuffer(zlib.decompress(base64.b64decode(text)), dtype="<u8")
+def _inflated(text, dtype="<u8"):
+    """The entries of pack_rows text: XOR bits, or int16 deltas."""
+    return np.frombuffer(zlib.decompress(base64.b64decode(text)), dtype=dtype)
 
 
-# pack_rows' form of an array stored as its base: no rows, and the
-# deflate stream of nothing
-_EMPTY = {"rows": "int16:", "values": "eAEDAAAAAAE="}
+def _v4_values(rows, base):
+    """Format v4's text of rows stored over base: base64 of the Z_RLE
+    zlib stream of their float64 bits XORed with base's."""
+    bits = np.asarray(rows, dtype=np.float64).view(np.uint64)
+    bits = bits ^ np.asarray(base, dtype=np.float64).view(np.uint64)
+    deflate = zlib.compressobj(strategy=zlib.Z_RLE)
+    raw = deflate.compress(bits.astype("<u8").tobytes()) + deflate.flush()
+    return base64.b64encode(raw).decode("ascii")
 
 
 def _poisoned_state(form, bad):
@@ -296,31 +303,32 @@ def test_load_refuses_non_finite_latents(form, bad):
 
 
 def test_lattice_checkpoint_is_compact(tmp_path):
-    # a fresh model stores no rows; one edited entry stores its row as an
-    # XOR against the init that is zero but for that entry
+    # a fresh model stores no table; one edited entry stores its row as
+    # int16 deltas against the init that are zero but for that entry
     path = tmp_path / "ckpt.json"
     model = new_model(ModelConfig(CodecParams(31, 4)), seed=0)
     save_checkpoint(str(path), model)
     doc = load_checkpoint(str(path))
     assert doc["format"] == FORMAT
     assert doc["model"]["init"] == "uniform-v3"
-    assert doc["model"]["tables"].keys() == model_arrays(model).keys()
-    assert all(v == _EMPTY for v in doc["model"]["tables"].values())
-    # the header, and about 50 bytes per empty table
-    bound = 300 + 50 * len(model_arrays(model))
-    assert path.stat().st_size < bound
+    assert doc["model"]["tables"] == {}
+    # the header alone
+    fresh = path.stat().st_size
+    assert fresh < 300
     init = model.heads[2].table[7].copy()
     model.heads[2].table[7, 3] += 1
     save_checkpoint(str(path), model)
     tables = load_checkpoint(str(path))["model"]["tables"]
-    stored = tables.pop("head2.table")
+    assert tables.keys() == {"head2.table"}
+    stored = tables["head2.table"]
+    assert stored.keys() == {"rows", "deltas"}
     assert stored["rows"] == pack_array("t", np.array([7]))
-    want = model.heads[2].table[7].view(np.uint64) ^ init.view(np.uint64)
-    assert np.array_equal(_inflated(stored["values"]), want)
+    want = model.heads[2].table[7] - init
+    assert np.array_equal(_inflated(stored["deltas"], "<i2"), want)
     assert np.flatnonzero(want).tolist() == [3]
-    assert all(v == _EMPTY for v in tables.values())
-    # far less than the row's 31 values of 8 bytes each
-    assert path.stat().st_size < bound + 40
+    # the table's name, its row index and a short stream: far less than
+    # the row's 31 values of 8 bytes each, or their 31 int16 deltas
+    assert path.stat().st_size - fresh < 70
 
 
 def test_hand_built_model_round_trips_every_bit():
@@ -333,11 +341,162 @@ def test_hand_built_model_round_trips_every_bit():
     latents[2, 5] = np.linspace(-1.5, 70000.25, 5)  # head 2's anchors
     built = HiPaNModel(config, latents, init_seed=4)
     state = json.loads(canonical_json(model_state(built)))
-    for name in ("head0.anchor", "head1.anchor", "head2.table"):
-        assert state["tables"][name] == _EMPTY
+    # the init's own arrays are not stored; integers go as deltas, and
+    # -0.0 and the non-integer anchors as bit XORs
+    assert {name: stored.keys() - {"rows"} for name, stored in state["tables"].items()} == {
+        "head0.table": {"deltas"},
+        "head1.table": {"values"},
+        "head2.anchor": {"values"},
+    }
     back = model_from_state(state)
     for (name, a), b in zip(model_arrays(built).items(), model_arrays(back).values()):
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
+def test_no_tables_load_as_the_fresh_init():
+    model = new_model(ModelConfig(CodecParams(7, 3)), seed=5)
+    state = json.loads(canonical_json(model_state(model)))
+    assert state["tables"] == {}
+    back = model_from_state(state)
+    assert np.array_equal(back.latents.view(np.int64), model.latents.view(np.int64))
+    # a stored table beside missing ones: only it moves off the init
+    model.heads[1].anchor[2] += 3
+    state = json.loads(canonical_json(model_state(model)))
+    assert state["tables"].keys() == {"head1.anchor"}
+    back = model_from_state(state)
+    assert np.array_equal(back.latents.view(np.int64), model.latents.view(np.int64))
+
+
+def _pack_case(case):
+    """(rows stored over base, base) of a named pack_rows case: 3 rows of
+    4 entries over an integer base, row 1 left at the base."""
+    base = np.arange(12.0).reshape(3, 4) % 5
+    arr = base.copy()
+    if case == "integer rows":
+        arr[0] += [1, -1, 0, 7]
+        arr[2, 3] = -30000.0
+    elif case == "float rows":
+        arr[0] += 0.5
+        arr[2] = np.linspace(-1e300, 3.25, 4)
+    elif case == "-0.0":
+        arr[0, 0] = -0.0
+    elif case == "delta past int16":
+        arr[2, 1] = base[2, 1] + 32768
+    elif case == "integer and float rows":
+        arr[0] += 1
+        arr[2, 2] += 1e-9
+    return arr, base
+
+
+@pytest.mark.parametrize(
+    "case, codec",
+    [
+        ("integer rows", "deltas"),
+        ("float rows", "values"),
+        ("-0.0", "values"),
+        ("delta past int16", "values"),
+        ("integer and float rows", "values"),
+    ],
+)
+def test_pack_rows_takes_the_codec_that_holds_every_bit(case, codec):
+    arr, base = _pack_case(case)
+    stored = json.loads(json.dumps(pack_rows("t", arr, base)))
+    assert stored.keys() == {"rows", codec}
+    rows = np.flatnonzero((arr.view(np.int64) != base.view(np.int64)).any(axis=1))
+    assert stored["rows"] == pack_array("t", rows)
+    back = unpack_rows("t", stored, base.copy())
+    assert np.array_equal(back.view(np.int64), arr.view(np.int64))
+    if codec == "values":
+        assert stored["values"] == _v4_values(arr[rows], base[rows])
+    else:
+        assert np.array_equal(_inflated(stored["deltas"], "<i2"), (arr[rows] - base[rows]).ravel())
+
+
+def _stored_value():
+    return st.one_of(
+        st.integers(-33_000, 33_000).map(float),
+        st.sampled_from([-0.0, 0.0, 0.5, -2.25, 1e300, 5e-324]),
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), _stored_value()), max_size=8),
+)
+def test_pack_rows_round_trips_every_bit(n, width, seed, edits):
+    base = np.random.default_rng(seed).integers(0, 50, size=(n, width)).astype(np.float64)
+    arr = base.copy()
+    for row, col, value in edits:
+        arr[row % n, col % width] = value
+    stored = pack_rows("t", arr, base)
+    differs = (arr.view(np.int64) != base.view(np.int64)).any(axis=1)
+    if not differs.any():
+        assert stored is None
+        return
+    kept, under = arr[differs], base[differs]
+    # deltas exactly when every stored entry is an integer, not -0.0, that
+    # lies within int16 of its base
+    fits = (
+        (kept == np.floor(kept))
+        & ~((kept == 0) & np.signbit(kept))
+        & (-32768 <= kept - under)
+        & (kept - under <= 32767)
+    ).all()
+    assert stored.keys() == {"rows", "deltas" if fits else "values"}
+    back = unpack_rows("t", json.loads(json.dumps(stored)), base.copy())
+    assert np.array_equal(back.view(np.int64), arr.view(np.int64))
+
+
+def test_adam_tables_cost_what_format_v4_stored(tmp_path, toy_dataset):
+    # Adam's tables and moments are floats: each is stored as format v4's
+    # bit XOR, character for character
+    phases = uniform_plan(2, epochs=2, lr=0.03).phases
+    plan = TrainPlan(phases, checkpoint_interval=1)
+    model = new_model(ModelConfig(toy_dataset.codec), seed=0)
+    got = train(model, toy_dataset, AdamConfig(), plan, checkpoint_dir=str(tmp_path))
+    docs = [load_checkpoint(path) for path in got.checkpoints]
+    (doc,) = [d for d in docs if d["cursor"] == {"phase": 0, "epoch": 1}]
+    trained = model_arrays(load_model(doc))
+    init = model_arrays(new_model(model.config, seed=0))
+    tables = doc["model"]["tables"]
+    assert tables
+    for name, stored in tables.items():
+        rows = np.flatnonzero((trained[name] != init[name]).reshape(len(init[name]), -1).any(1))
+        assert stored == {
+            "rows": pack_array(name, rows),
+            "values": _v4_values(trained[name][rows], init[name][rows]),
+        }, name
+    moments = restore_optim_state(doc["optim"], model)
+    assert doc["optim"]["m"]
+    for part in ("m", "u"):
+        views = _array_views(getattr(moments, part))
+        for name, stored in doc["optim"][part].items():
+            a = views[name]
+            rows = np.flatnonzero(a.reshape(len(a), -1).any(axis=1))
+            assert stored == {
+                "rows": pack_array(name, rows),
+                "values": _v4_values(a[rows], np.zeros(a[rows].shape)),
+            }, (part, name)
+
+
+# the deltas of two rows of 3 entries
+_DELTAS = base64.b64encode(zlib.compress(np.arange(6, dtype="<i2").tobytes())).decode()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unpack_rows_refuses_a_delta_landing_on_a_non_finite_value(bad):
+    # a checkpoint's base is the finite init, so only a base handed to
+    # unpack_rows can put a delta on a non-finite value
+    out = np.zeros((3, 3))
+    assert unpack_rows("t", {"rows": "int16:AAABAA==", "deltas": _DELTAS}, out).tolist() == [
+        [0, 1, 2], [3, 4, 5], [0, 0, 0]
+    ]
+    out[1, 2] = bad
+    with pytest.raises(ValueError, match="^table t holds a non-finite value"):
+        unpack_rows("t", {"rows": "int16:AAABAA==", "deltas": _DELTAS}, out)
 
 
 def _edit_values():
@@ -356,7 +515,7 @@ def _edit_values():
     st.lists(st.tuples(*[st.integers(0, 99)] * 3, _edit_values()), max_size=12),
     st.lists(st.tuples(st.integers(0, 1), *[st.integers(0, 99)] * 2, _edit_values()), max_size=8),
 )
-def test_v4_round_trips_every_bit(p, K, seed, edits, moment_edits):
+def test_v5_round_trips_every_bit(p, K, seed, edits, moment_edits):
     model = new_model(ModelConfig(CodecParams(p, K + 1), K_heads=K), seed=seed)
     arrays = list(model_arrays(model).values())
     for which, row, col, value in edits:
@@ -373,16 +532,25 @@ def test_v4_round_trips_every_bit(p, K, seed, edits, moment_edits):
     for (name, a), b in zip(model_arrays(model).items(), model_arrays(back).values()):
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
     assert canonical_json(model_state(back)) == text
-    # only the rows whose bits differ from the seeded init are stored, as
-    # their XOR against it
+    # only the tables and rows whose bits differ from the seeded init are
+    # stored: as int16 deltas against it where those hold every bit, as
+    # their XOR against it otherwise
     fresh = model_arrays(new_model(model.config, seed=seed))
+    tables = json.loads(text)["tables"]
     for name, a in model_arrays(model).items():
         differs = a.view(np.int64) != fresh[name].view(np.int64)
         changed = np.flatnonzero(differs.reshape(len(a), -1).any(axis=1))
-        stored = json.loads(text)["tables"][name]
+        if not len(changed):
+            assert name not in tables
+            continue
+        stored = tables[name]
         assert stored["rows"] == pack_array(name, changed)
-        xor = a[changed].view(np.uint64) ^ fresh[name][changed].view(np.uint64)
-        assert np.array_equal(_inflated(stored["values"]), xor.ravel())
+        if "deltas" in stored:
+            deltas = _inflated(stored["deltas"], "<i2")
+            assert np.array_equal(deltas, (a[changed] - fresh[name][changed]).ravel())
+        else:
+            xor = a[changed].view(np.uint64) ^ fresh[name][changed].view(np.uint64)
+            assert np.array_equal(_inflated(stored["values"]), xor.ravel())
 
     optim_text = canonical_json(optim_state_dict("adam", state))
     restored = restore_optim_state(json.loads(optim_text), model)

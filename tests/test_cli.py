@@ -647,7 +647,8 @@ def _deflated(raw):
 
 def _stored_rows(doc, name, rows, values):
     """Table name of checkpoint doc storing values (any floats) at rows,
-    as pack_rows stores them: XORed against the model's seeded init."""
+    as pack_rows stores rows that int16 deltas do not hold: XORed against
+    the model's seeded init."""
     m = doc["model"]
     config = ModelConfig(CodecParams(m["p"], m["K"]), m["K_heads"], m["tau"])
     rows = np.asarray(list(rows))
@@ -851,8 +852,9 @@ def _inflated(table):
     return zlib.decompress(base64.b64decode(table["values"]))
 
 
-# each takes head1.table, which stores two rows of p = 3 values, and the
-# init's bits of those rows
+# each takes head1.table of an Adam checkpoint, which stores two rows of
+# p = 3 floats as their XOR against the init, and the init's bits of
+# those rows
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -891,16 +893,59 @@ def _inflated(table):
         ),
     ],
 )
-def test_corrupt_table_exit_2_naming_it(capsys, tmp_path, toy_files, corrupt):
+def test_corrupt_table_exit_2_naming_it(capsys, tmp_path, toy_files, adam_checkpoint, corrupt):
+    tree_path, ds_path = toy_files
+    doc = json.loads(json.dumps(adam_checkpoint))
+    tables = doc["model"]["tables"]
+    # training moved both rows that the toy's digit 0 selects
+    assert tables["head1.table"]["rows"] == pack_array("rows", np.arange(2))
+    assert tables["head1.table"].keys() == {"rows", "values"}
+    init = new_model(ModelConfig(CodecParams(3, 2)), seed=doc["model"]["seed"]).heads[1].table
+    init_bits = init[:2].ravel().view(np.uint64)
+    tables["head1.table"], message = corrupt(tables["head1.table"], init_bits)
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_json(doc))
+    rc, _, err = run(
+        capsys, ["eval", "--dataset", ds_path, "--tree", tree_path, "--checkpoint", str(bad)]
+    )
+    assert rc == 2
+    assert err.startswith(f"error: table head1.table {message}"), err
+    assert "Traceback" not in err
+
+
+def _redeltas(raw, message):
+    """A head1.table storing its two rows as int16 deltas that inflate to
+    the bytes raw, and the error loading it must raise."""
+    stream = base64.b64encode(zlib.compress(raw)).decode("ascii")
+    return {"rows": pack_array("rows", np.arange(2)), "deltas": stream}, message
+
+
+# each replaces head1.table of a lattice checkpoint, which stores two rows
+# of p = 3 entries as int16 deltas against the init, 12 bytes
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda t: (
+            {**t, "values": t["deltas"]},
+            "is not a rows/values pair or a rows/deltas pair",
+        ),
+        lambda t: ({"rows": t["rows"]}, "is not a rows/values pair or a rows/deltas pair"),
+        lambda t: ({**t, "deltas": t["deltas"][:-4]}, "does not inflate"),
+        lambda t: ({**t, "deltas": t["deltas"][:-1]}, "is not valid base64"),
+        lambda t: _redeltas(bytes(11), "inflates to 11 bytes, not whole int16 values"),
+        lambda t: _redeltas(bytes(10), "has 5 values, wanted (2, 3)"),
+        lambda t: _redeltas(bytes(14), "inflates past the 12 bytes of its rows"),
+        lambda t: _redeltas(bytes(1 << 24), "inflates past the 12 bytes of its rows"),
+    ],
+)
+def test_corrupt_deltas_exit_2_naming_it(capsys, tmp_path, toy_files, corrupt):
     tree_path, ds_path = toy_files
     _, ckdir = _train_toy(capsys, tmp_path, toy_files)
     doc = load_checkpoint(os.path.join(ckdir, "ckpt-final.json"))
     tables = doc["model"]["tables"]
-    # training moved both rows that the toy's digit 0 selects
     assert tables["head1.table"]["rows"] == pack_array("rows", np.arange(2))
-    init = new_model(ModelConfig(CodecParams(3, 2)), seed=doc["model"]["seed"]).heads[1].table
-    init_bits = init[:2].ravel().view(np.uint64)
-    tables["head1.table"], message = corrupt(tables["head1.table"], init_bits)
+    assert tables["head1.table"].keys() == {"rows", "deltas"}
+    tables["head1.table"], message = corrupt(tables["head1.table"])
     bad = tmp_path / "bad.json"
     bad.write_text(canonical_json(doc))
     rc, _, err = run(
@@ -1054,17 +1099,18 @@ def _refused(capsys, tmp_path, toy_files, command, doc):
 
 
 def _retired_form(doc, form):
-    """A copy of a format v4 checkpoint document labelled as a file of an
+    """A copy of a format v5 checkpoint document labelled as a file of an
     earlier format: v1 or v2 (an earlier head layout, no init scheme),
-    v3 (whole rows over init "uniform-v3"), or v4 stored against init
-    "uniform-v1" or "uniform-v2"."""
+    v3 (whole rows over init "uniform-v3"), v4 (every table, as bit XORs
+    over init "uniform-v3"), or stored against init "uniform-v1" or
+    "uniform-v2"."""
     old = json.loads(json.dumps(doc))
     if form.startswith("uniform-"):
         old["model"]["init"] = form
     else:
         old["format"] = f"hipan-checkpoint-{form}"
         old["model"]["format"] = f"hipan-model-{form}"
-        if form != "v3":
+        if form not in ("v3", "v4"):
             del old["model"]["init"]
     return old
 
@@ -1075,7 +1121,9 @@ def _retired_form(doc, form):
         ("v1", "unknown checkpoint format 'hipan-checkpoint-v1'"),
         ("v2", "unknown checkpoint format 'hipan-checkpoint-v2'"),
         ("v3", "unknown checkpoint format 'hipan-checkpoint-v3'; this version reads "
-               "'hipan-checkpoint-v4'"),
+               "'hipan-checkpoint-v5'"),
+        ("v4", "unknown checkpoint format 'hipan-checkpoint-v4'; this version reads "
+               "'hipan-checkpoint-v5'"),
         ("uniform-v1", "unknown init scheme 'uniform-v1'; this version reads 'uniform-v3'"),
         ("uniform-v2", "unknown init scheme 'uniform-v2'; this version reads 'uniform-v3'"),
     ],
@@ -1105,14 +1153,22 @@ def test_resume_refuses_a_moment_array_the_model_lacks(
     )
 
 
+# _set's value that deletes the field
+_DROP = object()
+
+
 def _set(doc, path, value):
-    """A copy of doc with the field at path (a tuple of keys) set to value."""
+    """A copy of doc with the field at path (a tuple of keys) set to value,
+    or deleted if value is _DROP."""
     doc = json.loads(json.dumps(doc))
     *head, last = path
     target = doc
     for key in head:
         target = target[key]
-    target[last] = value
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
     return doc
 
 
@@ -1126,7 +1182,7 @@ def _set(doc, path, value):
         ),
         (("model", "tau"), [1], "malformed checkpoint model: 'tau' must be int or float, got [1]"),
         (("model", "tables"), ["int16:"], "malformed checkpoint model: 'tables' must be dict"),
-        (("model", "tables"), {}, "malformed checkpoint model: 'head0.table' is missing"),
+        (("model", "tables"), _DROP, "malformed checkpoint model: 'tables' is missing"),
         (
             ("model", "tables", "bogus"), {"rows": "int16:", "values": "eAEDAAAAAAE="},
             "malformed checkpoint model: table 'bogus' names no model array",
@@ -1139,6 +1195,28 @@ def test_malformed_model_state_exit_2_naming_the_field(
 ):
     err = _refused(capsys, tmp_path, toy_files, command, _set(adam_checkpoint, path, value))
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command", ["eval", "diagnose"])
+def test_checkpoint_without_tables_reads_as_the_init(
+    capsys, tmp_path, toy_files, adam_checkpoint, command
+):
+    # a table left out loads as the seeded init, so no tables at all is
+    # the fresh model the checkpoint's seed draws
+    tree_path, ds_path = toy_files
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(_set(adam_checkpoint, ("model", "tables"), {})))
+    m = adam_checkpoint["model"]
+    config = ModelConfig(CodecParams(m["p"], m["K"]), m["K_heads"], m["tau"])
+    fresh = save_checkpoint(str(tmp_path / "fresh.json"), new_model(config, seed=m["seed"]))
+    outs = []
+    for path in (empty, fresh):
+        out = tmp_path / f"{command}-{os.path.basename(path)}"
+        argv = [command, "--dataset", ds_path, "--tree", tree_path, "--checkpoint", str(path)]
+        rc, _, err = run(capsys, [*argv, "--out", str(out)])
+        assert rc == 0, err
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Guard on the package's names: every name a module exports is used,
-and so is every private one.
+and so is every private one; and on the README naming the checkpoint
+format the package writes.
 
 A name in a module's `__all__` must be referenced (as a name, an
 attribute or an imported name) somewhere other than its own definition,
@@ -11,7 +12,10 @@ own unit tests call is code nothing trains or reads.
 
 import ast
 import importlib
+import re
 from pathlib import Path
+
+from hipan.checkpoint import FORMAT
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hipan"
@@ -93,3 +97,12 @@ def test_every_private_name_is_referenced_by_the_package():
             if not used:
                 unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+def test_readme_names_the_checkpoint_format_written():
+    # the version in "hipan-checkpoint-vN"
+    version = FORMAT.rpartition("-")[2]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"Checkpoints \(format (v\d+)\)", readme) == [version]
+    (row,) = [line for line in readme.splitlines() if line.startswith("| `hipan.checkpoint`")]
+    assert re.findall(r"\bformat (v\d+)\b", row) == [version]
